@@ -37,14 +37,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be >= 1")
-    return value
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"value must be >= {minimum}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _int_triple(text: str) -> tuple[int, int, int]:
@@ -297,7 +303,11 @@ def _run_paradox_contradiction(args):
         model, space, witness, nu, invariant, interior = measures.contradiction_input_from_json(data)
     except (KeyError, TypeError, ValueError, measures.ModelError) as exc:
         raise _UsageError(f"{args.input}: {exc}") from None
-    report = measures.paradox_contradiction(model, space, witness, nu, invariant, interior=interior)
+    try:
+        report = measures.paradox_contradiction(model, space, witness, nu, invariant, interior=interior)
+    except measures.ModelError as exc:
+        # the input parsed but describes a broken model or witness
+        raise _UsageError(f"{args.input}: {exc}") from None
     findings = [
         Finding(link.name, link.ok, link.detail or f"{link.lhs} vs {link.rhs} ({link.mode})")
         for link in report.links
@@ -383,7 +393,7 @@ def build_parser() -> _Parser:
     p = smp_sub.add_parser("verify", parents=[common])
     p.add_argument("--deg", type=_positive_int, required=True)
     p.add_argument("--coef", type=_positive_int, required=True)
-    p.add_argument("--bits", type=_positive_int, default=128)
+    p.add_argument("--bits", type=_int_at_least(paradox.SMP_MIN_PRECISION_BITS), default=paradox.SMP_PRECISION_BITS)
     p.set_defaults(handler=_run_smp_verify, command="smp verify")
 
     meas_p = top.add_parser("measures", help="finitely additive measure demos")

@@ -19,12 +19,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
-from .errors import DegenerateInputError, DomainError, InvariantViolationError, ResourceLimitError
-from .words import DEFAULT_BALL_CAP, Letter, ReducedWord
-
-#: Alias kept for signature readability; the stdlib type already guarantees
-#: lowest terms and a positive denominator.
-Rational = Fraction
+from .errors import DegenerateInputError, DomainError, InvariantViolationError
+from .words import Letter, ReducedWord, walk_ball
 
 
 def _frac(x) -> Fraction:
@@ -175,8 +171,6 @@ _INT_IDENTITY: IntMat = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 def ball_matrices(
     depth: int,
     generators: Mapping[Letter, Mat3] | None = None,
-    *,
-    cap: int = DEFAULT_BALL_CAP,
 ) -> Iterator[tuple[ReducedWord, IntMat, int]]:
     """Yield (word, d*eval(word) as integers, d) over ball(depth) in length-lex order.
 
@@ -184,35 +178,21 @@ def ball_matrices(
     whole ball costs one 3x3 multiply per word.  With the default generators
     d = 7^len(word).
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    if depth > cap:
-        raise ResourceLimitError(f"ball({depth}) exceeds the configured cap {cap}")
     gens = generators if generators is not None else DEFAULT_GENERATORS
     scaled = {letter: scaled_integer_form(gens[letter]) for letter in Letter}
-    root = (ReducedWord(), _INT_IDENTITY, 1)
-    yield root
-    level = [root]
-    for _ in range(depth):
-        nxt = []
-        for w, ints, den in level:
-            last = w.letters[-1] if w.letters else None
-            for letter in Letter:
-                if last is not None and letter == last.inverse():
-                    continue
-                g_ints, g_den = scaled[letter]
-                item = (ReducedWord(w.letters + (letter,)), _matmul_ints(ints, g_ints), den * g_den)
-                yield item
-                nxt.append(item)
-        level = nxt
+
+    def step(parent: tuple[IntMat, int], letter: Letter) -> tuple[IntMat, int]:
+        g_ints, g_den = scaled[letter]
+        return _matmul_ints(parent[0], g_ints), parent[1] * g_den
+
+    return ((w, ints, den) for w, (ints, den) in walk_ball(depth, (_INT_IDENTITY, 1), step))
 
 
-def eval_word(w: ReducedWord, generators: Mapping[Letter, Mat3] | None = None) -> Mat3:
+def eval_word(w: ReducedWord) -> Mat3:
     """Exact product of generator matrices in word order; identity for e."""
-    gens = generators if generators is not None else DEFAULT_GENERATORS
     ints, den = _INT_IDENTITY, 1
     for letter in w.letters:
-        g_ints, g_den = scaled_integer_form(gens[letter])
+        g_ints, g_den = scaled_integer_form(DEFAULT_GENERATORS[letter])
         ints = _matmul_ints(ints, g_ints)
         den *= g_den
     return Mat3(tuple(Fraction(v, den) for v in ints))

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
 from .errors import InvariantViolationError
-from .words import DEFAULT_BALL_CAP, Letter, ReducedWord
+from .words import Letter, ReducedWord
 from .exactlin import Mat3, ball_matrices, generator_matrix, scaled_integer_form
 
 _MOD = 7
@@ -71,8 +71,6 @@ class FreenessVerdict:
 def exhaustive_check(
     depth: int,
     generators: Mapping[Letter, Mat3] | None = None,
-    *,
-    cap: int = DEFAULT_BALL_CAP,
 ) -> FreenessVerdict:
     """Evaluate every nonempty word of length <= depth; exact, depth-complete.
 
@@ -81,7 +79,7 @@ def exhaustive_check(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     checked = 0
-    for w, ints, den in ball_matrices(depth, generators, cap=cap):
+    for w, ints, den in ball_matrices(depth, generators):
         if w.is_identity:
             continue
         checked += 1

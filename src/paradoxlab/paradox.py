@@ -33,7 +33,8 @@ import mpmath
 from .errors import DomainError, InvariantViolationError, ModelError, PreconditionError
 from .freeness import FreenessCertificate, verify_certificate
 from .report import Finding
-from .words import DEFAULT_BALL_CAP, Letter, PrefixClass, ReducedWord, ball, prefix_class
+from .sphere import SEPARATION_RESOLUTION
+from .words import Letter, PrefixClass, ReducedWord, ball, ball_size, prefix_class
 from .exactlin import Vec3, ball_matrices, generator_matrix
 
 Point = Hashable
@@ -231,11 +232,7 @@ def two_to_one_shift_model(
     return model, space, witness, interior
 
 
-def f2_ball_model(
-    depth: int,
-    *,
-    cap: int = DEFAULT_BALL_CAP,
-) -> tuple[FiniteActionModel, frozenset, ParadoxWitness, frozenset]:
+def f2_ball_model(depth: int) -> tuple[FiniteActionModel, frozenset, ParadoxWitness, frozenset]:
     """The four-piece free-group decomposition on a word ball: (model, space, witness, interior).
 
     Points are the reduced words of length <= depth; each generator letter
@@ -248,7 +245,7 @@ def f2_ball_model(
     """
     if depth < 2:
         raise ValueError("depth must be at least 2 so the interior is nontrivial")
-    space = frozenset(ball(depth, cap=cap))
+    space = frozenset(ball(depth))
     maps: dict[str, dict] = {"e": {w: w for w in space}}
     for letter in Letter:
         gen = ReducedWord((letter,))
@@ -432,9 +429,6 @@ def _closest_pair_sq(points: list[tuple[float, float]]) -> tuple[float, tuple[in
     return best, pair
 
 
-SEPARATION_THRESHOLD = 1e-12
-
-
 @dataclass(frozen=True)
 class SMPReport:
     max_degree: int
@@ -454,7 +448,12 @@ class SMPReport:
         return self.outcome == "pass"
 
 
-def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = 128) -> SMPReport:
+#: Working precision of smp_verify by default, and the least it accepts.
+SMP_PRECISION_BITS = 128
+SMP_MIN_PRECISION_BITS = 64
+
+
+def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = SMP_PRECISION_BITS) -> SMPReport:
     """Verify the two-piece planar paradox on a finite truncation.
 
     Symbolic side: A/B partition the range; g and h are injective with exact
@@ -467,8 +466,8 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = 12
     """
     if max_degree < 1 or max_coeff < 1:
         raise ValueError("need max_degree >= 1 and max_coeff >= 1")
-    if precision_bits < 64:
-        raise ValueError("precision_bits must be >= 64")
+    if precision_bits < SMP_MIN_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be >= {SMP_MIN_PRECISION_BITS}")
     polys = enumerate_polys(max_degree, max_coeff)
     index = {p: i for i, p in enumerate(polys)}
     part_a = [p for p in polys if smp_classify(p) is PolyClass.A]
@@ -512,7 +511,7 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = 12
         best_sq, (i, j) = _closest_pair_sq(floats)
         min_distance = float(abs(embeds[i] - embeds[j]))
         # float coordinates are off by < 3e-15, so this lower bound is safe
-        separated = math.sqrt(best_sq) - 1e-13 > SEPARATION_THRESHOLD
+        separated = math.sqrt(best_sq) - 1e-13 > SEPARATION_RESOLUTION
         findings.append(
             Finding(
                 "separation",
@@ -610,12 +609,7 @@ class OrbitTransportResult:
         return self.report.passed and self.orbit_size == self.expected_size
 
 
-def orbit_transport(
-    depth: int,
-    certificate: FreenessCertificate,
-    *,
-    cap: int = DEFAULT_BALL_CAP,
-) -> OrbitTransportResult:
+def orbit_transport(depth: int, certificate: FreenessCertificate) -> OrbitTransportResult:
     """Transport the word-level decomposition onto an orbit of the base vector.
 
     Requires a verified vector certificate: freeness of the action at the
@@ -633,7 +627,7 @@ def orbit_transport(
 
     by_word: dict[ReducedWord, Vec3] = {}
     seen: dict[Vec3, ReducedWord] = {}
-    for w, ints, den in ball_matrices(depth, cap=cap):
+    for w, ints, den in ball_matrices(depth):
         p = Vec3(
             Fraction(ints[0] * bx + ints[1] * by + ints[2] * bz, den),
             Fraction(ints[3] * bx + ints[4] * by + ints[5] * bz, den),
@@ -668,12 +662,12 @@ def orbit_transport(
         pieces_b=(frozenset(piece[PrefixClass.W_B]), frozenset(piece[PrefixClass.W_B_INV])),
         movers_b=("e", Letter.B.symbol),
     )
-    interior = frozenset(by_word[w] for w in ball(depth - 1, cap=cap))
+    interior = frozenset(p for w, p in by_word.items() if len(w) < depth)
     report = verify_paradox_witness(model, points, witness, interior=interior)
     return OrbitTransportResult(
         model=model,
         witness=witness,
         report=report,
         orbit_size=len(points),
-        expected_size=len(ball(depth, cap=cap)),
+        expected_size=ball_size(depth),
     )

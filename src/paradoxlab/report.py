@@ -34,7 +34,7 @@ class RunReport:
     parameters: dict
     outcome: str  # "pass" | "fail" | "inconclusive"
     details: dict
-    timing_ms: float | None = None
+    timing_ms: int | None = None
 
     def to_json_bytes(self) -> bytes:
         payload = {
@@ -74,7 +74,3 @@ def _key(k: Any) -> str:
         v = k.value
         return v if isinstance(v, str) else k.name
     return k if isinstance(k, str) else str(k)
-
-
-def findings_ok(findings) -> bool:
-    return all(f.ok for f in findings)

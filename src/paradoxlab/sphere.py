@@ -34,11 +34,12 @@ from .errors import (
     InconclusiveError,
     InvariantViolationError,
 )
-from .exactlin import Mat3, ProjectiveDirection, Vec3, ball_matrices, integer_kernel_basis
-from .words import DEFAULT_BALL_CAP, Letter, ReducedWord
+from .exactlin import ProjectiveDirection, Vec3, ball_matrices, integer_kernel_basis
+from .words import ReducedWord
 
-# Pairs certified closer than this are reported as collisions by absorb_demo.
-# Honest geometry at this scale either coincides or is separated by far more.
+# Points closer than this count as coinciding: a collision in absorb_demo, a
+# failed separation in paradox.smp_verify.  Honest geometry at this scale
+# either coincides or is separated by far more.
 SEPARATION_RESOLUTION = 1e-12
 
 DEFAULT_PRECISION_BITS = 128
@@ -78,12 +79,7 @@ class FixedDirectionSet:
         }
 
 
-def fixed_directions(
-    depth: int,
-    generators: Mapping[Letter, Mat3] | None = None,
-    *,
-    cap: int = DEFAULT_BALL_CAP,
-) -> FixedDirectionSet:
+def fixed_directions(depth: int) -> FixedDirectionSet:
     """Axes of every non-identity word in ball(depth), canonical and deduplicated.
 
     A word and its inverse share an axis, as do conjugates that happen to fall
@@ -94,7 +90,7 @@ def fixed_directions(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     found: dict[ProjectiveDirection, ReducedWord] = {}
-    for word, ints, den in ball_matrices(depth, generators, cap=cap):
+    for word, ints, den in ball_matrices(depth):
         if not word.letters:
             continue
         rows = [
@@ -121,20 +117,14 @@ def _as_direction(v0) -> ProjectiveDirection:
     return ProjectiveDirection.canonical(x, y, z)
 
 
-def is_free_at_direct(
-    v0,
-    depth: int,
-    generators: Mapping[Letter, Mat3] | None = None,
-    *,
-    cap: int = DEFAULT_BALL_CAP,
-) -> bool:
+def is_free_at_direct(v0, depth: int) -> bool:
     """Freeness oracle by brute evaluation: no ball word may fix v0's direction.
 
     Works on the primitive integer representative, so w fixes the direction
     iff the scaled integer matrix satisfies M v = d v exactly.
     """
     x, y, z = _as_direction(v0).as_tuple()
-    for word, ints, den in ball_matrices(depth, generators, cap=cap):
+    for word, ints, den in ball_matrices(depth):
         if not word.letters:
             continue
         image = (
@@ -147,29 +137,21 @@ def is_free_at_direct(
     return True
 
 
-def is_free_at(
-    v0,
-    depth: int,
-    generators: Mapping[Letter, Mat3] | None = None,
-    *,
-    cap: int = DEFAULT_BALL_CAP,
-    cross_check: bool = True,
-) -> bool:
+def is_free_at(v0, depth: int) -> bool:
     """True when no non-identity word of length <= depth fixes the direction of v0.
 
-    Computed by membership in the assembled fixed-direction set and, unless
-    disabled, cross-checked against direct evaluation of every ball word.
-    The two routes share no kernel machinery, so a disagreement means a bug
-    in one of them and raises rather than guessing.
+    Computed by membership in the assembled fixed-direction set and always
+    cross-checked against direct evaluation of every ball word.  The two
+    routes share no kernel machinery, so a disagreement means a bug in one of
+    them and raises rather than guessing.
     """
     direction = _as_direction(v0)
-    by_set = direction not in fixed_directions(depth, generators, cap=cap)
-    if cross_check:
-        by_eval = is_free_at_direct(direction, depth, generators, cap=cap)
-        if by_eval != by_set:
-            raise InvariantViolationError(
-                f"freeness oracles disagree at {direction}: set={by_set} direct={by_eval}"
-            )
+    by_set = direction not in fixed_directions(depth)
+    by_eval = is_free_at_direct(direction, depth)
+    if by_eval != by_set:
+        raise InvariantViolationError(
+            f"freeness oracles disagree at {direction}: set={by_set} direct={by_eval}"
+        )
     return by_set
 
 

@@ -20,12 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import ResourceLimitError
 
 #: Hard cap on ball radius; |ball(14)| is ~9.5M words and past the desk scale.
-DEFAULT_BALL_CAP = 14
+BALL_CAP = 14
+
+#: Violation messages kept per decomposition check; later ones are dropped.
+MAX_VIOLATIONS = 10
+
+V = TypeVar("V")
 
 
 class Letter(IntEnum):
@@ -150,30 +155,47 @@ def invert(w: ReducedWord) -> ReducedWord:
     return ReducedWord(tuple(l.inverse() for l in reversed(w.letters)))
 
 
-@lru_cache(maxsize=None)
-def _ball(n: int) -> tuple[ReducedWord, ...]:
-    # Breadth-first by length, extending in letter order, gives length-lex order.
-    out: list[ReducedWord] = [IDENTITY]
-    level: list[ReducedWord] = [IDENTITY]
-    for _ in range(n):
-        nxt: list[ReducedWord] = []
-        for w in level:
-            last = w.letters[-1] if w.letters else None
-            for letter in Letter:
-                if last is not None and letter == last.inverse():
-                    continue
-                nxt.append(ReducedWord(w.letters + (letter,)))
-        out.extend(nxt)
-        level = nxt
-    return tuple(out)
+_ALPHABET = tuple(Letter)
 
 
-def ball(n: int, *, cap: int = DEFAULT_BALL_CAP) -> tuple[ReducedWord, ...]:
-    """All reduced words of length <= n, in length-lexicographic order."""
+def walk_ball(n: int, root: V, step: Callable[[V, Letter], V]) -> Iterator[tuple[ReducedWord, V]]:
+    """Stream ball(n) in length-lexicographic order, each word with a carried value.
+
+    The identity carries ``root`` and the word w.x carries ``step(value of w, x)``,
+    so a per-word product costs one step from its parent.  Breadth-first by
+    length, extending in letter order, gives length-lex order.  Only the level
+    being extended is held; the last level is yielded and dropped.  This is the
+    one place the radius cap is enforced.
+    """
     if n < 0:
         raise ValueError("ball radius must be >= 0")
-    if n > cap:
-        raise ResourceLimitError(f"ball({n}) exceeds the configured cap {cap}")
+    if n > BALL_CAP:
+        raise ResourceLimitError(f"ball({n}) exceeds the configured cap {BALL_CAP}")
+    yield IDENTITY, root
+    level = [(IDENTITY, root)]
+    for k in range(n):
+        keep = k < n - 1
+        nxt: list[tuple[ReducedWord, V]] = []
+        for w, value in level:
+            letters = w.letters
+            barred = letters[-1].inverse() if letters else None
+            for letter in _ALPHABET:
+                if letter is barred:
+                    continue
+                item = (ReducedWord(letters + (letter,)), step(value, letter))
+                yield item
+                if keep:
+                    nxt.append(item)
+        level = nxt
+
+
+@lru_cache(maxsize=None)
+def _ball(n: int) -> tuple[ReducedWord, ...]:
+    return tuple(w for w, _ in walk_ball(n, None, lambda value, letter: None))
+
+
+def ball(n: int) -> tuple[ReducedWord, ...]:
+    """All reduced words of length <= n, in length-lexicographic order."""
     return _ball(n)
 
 
@@ -212,9 +234,6 @@ def check_split(
     cover: PrefixClass,
     piece: PrefixClass,
     mover: ReducedWord,
-    *,
-    cap: int = DEFAULT_BALL_CAP,
-    max_violations: int = 10,
 ) -> SplitCheck:
     """Check that every word of length <= depth lies in W(cover) u mover.W(piece).
 
@@ -227,20 +246,20 @@ def check_split(
     mover_inv = invert(mover)
     violations: list[str] = []
     checked = 0
-    for h in ball(depth, cap=cap):
+    for h in ball(depth):
         checked += 1
         if prefix_class(h) is cover:
             continue
         shifted = concat(mover_inv, h)
         if prefix_class(shifted) is not piece:
-            if len(violations) < max_violations:
+            if len(violations) < MAX_VIOLATIONS:
                 violations.append(
                     f"{str(h)!r} not covered: {str(mover)!r}^-1 * h = {str(shifted)!r} "
                     f"is not in class {piece.value}"
                 )
             continue
         if concat(mover, shifted) != h:
-            if len(violations) < max_violations:  # pragma: no cover - group law, unreachable
+            if len(violations) < MAX_VIOLATIONS:  # pragma: no cover - group law, unreachable
                 violations.append(f"reassembly failed for {str(h)!r}")
     return SplitCheck(depth, cover, piece, mover, checked, tuple(violations))
 
@@ -268,13 +287,13 @@ class F2ParadoxReport:
         }
 
 
-def verify_f2_paradox(depth: int, *, cap: int = DEFAULT_BALL_CAP) -> F2ParadoxReport:
+def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     """Verify the prefix-class partition and both covering identities on ball(depth)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     counts: dict[PrefixClass, int] = {c: 0 for c in PrefixClass}
     partition_violations: list[str] = []
-    for w in ball(depth, cap=cap):
+    for w in ball(depth):
         # Memberships recomputed from raw structure, not trusted from prefix_class.
         flags = [
             not w.letters,
@@ -283,13 +302,13 @@ def verify_f2_paradox(depth: int, *, cap: int = DEFAULT_BALL_CAP) -> F2ParadoxRe
             bool(w.letters) and w.letters[0] is Letter.A_INV,
             bool(w.letters) and w.letters[0] is Letter.B_INV,
         ]
-        if sum(flags) != 1 and len(partition_violations) < 10:  # pragma: no cover - unreachable
+        if sum(flags) != 1 and len(partition_violations) < MAX_VIOLATIONS:  # pragma: no cover - unreachable
             partition_violations.append(f"{str(w)!r} lies in {sum(flags)} classes")
         counts[prefix_class(w)] += 1
     word_a = ReducedWord((Letter.A,))
     word_b = ReducedWord((Letter.B,))
-    split_a = check_split(depth, PrefixClass.W_A, PrefixClass.W_A_INV, word_a, cap=cap)
-    split_b = check_split(depth, PrefixClass.W_B, PrefixClass.W_B_INV, word_b, cap=cap)
+    split_a = check_split(depth, PrefixClass.W_A, PrefixClass.W_A_INV, word_a)
+    split_b = check_split(depth, PrefixClass.W_B, PrefixClass.W_B_INV, word_b)
     return F2ParadoxReport(depth, counts, tuple(partition_violations), split_a, split_b)
 
 

@@ -99,6 +99,7 @@ def test_inconclusive_exit_code(monkeypatch, report_schema):
         ("nonsense",),
         ("measures", "demo", "--which", "nope"),
         ("freeness", "certify", "--base", "1,2"),
+        ("smp", "verify", "--deg", "2", "--coef", "1", "--bits", "32"),
     ],
 )
 def test_usage_errors_exit_64(argv):
@@ -122,6 +123,25 @@ def test_unreadable_input_exits_64(tmp_path):
     result = run_cli("paradox", "contradiction", "--input", str(wrong))
     assert result.code == 64
     assert "other-v9" in result.stderr
+
+    # Inputs that parse but describe a broken model are usage errors too.
+    data = json.loads(_shift_input(tmp_path).read_text())
+    s0 = data["maps"]["s0"]
+    first, second = sorted(s0)[:2]
+    s0[second] = s0[first]
+    collapsed = tmp_path / "collapsed.json"
+    collapsed.write_text(json.dumps(data))
+    result = run_cli("paradox", "contradiction", "--input", str(collapsed))
+    assert (result.code, result.stdout) == (64, b"")
+    assert "collapsed.json" in result.stderr and "not injective" in result.stderr
+
+    data = json.loads(_shift_input(tmp_path).read_text())
+    data["witness"]["movers_a"] = ["nope"]
+    unknown = tmp_path / "unknown.json"
+    unknown.write_text(json.dumps(data))
+    result = run_cli("paradox", "contradiction", "--input", str(unknown))
+    assert (result.code, result.stdout) == (64, b"")
+    assert "unknown.json" in result.stderr and "'nope'" in result.stderr
 
 
 # -- determinism and timing --------------------------------------------------

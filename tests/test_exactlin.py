@@ -61,6 +61,11 @@ def test_eval_word_matches_scaled_integer_route():
         assert eval_word(w) == Mat3(tuple(Fraction(v, den) for v in ints))
 
 
+def test_ball_matrices_walk_the_ball_in_order():
+    for n in range(6):
+        assert [w for w, _, _ in ball_matrices(n)] == list(ball(n))
+
+
 def test_ball_matrices_denominators():
     for w, ints, den in ball_matrices(3):
         assert den == 7 ** len(w)

@@ -87,7 +87,7 @@ def test_generic_direction_is_free():
 def test_is_free_at_routes_agree(v):
     if v == (0, 0, 0):
         return
-    # cross_check=True re-runs the direct oracle internally and raises on
+    # is_free_at always re-runs the direct oracle internally and raises on
     # disagreement, so surviving the call is the assertion.
     assert is_free_at(v, 3) == is_free_at_direct(v, 3)
 

@@ -4,6 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paradoxlab.errors import ResourceLimitError
+from paradoxlab.exactlin import ball_matrices
+from paradoxlab.freeness import build_certificate, exhaustive_check
+from paradoxlab.paradox import f2_ball_model, orbit_transport
+from paradoxlab.sphere import fixed_directions
 from paradoxlab.words import (
     IDENTITY,
     Letter,
@@ -95,9 +99,25 @@ def test_ball_is_length_lex_ordered():
     assert len(set(words)) == len(words)
 
 
-def test_ball_cap_enforced():
+# Every consumer of the ball walk inherits its one radius cap.
+BALL_CONSUMERS = {
+    "ball": ball,
+    "ball_matrices": lambda n: next(ball_matrices(n)),
+    "verify_f2_paradox": verify_f2_paradox,
+    "exhaustive_check": exhaustive_check,
+    "fixed_directions": fixed_directions,
+    "f2_ball_model": f2_ball_model,
+    "orbit_transport": lambda n: orbit_transport(n, build_certificate((0, 1, 0))),
+}
+
+
+@pytest.mark.parametrize("consumer", BALL_CONSUMERS.values(), ids=BALL_CONSUMERS.keys())
+def test_ball_cap_enforced(consumer):
     with pytest.raises(ResourceLimitError):
-        ball(15)
+        consumer(15)
+
+
+def test_ball_rejects_negative_radius():
     with pytest.raises(ValueError):
         ball(-1)
 
