@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from random import Random
 
 from . import cauchy, freeness, measures, paradox, sphere, words
 from .errors import InconclusiveError, ResourceLimitError
@@ -196,7 +197,7 @@ def _demo_finite_group(seed: int):
         mu = measures.uniform_group_measure(G)
         for f in measures.audit_group_invariance(G, mu, seed=seed):
             findings.append(Finding(f"{name}_{f.name}", f.ok, f.detail))
-        audit = measures.audit_point_measure(mu, samples=200, seed=seed)
+        audit = measures.audit_point_measure(mu, seed=seed)
         findings.append(Finding(f"{name}_{audit.name}", audit.ok, audit.detail))
         details[name] = {"order": len(G), "uniform_weight": Fraction(1, len(G))}
     return findings, details
@@ -209,8 +210,6 @@ def _demo_density(seed: int):
         Finding("evens_density", measures.density_measure(evens) == Fraction(1, 2)),
         Finding("block_defect", measures.shift_defect(block) == Fraction(1, 10)),
     ]
-    from random import Random
-
     rng = Random(seed)
     worst = Fraction(0)
     for _ in range(200):
@@ -231,8 +230,6 @@ def _demo_induced_measure(seed: int):
     swap = measures.GroupAction.translation(G2)
     res2 = measures.induced_group_measure(swap, measures.PointMeasure.uniform(swap.points))
     findings = [Finding(f"swap_{f.name}", f.ok, f.detail) for f in res2.findings]
-
-    from random import Random
 
     rng = Random(seed)
     G3 = measures.GroupTable.cyclic(3)
@@ -255,8 +252,6 @@ def _demo_ergodic(seed: int):
     findings = [Finding("third_orbit", (value, defect) == (Fraction(1, 3), Fraction(0)))]
     one = measures.ergodic_average(Fraction(2, 7), Fraction(1, 5), measures.PiecewiseConstant.constant(1), 9)
     findings.append(Finding("constant_function", one == (Fraction(1), Fraction(0))))
-
-    from random import Random
 
     rng = Random(seed)
     ok, detail = True, ""

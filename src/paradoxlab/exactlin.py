@@ -37,29 +37,6 @@ class Vec3:
     def of(cls, x, y, z) -> "Vec3":
         return cls(_frac(x), _frac(y), _frac(z))
 
-    def as_tuple(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.x, self.y, self.z)
-
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __rmul__(self, scalar) -> "Vec3":
-        s = _frac(scalar)
-        return Vec3(s * self.x, s * self.y, s * self.z)
-
-    def dot(self, other: "Vec3") -> Fraction:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    @property
-    def is_zero(self) -> bool:
-        return not (self.x or self.y or self.z)
-
-    def to_json(self) -> list[str]:
-        return [str(self.x), str(self.y), str(self.z)]
-
 
 @dataclass(frozen=True)
 class Mat3:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping
+from typing import Literal, Mapping
 
 from .errors import InvariantViolationError
 from .words import Letter, ReducedWord
@@ -199,15 +199,13 @@ def build_certificate(
     return FreenessCertificate(kind, base, frozenset(states), transitions)
 
 
-def build_any_certificate(
-    candidates: Iterable[tuple[int, int, int]] = CANDIDATE_BASE_VECTORS,
-) -> FreenessCertificate:
-    """First certifying candidate wins; falls back to matrix residues.
+def build_any_certificate() -> FreenessCertificate:
+    """First certifying base vector in CANDIDATE_BASE_VECTORS wins; falls back to matrix residues.
 
     Raises :class:`InvariantViolationError` if nothing certifies, which for
     the shipped generators would mean a transcription defect.
     """
-    for v0 in candidates:
+    for v0 in CANDIDATE_BASE_VECTORS:
         result = build_certificate(v0)
         if isinstance(result, FreenessCertificate):
             return result

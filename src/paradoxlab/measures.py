@@ -98,15 +98,6 @@ class FiniteBooleanAlgebra:
         except KeyError:
             raise ModelError(f"meet table missing entry ({_fmt(a)}, {_fmt(b)})") from None
 
-    def compl_of(self, a):
-        try:
-            return self.complement[a]
-        except KeyError:
-            raise ModelError(f"complement table missing entry {_fmt(a)}") from None
-
-    def leq(self, a, b) -> bool:
-        return self.meet_of(a, b) == a
-
 
 def power_set_algebra(base: Iterable) -> FiniteBooleanAlgebra:
     """The power set of a finite base with union, intersection, complement."""
@@ -135,12 +126,6 @@ class BooleanAxiomReport:
     @property
     def passed(self) -> bool:
         return all(f.ok for f in self.findings)
-
-    def summary(self) -> str:
-        bad = [f.name for f in self.findings if not f.ok]
-        if not bad:
-            return f"boolean axioms hold on {self.element_count} elements"
-        return f"boolean axioms fail on {self.element_count} elements: {', '.join(bad)}"
 
 
 def verify_boolean_axioms(ba: FiniteBooleanAlgebra) -> BooleanAxiomReport:
@@ -243,9 +228,6 @@ class AlgebraMeasure:
             return self.values[x]
         except KeyError:
             raise ModelError(f"{_fmt(x)} is not in the algebra") from None
-
-    def to_json(self) -> dict:
-        return {"values": {_fmt(x): str(v) for x, v in sorted(self.values.items(), key=lambda kv: _fmt(kv[0]))}}
 
 
 def construct_probability_measure(ba: FiniteBooleanAlgebra) -> AlgebraMeasure:
@@ -353,20 +335,18 @@ class PointMeasure:
     def is_probability(self) -> bool:
         return self.total() == 1
 
-    def to_json(self) -> dict:
-        return {
-            "universe": sorted(map(_fmt, self.universe)),
-            "weights": {_fmt(p): str(w) for p, w in sorted(self.weights.items(), key=lambda kv: _fmt(kv[0])) if w},
-        }
+
+#: Random disjoint pairs drawn by :func:`audit_point_measure`.
+ADDITIVITY_SAMPLES = 200
 
 
-def audit_point_measure(m: PointMeasure, *, samples: int = 1000, seed: int = 0) -> Finding:
+def audit_point_measure(m: PointMeasure, *, seed: int = 0) -> Finding:
     """Additivity on random disjoint pairs: mu(A u B) = mu(A) + mu(B)."""
     rng = Random(seed)
     pts = sorted(m.universe, key=_fmt)
     if m.mu(frozenset()) != 0:
         return Finding("additivity", False, "mu(empty) != 0")
-    for _ in range(samples):
+    for _ in range(ADDITIVITY_SAMPLES):
         a, b = set(), set()
         for p in pts:
             lot = rng.randrange(3)
@@ -376,7 +356,7 @@ def audit_point_measure(m: PointMeasure, *, samples: int = 1000, seed: int = 0) 
                 b.add(p)
         if m.mu(a | b) != m.mu(a) + m.mu(b):
             return Finding("additivity", False, f"failed on |A|={len(a)}, |B|={len(b)}")
-    return Finding("additivity", True, f"{samples} random disjoint pairs")
+    return Finding("additivity", True, f"{ADDITIVITY_SAMPLES} random disjoint pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +438,6 @@ class GroupTable:
         }
         return cls(elems, table, (a.identity, b.identity))
 
-    def to_json(self) -> dict:
-        return {
-            "elements": [str(g) for g in self.elements],
-            "identity": str(self.identity),
-            "table": {f"{g}|{h}": str(k) for (g, h), k in sorted(self.table.items(), key=lambda kv: (str(kv[0][0]), str(kv[0][1])))},
-        }
-
 
 def uniform_group_measure(G: GroupTable) -> PointMeasure:
     """mu(A) = |A| / |G| on the power set of the group."""
@@ -472,13 +445,11 @@ def uniform_group_measure(G: GroupTable) -> PointMeasure:
     return PointMeasure.uniform(G.elements)
 
 
-def audit_group_invariance(
-    G: GroupTable,
-    m: PointMeasure,
-    *,
-    samples: int = 1000,
-    seed: int = 0,
-) -> list[Finding]:
+#: Random subsets drawn by :func:`audit_group_invariance` for groups above order 8.
+INVARIANCE_SAMPLES = 1000
+
+
+def audit_group_invariance(G: GroupTable, m: PointMeasure, *, seed: int = 0) -> list[Finding]:
     """Two-sided invariance mu(gA) = mu(Ag) = mu(A): exhaustive for |G| <= 8, sampled above."""
     if frozenset(G.elements) != m.universe:
         raise ModelError("measure universe is not the group")
@@ -502,12 +473,12 @@ def audit_group_invariance(
                 return [Finding("two_sided_invariance", False, detail)]
         return [Finding("two_sided_invariance", True, f"exhaustive over {1 << n} subsets")]
     rng = Random(seed)
-    for _ in range(samples):
+    for _ in range(INVARIANCE_SAMPLES):
         A = frozenset(g for g in G.elements if rng.randrange(2))
         detail = translates_ok(A)
         if detail:
             return [Finding("two_sided_invariance", False, detail)]
-    return [Finding("two_sided_invariance", True, f"{samples} sampled subsets")]
+    return [Finding("two_sided_invariance", True, f"{INVARIANCE_SAMPLES} sampled subsets")]
 
 
 # ---------------------------------------------------------------------------
@@ -588,13 +559,6 @@ class InducedMeasureResult:
     @property
     def passed(self) -> bool:
         return all(f.ok for f in self.findings)
-
-    def summary(self) -> str:
-        state = "pass" if self.passed else "fail"
-        return (
-            f"induced measure on a group of order {len(self.sigma.universe)} from "
-            f"{len(self.orbit_sizes)} orbit(s): {state}"
-        )
 
 
 def induced_group_measure(action: GroupAction, mu: PointMeasure) -> InducedMeasureResult:
@@ -880,7 +844,10 @@ def paradox_contradiction(
     counterexamples.  On truncated models pass ``interior``: the final
     covering link then certifies that each side's moved union covers the
     interior exactly, instead of demanding nu(union) = nu(X), which no
-    honest truncation satisfies.
+    honest truncation satisfies.  Without the invariance hypothesis the
+    link also fails when nu puts mass on moved points outside the
+    interior: the truncation is faithful only inside it, so mass that
+    leaks past the interior is reported rather than counted as covered.
     """
     model.validate()
     pieces = list(witness.pieces_a) + list(witness.pieces_b)
@@ -918,18 +885,9 @@ def paradox_contradiction(
         )
     )
 
-    moved: dict[str, list[frozenset]] = {"a": [], "b": []}
-    undefined_counts = {"a": 0, "b": 0}
-    for side, side_pieces, movers in (
-        ("a", witness.pieces_a, witness.movers_a),
-        ("b", witness.pieces_b, witness.movers_b),
-    ):
-        for piece, mover in zip(side_pieces, movers):
-            img, undefined = model.image(mover, piece)
-            moved[side].append(img)
-            undefined_counts[side] += len(undefined)
-    all_moved = moved["a"] + moved["b"]
-    sum_moved = sum((nu.mu(m) for m in all_moved), start=Fraction(0))
+    moved_a, undefined_a = model.images(witness.pieces_a, witness.movers_a)
+    moved_b, undefined_b = model.images(witness.pieces_b, witness.movers_b)
+    sum_moved = sum((nu.mu(m) for m in moved_a + moved_b), start=Fraction(0))
 
     if invariant:
         links.append(
@@ -954,8 +912,8 @@ def paradox_contradiction(
             )
         )
 
-    union_a = frozenset().union(*moved["a"])
-    union_b = frozenset().union(*moved["b"])
+    union_a = frozenset().union(*moved_a)
+    union_b = frozenset().union(*moved_b)
     nu_unions = nu.mu(union_a & space) + nu.mu(union_b & space)
     links.append(
         ChainLink(
@@ -981,25 +939,19 @@ def paradox_contradiction(
         )
     else:
         covers = interior <= union_a and interior <= union_b
-        leak_a = len(union_a - interior)
-        leak_b = len(union_b - interior)
-        links.append(
-            ChainLink(
-                "covering",
-                "truncation",
-                covers,
-                nu_unions,
-                2 * total,
-                (
-                    f"each side covers the {len(interior)}-point interior exactly; "
-                    f"boundary excess a: {leak_a}, b: {leak_b} point(s), "
-                    f"undefined a: {undefined_counts['a']}, b: {undefined_counts['b']}; "
-                    "in the untruncated model the unions cover all of X"
-                )
-                if covers
-                else "a moved union misses interior points",
+        leaked = 0 if invariant else nu.mu(((union_a | union_b) & space) - interior)
+        if not covers:
+            detail = "a moved union misses interior points"
+        elif leaked:
+            detail = f"moved mass leaks past the interior: nu gives {leaked} to moved points outside it"
+        else:
+            detail = (
+                f"each side covers the {len(interior)}-point interior exactly; "
+                f"boundary excess a: {len(union_a - interior)}, b: {len(union_b - interior)} point(s), "
+                f"undefined a: {undefined_a}, b: {undefined_b}; "
+                "in the untruncated model the unions cover all of X"
             )
-        )
+        links.append(ChainLink("covering", "truncation", covers and not leaked, nu_unions, 2 * total, detail))
 
     bad = [link.name for link in links if not link.ok]
     if bad:

@@ -58,7 +58,6 @@ class FiniteActionModel:
     maps: Mapping[str, Mapping[Point, Point]]
     identity: str = "e"
     partial: bool = False
-    compose: Mapping[tuple[str, str], str] | None = None
 
     def validate(self) -> None:
         if self.identity not in self.maps:
@@ -75,24 +74,18 @@ class FiniteActionModel:
         ident = self.maps[self.identity]
         if set(ident) != self.points or any(ident[p] != p for p in ident):
             raise ModelError("identity label must fix every point")
-        if self.compose:
-            for (g, h), k in self.compose.items():
-                for lbl in (g, h, k):
-                    if lbl not in self.maps:
-                        raise ModelError(f"composition table uses unknown label {lbl!r}")
-                gh, hh, kk = self.maps[g], self.maps[h], self.maps[k]
-                for x, hx in hh.items():
-                    if hx in gh:
-                        if x not in kk or kk[x] != gh[hx]:
-                            raise ModelError(f"composition {g!r}*{h!r} != {k!r} at {x!r}")
 
-    def image(self, label: str, piece: frozenset) -> tuple[frozenset, frozenset]:
-        """(image of the defined part, points where the label is undefined)."""
-        if label not in self.maps:
-            raise ModelError(f"unknown group label {label!r}")
-        mapping = self.maps[label]
-        undefined = frozenset(p for p in piece if p not in mapping)
-        return frozenset(mapping[p] for p in piece if p in mapping), undefined
+    def images(self, pieces: Sequence[frozenset], movers: Sequence[str]) -> tuple[list[frozenset], int]:
+        """(image of each piece under its mover, count of points where the mover is undefined)."""
+        images = []
+        undefined = 0
+        for piece, label in zip(pieces, movers):
+            if label not in self.maps:
+                raise ModelError(f"unknown group label {label!r}")
+            mapping = self.maps[label]
+            images.append(frozenset(mapping[p] for p in piece if p in mapping))
+            undefined += sum(1 for p in piece if p not in mapping)
+        return images, undefined
 
 
 @dataclass(frozen=True)
@@ -167,12 +160,8 @@ def verify_paradox_witness(
 
     details: dict = {"space_size": len(space), "interior_size": len(target)}
     for side, pieces, movers in (("a", witness.pieces_a, witness.movers_a), ("b", witness.pieces_b, witness.movers_b)):
-        union: frozenset = frozenset()
-        undefined_total = 0
-        for piece, mover in zip(pieces, movers):
-            img, undefined = model.image(mover, piece)
-            union |= img
-            undefined_total += len(undefined)
+        images, undefined_total = model.images(pieces, movers)
+        union = frozenset().union(*images)
         in_space = union <= space
         covers = target <= union
         missing = target - union
@@ -256,18 +245,26 @@ def f2_ball_model(depth: int) -> tuple[FiniteActionModel, frozenset, ParadoxWitn
                 action[w] = moved
         maps[letter.symbol] = action
     model = FiniteActionModel(points=space, maps=maps, partial=True)
+    witness, interior = _prefix_class_witness(maps["e"], depth)
+    return model, space, witness, interior
 
-    def cls(p: PrefixClass) -> frozenset:
-        return frozenset(w for w in space if prefix_class(w) is p)
 
+def _prefix_class_witness(point_of: Mapping[ReducedWord, Point], depth: int) -> tuple[ParadoxWitness, frozenset]:
+    """The four prefix-class pieces with movers e, a, e, b, and the interior ball(depth - 1).
+
+    ``point_of`` carries each word of ball(depth) to the point that stands for it.
+    """
+    piece: dict[PrefixClass, set] = {c: set() for c in PrefixClass}
+    for w, p in point_of.items():
+        piece[prefix_class(w)].add(p)
     witness = ParadoxWitness(
-        pieces_a=(cls(PrefixClass.W_A), cls(PrefixClass.W_A_INV)),
+        pieces_a=(frozenset(piece[PrefixClass.W_A]), frozenset(piece[PrefixClass.W_A_INV])),
         movers_a=("e", Letter.A.symbol),
-        pieces_b=(cls(PrefixClass.W_B), cls(PrefixClass.W_B_INV)),
+        pieces_b=(frozenset(piece[PrefixClass.W_B]), frozenset(piece[PrefixClass.W_B_INV])),
         movers_b=("e", Letter.B.symbol),
     )
-    interior = frozenset(w for w in space if len(w.letters) < depth)
-    return model, space, witness, interior
+    interior = frozenset(p for w, p in point_of.items() if len(w) < depth)
+    return witness, interior
 
 
 def verify_equidecomp(
@@ -279,28 +276,19 @@ def verify_equidecomp(
     """Pieces partition the source; moved pieces partition the target."""
     model.validate()
     findings: list[Finding] = []
-    src_union: frozenset = frozenset()
-    for p in witness.pieces:
-        src_union |= p
+    src_union = frozenset().union(*witness.pieces)
     problems = _disjointness(witness.pieces)
     findings.append(Finding("pieces_disjoint", not problems, "; ".join(problems)))
     findings.append(
         Finding("pieces_partition_source", src_union == source,
                 "" if src_union == source else f"source mismatch by {len(src_union ^ source)} point(s)")
     )
-    images = []
-    undefined_total = 0
-    for piece, mover in zip(witness.pieces, witness.movers):
-        img, undefined = model.image(mover, piece)
-        images.append(img)
-        undefined_total += len(undefined)
+    images, undefined_total = model.images(witness.pieces, witness.movers)
     findings.append(Finding("movers_defined", undefined_total == 0,
                             "" if not undefined_total else f"{undefined_total} undefined point(s)"))
     problems = _disjointness(images)
     findings.append(Finding("images_disjoint", not problems, "; ".join(problems)))
-    img_union: frozenset = frozenset()
-    for img in images:
-        img_union |= img
+    img_union = frozenset().union(*images)
     findings.append(
         Finding("images_partition_target", img_union == target,
                 "" if img_union == target else f"target mismatch by {len(img_union ^ target)} point(s)")
@@ -652,17 +640,7 @@ def orbit_transport(depth: int, certificate: FreenessCertificate) -> OrbitTransp
             if q in points:
                 maps[lab][p] = q
     model = FiniteActionModel(points=points, maps=maps, partial=True)
-
-    piece: dict[PrefixClass, set[Vec3]] = {c: set() for c in PrefixClass}
-    for w, p in by_word.items():
-        piece[prefix_class(w)].add(p)
-    witness = ParadoxWitness(
-        pieces_a=(frozenset(piece[PrefixClass.W_A]), frozenset(piece[PrefixClass.W_A_INV])),
-        movers_a=("e", Letter.A.symbol),
-        pieces_b=(frozenset(piece[PrefixClass.W_B]), frozenset(piece[PrefixClass.W_B_INV])),
-        movers_b=("e", Letter.B.symbol),
-    )
-    interior = frozenset(p for w, p in by_word.items() if len(w) < depth)
+    witness, interior = _prefix_class_witness(by_word, depth)
     report = verify_paradox_witness(model, points, witness, interior=interior)
     return OrbitTransportResult(
         model=model,

@@ -64,8 +64,6 @@ def jsonable(value: Any) -> Any:
         return [jsonable(v) for v in value]
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {f.name: jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if hasattr(value, "to_json"):
-        return jsonable(value.to_json())
     return str(value)
 
 

@@ -45,6 +45,12 @@ SEPARATION_RESOLUTION = 1e-12
 DEFAULT_PRECISION_BITS = 128
 MAX_PRECISION_BITS = 1024
 
+#: Working precision of the bad-angle control (bad_angle_for, corrupted_rotation).
+CONTROL_PRECISION_BITS = 256
+
+#: Largest component of the integer axes tried by axis_candidates.
+MAX_AXIS_COMPONENT = 3
+
 
 # -- fixed directions -------------------------------------------------------
 
@@ -239,9 +245,8 @@ class AbsorbingRotation:
         if self.precision_bits < 1:
             raise ValueError("precision_bits must be positive")
 
-    def angle_decimal(self, digits: int | None = None) -> str:
-        if digits is None:
-            digits = max(17, int(self.precision_bits * 0.302) + 1)
+    def angle_decimal(self) -> str:
+        digits = max(17, int(self.precision_bits * 0.302) + 1)
         with mpmath.workprec(max(self.precision_bits, 53)):
             if isinstance(self.angle, Fraction):
                 x = mpmath.mpf(self.angle.numerator) / self.angle.denominator
@@ -260,18 +265,14 @@ class AbsorbingRotation:
         }
 
 
-def axis_candidates(
-    excluded: frozenset[ProjectiveDirection] | set[ProjectiveDirection],
-    *,
-    limit: int = 3,
-) -> list[ProjectiveDirection]:
+def axis_candidates(excluded: frozenset[ProjectiveDirection] | set[ProjectiveDirection]) -> list[ProjectiveDirection]:
     """Primitive canonical integer directions not in ``excluded``, small first.
 
     Ordered by largest component, then component-sum, then lexicographically,
     so coordinate axes come before diagonals.
     """
     out: list[ProjectiveDirection] = []
-    for bound in range(1, limit + 1):
+    for bound in range(1, MAX_AXIS_COMPONENT + 1):
         batch = []
         for triple in _cartesian(range(-bound, bound + 1), repeat=3):
             if max(abs(c) for c in triple) != bound:
@@ -409,13 +410,7 @@ class AbsorbReport:
         return f"{head}: unresolved pair {self.unresolved} -> inconclusive"
 
 
-def absorb_demo(
-    C: FixedDirectionSet,
-    g: AbsorbingRotation,
-    M: int,
-    *,
-    precision_bits: int | None = None,
-) -> AbsorbReport:
+def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbReport:
     """Check the truncated absorption picture with fresh interval arithmetic.
 
     Builds the layers g^i(unit(P)) for 0 <= i <= M and every P in C, and
@@ -433,7 +428,6 @@ def absorb_demo(
         raise ValueError("need at least one rotated layer")
     if not C.directions:
         raise DegenerateInputError("empty direction set has nothing to absorb")
-    bits = precision_bits if precision_bits is not None else g.precision_bits
     triples = sorted(d.as_tuple() for d in C.directions)
     labels = [(i, t) for i in range(M + 1) for t in triples]
     resolution_sq = SEPARATION_RESOLUTION**2
@@ -441,7 +435,7 @@ def absorb_demo(
     collision = None
     unresolved = None
     min_low = None
-    with interval_precision(bits):
+    with interval_precision(g.precision_bits):
         axis_unit = _iv_unit(g.axis.as_tuple())
         theta = _iv_number(g.angle)
         base = [_iv_unit(t) for t in triples]
@@ -479,7 +473,7 @@ def absorb_demo(
     return AbsorbReport(
         depth=C.depth,
         powers=M,
-        precision_bits=bits,
+        precision_bits=g.precision_bits,
         n_points=len(labels),
         certified_depth_ok=g.depth_checked >= M,
         min_separation=separation,
@@ -514,13 +508,13 @@ def equal_latitude(axis, p, q) -> bool:
     return dp * dp * nq2 == dq * dq * np2 and (dp > 0) == (dq > 0) and (dp < 0) == (dq < 0)
 
 
-def bad_angle_for(axis, p, q, precision_bits: int = 256) -> mpmath.mpf:
+def bad_angle_for(axis, p, q) -> mpmath.mpf:
     """The rotation angle around ``axis`` that carries unit(p) onto unit(q).
 
     Exists only when the two points share a latitude circle around the axis;
     use it to corrupt an absorbing rotation on purpose and watch absorb_demo
     report the collision.  The result is an exact binary float computed at
-    the requested precision.
+    CONTROL_PRECISION_BITS.
     """
     L = _int_triple(axis)
     tp, tq = _int_triple(p), _int_triple(q)
@@ -542,7 +536,7 @@ def bad_angle_for(axis, p, q, precision_bits: int = 256) -> mpmath.mpf:
         # Equal latitude already forces proportional norms; with integer data
         # demand exact equality so unit(p) and unit(q) share a circle radius.
         raise DomainError("integer representatives must have equal length")
-    with mpmath.workprec(precision_bits):
+    with mpmath.workprec(CONTROL_PRECISION_BITS):
         ln = mpmath.sqrt(sum(a * a for a in L))
         lhat = [mpmath.mpf(a) / ln for a in L]
         dp = sum(a * b for a, b in zip(tp, L))
@@ -562,7 +556,7 @@ def bad_angle_for(axis, p, q, precision_bits: int = 256) -> mpmath.mpf:
         return mpmath.atan2(sin_part, cos_part)
 
 
-def corrupted_rotation(p, q, precision_bits: int = 256) -> AbsorbingRotation:
+def corrupted_rotation(p, q) -> AbsorbingRotation:
     """A rotation built to collide: it carries unit(p) exactly onto unit(q).
 
     The half turn about p + q swaps the two unit vectors, so that bisector
@@ -575,11 +569,11 @@ def corrupted_rotation(p, q, precision_bits: int = 256) -> AbsorbingRotation:
     if not any(bisector):
         raise DegenerateInputError("antipodal pair: every axis in their normal plane works, pick one explicitly")
     axis = ProjectiveDirection.canonical(*bisector)
-    theta = bad_angle_for(axis, p, q, precision_bits)
+    theta = bad_angle_for(axis, p, q)
     return AbsorbingRotation(
         axis=axis,
         angle=theta,
         depth_checked=0,
         margin=0.0,
-        precision_bits=precision_bits,
+        precision_bits=CONTROL_PRECISION_BITS,
     )

@@ -92,17 +92,10 @@ class ReducedWord:
     def is_identity(self) -> bool:
         return not self.letters
 
-    @property
-    def first(self) -> Letter | None:
-        return self.letters[0] if self.letters else None
-
     # -- group operations ---------------------------------------------------
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
         return concat(self, other)
-
-    def __invert__(self) -> "ReducedWord":
-        return invert(self)
 
     def __pow__(self, n: int) -> "ReducedWord":
         if n < 0:
@@ -275,16 +268,6 @@ class F2ParadoxReport:
     @property
     def passed(self) -> bool:
         return not self.partition_violations and self.split_a.passed and self.split_b.passed
-
-    def summary(self) -> dict:
-        return {
-            "depth": self.depth,
-            "class_counts": {c.value: n for c, n in sorted(self.class_counts.items(), key=lambda kv: kv[0].value)},
-            "partition_violations": list(self.partition_violations),
-            "split_a_violations": list(self.split_a.violations),
-            "split_b_violations": list(self.split_b.violations),
-            "passed": self.passed,
-        }
 
 
 def verify_f2_paradox(depth: int) -> F2ParadoxReport:

@@ -103,7 +103,7 @@ def test_point_measure_guards():
 
 
 def test_point_measure_additivity_audit():
-    assert audit_point_measure(PointMeasure.uniform(range(8)), samples=200).ok
+    assert audit_point_measure(PointMeasure.uniform(range(8))).ok
 
 
 # -- group tables and invariance ---------------------------------------------
@@ -273,6 +273,31 @@ def test_chain_breaks_at_invariance_for_dirac():
     assert report.first_failure == "invariance"
     by_name = {link.name: link for link in report.links}
     assert (by_name["invariance"].lhs, by_name["invariance"].rhs) == (Fraction(0), Fraction(2))
+
+
+def test_no_dirac_chain_closes_on_the_truncated_ball():
+    # A Dirac point on a full-length word starting with a or b balances the
+    # invariance link; only its mass leaking past the interior breaks the chain.
+    model, space, witness, interior = f2_ball_model(3)
+    leaking = 0
+    for w in space:
+        report = paradox_contradiction(model, space, witness, PointMeasure.dirac(space, w), False, interior=interior)
+        assert report.outcome == "chain-broken", str(w)
+        if report.first_failure == "covering":
+            leaking += 1
+            assert len(w) == 3 and str(w)[0] in "ab"
+            assert "leaks past the interior" in report.links[-1].detail
+    assert leaking == 18
+
+
+def test_chain_without_interior_demands_full_covering():
+    model, space, witness, _ = two_to_one_shift_model(4)
+    report = paradox_contradiction(model, space, witness, PointMeasure.uniform(space), False)
+    assert report.outcome == "chain-broken"
+    assert report.first_failure == "covering"
+    covering = report.links[-1]
+    assert covering.mode == "numeric"
+    assert (covering.lhs, covering.rhs) == (Fraction(30, 31), Fraction(2))
 
 
 def test_chain_closes_numerically_on_balanced_shift_model():

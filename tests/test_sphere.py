@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paradoxlab.errors import DegenerateInputError, DomainError
+from paradoxlab.errors import DegenerateInputError, DomainError, InconclusiveError
 from paradoxlab.exactlin import ProjectiveDirection, eval_word
 from paradoxlab.sphere import (
     ANGLE_CANDIDATES,
@@ -155,6 +155,19 @@ def test_certify_margin_tightens_with_precision():
     hi = certify_margin(axis, Fraction(1), C.directions, 5, 256)
     assert lo is not None and hi is not None
     assert hi >= lo - 1e-15  # a sound lower bound never shrinks as bits grow
+
+
+def test_precision_ladder_doubles_until_certified():
+    # At 2 bits no candidate certifies; one doubling to 4 bits does.
+    C = fixed_directions(2)
+    assert certify_margin(ProjectiveDirection.canonical(0, 0, 1), Fraction(1), C.directions, 5, 2) is None
+    g = find_absorbing_rotation_adaptive(C, 5, start_bits=2, max_bits=128)
+    assert g.precision_bits == 4
+
+
+def test_precision_ladder_stops_at_the_cap():
+    with pytest.raises(InconclusiveError):
+        find_absorbing_rotation_adaptive(fixed_directions(2), 5, start_bits=2, max_bits=2)
 
 
 def test_absorb_demo_passes():
