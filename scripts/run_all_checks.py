@@ -73,14 +73,16 @@ def main() -> int:
 
     width = max(len(label(c)) for c in checks)
     failures = 0
-    for argv in checks:
-        name = label(argv)
-        started = time.perf_counter()
-        code, report = run_one(argv)
-        elapsed = time.perf_counter() - started
-        print(f"{name:<{width}}  {report['outcome']:<12} exit {code}  {elapsed:6.2f}s")
-        failures += code != 0
-    Path(toy).unlink(missing_ok=True)
+    try:
+        for argv in checks:
+            name = label(argv)
+            started = time.perf_counter()
+            code, report = run_one(argv)
+            elapsed = time.perf_counter() - started
+            print(f"{name:<{width}}  {report['outcome']:<12} exit {code}  {elapsed:6.2f}s")
+            failures += code != 0
+    finally:
+        Path(toy).unlink(missing_ok=True)
 
     print(f"{len(checks) - failures}/{len(checks)} checks pass")
     return 1 if failures else 0

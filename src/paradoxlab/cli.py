@@ -52,6 +52,7 @@ def _int_at_least(minimum: int):
 
 
 _positive_int = _int_at_least(1)
+_precision_bits = _int_at_least(sphere.MIN_PRECISION_BITS)
 
 
 def _int_triple(text: str) -> tuple[int, int, int]:
@@ -109,7 +110,7 @@ def _run_freeness_certify(args):
         details = {
             "findings": [Finding("certificate_built", False, result.detail)],
             "failure": {
-                "kind": result.kind,
+                "kind": "vector",
                 "base_vector": list(result.base_vector),
                 "path": str(result.word),
                 "detail": result.detail,
@@ -123,7 +124,7 @@ def _run_freeness_certify(args):
         "state_count": len(result.states),
     }
     summary = (
-        f"{result.kind} certificate with {len(result.states)} states: "
+        f"vector certificate with {len(result.states)} states: "
         f"{'verified' if verified else 'REJECTED by the independent checker'}"
     )
     return ("pass" if verified else "fail"), details, summary
@@ -195,7 +196,7 @@ def _demo_finite_group(seed: int):
     details = {}
     for name, G in (("cyclic6", measures.GroupTable.cyclic(6)), ("symmetric3", measures.GroupTable.symmetric(3))):
         mu = measures.uniform_group_measure(G)
-        for f in measures.audit_group_invariance(G, mu, seed=seed):
+        for f in measures.audit_group_invariance(G, mu):
             findings.append(Finding(f"{name}_{f.name}", f.ok, f.detail))
         audit = measures.audit_point_measure(mu, seed=seed)
         findings.append(Finding(f"{name}_{audit.name}", audit.ok, audit.detail))
@@ -380,7 +381,7 @@ def build_parser() -> _Parser:
     p = sphere_sub.add_parser("absorb", parents=[common])
     p.add_argument("--depth", type=_positive_int, required=True)
     p.add_argument("--iters", type=_positive_int, required=True)
-    p.add_argument("--bits", type=_positive_int, default=sphere.DEFAULT_PRECISION_BITS)
+    p.add_argument("--bits", type=_precision_bits, default=sphere.DEFAULT_PRECISION_BITS)
     p.set_defaults(handler=_run_sphere_absorb, command="sphere absorb")
 
     smp_p = top.add_parser("smp", help="planar two-piece paradox")
@@ -388,7 +389,7 @@ def build_parser() -> _Parser:
     p = smp_sub.add_parser("verify", parents=[common])
     p.add_argument("--deg", type=_positive_int, required=True)
     p.add_argument("--coef", type=_positive_int, required=True)
-    p.add_argument("--bits", type=_int_at_least(paradox.SMP_MIN_PRECISION_BITS), default=paradox.SMP_PRECISION_BITS)
+    p.add_argument("--bits", type=_precision_bits, default=sphere.DEFAULT_PRECISION_BITS)
     p.set_defaults(handler=_run_smp_verify, command="smp verify")
 
     meas_p = top.add_parser("measures", help="finitely additive measure demos")

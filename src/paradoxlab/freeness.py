@@ -21,10 +21,6 @@ generators evaluates to the identity rotation:
 
 The prepend restriction is essential: 7*gen(x) times 7*gen(x^-1) is 49 times
 the identity, which vanishes mod 7, so unreduced products do collapse.
-
-If no candidate base vector certifies, the same automaton runs on matrix
-residues 7^|w| * eval(w) mod 7 (a nonzero matrix residue bounds the
-denominator of the matrix the same way).
 """
 
 from __future__ import annotations
@@ -95,8 +91,7 @@ def exhaustive_check(
 class FreenessCertificate:
     """Closed automaton over residue states; see the module docstring."""
 
-    kind: Literal["vector", "matrix"]
-    base_vector: tuple[int, int, int] | None
+    base_vector: tuple[int, int, int]
     states: frozenset[StateKey]
     transitions: Mapping[tuple[StateKey, int], StateKey]
 
@@ -105,8 +100,7 @@ class FreenessCertificate:
 class CertificateFailure:
     """Path to the first zero residue reached from the base vector."""
 
-    kind: Literal["vector", "matrix"]
-    base_vector: tuple[int, int, int] | None
+    base_vector: tuple[int, int, int]
     path: tuple[Letter, ...]
     detail: str
 
@@ -134,48 +128,24 @@ def _matvec_mod(m: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
     )
 
 
-def _matmul_mod(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(
-        (a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j] + a[3 * i + 2] * b[6 + j]) % _MOD
-        for i in range(3)
-        for j in range(3)
-    )
-
-
 def build_certificate(
-    base_vector: tuple[int, int, int] | None = (0, 1, 0),
-    *,
-    use_matrix_residues: bool = False,
+    base_vector: tuple[int, int, int] = (0, 1, 0),
 ) -> FreenessCertificate | CertificateFailure:
-    """Breadth-first closure of the residue automaton.
-
-    With ``use_matrix_residues`` the base vector is ignored and states carry
-    the 3x3 residue of the scaled product itself.
-    """
+    """Breadth-first closure of the residue automaton from ``base_vector``."""
     trans = _transition_matrices()
-    kind: Literal["vector", "matrix"] = "matrix" if use_matrix_residues else "vector"
-    if use_matrix_residues:
-        base = None
-        start = {letter: trans[letter] for letter in Letter}
-        step = _matmul_mod
-    else:
-        if base_vector is None:
-            raise ValueError("vector certificates need a base vector")
-        base = tuple(int(v) for v in base_vector)
-        if len(base) != 3:
-            raise ValueError("base vector must have 3 integer components")
-        v0 = tuple(v % _MOD for v in base)
-        start = {letter: _matvec_mod(trans[letter], v0) for letter in Letter}
-        step = _matvec_mod
+    base = tuple(int(v) for v in base_vector)
+    if len(base) != 3:
+        raise ValueError("base vector must have 3 integer components")
+    v0 = tuple(v % _MOD for v in base)
 
-    zero = tuple([0] * len(next(iter(start.values()))))
+    zero = (0, 0, 0)
     states: set[StateKey] = set()
     transitions: dict[tuple[StateKey, int], StateKey] = {}
     queue: deque[tuple[StateKey, tuple[Letter, ...]]] = deque()
     for letter in Letter:
-        residue = start[letter]
+        residue = _matvec_mod(trans[letter], v0)
         if residue == zero:
-            return CertificateFailure(kind, base, (letter,), "zero residue at depth 1")
+            return CertificateFailure(base, (letter,), "zero residue at depth 1")
         state = (int(letter), residue)
         if state not in states:
             states.add(state)
@@ -186,21 +156,21 @@ def build_certificate(
         for letter in Letter:
             if letter == Letter(first).inverse():
                 continue
-            nxt_residue = step(trans[letter], residue)
+            nxt_residue = _matvec_mod(trans[letter], residue)
             if nxt_residue == zero:
                 return CertificateFailure(
-                    kind, base, (letter,) + path, f"zero residue after prepending {letter.symbol}"
+                    base, (letter,) + path, f"zero residue after prepending {letter.symbol}"
                 )
             nxt = (int(letter), nxt_residue)
             transitions[(state, int(letter))] = nxt
             if nxt not in states:
                 states.add(nxt)
                 queue.append((nxt, (letter,) + path))
-    return FreenessCertificate(kind, base, frozenset(states), transitions)
+    return FreenessCertificate(base, frozenset(states), transitions)
 
 
 def build_any_certificate() -> FreenessCertificate:
-    """First certifying base vector in CANDIDATE_BASE_VECTORS wins; falls back to matrix residues.
+    """First certifying base vector in CANDIDATE_BASE_VECTORS wins.
 
     Raises :class:`InvariantViolationError` if nothing certifies, which for
     the shipped generators would mean a transcription defect.
@@ -209,9 +179,6 @@ def build_any_certificate() -> FreenessCertificate:
         result = build_certificate(v0)
         if isinstance(result, FreenessCertificate):
             return result
-    result = build_certificate(None, use_matrix_residues=True)
-    if isinstance(result, FreenessCertificate):
-        return result
     raise InvariantViolationError("no residue certificate exists; generator transcription is suspect")
 
 
@@ -220,16 +187,12 @@ def verify_certificate(cert: FreenessCertificate) -> bool:
 
     Root states and every transition target are recomputed here from the
     generator matrices via exact rational arithmetic (not the scaled-integer
-    path used during construction).  Returns False on any defect: a zero or
-    out-of-range residue, a missing root, a missing/incorrect/dangling
-    transition, or an oversized state set.
+    path used during construction).  Returns False on any defect: a missing
+    or malformed base vector, a zero or out-of-range residue, a missing root,
+    a missing/incorrect/dangling transition, or an oversized state set.
     """
     try:
-        vector_kind = cert.kind == "vector"
-        if vector_kind == (cert.base_vector is None):
-            return False
-        width = 3 if vector_kind else 9
-        if vector_kind and len(cert.states) > MAX_VECTOR_STATES:
+        if len(cert.base_vector) != 3 or len(cert.states) > MAX_VECTOR_STATES:
             return False
 
         # Mod-7 action of each letter, rebuilt from the rational matrices.
@@ -249,30 +212,20 @@ def verify_certificate(cert: FreenessCertificate) -> bool:
 
         def act(letter_value: int, residue: tuple[int, ...]) -> tuple[int, ...]:
             m = mats[letter_value]
-            if vector_kind:
-                return tuple(sum(m[i][j] * residue[j] for j in range(3)) % _MOD for i in range(3))
-            return tuple(
-                sum(m[i][k] * residue[3 * k + j] for k in range(3)) % _MOD
-                for i in range(3)
-                for j in range(3)
-            )
+            return tuple(sum(m[i][j] * residue[j] for j in range(3)) % _MOD for i in range(3))
 
         for letter_value, residue in cert.states:
             if letter_value not in (0, 1, 2, 3):
                 return False
-            if len(residue) != width or any(not (0 <= v < _MOD) for v in residue):
+            if len(residue) != 3 or any(not (0 <= v < _MOD) for v in residue):
                 return False
             if all(v == 0 for v in residue):
                 return False
 
         # Roots: one state per letter, derived from the base.
+        v0 = tuple(v % _MOD for v in cert.base_vector)
         for letter in Letter:
-            if vector_kind:
-                v0 = tuple(v % _MOD for v in cert.base_vector)
-                root_residue = act(int(letter), v0)
-            else:
-                root_residue = tuple(v for row in mats[int(letter)] for v in row)
-            if (int(letter), root_residue) not in cert.states:
+            if (int(letter), act(int(letter), v0)) not in cert.states:
                 return False
 
         # Closure: every legal prepend from every state is present and correct.
@@ -309,8 +262,8 @@ def certificate_to_json(cert: FreenessCertificate) -> dict:
     states = sorted(cert.states)
     transitions = sorted(cert.transitions.items())
     return {
-        "kind": cert.kind,
-        "base_vector": list(cert.base_vector) if cert.base_vector is not None else None,
+        "kind": "vector",
+        "base_vector": list(cert.base_vector),
         "states": [key(s) for s in states],
         "transitions": [[key(s), Letter(lv).symbol, key(t)] for (s, lv), t in transitions],
     }
@@ -320,10 +273,10 @@ def certificate_from_json(data: dict) -> FreenessCertificate:
     def unkey(item: list) -> StateKey:
         return (int(Letter.from_symbol(item[0])), tuple(int(v) for v in item[1]))
 
-    base = data.get("base_vector")
+    if data["kind"] != "vector":
+        raise ValueError(f"unknown certificate kind {data['kind']!r}; only vector certificates exist")
     return FreenessCertificate(
-        kind=data["kind"],
-        base_vector=tuple(int(v) for v in base) if base is not None else None,
+        base_vector=tuple(int(v) for v in data["base_vector"]),
         states=frozenset(unkey(s) for s in data["states"]),
         transitions={
             (unkey(s), int(Letter.from_symbol(sym))): unkey(t) for s, sym, t in data["transitions"]

@@ -36,7 +36,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -99,15 +99,29 @@ class FiniteBooleanAlgebra:
             raise ModelError(f"meet table missing entry ({_fmt(a)}, {_fmt(b)})") from None
 
 
+#: Largest carrier whose subsets are enumerated exhaustively (2^12 = 4096 subsets).
+MAX_EXHAUSTIVE_ORDER = 12
+
+
+def _subsets(items: Sequence) -> Iterator[frozenset]:
+    """Every subset of ``items`` in mask order; the one exhaustive subset loop."""
+    n = len(items)
+    if n > MAX_EXHAUSTIVE_ORDER:
+        raise ResourceLimitError(
+            f"exhaustive subset enumeration is exponential; this build caps the carrier at "
+            f"{MAX_EXHAUSTIVE_ORDER} elements, got {n}"
+        )
+    for mask in range(1 << n):
+        yield frozenset(items[i] for i in range(n) if mask >> i & 1)
+
+
 def power_set_algebra(base: Iterable) -> FiniteBooleanAlgebra:
     """The power set of a finite base with union, intersection, complement."""
     items = tuple(base)
     if len(set(items)) != len(items):
         raise ModelError("base elements must be distinct")
     full = frozenset(items)
-    subsets = [
-        frozenset(c) for r in range(len(items) + 1) for c in itertools.combinations(items, r)
-    ]
+    subsets = list(_subsets(items))
     return FiniteBooleanAlgebra(
         elements=frozenset(subsets),
         join={(x, y): x | y for x in subsets for y in subsets},
@@ -445,40 +459,18 @@ def uniform_group_measure(G: GroupTable) -> PointMeasure:
     return PointMeasure.uniform(G.elements)
 
 
-#: Random subsets drawn by :func:`audit_group_invariance` for groups above order 8.
-INVARIANCE_SAMPLES = 1000
-
-
-def audit_group_invariance(G: GroupTable, m: PointMeasure, *, seed: int = 0) -> list[Finding]:
-    """Two-sided invariance mu(gA) = mu(Ag) = mu(A): exhaustive for |G| <= 8, sampled above."""
+def audit_group_invariance(G: GroupTable, m: PointMeasure) -> list[Finding]:
+    """Two-sided invariance mu(gA) = mu(Ag) = mu(A), exhaustive over every subset A."""
     if frozenset(G.elements) != m.universe:
         raise ModelError("measure universe is not the group")
-    n = len(G.elements)
-
-    def translates_ok(A: frozenset) -> str:
+    for A in _subsets(G.elements):
         base = m.mu(A)
         for g in G.elements:
-            if m.mu(frozenset(G.mul(g, a) for a in A)) != base:
-                return f"left translate by {g!r} moves the measure of a {len(A)}-set"
-            if m.mu(frozenset(G.mul(a, g) for a in A)) != base:
-                return f"right translate by {g!r} moves the measure of a {len(A)}-set"
-        return ""
-
-    if n <= 8:
-        elems = list(G.elements)
-        for mask in range(1 << n):
-            A = frozenset(elems[i] for i in range(n) if mask >> i & 1)
-            detail = translates_ok(A)
-            if detail:
-                return [Finding("two_sided_invariance", False, detail)]
-        return [Finding("two_sided_invariance", True, f"exhaustive over {1 << n} subsets")]
-    rng = Random(seed)
-    for _ in range(INVARIANCE_SAMPLES):
-        A = frozenset(g for g in G.elements if rng.randrange(2))
-        detail = translates_ok(A)
-        if detail:
-            return [Finding("two_sided_invariance", False, detail)]
-    return [Finding("two_sided_invariance", True, f"{INVARIANCE_SAMPLES} sampled subsets")]
+            for side, image in (("left", (G.mul(g, a) for a in A)), ("right", (G.mul(a, g) for a in A))):
+                if m.mu(frozenset(image)) != base:
+                    detail = f"{side} translate by {g!r} moves the measure of a {len(A)}-set"
+                    return [Finding("two_sided_invariance", False, detail)]
+    return [Finding("two_sided_invariance", True, f"exhaustive over {1 << len(G.elements)} subsets")]
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +581,6 @@ def induced_group_measure(action: GroupAction, mu: PointMeasure) -> InducedMeasu
         for x in action.points:
             if mu.mu({action.apply(g, x)}) != mu.mu({x}):
                 raise PreconditionError(f"mu is not invariant: weight changes along ({g!r}, {_fmt(x)})")
-    if (1 << len(G)) > 4096:
-        raise ResourceLimitError("exhaustive subset audit is exponential in |G|; this build caps |G| at 12")
 
     orbits = action.orbits()
     for orb in orbits:
@@ -610,15 +600,13 @@ def induced_group_measure(action: GroupAction, mu: PointMeasure) -> InducedMeasu
 
     elems = list(G.elements)
     n = len(elems)
-    subsets = [frozenset(elems[i] for i in range(n) if mask >> i & 1) for mask in range(1 << n)]
+    subsets = list(_subsets(elems))
 
     findings: list[Finding] = []
 
     detail = ""
     for A in subsets:
-        rest = [g for g in elems if g not in A]
-        for mask in range(1 << len(rest)):
-            B = frozenset(rest[i] for i in range(len(rest)) if mask >> i & 1)
+        for B in _subsets([g for g in elems if g not in A]):
             if any(f(A | B, x) != f(A, x) + f(B, x) for x in points):
                 detail = f"f_(A u B) != f_A + f_B for |A|={len(A)}, |B|={len(B)}"
                 break

@@ -33,7 +33,7 @@ import mpmath
 from .errors import DomainError, InvariantViolationError, ModelError, PreconditionError
 from .freeness import FreenessCertificate, verify_certificate
 from .report import Finding
-from .sphere import SEPARATION_RESOLUTION
+from .sphere import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, SEPARATION_RESOLUTION
 from .words import Letter, PrefixClass, ReducedWord, ball, ball_size, prefix_class
 from .exactlin import Vec3, ball_matrices, generator_matrix
 
@@ -436,12 +436,7 @@ class SMPReport:
         return self.outcome == "pass"
 
 
-#: Working precision of smp_verify by default, and the least it accepts.
-SMP_PRECISION_BITS = 128
-SMP_MIN_PRECISION_BITS = 64
-
-
-def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = SMP_PRECISION_BITS) -> SMPReport:
+def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DEFAULT_PRECISION_BITS) -> SMPReport:
     """Verify the two-piece planar paradox on a finite truncation.
 
     Symbolic side: A/B partition the range; g and h are injective with exact
@@ -454,8 +449,8 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = SM
     """
     if max_degree < 1 or max_coeff < 1:
         raise ValueError("need max_degree >= 1 and max_coeff >= 1")
-    if precision_bits < SMP_MIN_PRECISION_BITS:
-        raise ValueError(f"precision_bits must be >= {SMP_MIN_PRECISION_BITS}")
+    if precision_bits < MIN_PRECISION_BITS:
+        raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
     polys = enumerate_polys(max_degree, max_coeff)
     index = {p: i for i, p in enumerate(polys)}
     part_a = [p for p in polys if smp_classify(p) is PolyClass.A]
@@ -600,15 +595,13 @@ class OrbitTransportResult:
 def orbit_transport(depth: int, certificate: FreenessCertificate) -> OrbitTransportResult:
     """Transport the word-level decomposition onto an orbit of the base vector.
 
-    Requires a verified vector certificate: freeness of the action at the
+    Requires a verified certificate: freeness of the action at the
     base vector is what makes w -> w*v0 injective, so the word pieces map to
     honest disjoint point sets.  Covering is checked on the interior (orbit
     points of ball(depth-1)), the one truncation concession.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if certificate.kind != "vector" or certificate.base_vector is None:
-        raise PreconditionError("orbit transport needs a vector-based certificate")
     if not verify_certificate(certificate):
         raise PreconditionError("certificate does not verify")
     bx, by, bz = certificate.base_vector

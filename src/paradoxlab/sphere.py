@@ -45,7 +45,12 @@ SEPARATION_RESOLUTION = 1e-12
 DEFAULT_PRECISION_BITS = 128
 MAX_PRECISION_BITS = 1024
 
-#: Working precision of the bad-angle control (bad_angle_for, corrupted_rotation).
+#: Least --bits the CLI accepts for `sphere absorb` and `smp verify`, and the
+#: least smp_verify runs at.  Below it the absorb demo can fail to resolve a
+#: rotation its search certified (depth 1, M=2 from 2 bits).
+MIN_PRECISION_BITS = 64
+
+#: Working precision of the bad-angle control (corrupted_rotation).
 CONTROL_PRECISION_BITS = 256
 
 #: Largest component of the integer axes tried by axis_candidates.
@@ -486,92 +491,31 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
 # -- bad-angle control ------------------------------------------------------
 
 
-def _int_triple(v) -> tuple[int, int, int]:
-    if isinstance(v, ProjectiveDirection):
-        return v.as_tuple()
-    x, y, z = v
-    return (int(x), int(y), int(z))
-
-
-def equal_latitude(axis, p, q) -> bool:
-    """Exact test that integer vectors p and q lie on one circle around the axis.
-
-    Same circle means equal signed cosine against the axis, checked without
-    square roots: <p,L>^2 |q|^2 == <q,L>^2 |p|^2 with matching signs.
-    """
-    L = _int_triple(axis)
-    tp, tq = _int_triple(p), _int_triple(q)
-    dp = sum(a * b for a, b in zip(tp, L))
-    dq = sum(a * b for a, b in zip(tq, L))
-    np2 = sum(a * a for a in tp)
-    nq2 = sum(a * a for a in tq)
-    return dp * dp * nq2 == dq * dq * np2 and (dp > 0) == (dq > 0) and (dp < 0) == (dq < 0)
-
-
-def bad_angle_for(axis, p, q) -> mpmath.mpf:
-    """The rotation angle around ``axis`` that carries unit(p) onto unit(q).
-
-    Exists only when the two points share a latitude circle around the axis;
-    use it to corrupt an absorbing rotation on purpose and watch absorb_demo
-    report the collision.  The result is an exact binary float computed at
-    CONTROL_PRECISION_BITS.
-    """
-    L = _int_triple(axis)
-    tp, tq = _int_triple(p), _int_triple(q)
-    cross_pL = (
-        tp[1] * L[2] - tp[2] * L[1],
-        tp[2] * L[0] - tp[0] * L[2],
-        tp[0] * L[1] - tp[1] * L[0],
-    )
-    cross_qL = (
-        tq[1] * L[2] - tq[2] * L[1],
-        tq[2] * L[0] - tq[0] * L[2],
-        tq[0] * L[1] - tq[1] * L[0],
-    )
-    if not any(cross_pL) or not any(cross_qL):
-        raise DegenerateInputError("point on the axis has no rotation angle")
-    if not equal_latitude(L, tp, tq):
-        raise DomainError("points on different latitude circles; no rotation maps one to the other")
-    if sum(a * a for a in tp) != sum(a * a for a in tq):
-        # Equal latitude already forces proportional norms; with integer data
-        # demand exact equality so unit(p) and unit(q) share a circle radius.
-        raise DomainError("integer representatives must have equal length")
-    with mpmath.workprec(CONTROL_PRECISION_BITS):
-        ln = mpmath.sqrt(sum(a * a for a in L))
-        lhat = [mpmath.mpf(a) / ln for a in L]
-        dp = sum(a * b for a, b in zip(tp, L))
-        # Components of p and q orthogonal to the axis; equal latitude makes
-        # the two rejections equally long, so atan2 of the un-normalized
-        # sine/cosine parts is the exact rotation angle.
-        p_perp = [mpmath.mpf(a) - dp * lh / ln for a, lh in zip(tp, lhat)]
-        dq = sum(a * b for a, b in zip(tq, L))
-        q_perp = [mpmath.mpf(a) - dq * lh / ln for a, lh in zip(tq, lhat)]
-        cos_part = sum(a * b for a, b in zip(p_perp, q_perp))
-        cross = [
-            p_perp[1] * q_perp[2] - p_perp[2] * q_perp[1],
-            p_perp[2] * q_perp[0] - p_perp[0] * q_perp[2],
-            p_perp[0] * q_perp[1] - p_perp[1] * q_perp[0],
-        ]
-        sin_part = sum(a * b for a, b in zip(lhat, cross))
-        return mpmath.atan2(sin_part, cos_part)
-
-
 def corrupted_rotation(p, q) -> AbsorbingRotation:
-    """A rotation built to collide: it carries unit(p) exactly onto unit(q).
+    """A rotation built to collide: the half turn about p + q, which carries unit(p) onto unit(q).
 
-    The half turn about p + q swaps the two unit vectors, so that bisector
-    is always a legal transport axis when the integer representatives have
-    equal length and are not parallel.  Feed the result to absorb_demo and
-    the first two layers must collide; the demo catching it is the control.
+    The half turn about the bisector swaps the two unit vectors whenever the
+    integer representatives have equal length and are not parallel.  Feed the
+    result to absorb_demo and the first two layers must collide; the demo
+    catching it is the control.  The angle is pi at CONTROL_PRECISION_BITS.
     """
-    tp, tq = _int_triple(p), _int_triple(q)
+    tp, tq = tuple(int(c) for c in p), tuple(int(c) for c in q)
     bisector = tuple(a + b for a, b in zip(tp, tq))
     if not any(bisector):
         raise DegenerateInputError("antipodal pair: every axis in their normal plane works, pick one explicitly")
-    axis = ProjectiveDirection.canonical(*bisector)
-    theta = bad_angle_for(axis, p, q)
+    cross = (
+        tp[1] * tq[2] - tp[2] * tq[1],
+        tp[2] * tq[0] - tp[0] * tq[2],
+        tp[0] * tq[1] - tp[1] * tq[0],
+    )
+    if not any(cross):
+        raise DegenerateInputError("parallel pair: both points lie on the bisector axis")
+    if sum(a * a for a in tp) != sum(a * a for a in tq):
+        raise DomainError("integer representatives must have equal length")
+    with mpmath.workprec(CONTROL_PRECISION_BITS):
+        theta = +mpmath.pi
     return AbsorbingRotation(
-        axis=axis,
+        axis=ProjectiveDirection.canonical(*bisector),
         angle=theta,
         depth_checked=0,
         margin=0.0,

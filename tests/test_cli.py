@@ -30,6 +30,7 @@ PASSING = [
     ("freeness", "certify"),
     ("sphere", "fixed-points", "--depth", "2"),
     ("sphere", "absorb", "--depth", "2", "--iters", "3"),
+    pytest.param(("sphere", "absorb", "--depth", "1", "--iters", "2", "--bits", "64"), id="sphere absorb at the bits floor"),
     ("smp", "verify", "--deg", "3", "--coef", "2"),
     ("measures", "demo", "--which", "density"),
     ("measures", "demo", "--which", "finite-group"),
@@ -100,6 +101,7 @@ def test_inconclusive_exit_code(monkeypatch, report_schema):
         ("measures", "demo", "--which", "nope"),
         ("freeness", "certify", "--base", "1,2"),
         ("smp", "verify", "--deg", "2", "--coef", "1", "--bits", "32"),
+        ("sphere", "absorb", "--depth", "1", "--iters", "2", "--bits", "2"),
     ],
 )
 def test_usage_errors_exit_64(argv):

@@ -52,7 +52,6 @@ def test_order_four_control():
 def test_vector_certificate_builds_and_verifies():
     cert = build_certificate((0, 1, 0))
     assert isinstance(cert, FreenessCertificate)
-    assert cert.kind == "vector"
     assert len(cert.states) == 24
     assert verify_certificate(cert)
 
@@ -67,13 +66,6 @@ def test_certificate_failure_for_zero_residue_base():
 def test_build_any_certificate_uses_first_good_candidate():
     cert = build_any_certificate()
     assert cert.base_vector == CANDIDATE_BASE_VECTORS[0]
-    assert verify_certificate(cert)
-
-
-def test_matrix_residue_fallback():
-    cert = build_certificate(None, use_matrix_residues=True)
-    assert isinstance(cert, FreenessCertificate)
-    assert cert.kind == "matrix"
     assert verify_certificate(cert)
 
 
@@ -97,7 +89,6 @@ def test_corrupted_certificate_rejected():
 def test_certificate_kind_consistency_checked():
     cert = build_certificate((0, 1, 0))
     assert not verify_certificate(replace(cert, base_vector=None))
-    assert not verify_certificate(replace(cert, kind="matrix"))
 
 
 def test_certificate_json_roundtrip():
@@ -105,6 +96,8 @@ def test_certificate_json_roundtrip():
     data = certificate_to_json(cert)
     assert data["kind"] == "vector"
     assert certificate_from_json(data) == cert
+    with pytest.raises(ValueError):
+        certificate_from_json({**data, "kind": "matrix"})
 
 
 def test_certificate_and_exhaustion_agree():

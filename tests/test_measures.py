@@ -133,6 +133,18 @@ def test_uniform_measure_invariance_exhaustive():
         assert "exhaustive" in findings[0].detail
 
 
+def test_invariance_audit_is_exhaustive_up_to_the_cap():
+    G = GroupTable.cyclic(9)
+    findings = audit_group_invariance(G, uniform_group_measure(G))
+    assert findings[0].ok
+    assert findings[0].detail == "exhaustive over 512 subsets"
+    G = GroupTable.cyclic(13)
+    with pytest.raises(ResourceLimitError):
+        audit_group_invariance(G, uniform_group_measure(G))
+    with pytest.raises(ResourceLimitError):
+        power_set_algebra(range(13))
+
+
 def test_noninvariant_measure_detected():
     G = GroupTable.cyclic(4)
     skewed = PointMeasure(frozenset(G.elements), {0: Fraction(1, 2), 1: Fraction(1, 6), 2: Fraction(1, 6), 3: Fraction(1, 6)})

@@ -1,5 +1,7 @@
 """Finite action models, paradox witnesses, and the planar two-piece paradox."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -186,6 +188,6 @@ def test_orbit_transport_small():
 
 
 def test_orbit_transport_needs_vector_certificate():
-    cert = build_certificate(None, use_matrix_residues=True)
+    cert = replace(build_certificate((0, 1, 0)), states=frozenset())
     with pytest.raises(PreconditionError):
         orbit_transport(3, cert)

@@ -12,10 +12,8 @@ from paradoxlab.sphere import (
     ANGLE_CANDIDATES,
     axis_candidates,
     absorb_demo,
-    bad_angle_for,
     certify_margin,
     corrupted_rotation,
-    equal_latitude,
     find_absorbing_rotation,
     find_absorbing_rotation_adaptive,
     fixed_directions,
@@ -180,25 +178,33 @@ def test_absorb_demo_passes():
     assert demo.collision is None
 
 
+def test_absorb_demo_reports_an_unresolved_pair():
+    # The search certifies at 2 bits, but the demo's pairwise check cannot
+    # resolve one pair at that precision; it says so instead of guessing.
+    C = fixed_directions(1)
+    g = find_absorbing_rotation_adaptive(C, 2, start_bits=2)
+    demo = absorb_demo(C, g, 2)
+    assert demo.outcome == "inconclusive"
+    assert demo.unresolved == ((1, (2, 1, 0)), (2, (0, 1, 2)))
+    assert demo.collision is None
+    assert demo.summary().endswith("unresolved pair ((1, (2, 1, 0)), (2, (0, 1, 2))) -> inconclusive")
+
+
 # -- the bad-angle control ---------------------------------------------------
 
 
-def test_equal_latitude_of_the_two_generator_axes():
-    assert equal_latitude((1, 1, 1), (2, 1, 0), (0, 1, 2))
-    assert not equal_latitude((0, 0, 1), (2, 1, 0), (0, 1, 2))
-
-
 def test_bad_angle_for_generator_axes_is_pi():
-    # P + Q is parallel to the chosen axis, so the transport is a half turn.
-    theta = bad_angle_for((1, 1, 1), (2, 1, 0), (0, 1, 2))
-    assert abs(float(theta) - float(mpmath.pi)) < 1e-60
+    # The control transports about P + Q, so it is a half turn.
+    theta = corrupted_rotation((2, 1, 0), (0, 1, 2)).angle
+    with mpmath.workprec(256):
+        assert abs(theta - mpmath.pi) < mpmath.mpf(2) ** -250
 
 
 def test_bad_angle_rejects_degenerate_pairs():
     with pytest.raises(DegenerateInputError):
-        bad_angle_for((2, 1, 0), (2, 1, 0), (4, 2, 0))  # p parallel to q
+        corrupted_rotation((2, 1, 0), (4, 2, 0))  # p parallel to q
     with pytest.raises(DomainError):
-        bad_angle_for((0, 0, 1), (2, 1, 0), (0, 1, 2))  # different latitudes
+        corrupted_rotation((2, 1, 0), (0, 1, 3))  # unequal lengths
 
 
 def test_corrupted_rotation_collides():
@@ -219,3 +225,6 @@ def test_corrupted_rotation_axis_and_bookkeeping():
     assert bad.depth_checked == 0
     with pytest.raises(DegenerateInputError):
         corrupted_rotation((2, 1, 0), (-2, -1, 0))
+    data = bad.to_json()
+    assert data["angle"].startswith("3.14159265358979323846")
+    assert data["angle_exact"] is None
