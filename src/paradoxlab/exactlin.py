@@ -134,11 +134,25 @@ def scaled_integer_form(m: Mat3) -> tuple[IntMat, int]:
     return ints, d
 
 
+#: scaled_integer_form of each default generator, indexed by letter: (7*M, 7).
+SCALED_GENERATORS: tuple[tuple[IntMat, int], ...] = tuple(
+    scaled_integer_form(DEFAULT_GENERATORS[letter]) for letter in Letter
+)
+
+
 def _matmul_ints(a: IntMat, b: IntMat) -> IntMat:
-    return tuple(
-        a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j] + a[3 * i + 2] * b[6 + j]
-        for i in range(3)
-        for j in range(3)
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
+    return (
+        a0 * b0 + a1 * b3 + a2 * b6,
+        a0 * b1 + a1 * b4 + a2 * b7,
+        a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6,
+        a3 * b1 + a4 * b4 + a5 * b7,
+        a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6,
+        a6 * b1 + a7 * b4 + a8 * b7,
+        a6 * b2 + a7 * b5 + a8 * b8,
     )
 
 
@@ -155,8 +169,10 @@ def ball_matrices(
     whole ball costs one 3x3 multiply per word.  With the default generators
     d = 7^len(word).
     """
-    gens = generators if generators is not None else DEFAULT_GENERATORS
-    scaled = {letter: scaled_integer_form(gens[letter]) for letter in Letter}
+    if generators is None:
+        scaled = SCALED_GENERATORS
+    else:
+        scaled = tuple(scaled_integer_form(generators[letter]) for letter in Letter)
 
     def step(parent: tuple[IntMat, int], letter: Letter) -> tuple[IntMat, int]:
         g_ints, g_den = scaled[letter]
@@ -169,7 +185,7 @@ def eval_word(w: ReducedWord) -> Mat3:
     """Exact product of generator matrices in word order; identity for e."""
     ints, den = _INT_IDENTITY, 1
     for letter in w.letters:
-        g_ints, g_den = scaled_integer_form(DEFAULT_GENERATORS[letter])
+        g_ints, g_den = SCALED_GENERATORS[letter]
         ints = _matmul_ints(ints, g_ints)
         den *= g_den
     return Mat3(tuple(Fraction(v, den) for v in ints))

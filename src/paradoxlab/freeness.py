@@ -31,7 +31,7 @@ from typing import Literal, Mapping
 
 from .errors import InvariantViolationError
 from .words import Letter, ReducedWord
-from .exactlin import Mat3, ball_matrices, generator_matrix, scaled_integer_form
+from .exactlin import SCALED_GENERATORS, Mat3, ball_matrices, generator_matrix
 
 _MOD = 7
 
@@ -113,7 +113,7 @@ def _transition_matrices() -> dict[Letter, tuple[int, ...]]:
     """7*generator(x) reduced mod 7, for each letter x."""
     out: dict[Letter, tuple[int, ...]] = {}
     for letter in Letter:
-        ints, den = scaled_integer_form(generator_matrix(letter))
+        ints, den = SCALED_GENERATORS[letter]
         if den != _MOD:  # pragma: no cover - fixed generators
             raise InvariantViolationError("default generators must have denominator 7")
         out[letter] = tuple(v % _MOD for v in ints)

@@ -35,7 +35,7 @@ from .freeness import FreenessCertificate, verify_certificate
 from .report import Finding
 from .sphere import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, SEPARATION_RESOLUTION
 from .words import Letter, PrefixClass, ReducedWord, ball, ball_size, prefix_class
-from .exactlin import Vec3, ball_matrices, generator_matrix
+from .exactlin import SCALED_GENERATORS, Vec3, ball_matrices
 
 Point = Hashable
 
@@ -606,32 +606,42 @@ def orbit_transport(depth: int, certificate: FreenessCertificate) -> OrbitTransp
         raise PreconditionError("certificate does not verify")
     bx, by, bz = certificate.base_vector
 
+    # A word's matrix has denominator 7^len, so every orbit point p of
+    # ball(depth) has the integer key p * 7^depth, and keys are injective.
+    scale = 7**depth
     by_word: dict[ReducedWord, Vec3] = {}
-    seen: dict[Vec3, ReducedWord] = {}
+    at_key: dict[tuple[int, int, int], tuple[ReducedWord, Vec3]] = {}
     for w, ints, den in ball_matrices(depth):
-        p = Vec3(
-            Fraction(ints[0] * bx + ints[1] * by + ints[2] * bz, den),
-            Fraction(ints[3] * bx + ints[4] * by + ints[5] * bz, den),
-            Fraction(ints[6] * bx + ints[7] * by + ints[8] * bz, den),
-        )
+        x = ints[0] * bx + ints[1] * by + ints[2] * bz
+        y = ints[3] * bx + ints[4] * by + ints[5] * bz
+        z = ints[6] * bx + ints[7] * by + ints[8] * bz
+        p = Vec3(Fraction(x, den), Fraction(y, den), Fraction(z, den))
         by_word[w] = p
-        if p in seen:
+        factor = scale // den
+        key = (x * factor, y * factor, z * factor)
+        if key in at_key:
             raise InvariantViolationError(
-                f"orbit collision: {seen[p]} and {w} agree at the base vector despite the certificate"
+                f"orbit collision: {at_key[key][0]} and {w} agree at the base vector despite the certificate"
             )
-        seen[p] = w
+        at_key[key] = (w, p)
 
-    points = frozenset(seen)
-    gens = {letter: generator_matrix(letter) for letter in Letter}
+    # The generator G acts on keys as (7G) k / 7.  A non-integral result is
+    # no orbit point's key, so G p lies outside the truncation.
+    points = frozenset(by_word.values())
     maps: dict[str, dict[Point, Point]] = {"e": {p: p for p in points}}
     for letter in Letter:
-        m = gens[letter]
-        lab = letter.symbol
-        maps[lab] = {}
-        for p in points:
-            q = m.apply(p)
-            if q in points:
-                maps[lab][p] = q
+        g, g_den = SCALED_GENERATORS[letter]
+        action: dict[Point, Point] = {}
+        for (kx, ky, kz), (_, p) in at_key.items():
+            qx = g[0] * kx + g[1] * ky + g[2] * kz
+            qy = g[3] * kx + g[4] * ky + g[5] * kz
+            qz = g[6] * kx + g[7] * ky + g[8] * kz
+            if qx % g_den or qy % g_den or qz % g_den:
+                continue
+            hit = at_key.get((qx // g_den, qy // g_den, qz // g_den))
+            if hit is not None:
+                action[p] = hit[1]
+        maps[letter.symbol] = action
     model = FiniteActionModel(points=points, maps=maps, partial=True)
     witness, interior = _prefix_class_witness(by_word, depth)
     report = verify_paradox_witness(model, points, witness, interior=interior)

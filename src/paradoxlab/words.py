@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import ResourceLimitError
@@ -42,8 +41,7 @@ class Letter(IntEnum):
     B_INV = 3
 
     def inverse(self) -> "Letter":
-        # a <-> a^-1 and b <-> b^-1 is an xor with 2 in this encoding
-        return Letter(self ^ 2)
+        return _INVERSES[self]
 
     @property
     def symbol(self) -> str:
@@ -57,6 +55,10 @@ class Letter(IntEnum):
             raise ValueError(f"unknown letter symbol {ch!r}; expected one of a, b, A, B") from None
 
 
+#: Inverse of each letter, indexed by letter: a <-> a^-1 and b <-> b^-1.
+_INVERSES = (Letter.A_INV, Letter.B_INV, Letter.A, Letter.B)
+
+
 class PrefixClass(Enum):
     """The five-way classification of reduced words by first letter."""
 
@@ -66,14 +68,18 @@ class PrefixClass(Enum):
     W_A_INV = "A"
     W_B_INV = "B"
 
-    @classmethod
-    def of_letter(cls, letter: Letter) -> "PrefixClass":
-        return (cls.W_A, cls.W_B, cls.W_A_INV, cls.W_B_INV)[letter]
+
+#: Prefix class of the words starting with each letter, indexed by letter.
+_CLASS_OF_LETTER = (PrefixClass.W_A, PrefixClass.W_B, PrefixClass.W_A_INV, PrefixClass.W_B_INV)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReducedWord:
-    """An immutable reduced word; the empty tuple is the identity."""
+    """An immutable reduced word; the empty tuple is the identity.
+
+    Public construction validates.  Code in this module that builds a word
+    reduced by construction uses :func:`_reduced`, which skips the check.
+    """
 
     letters: tuple[Letter, ...] = ()
 
@@ -122,6 +128,13 @@ class ReducedWord:
 IDENTITY = ReducedWord()
 
 
+def _reduced(letters: tuple[Letter, ...]) -> ReducedWord:
+    """Wrap letters the caller knows are reduced, without re-validating them."""
+    w = object.__new__(ReducedWord)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def reduce(letters: Iterable[Letter]) -> ReducedWord:
     """Free reduction: cancel adjacent inverse pairs until none remain."""
     stack: list[Letter] = []
@@ -138,14 +151,14 @@ def concat(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
     a, b = w1.letters, w2.letters
     i = len(a)
     j = 0
-    while i > 0 and j < len(b) and a[i - 1] == b[j].inverse():
+    while i > 0 and j < len(b) and a[i - 1] == _INVERSES[b[j]]:
         i -= 1
         j += 1
-    return ReducedWord(a[:i] + b[j:])
+    return _reduced(a[:i] + b[j:])
 
 
 def invert(w: ReducedWord) -> ReducedWord:
-    return ReducedWord(tuple(l.inverse() for l in reversed(w.letters)))
+    return _reduced(tuple(_INVERSES[l] for l in reversed(w.letters)))
 
 
 _ALPHABET = tuple(Letter)
@@ -158,7 +171,9 @@ def walk_ball(n: int, root: V, step: Callable[[V, Letter], V]) -> Iterator[tuple
     so a per-word product costs one step from its parent.  Breadth-first by
     length, extending in letter order, gives length-lex order.  Only the level
     being extended is held; the last level is yielded and dropped.  This is the
-    one place the radius cap is enforced.
+    one place the radius cap is enforced.  A child never appends the inverse
+    of its parent's last letter, so every yielded word is reduced by
+    construction and skips validation.
     """
     if n < 0:
         raise ValueError("ball radius must be >= 0")
@@ -171,25 +186,24 @@ def walk_ball(n: int, root: V, step: Callable[[V, Letter], V]) -> Iterator[tuple
         nxt: list[tuple[ReducedWord, V]] = []
         for w, value in level:
             letters = w.letters
-            barred = letters[-1].inverse() if letters else None
+            barred = _INVERSES[letters[-1]] if letters else None
             for letter in _ALPHABET:
                 if letter is barred:
                     continue
-                item = (ReducedWord(letters + (letter,)), step(value, letter))
+                item = (_reduced(letters + (letter,)), step(value, letter))
                 yield item
                 if keep:
                     nxt.append(item)
         level = nxt
 
 
-@lru_cache(maxsize=None)
-def _ball(n: int) -> tuple[ReducedWord, ...]:
-    return tuple(w for w, _ in walk_ball(n, None, lambda value, letter: None))
+def _no_value(value: None, letter: Letter) -> None:
+    return None
 
 
 def ball(n: int) -> tuple[ReducedWord, ...]:
     """All reduced words of length <= n, in length-lexicographic order."""
-    return _ball(n)
+    return tuple(w for w, _ in walk_ball(n, None, _no_value))
 
 
 def ball_size(n: int) -> int:
@@ -198,9 +212,8 @@ def ball_size(n: int) -> int:
 
 
 def prefix_class(w: ReducedWord) -> PrefixClass:
-    if w.is_identity:
-        return PrefixClass.IDENTITY
-    return PrefixClass.of_letter(w.letters[0])
+    letters = w.letters
+    return _CLASS_OF_LETTER[letters[0]] if letters else PrefixClass.IDENTITY
 
 
 # -- decomposition checks ---------------------------------------------------
@@ -222,38 +235,46 @@ class SplitCheck:
         return not self.violations
 
 
+def _split_violation(
+    h: ReducedWord,
+    cover: PrefixClass,
+    piece: PrefixClass,
+    mover: ReducedWord,
+    mover_inv: ReducedWord,
+) -> str | None:
+    """Why h is not in W(cover) u mover.W(piece), or None when it is.
+
+    A word h outside W(cover) is covered iff mover^-1.h starts with the piece
+    letter and mover.(mover^-1.h) reproduces h.  Both facts are tested
+    directly, so corrupted movers or pieces surface as explicit violations.
+    """
+    if prefix_class(h) is cover:
+        return None
+    shifted = concat(mover_inv, h)
+    if prefix_class(shifted) is not piece:
+        return f"{str(h)!r} not covered: {str(mover)!r}^-1 * h = {str(shifted)!r} is not in class {piece.value}"
+    if concat(mover, shifted) != h:  # pragma: no cover - group law, unreachable
+        return f"reassembly failed for {str(h)!r}"
+    return None
+
+
 def check_split(
     depth: int,
     cover: PrefixClass,
     piece: PrefixClass,
     mover: ReducedWord,
 ) -> SplitCheck:
-    """Check that every word of length <= depth lies in W(cover) u mover.W(piece).
-
-    A word h outside W(cover) is covered iff mover^-1.h starts with the piece
-    letter and mover.(mover^-1.h) reproduces h.  Both facts are tested
-    directly, so corrupted movers or pieces surface as explicit violations.
-    """
+    """Check that every word of length <= depth lies in W(cover) u mover.W(piece)."""
     if cover is PrefixClass.IDENTITY or piece is PrefixClass.IDENTITY:
         raise ValueError("cover and piece must be prefix classes of nonempty words")
     mover_inv = invert(mover)
     violations: list[str] = []
     checked = 0
-    for h in ball(depth):
+    for h, _ in walk_ball(depth, None, _no_value):
         checked += 1
-        if prefix_class(h) is cover:
-            continue
-        shifted = concat(mover_inv, h)
-        if prefix_class(shifted) is not piece:
-            if len(violations) < MAX_VIOLATIONS:
-                violations.append(
-                    f"{str(h)!r} not covered: {str(mover)!r}^-1 * h = {str(shifted)!r} "
-                    f"is not in class {piece.value}"
-                )
-            continue
-        if concat(mover, shifted) != h:
-            if len(violations) < MAX_VIOLATIONS:  # pragma: no cover - group law, unreachable
-                violations.append(f"reassembly failed for {str(h)!r}")
+        problem = _split_violation(h, cover, piece, mover, mover_inv)
+        if problem is not None and len(violations) < MAX_VIOLATIONS:
+            violations.append(problem)
     return SplitCheck(depth, cover, piece, mover, checked, tuple(violations))
 
 
@@ -271,27 +292,46 @@ class F2ParadoxReport:
 
 
 def verify_f2_paradox(depth: int) -> F2ParadoxReport:
-    """Verify the prefix-class partition and both covering identities on ball(depth)."""
+    """Verify the prefix-class partition and both covering identities on ball(depth).
+
+    One pass over the ball: each word is counted, its class memberships are
+    recomputed from raw letters, and it is tested against both splits
+    F2 = W(a) u a.W(a^-1) and F2 = W(b) u b.W(b^-1), exactly as
+    :func:`check_split` tests one.
+    """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    word_a = ReducedWord((Letter.A,))
+    word_b = ReducedWord((Letter.B,))
+    inv_a, inv_b = invert(word_a), invert(word_b)
     counts: dict[PrefixClass, int] = {c: 0 for c in PrefixClass}
     partition_violations: list[str] = []
-    for w in ball(depth):
+    violations_a: list[str] = []
+    violations_b: list[str] = []
+    checked = 0
+    for w, _ in walk_ball(depth, None, _no_value):
+        checked += 1
+        letters = w.letters
         # Memberships recomputed from raw structure, not trusted from prefix_class.
-        flags = [
-            not w.letters,
-            bool(w.letters) and w.letters[0] is Letter.A,
-            bool(w.letters) and w.letters[0] is Letter.B,
-            bool(w.letters) and w.letters[0] is Letter.A_INV,
-            bool(w.letters) and w.letters[0] is Letter.B_INV,
-        ]
+        first = letters[0] if letters else None
+        flags = (
+            not letters,
+            first is Letter.A,
+            first is Letter.B,
+            first is Letter.A_INV,
+            first is Letter.B_INV,
+        )
         if sum(flags) != 1 and len(partition_violations) < MAX_VIOLATIONS:  # pragma: no cover - unreachable
             partition_violations.append(f"{str(w)!r} lies in {sum(flags)} classes")
         counts[prefix_class(w)] += 1
-    word_a = ReducedWord((Letter.A,))
-    word_b = ReducedWord((Letter.B,))
-    split_a = check_split(depth, PrefixClass.W_A, PrefixClass.W_A_INV, word_a)
-    split_b = check_split(depth, PrefixClass.W_B, PrefixClass.W_B_INV, word_b)
+        problem = _split_violation(w, PrefixClass.W_A, PrefixClass.W_A_INV, word_a, inv_a)
+        if problem is not None and len(violations_a) < MAX_VIOLATIONS:
+            violations_a.append(problem)
+        problem = _split_violation(w, PrefixClass.W_B, PrefixClass.W_B_INV, word_b, inv_b)
+        if problem is not None and len(violations_b) < MAX_VIOLATIONS:
+            violations_b.append(problem)
+    split_a = SplitCheck(depth, PrefixClass.W_A, PrefixClass.W_A_INV, word_a, checked, tuple(violations_a))
+    split_b = SplitCheck(depth, PrefixClass.W_B, PrefixClass.W_B_INV, word_b, checked, tuple(violations_b))
     return F2ParadoxReport(depth, counts, tuple(partition_violations), split_a, split_b)
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from paradoxlab.errors import DegenerateInputError, DomainError
 from paradoxlab.exactlin import (
     DEFAULT_GENERATORS,
+    SCALED_GENERATORS,
     GEN_A,
     GEN_B,
     Mat3,
@@ -61,6 +62,16 @@ def test_eval_word_matches_scaled_integer_route():
         assert eval_word(w) == Mat3(tuple(Fraction(v, den) for v in ints))
 
 
+def test_eval_word_matches_the_rational_product():
+    # Independent of the integer multiply both eval_word and ball_matrices use:
+    # multiply the rational generator matrices with Mat3.__matmul__.
+    for w in ball(4):
+        product = Mat3.identity()
+        for letter in w.letters:
+            product = product @ DEFAULT_GENERATORS[letter]
+        assert eval_word(w) == product
+
+
 def test_ball_matrices_walk_the_ball_in_order():
     for n in range(6):
         assert [w for w, _, _ in ball_matrices(n)] == list(ball(n))
@@ -75,6 +86,7 @@ def test_scaled_integer_form():
     ints, den = scaled_integer_form(GEN_A)
     assert den == 7
     assert ints == (6, 2, 3, 2, 3, -6, -3, 6, 2)
+    assert SCALED_GENERATORS == tuple(scaled_integer_form(DEFAULT_GENERATORS[x]) for x in Letter)
 
 
 def test_word_products_are_rotations():

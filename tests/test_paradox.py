@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from paradoxlab.errors import DomainError, ModelError, PreconditionError
+from paradoxlab.exactlin import generator_matrix
 from paradoxlab.freeness import build_certificate
 from paradoxlab.paradox import (
     EquidecompWitness,
@@ -27,6 +28,7 @@ from paradoxlab.paradox import (
     verify_equidecomp,
     verify_paradox_witness,
 )
+from paradoxlab.words import Letter
 
 # -- models and witnesses ----------------------------------------------------
 
@@ -185,6 +187,20 @@ def test_orbit_transport_small():
     assert result.passed
     assert result.orbit_size == 53
     assert result.expected_size == 53
+
+
+def test_orbit_transport_maps_match_rational_application():
+    # The model's maps run on scaled integer keys; rebuild them with Mat3.apply.
+    for base in ((0, 1, 0), (1, 1, 1)):
+        cert = build_certificate(base)
+        for depth in range(1, 5):
+            model = orbit_transport(depth, cert).model
+            expected = {"e": {p: p for p in model.points}}
+            for letter in Letter:
+                m = generator_matrix(letter)
+                moved = {p: m.apply(p) for p in model.points}
+                expected[letter.symbol] = {p: q for p, q in moved.items() if q in model.points}
+            assert model.maps == expected
 
 
 def test_orbit_transport_needs_vector_certificate():

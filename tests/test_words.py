@@ -22,6 +22,7 @@ from paradoxlab.words import (
     prefix_class,
     reduce,
     verify_f2_paradox,
+    walk_ball,
 )
 
 letter_lists = st.lists(st.sampled_from(list(Letter)), max_size=12)
@@ -38,8 +39,26 @@ def test_letter_inverses_pair_up():
 
 
 def test_unreduced_construction_rejected():
-    with pytest.raises(ValueError):
-        ReducedWord((Letter.A, Letter.A_INV))
+    for letters in (
+        (Letter.A, Letter.A_INV),
+        (Letter.B, Letter.A, Letter.A_INV),
+        (Letter.B_INV, Letter.B),
+    ):
+        with pytest.raises(ValueError):
+            ReducedWord(letters)
+
+
+def test_fast_built_words_pass_public_validation():
+    # walk_ball, concat and invert skip validation; the public constructor must
+    # accept every word they build and rebuild an equal one.
+    for w, _ in walk_ball(6, None, lambda value, letter: None):
+        assert ReducedWord(w.letters) == w
+    b3 = ball(3)
+    for u in b3:
+        assert ReducedWord(invert(u).letters) == invert(u)
+        for v in b3:
+            uv = concat(u, v)
+            assert ReducedWord(uv.letters) == uv
 
 
 def test_string_roundtrip():
@@ -146,6 +165,15 @@ def test_verify_f2_paradox_depth_3():
     assert not report.partition_violations
     assert report.split_a.checked == 53
     assert report.split_b.checked == 53
+
+
+def test_one_pass_verify_matches_check_split():
+    a, b = ReducedWord.from_string("a"), ReducedWord.from_string("b")
+    for d in range(1, 7):
+        report = verify_f2_paradox(d)
+        assert report.split_a == check_split(d, PrefixClass.W_A, PrefixClass.W_A_INV, a)
+        assert report.split_b == check_split(d, PrefixClass.W_B, PrefixClass.W_B_INV, b)
+        assert report.split_a.checked == ball_size(d)
 
 
 def test_verify_f2_paradox_rejects_bad_depth():
