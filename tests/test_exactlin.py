@@ -8,11 +8,11 @@ from hypothesis import given, strategies as st
 from paradoxlab.errors import DegenerateInputError, DomainError
 from paradoxlab.exactlin import (
     DEFAULT_GENERATORS,
-    SCALED_GENERATORS,
     GEN_A,
     GEN_B,
     Mat3,
     ProjectiveDirection,
+    SCALED_GENERATORS,
     Vec3,
     axis,
     ball_matrices,
