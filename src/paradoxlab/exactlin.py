@@ -33,6 +33,14 @@ class Vec3:
     y: Fraction
     z: Fraction
 
+    def __post_init__(self) -> None:
+        # Each Fraction hash costs a modular pow and orbit points are hashed
+        # many times over, so hash once; a plain attribute, not a field.
+        object.__setattr__(self, "_hash", hash((self.x, self.y, self.z)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @classmethod
     def of(cls, x, y, z) -> "Vec3":
         return cls(_frac(x), _frac(y), _frac(z))

@@ -26,9 +26,28 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Hashable, Mapping, Sequence
 
-import mpmath
+from mpmath.libmp import (
+    fone,
+    fzero,
+    from_man_exp,
+    mpc_abs,
+    mpc_add,
+    mpc_conjugate,
+    mpc_exp,
+    mpc_mul,
+    mpc_mul_int,
+    mpc_sub,
+    mpc_sub_mpf,
+    mpf_abs,
+    mpf_cmp,
+    mpf_sub,
+    round_nearest,
+    to_float,
+    to_str,
+)
 
 from .errors import DomainError, InvariantViolationError, ModelError, PreconditionError
 from .freeness import FreenessCertificate, verify_certificate
@@ -306,7 +325,7 @@ class PolyClass(Enum):
     B = "B"  # positive constant term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NNPoly:
     """Polynomial with nonnegative integer coefficients, low degree first."""
 
@@ -345,6 +364,13 @@ class NNPoly:
         return " + ".join(parts)
 
 
+def _nnpoly(coeffs: tuple[int, ...]) -> NNPoly:
+    """Wrap coefficients the caller knows are nonnegative with no trailing zero, without re-validating them."""
+    p = object.__new__(NNPoly)
+    object.__setattr__(p, "coeffs", coeffs)
+    return p
+
+
 def smp_classify(p: NNPoly) -> PolyClass:
     return PolyClass.A if p.constant == 0 else PolyClass.B
 
@@ -353,40 +379,98 @@ def smp_g(p: NNPoly) -> NNPoly:
     """Divide by x (rotate the planar point by e^-i).  Domain: class A."""
     if smp_classify(p) is not PolyClass.A:
         raise DomainError("smp_g needs a zero constant term")
-    return NNPoly(p.coeffs[1:])
+    return _nnpoly(p.coeffs[1:])
 
 
 def smp_h(p: NNPoly) -> NNPoly:
     """Subtract 1 (translate the planar point by -1).  Domain: class B."""
     if smp_classify(p) is not PolyClass.B:
         raise DomainError("smp_h needs a positive constant term")
-    return NNPoly.from_coeffs((p.coeffs[0] - 1,) + p.coeffs[1:])
+    coeffs = (p.coeffs[0] - 1,) + p.coeffs[1:]
+    # only a lone constant 1 can leave a trailing zero
+    return _nnpoly(coeffs if coeffs[-1] else ())
 
 
 def smp_mul_x(p: NNPoly) -> NNPoly:
     """Inverse of smp_g on its image."""
     if p.is_zero:
         return p
-    return NNPoly((0,) + p.coeffs)
+    return _nnpoly((0,) + p.coeffs)
 
 
 def smp_add_one(p: NNPoly) -> NNPoly:
     """Inverse of smp_h."""
     if p.is_zero:
-        return NNPoly((1,))
-    return NNPoly((p.coeffs[0] + 1,) + p.coeffs[1:])
+        return _nnpoly((1,))
+    return _nnpoly((p.coeffs[0] + 1,) + p.coeffs[1:])
 
 
 def enumerate_polys(max_degree: int, max_coeff: int) -> tuple[NNPoly, ...]:
     """All polynomials with degree <= max_degree and coefficients <= max_coeff.
 
     Padded coefficient tuples map one-to-one onto stripped polynomials, so
-    this yields (max_coeff+1)^(max_degree+1) distinct elements.
+    this yields (max_coeff+1)^(max_degree+1) distinct elements, in
+    ``itertools.product`` order with the constant term most significant.
     """
-    return tuple(
-        NNPoly.from_coeffs(t)
-        for t in itertools.product(range(max_coeff + 1), repeat=max_degree + 1)
-    )
+    polys = []
+    for t in itertools.product(range(max_coeff + 1), repeat=max_degree + 1):
+        n = len(t)
+        while n and not t[n - 1]:
+            n -= 1
+        polys.append(_nnpoly(t[:n]))
+    return tuple(polys)
+
+
+def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[tuple, list[tuple]]:
+    """t = e^i and P(t) for every P of ``enumerate_polys``, as raw libmp complex tuples.
+
+    The sum over c0..ck is shared by every polynomial with that prefix, so
+    the sums are built one power of t at a time.  Each term c*t^k is rounded
+    once, and each nonzero coefficient adds one rounded sum: the operations
+    of summing each polynomial on its own, in the same order, so every value
+    is bit-identical to that route.  Rounding is to nearest, as in mpmath's
+    default context.
+    """
+    prec, rnd = precision_bits, round_nearest
+    t = mpc_exp((fzero, fone), prec, rnd)
+    power = (fone, fzero)
+    sums = [(fzero, fzero)]
+    for k in range(max_degree + 1):
+        if k:
+            power = mpc_mul(power, t, prec, rnd)
+        terms = [mpc_mul_int(power, c, prec, rnd) for c in range(1, max_coeff + 1)]
+        sums = [z if term is None else mpc_add(z, term, prec, rnd) for z in sums for term in (None, *terms)]
+    return t, sums
+
+
+#: Unit roundoff of a float: round to nearest with a 53-bit significand.
+FLOAT_UNIT = 2.0**-53
+
+
+def _coordinate_error(max_degree: int, max_coeff: int, precision_bits: int) -> float:
+    """Bound on |float coordinate - exact coordinate| for every embedded point.
+
+    |t^k| = 1, so every point and partial sum has modulus at most
+    m = max_coeff*(max_degree+1).  With u = 2^-precision_bits: e^i is
+    within one ulp (2u) per component, each power, term c*t^k and sum
+    rounds once to nearest, so to first order the powers drift by 4ku and
+    a point by (max_degree+1)*(5m+1)*u; 8*(max_degree+1)*(m+1)*u also
+    covers the second-order terms.  The float conversion then rounds to
+    nearest, moving a coordinate by at most its magnitude times FLOAT_UNIT.
+    """
+    m = max_coeff * (max_degree + 1)
+    accumulated = 8 * (max_degree + 1) * (m + 1) * 2.0**-precision_bits
+    return accumulated + FLOAT_UNIT * (m + accumulated)
+
+
+def _separation_slack(max_degree: int, max_coeff: int, precision_bits: int, distance: float) -> float:
+    """Bound on (float distance of a pair) - (exact distance) for the sweep.
+
+    Both points move by at most sqrt(2) times the coordinate error; the
+    float distance (a subtraction and a square per coordinate, a sum and
+    a square root) is within 4*FLOAT_UNIT of its value relative to it.
+    """
+    return 2 * math.sqrt(2) * _coordinate_error(max_degree, max_coeff, precision_bits) + 4 * FLOAT_UNIT * distance
 
 
 def _closest_pair_sq(points: list[tuple[float, float]]) -> tuple[float, tuple[int, int]]:
@@ -476,50 +560,40 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
     )
     findings.append(Finding("h_bijection", ok_h, "" if ok_h else "decrement failed an exactness check"))
 
-    with mpmath.workprec(precision_bits):
-        t = mpmath.exp(mpmath.mpc(0, 1))
-        t_inv = mpmath.conj(t)
-        powers = [mpmath.mpc(1)]
-        for _ in range(max_degree):
-            powers.append(powers[-1] * t)
-        embeds = []
-        for p in polys:
-            acc = mpmath.mpc(0)
-            for k, c in enumerate(p.coeffs):
-                if c:
-                    acc += c * powers[k]
-            embeds.append(acc)
+    prec, rnd = precision_bits, round_nearest
+    t, embeds = _embed_polys(max_degree, max_coeff, prec)
+    t_inv = mpc_conjugate(t, prec, rnd)
 
-        floats = [(float(z.real), float(z.imag)) for z in embeds]
-        best_sq, (i, j) = _closest_pair_sq(floats)
-        min_distance = float(abs(embeds[i] - embeds[j]))
-        # float coordinates are off by < 3e-15, so this lower bound is safe
-        separated = math.sqrt(best_sq) - 1e-13 > SEPARATION_RESOLUTION
-        findings.append(
-            Finding(
-                "separation",
-                separated,
-                f"min pairwise distance {min_distance:.6g} between {polys[i]} and {polys[j]}",
-            )
-        )
+    def dist(z, w):
+        return mpc_abs(mpc_sub(z, w, prec, rnd), prec, rnd)
 
-        tol = mpmath.mpf(2) ** (24 - precision_bits)
-        defect = mpmath.mpf(0)
-        for p, q in zip(part_a, g_images):
-            defect = max(defect, abs(embeds[index[q]] - t_inv * embeds[index[p]]))
-        for p, q in zip(part_b, h_images):
-            defect = max(defect, abs(embeds[index[q]] - (embeds[index[p]] - 1)))
-        # rotation preserves sampled pairwise distances
-        stride = max(1, len(polys) // 257)
-        sample = polys[::stride]
-        for p, q in zip(sample, sample[1:]):
-            u, v = embeds[index[p]], embeds[index[q]]
-            defect = max(defect, abs(abs(t_inv * u - t_inv * v) - abs(u - v)))
-        isometry_ok = defect <= tol
-        findings.append(
-            Finding("isometries", isometry_ok, f"max defect {mpmath.nstr(defect, 6)} vs tolerance {mpmath.nstr(tol, 6)}")
+    def rotate(z):
+        return mpc_mul(t_inv, z, prec, rnd)
+
+    floats = [(to_float(re, rnd=rnd), to_float(im, rnd=rnd)) for re, im in embeds]
+    best_sq, (i, j) = _closest_pair_sq(floats)
+    min_distance = to_float(dist(embeds[i], embeds[j]), rnd=rnd)
+    distance = math.sqrt(best_sq)
+    separated = distance - _separation_slack(max_degree, max_coeff, prec, distance) > SEPARATION_RESOLUTION
+    findings.append(
+        Finding(
+            "separation",
+            separated,
+            f"min pairwise distance {min_distance:.6g} between {polys[i]} and {polys[j]}",
         )
-        max_defect = float(defect)
+    )
+
+    defects = [dist(embeds[index[q]], rotate(embeds[index[p]])) for p, q in zip(part_a, g_images)]
+    defects += [dist(embeds[index[q]], mpc_sub_mpf(embeds[index[p]], fone, prec, rnd)) for p, q in zip(part_b, h_images)]
+    # rotation preserves sampled pairwise distances
+    sample = embeds[:: max(1, len(polys) // 257)]
+    defects += [
+        mpf_abs(mpf_sub(dist(rotate(u), rotate(v)), dist(u, v), prec, rnd), prec, rnd) for u, v in zip(sample, sample[1:])
+    ]
+    defect = max(defects, key=cmp_to_key(mpf_cmp))
+    tol = from_man_exp(1, 24 - precision_bits)
+    isometry_ok = mpf_cmp(defect, tol) <= 0
+    findings.append(Finding("isometries", isometry_ok, f"max defect {to_str(defect, 6)} vs tolerance {to_str(tol, 6)}"))
 
     symbolic_ok = findings[0].ok and ok_g and ok_h
     if not symbolic_ok or not isometry_ok:
@@ -537,7 +611,7 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
         count_b=len(part_b),
         min_distance=min_distance,
         min_pair=(str(polys[i]), str(polys[j])),
-        max_isometry_defect=max_defect,
+        max_isometry_defect=to_float(defect, rnd=rnd),
         findings=tuple(findings),
         outcome=outcome,
     )

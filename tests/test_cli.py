@@ -1,5 +1,6 @@
 """The command-line interface: report shape, exit codes, and determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -153,6 +154,22 @@ def test_reports_are_byte_identical():
     first = run_cli("words", "verify", "--depth", "3")
     second = run_cli("words", "verify", "--depth", "3")
     assert first.stdout == second.stdout
+
+
+# sha256 of the stdout of `smp verify ... --seed 1`, recorded before the
+# numeric half of smp_verify moved to raw libmp tuples with shared prefixes
+SMP_VERIFY_DIGESTS = [
+    (("--deg", "3", "--coef", "2"), "2451ed29de6179309580ee19a03ac0f7ed630f2bc8695c862808ce0f4211fd97"),
+    (("--deg", "6", "--coef", "3"), "0763d6911bd90d46f1a3d63ae4096bb6a99140d1c6aec7f695a921d927a9e145"),
+    (("--deg", "6", "--coef", "3", "--bits", "64"), "6a0f6e23b36a77354b96faf3e0ed03ade6d33b70fb08ff655644d2a6a6f845a0"),
+]
+
+
+@pytest.mark.parametrize("args,digest", SMP_VERIFY_DIGESTS, ids=[" ".join(a) for a, _ in SMP_VERIFY_DIGESTS])
+def test_smp_verify_report_bytes_are_pinned(args, digest):
+    result = run_cli("smp", "verify", *args, "--seed", "1")
+    assert result.code == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
 def test_seeded_demo_is_deterministic():

@@ -1,5 +1,6 @@
 """Exact rational matrices, kernel solving, and projective directions."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from paradoxlab.exactlin import (
     row_reduce_int,
     scaled_integer_form,
 )
+from paradoxlab.report import jsonable
 from paradoxlab.words import Letter, ReducedWord, ball
 
 small_ints = st.integers(min_value=-9, max_value=9)
@@ -198,3 +200,12 @@ def test_transpose_antihomomorphism(xs, ys):
 
 def test_mat3_json_roundtrip():
     assert Mat3.from_json(GEN_A.to_json()) == GEN_A
+
+
+def test_vec3_hash_is_cached_and_fields_unchanged():
+    v = Vec3.of(Fraction(1, 3), -2, Fraction(5, 7))
+    assert hash(v) == hash((Fraction(1, 3), Fraction(-2), Fraction(5, 7)))
+    assert [f.name for f in dataclasses.fields(Vec3)] == ["x", "y", "z"]
+    assert v == Vec3.of(Fraction(1, 3), -2, Fraction(5, 7))
+    assert repr(v) == "Vec3(x=Fraction(1, 3), y=Fraction(-2, 1), z=Fraction(5, 7))"
+    assert jsonable(v) == {"x": "1/3", "y": "-2", "z": "5/7"}

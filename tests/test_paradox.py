@@ -2,8 +2,10 @@
 
 from dataclasses import replace
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
+from mpmath.libmp import round_nearest, to_float
 
 from paradoxlab.errors import DomainError, ModelError, PreconditionError
 from paradoxlab.exactlin import generator_matrix
@@ -27,6 +29,9 @@ from paradoxlab.paradox import (
     two_to_one_shift_model,
     verify_equidecomp,
     verify_paradox_witness,
+    _coordinate_error,
+    _embed_polys,
+    _separation_slack,
 )
 from paradoxlab.words import Letter
 
@@ -170,6 +175,63 @@ def test_smp_verify_guards():
         smp_verify(0, 2, 128)
     with pytest.raises(ValueError):
         smp_verify(4, 2, 32)
+
+
+def test_trusted_polys_pass_public_validation():
+    # enumerate_polys and the four smp maps build their results without validation
+    polys = enumerate_polys(4, 3)
+    built = list(polys)
+    for p in polys:
+        if smp_classify(p) is PolyClass.A:
+            built.append(smp_g(p))
+        else:
+            built.append(smp_h(p))
+        built += [smp_mul_x(p), smp_add_one(p)]
+    for p in built:
+        assert NNPoly(p.coeffs) == p
+
+
+def _per_polynomial_embedding(max_degree, max_coeff, bits):
+    # the slow route: sum each polynomial on its own with mpmath.mpc
+    with mpmath.workprec(bits):
+        t = mpmath.exp(mpmath.mpc(0, 1))
+        powers = [mpmath.mpc(1)]
+        for _ in range(max_degree):
+            powers.append(powers[-1] * t)
+        embeds = []
+        for p in enumerate_polys(max_degree, max_coeff):
+            acc = mpmath.mpc(0)
+            for k, c in enumerate(p.coeffs):
+                if c:
+                    acc += c * powers[k]
+            embeds.append(acc._mpc_)
+    return t._mpc_, embeds
+
+
+@pytest.mark.parametrize("max_degree,max_coeff,bits", [(3, 2, 64), (4, 4, 128), (5, 2, 256)])
+def test_shared_prefix_embedding_matches_per_polynomial_sums(max_degree, max_coeff, bits):
+    assert _embed_polys(max_degree, max_coeff, bits) == _per_polynomial_embedding(max_degree, max_coeff, bits)
+
+
+def test_separation_slack_is_derived_from_the_magnitudes():
+    # |z| <= coef*(deg+1) = 400 here, which pushes the slack past the old fixed 1e-13
+    slack = _separation_slack(1, 200, 128, 0.0)
+    assert slack == pytest.approx(1.25607396694702e-13, rel=1e-12, abs=0)
+    assert slack > 1e-13
+    # the shipped deg 7, coef 3 setting; at 64 bits the accumulation term shows
+    assert _separation_slack(7, 3, 128, 0.0) == pytest.approx(7.536443801682121e-15, rel=1e-12, abs=0)
+    assert _separation_slack(7, 3, 64, 0.0) == pytest.approx(7.781770748351461e-15, rel=1e-12, abs=0)
+    # the per-coordinate bound holds against the 128-bit values and a 256-bit reference
+    bound = _coordinate_error(1, 200, 128)
+    _, coarse = _embed_polys(1, 200, 128)
+    _, fine = _embed_polys(1, 200, 256)
+    worst = 0
+    with mpmath.workprec(320):
+        for z, w in zip(coarse, fine):
+            for a, b in zip(z, w):
+                f = mpmath.mpf(to_float(a, rnd=round_nearest))
+                worst = max(worst, abs(f - mpmath.mpf(a)), abs(f - mpmath.mpf(b)))
+    assert 0 < worst <= bound
 
 
 def test_smp_truncation_model_witness():
