@@ -5,7 +5,7 @@ from dataclasses import replace
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
-from mpmath.libmp import round_nearest, to_float
+from mpmath.libmp import from_float, mpf_sub, round_nearest, to_float
 
 from paradoxlab.errors import DomainError, ModelError, PreconditionError
 from paradoxlab.exactlin import generator_matrix
@@ -218,6 +218,7 @@ def test_separation_slack_is_derived_from_the_magnitudes():
     slack = _separation_slack(1, 200, 128, 0.0)
     assert slack == pytest.approx(1.25607396694702e-13, rel=1e-12, abs=0)
     assert slack > 1e-13
+    assert _separation_slack(1, 200, 128, 0.5) - slack == pytest.approx(2 * 2.0**-53, rel=1e-6, abs=0)
     # the shipped deg 7, coef 3 setting; at 64 bits the accumulation term shows
     assert _separation_slack(7, 3, 128, 0.0) == pytest.approx(7.536443801682121e-15, rel=1e-12, abs=0)
     assert _separation_slack(7, 3, 64, 0.0) == pytest.approx(7.781770748351461e-15, rel=1e-12, abs=0)
@@ -225,12 +226,12 @@ def test_separation_slack_is_derived_from_the_magnitudes():
     bound = _coordinate_error(1, 200, 128)
     _, coarse = _embed_polys(1, 200, 128)
     _, fine = _embed_polys(1, 200, 256)
-    worst = 0
-    with mpmath.workprec(320):
-        for z, w in zip(coarse, fine):
-            for a, b in zip(z, w):
-                f = mpmath.mpf(to_float(a, rnd=round_nearest))
-                worst = max(worst, abs(f - mpmath.mpf(a)), abs(f - mpmath.mpf(b)))
+    worst = 0.0
+    for z, w in zip(coarse, fine):
+        for a, b in zip(z, w):
+            f = from_float(to_float(a, rnd=round_nearest))
+            # exact differences (no precision given), rounded once for the comparison
+            worst = max(worst, abs(to_float(mpf_sub(f, a))), abs(to_float(mpf_sub(f, b))))
     assert 0 < worst <= bound
 
 
