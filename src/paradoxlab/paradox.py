@@ -536,27 +536,29 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
     polys = enumerate_polys(max_degree, max_coeff)
-    index = {p: i for i, p in enumerate(polys)}
+    # The sets and the index key on coefficient tuples: NNPoly equality is
+    # tuple equality, and a tuple hashes in C where NNPoly.__hash__ is Python.
+    index = {p.coeffs: i for i, p in enumerate(polys)}
     part_a = [p for p in polys if smp_classify(p) is PolyClass.A]
     part_b = [p for p in polys if smp_classify(p) is PolyClass.B]
     findings: list[Finding] = []
-    findings.append(
-        Finding("partition", len(part_a) + len(part_b) == len(polys) and len(set(polys)) == len(polys))
-    )
+    findings.append(Finding("partition", len(part_a) + len(part_b) == len(polys) and len(index) == len(polys)))
 
     g_images = [smp_g(p) for p in part_a]
+    g_keys = {q.coeffs for q in g_images}
     ok_g = (
-        len(set(g_images)) == len(part_a)
+        len(g_keys) == len(part_a)
         and all(smp_mul_x(q) == p for p, q in zip(part_a, g_images))
-        and set(g_images) == {p for p in polys if p.degree <= max_degree - 1}
+        and g_keys == {p.coeffs for p in polys if p.degree <= max_degree - 1}
     )
     findings.append(Finding("g_bijection", ok_g, "" if ok_g else "shift-down failed an exactness check"))
 
     h_images = [smp_h(p) for p in part_b]
+    h_keys = {q.coeffs for q in h_images}
     ok_h = (
-        len(set(h_images)) == len(part_b)
+        len(h_keys) == len(part_b)
         and all(smp_add_one(q) == p for p, q in zip(part_b, h_images))
-        and set(h_images) == {p for p in polys if p.constant <= max_coeff - 1}
+        and h_keys == {p.coeffs for p in polys if p.constant <= max_coeff - 1}
     )
     findings.append(Finding("h_bijection", ok_h, "" if ok_h else "decrement failed an exactness check"))
 
@@ -583,8 +585,11 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
         )
     )
 
-    defects = [dist(embeds[index[q]], rotate(embeds[index[p]])) for p, q in zip(part_a, g_images)]
-    defects += [dist(embeds[index[q]], mpc_sub_mpf(embeds[index[p]], fone, prec, rnd)) for p, q in zip(part_b, h_images)]
+    defects = [dist(embeds[index[q.coeffs]], rotate(embeds[index[p.coeffs]])) for p, q in zip(part_a, g_images)]
+    defects += [
+        dist(embeds[index[q.coeffs]], mpc_sub_mpf(embeds[index[p.coeffs]], fone, prec, rnd))
+        for p, q in zip(part_b, h_images)
+    ]
     # rotation preserves sampled pairwise distances
     sample = embeds[:: max(1, len(polys) // 257)]
     defects += [

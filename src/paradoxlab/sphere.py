@@ -214,6 +214,37 @@ def _iv_dist2(p, q):
     return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
 
 
+def _iv_height(axis_unit, v):
+    """<v, unit axis>: a rotation about the axis keeps it."""
+    return axis_unit[0] * v[0] + axis_unit[1] * v[1] + axis_unit[2] * v[2]
+
+
+def _latitude_key(triple: tuple[int, int, int], axis: tuple[int, int, int]) -> Fraction:
+    """sign(<p,L>) <p,L>^2 / (|p|^2 |L|^2): exact, and increasing in the height of unit(p) along unit(L)."""
+    dot = triple[0] * axis[0] + triple[1] * axis[1] + triple[2] * axis[2]
+    return Fraction(dot * abs(dot), sum(c * c for c in triple) * sum(c * c for c in axis))
+
+
+def _distance_slack(points, precision_bits: int):
+    """Upper bound on (true squared distance) - _iv_dist2(p, q).a for any two of ``points``.
+
+    The points are interval enclosures of unit vectors, so each true
+    coordinate difference x_k has |x_k| <= 2.  With W the widest coordinate
+    interval and u = 2^(1 - precision_bits) (one directed rounding moves a
+    value by less than u times its magnitude), the interval difference
+    D_k has width w <= 2W + 2u(2 + 2W).  Its square's lower end is at least
+    (|x_k| - w)^2 (1 - u), so it falls short of x_k^2 by at most
+    2|x_k| w + u x_k^2; the two roundings of the sum lose at most u d^2
+    each.  Summed, with sum |x_k| <= 2 sqrt(3) < 3.5 and d^2 <= 4, the
+    shortfall is at most 7w + 12u.  Evaluated in interval arithmetic and
+    returned as the point interval of the upper end.
+    """
+    width = iv.mpf(max(c.delta.b for p in points for c in p))
+    u = iv.mpf(2) ** (1 - precision_bits)
+    w = 2 * width + 2 * u * (2 + 2 * width)
+    return iv.mpf((7 * w + 12 * u).b)
+
+
 def _shrink_lower(value: float) -> float:
     # Conservative slack for the mpf->float round trips around the bound.
     for _ in range(3):
@@ -307,29 +338,42 @@ def certify_margin(
 ) -> float | None:
     """Certified lower bound on |g^i(unit(p)) - unit(q)| over all pairs and 1 <= i <= powers.
 
-    Returns None as soon as some distance interval fails to stay above zero,
+    Returns None when some distance interval fails to stay above zero,
     which covers both genuinely bad angles and insufficient precision; the
     two are indistinguishable from inside interval arithmetic.
+
+    g keeps every latitude, so g^i(unit(p)) only needs comparing with the
+    q of nearby latitude: walking outward from p in latitude order, the
+    walk stops at the first q whose certified height gap already keeps it,
+    and every q beyond, above the smallest distance found so far.
     """
-    triples = sorted(d.as_tuple() for d in directions)
-    if not triples:
+    if not directions:
         raise DegenerateInputError("no directions to separate")
+    axis_triple = axis.as_tuple()
+    triples = sorted((d.as_tuple() for d in directions), key=lambda t: (_latitude_key(t, axis_triple), t))
+    n = len(triples)
     with interval_precision(precision_bits):
-        axis_unit = _iv_unit(axis.as_tuple())
+        axis_unit = _iv_unit(axis_triple)
         points = [_iv_unit(t) for t in triples]
+        heights = [_iv_height(axis_unit, p) for p in points]
         theta = _iv_number(angle)
         min_low = None
         for i in range(1, powers + 1):
             ti = theta * i
             cos_t, sin_t = iv.cos(ti), iv.sin(ti)
-            for p in points:
-                gp = _iv_rotate(axis_unit, cos_t, sin_t, p)
-                for q in points:
-                    low = _iv_dist2(gp, q).a
-                    if not low > 0:
-                        return None
-                    if min_low is None or low < min_low:
-                        min_low = low
+            layer = [_iv_rotate(axis_unit, cos_t, sin_t, p) for p in points]
+            slack = _distance_slack(points + layer, precision_bits)
+            for a, gp in enumerate(layer):
+                for b, step in ((a, 1), (a - 1, -1)):
+                    while 0 <= b < n:
+                        if min_low is not None and ((heights[b] - heights[a]) ** 2 - slack).a >= min_low:
+                            break
+                        low = _iv_dist2(gp, points[b]).a
+                        if not low > 0:
+                            return None
+                        if min_low is None or low < min_low:
+                            min_low = low
+                        b += step
         bound = math.sqrt(float(mpmath.mpf(min_low.a)))
     return _shrink_lower(bound)
 
@@ -386,7 +430,11 @@ def find_absorbing_rotation_adaptive(
 
 @dataclass(frozen=True)
 class AbsorbReport:
-    """Outcome of the finite absorption check D_M = C u g(C) u ... u g^M(C)."""
+    """Outcome of the finite absorption check D_M = C u g(C) u ... u g^M(C).
+
+    ``pairs_checked`` counts the interval distances the latitude sweep
+    computed, out of n_points*(n_points-1)/2 pairs.
+    """
 
     depth: int
     powers: int
@@ -397,6 +445,7 @@ class AbsorbReport:
     collision: tuple | None
     unresolved: tuple | None
     outcome: str
+    pairs_checked: int
 
     @property
     def passed(self) -> bool:
@@ -415,6 +464,39 @@ class AbsorbReport:
         return f"{head}: unresolved pair {self.unresolved} -> inconclusive"
 
 
+def _demo_row(ia, points, heights, by_latitude, rank, slack, min_low, end):
+    """The pairs (ia, ib), ia < ib < end, that a latitude walk from point ia cannot rule out.
+
+    Points are indexed layer by layer, so point ia lies on direction
+    ia % n.  The walk goes outward from that direction in latitude order,
+    each way up to the first direction whose certified height gap keeps
+    its points, and every point beyond, above ``min_low`` (the smallest
+    positive lower bound so far).  Returns the new smallest lower bound,
+    the number of interval distances computed, and the ib whose interval
+    reaches zero, each with its squared-distance interval.
+    """
+    n = len(by_latitude)
+    k = ia % n
+    checked = 0
+    touching = {}
+    for r, step in ((rank[k], 1), (rank[k] - 1, -1)):
+        while 0 <= r < n:
+            kb = by_latitude[r]
+            if min_low is not None and ((heights[kb] - heights[k]) ** 2 - slack).a >= min_low:
+                break
+            # the points of direction kb past ia: layers j with j*n + kb > ia
+            for ib in range(kb + n * ((ia - kb) // n + 1), end, n):
+                d2 = _iv_dist2(points[ia], points[ib])
+                checked += 1
+                low = d2.a
+                if not low > 0:
+                    touching[ib] = d2
+                elif min_low is None or low < min_low:
+                    min_low = low
+            r += step
+    return min_low, checked, touching
+
+
 def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbReport:
     """Check the truncated absorption picture with fresh interval arithmetic.
 
@@ -428,6 +510,12 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
     rejected up front.  Outcome is "fail" only when two points are certified
     closer than SEPARATION_RESOLUTION, "inconclusive" when an interval
     straddles zero without resolving.
+
+    g keeps every latitude, so each point is compared only with the points
+    of nearby latitude (see _demo_row).  Pairs are taken in (ia, ib) order,
+    points indexed layer by layer: the collision reported is the first, the
+    unresolved pair the last before it, and on a fail min_separation covers
+    only the pairs before the collision.
     """
     if M < 1:
         raise ValueError("need at least one rotated layer")
@@ -435,13 +523,17 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
         raise DegenerateInputError("empty direction set has nothing to absorb")
     triples = sorted(d.as_tuple() for d in C.directions)
     labels = [(i, t) for i in range(M + 1) for t in triples]
+    axis_triple = g.axis.as_tuple()
+    by_latitude = sorted(range(len(triples)), key=lambda k: _latitude_key(triples[k], axis_triple))
+    rank = {k: r for r, k in enumerate(by_latitude)}
     resolution_sq = SEPARATION_RESOLUTION**2
 
     collision = None
     unresolved = None
     min_low = None
+    pairs_checked = 0
     with interval_precision(g.precision_bits):
-        axis_unit = _iv_unit(g.axis.as_tuple())
+        axis_unit = _iv_unit(axis_triple)
         theta = _iv_number(g.angle)
         base = [_iv_unit(t) for t in triples]
         layers = [base]
@@ -450,18 +542,21 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
             cos_t, sin_t = iv.cos(ti), iv.sin(ti)
             layers.append([_iv_rotate(axis_unit, cos_t, sin_t, p) for p in base])
         points = [p for layer in layers for p in layer]
+        heights = [_iv_height(axis_unit, p) for p in base]
+        slack = _distance_slack(points, g.precision_bits)
+        walk = (points, heights, by_latitude, rank, slack)
         for ia in range(len(points)):
-            for ib in range(ia + 1, len(points)):
-                d2 = _iv_dist2(points[ia], points[ib])
-                if d2.a > 0:
-                    if min_low is None or d2.a < min_low:
-                        min_low = d2.a
-                    continue
-                pair = (labels[ia], labels[ib])
-                if d2.b < resolution_sq:
-                    collision = pair
-                    break
-                unresolved = pair
+            row_low, checked, touching = _demo_row(ia, *walk, min_low, len(points))
+            pairs_checked += checked
+            hits = [ib for ib, d2 in touching.items() if d2.b < resolution_sq]
+            if hits:
+                collision = (labels[ia], labels[min(hits)])
+                # Walk the row again, counting only the pairs before the collision.
+                row_low, checked, touching = _demo_row(ia, *walk, min_low, min(hits))
+                pairs_checked += checked
+            min_low = row_low
+            if touching:
+                unresolved = (labels[ia], labels[max(touching)])
             if collision is not None:
                 break
         if min_low is not None:
@@ -485,6 +580,7 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
         collision=collision,
         unresolved=unresolved,
         outcome=outcome,
+        pairs_checked=pairs_checked,
     )
 
 

@@ -172,6 +172,37 @@ def test_smp_verify_report_bytes_are_pinned(args, digest):
     assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
+# sha256 of the stdout of `sphere absorb ... --seed 1`, recorded before the
+# search and demo compared only pairs of nearby latitude
+SPHERE_ABSORB_DIGESTS = [
+    (("--depth", "1", "--iters", "2"), "87dabf9cac77dc99ad2168496260692c6b5f9624b392429f3c5305c0e1267488"),
+    (("--depth", "1", "--iters", "3"), "d50a0ce6f78628d263a5088f8c27c6393b414fc5ad3822e5fd6b794ee3c738bc"),
+    (("--depth", "1", "--iters", "5"), "d8e8e0609ae6ca53750fc95498b5a610f2919e8c8c0c1a6e8548383260d8ba81"),
+    (("--depth", "2", "--iters", "2"), "2d92596a7f9a84399314c42ca09730c84b10e9ed6911c6be54d4e47c7939f991"),
+    (("--depth", "2", "--iters", "3"), "b2e812094f99ce9d24ec6194e5cf7e5c5d861850890c96bec090b9ed5a92b8c7"),
+    (("--depth", "2", "--iters", "5"), "67cbe047d43855dfad6e4b5c63c2f0b46cb270e2b1236b362add2d1904685478"),
+    (("--depth", "4", "--iters", "2"), "3f29825a2def8ecda21c01b1733a3665fe452438c0ef991845eaadc2ae5a3354"),
+    (("--depth", "4", "--iters", "3"), "b9b837625fa27094c0a74803fcefd37075a7c4af574580ae3eb15d2158fd7bf4"),
+    (("--depth", "4", "--iters", "5"), "0a87099d96036a0a662a8975654199f8e2f3c0e17f523ff897b2d2d7b2aeada0"),
+]
+
+
+@pytest.mark.parametrize("args,digest", SPHERE_ABSORB_DIGESTS, ids=[" ".join(a) for a, _ in SPHERE_ABSORB_DIGESTS])
+def test_sphere_absorb_report_bytes_are_pinned(args, digest):
+    result = run_cli("sphere", "absorb", *args, "--seed", "1")
+    assert result.code == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+
+def test_sphere_absorb_at_depth_6_passes(report_schema):
+    result = run_cli("sphere", "absorb", "--depth", "6", "--iters", "3")
+    assert result.code == 0
+    report = result.report
+    jsonschema.validate(report, report_schema)
+    assert report["outcome"] == "pass"
+    assert report["details"]["demo"]["n_points"] == 4 * 666
+
+
 def test_seeded_demo_is_deterministic():
     first = run_cli("measures", "demo", "--which", "induced-measure", "--seed", "9")
     second = run_cli("measures", "demo", "--which", "induced-measure", "--seed", "9")

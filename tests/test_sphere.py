@@ -1,5 +1,7 @@
 """Fixed directions on the sphere and certified absorbing rotations."""
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +12,8 @@ from paradoxlab.errors import DegenerateInputError, DomainError, InconclusiveErr
 from paradoxlab.exactlin import ProjectiveDirection, eval_word
 from paradoxlab.sphere import (
     ANGLE_CANDIDATES,
+    SEPARATION_RESOLUTION,
+    AbsorbReport,
     axis_candidates,
     absorb_demo,
     certify_margin,
@@ -20,9 +24,14 @@ from paradoxlab.sphere import (
     interval_precision,
     is_free_at,
     is_free_at_direct,
+    _distance_slack,
     _iv_dist2,
+    _iv_height,
+    _iv_number,
     _iv_rotate,
     _iv_unit,
+    _latitude_key,
+    _shrink_lower,
 )
 
 
@@ -228,3 +237,251 @@ def test_corrupted_rotation_axis_and_bookkeeping():
     data = bad.to_json()
     assert data["angle"].startswith("3.14159265358979323846")
     assert data["angle_exact"] is None
+
+
+# -- the latitude sweep against the all-pairs route ---------------------------
+#
+# certify_margin and absorb_demo compare only the pairs of nearby latitude.
+# The two loops below are the all-pairs route they replaced, kept here as
+# the reference: every report field must agree with it.
+
+
+def _certify_margin_all_pairs(axis, angle, directions, powers, precision_bits):
+    triples = sorted(d.as_tuple() for d in directions)
+    with interval_precision(precision_bits):
+        axis_unit = _iv_unit(axis.as_tuple())
+        points = [_iv_unit(t) for t in triples]
+        theta = _iv_number(angle)
+        min_low = None
+        for i in range(1, powers + 1):
+            ti = theta * i
+            cos_t, sin_t = mpmath.iv.cos(ti), mpmath.iv.sin(ti)
+            for p in points:
+                gp = _iv_rotate(axis_unit, cos_t, sin_t, p)
+                for q in points:
+                    low = _iv_dist2(gp, q).a
+                    if not low > 0:
+                        return None
+                    if min_low is None or low < min_low:
+                        min_low = low
+        bound = math.sqrt(float(mpmath.mpf(min_low.a)))
+    return _shrink_lower(bound)
+
+
+def _demo_points(C, g, M):
+    """The demo's labels and interval points, layer by layer, at the current precision."""
+    triples = sorted(d.as_tuple() for d in C.directions)
+    axis_unit = _iv_unit(g.axis.as_tuple())
+    theta = _iv_number(g.angle)
+    base = [_iv_unit(t) for t in triples]
+    layers = [base]
+    for i in range(1, M + 1):
+        ti = theta * i
+        cos_t, sin_t = mpmath.iv.cos(ti), mpmath.iv.sin(ti)
+        layers.append([_iv_rotate(axis_unit, cos_t, sin_t, p) for p in base])
+    labels = [(i, t) for i in range(M + 1) for t in triples]
+    return labels, [p for layer in layers for p in layer]
+
+
+def _absorb_demo_all_pairs(C, g, M):
+    collision = None
+    unresolved = None
+    min_low = None
+    with interval_precision(g.precision_bits):
+        labels, points = _demo_points(C, g, M)
+        checked = 0
+        for ia in range(len(points)):
+            for ib in range(ia + 1, len(points)):
+                d2 = _iv_dist2(points[ia], points[ib])
+                checked += 1
+                if d2.a > 0:
+                    if min_low is None or d2.a < min_low:
+                        min_low = d2.a
+                    continue
+                pair = (labels[ia], labels[ib])
+                if d2.b < SEPARATION_RESOLUTION**2:
+                    collision = pair
+                    break
+                unresolved = pair
+            if collision is not None:
+                break
+        separation = 0.0 if min_low is None else _shrink_lower(math.sqrt(float(mpmath.mpf(min_low.a))))
+    outcome = "fail" if collision is not None else "inconclusive" if unresolved is not None else "pass"
+    return AbsorbReport(
+        depth=C.depth,
+        powers=M,
+        precision_bits=g.precision_bits,
+        n_points=len(labels),
+        certified_depth_ok=g.depth_checked >= M,
+        min_separation=separation,
+        collision=collision,
+        unresolved=unresolved,
+        outcome=outcome,
+        pairs_checked=checked,
+    )
+
+
+def _assert_same_report(fast, slow):
+    # Every field but the work count; the sweep must never compute more pairs.
+    assert dataclasses.replace(fast, pairs_checked=0) == dataclasses.replace(slow, pairs_checked=0)
+    if slow.collision is None:
+        assert fast.pairs_checked <= slow.pairs_checked
+
+
+def _control_pairs(C):
+    """Every pair of C whose integer representatives have equal length: the half-turn controls."""
+    triples = C.sorted_triples()
+    return [
+        (p, q)
+        for i, p in enumerate(triples)
+        for q in triples[i + 1 :]
+        if sum(x * x for x in p) == sum(x * x for x in q)
+    ]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_sweep_matches_all_pairs_for_searched_rotations(depth):
+    C = fixed_directions(depth)
+    for M in range(1, 6):
+        g = find_absorbing_rotation_adaptive(C, M)
+        margin = certify_margin(g.axis, g.angle, C.directions, M, g.precision_bits)
+        assert margin == g.margin == _certify_margin_all_pairs(g.axis, g.angle, C.directions, M, g.precision_bits)
+        _assert_same_report(absorb_demo(C, g, M), _absorb_demo_all_pairs(C, g, M))
+
+
+def test_sweep_matches_all_pairs_when_inconclusive():
+    C = fixed_directions(1)
+    g = find_absorbing_rotation_adaptive(C, 2, start_bits=2)
+    fast, slow = absorb_demo(C, g, 2), _absorb_demo_all_pairs(C, g, 2)
+    assert fast.outcome == "inconclusive"
+    _assert_same_report(fast, slow)
+
+
+@pytest.mark.parametrize("bits", [2, 4, 128])
+def test_certify_margin_matches_all_pairs_over_every_candidate(bits):
+    C = fixed_directions(2)
+    results = set()
+    for axis in axis_candidates(C.directions):
+        for angle in ANGLE_CANDIDATES:
+            fast = certify_margin(axis, angle, C.directions, 1, bits)
+            assert fast == _certify_margin_all_pairs(axis, angle, C.directions, 1, bits), (axis, angle)
+            results.add(fast is None)
+    # Nothing certifies at 2 bits, some rotations do at 4, all at 128.
+    assert results == {2: {True}, 4: {True, False}, 128: {False}}[bits]
+
+
+def _half_turn_collides(axis, first, second):
+    """Exact: the half turn R = 2nn^T/|n|^2 - I about ``axis`` has R^i unit(p) = R^j unit(q).
+
+    With S = |n|^2 R an integer matrix, R^i p and R^j q scale to the integer
+    vectors S^i p |n|^(2j) and S^j q |n|^(2i); the unit vectors agree iff
+    those are parallel and point the same way.
+    """
+    n2 = sum(c * c for c in axis)
+    S = [[2 * axis[r] * axis[c] - (n2 if r == c else 0) for c in range(3)] for r in range(3)]
+
+    def power(k, v):
+        for _ in range(k):
+            v = tuple(sum(S[r][c] * v[c] for c in range(3)) for r in range(3))
+        return v
+
+    (i, p), (j, q) = first, second
+    a = tuple(x * n2**j for x in power(i, p))
+    b = tuple(x * n2**i for x in power(j, q))
+    cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+    return cross == (0, 0, 0) and sum(x * y for x, y in zip(a, b)) > 0
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_half_turn_controls_collide_exactly_and_match_all_pairs(depth):
+    C = fixed_directions(depth)
+    pairs = _control_pairs(C)
+    assert len(pairs) == {1: 1, 2: 3, 3: 39}[depth]
+    for p, q in pairs:
+        bad = corrupted_rotation(p, q)
+        for M in (1, 2):
+            fast = absorb_demo(C, bad, M)
+            _assert_same_report(fast, _absorb_demo_all_pairs(C, bad, M))
+            assert fast.outcome == "fail"
+            assert _half_turn_collides(bad.axis.as_tuple(), *fast.collision), (p, q, M, fast.collision)
+
+
+def test_half_turn_oracle_rejects_a_near_miss():
+    axis = (1, 1, 1)
+    assert _half_turn_collides(axis, (0, (2, 1, 0)), (1, (0, 1, 2)))
+    assert _half_turn_collides(axis, (0, (2, 1, 0)), (2, (2, 1, 0)))
+    assert not _half_turn_collides(axis, (0, (2, 1, 0)), (1, (2, 1, 0)))
+    assert not _half_turn_collides(axis, (0, (2, 1, 0)), (1, (0, -1, -2)))  # antipodal
+
+
+def _skip_rule_settings(depth):
+    C = fixed_directions(depth)
+    p, q = _control_pairs(C)[0]
+    return C, [
+        find_absorbing_rotation_adaptive(C, 2),
+        find_absorbing_rotation_adaptive(C, 2, start_bits=2),
+        corrupted_rotation(p, q),
+    ]
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_skip_rule_lower_bound_holds_for_every_pair(depth):
+    # A pair is skipped when gap_low^2 - slack reaches the current minimum;
+    # that is sound only if every pair's interval lower bound is at least it.
+    C, rotations = _skip_rule_settings(depth)
+    triples = sorted(d.as_tuple() for d in C.directions)
+    n = len(triples)
+    for g in rotations:
+        with interval_precision(g.precision_bits):
+            labels, points = _demo_points(C, g, 2)
+            axis_unit = _iv_unit(g.axis.as_tuple())
+            heights = [_iv_height(axis_unit, points[k]) for k in range(n)]
+            slack = _distance_slack(points, g.precision_bits)
+            for ia in range(len(points)):
+                for ib in range(ia + 1, len(points)):
+                    gap2 = (heights[ia % n] - heights[ib % n]) ** 2
+                    assert _iv_dist2(points[ia], points[ib]).a >= (gap2 - slack).a, (g, labels[ia], labels[ib])
+
+
+def test_latitude_key_orders_heights():
+    axis = (1, 2, 2)
+    triples = sorted(fixed_directions(3).sorted_triples(), key=lambda t: _latitude_key(t, axis))
+    with interval_precision(128):
+        unit = _iv_unit(axis)
+        heights = [_iv_height(unit, _iv_unit(t)) for t in triples]
+    for lower, upper in zip(heights, heights[1:]):
+        assert lower.a <= upper.b
+    assert _latitude_key((0, 0, -2), (0, 0, 1)) == -1
+    assert _latitude_key((1, 0, 0), (0, 0, 1)) == 0
+    assert _latitude_key((0, 1, 1), (0, 0, 1)) == Fraction(1, 2)
+
+
+def test_distance_slack_is_derived_from_widths_and_precision():
+    # Exact points: only the rounding of the difference, square and sum is
+    # left, 7*(2u*2) + 12u = 40u with u = 2^(1 - bits).
+    exact = [(mpmath.iv.mpf(1), mpmath.iv.mpf(0), mpmath.iv.mpf(0))]
+    with interval_precision(128):
+        assert float(_distance_slack(exact, 128)) == 80 * 2.0**-128
+    # The demo's points at depth 2, M=3: pinned, and above the observed
+    # shortfall of each 128-bit lower bound below a 512-bit enclosure.
+    C = fixed_directions(2)
+    g = find_absorbing_rotation_adaptive(C, 3)
+    with interval_precision(128):
+        _, points = _demo_points(C, g, 3)
+        slack = _distance_slack(points, 128)
+        lows = [_iv_dist2(points[a], points[b]).a for a in range(len(points)) for b in range(a + 1, len(points))]
+    assert float(slack) == pytest.approx(7.2880649750981825e-37, rel=1e-12, abs=0)
+    with interval_precision(512):
+        _, fine = _demo_points(C, g, 3)
+        exact_d2 = [_iv_dist2(fine[a], fine[b]) for a in range(len(fine)) for b in range(a + 1, len(fine))]
+        shortfall = max((d.b - low).b for d, low in zip(exact_d2, lows))
+    assert 0 < shortfall <= slack
+
+
+def test_demo_reports_the_pairs_it_checked():
+    C = fixed_directions(4)
+    g = find_absorbing_rotation_adaptive(C, 3)
+    demo = absorb_demo(C, g, 3)
+    assert demo.outcome == "pass"
+    assert demo.n_points * (demo.n_points - 1) // 2 == 34716
+    assert 0 < demo.pairs_checked < 2000
