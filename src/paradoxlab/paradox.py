@@ -545,20 +545,18 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
     findings.append(Finding("partition", len(part_a) + len(part_b) == len(polys) and len(index) == len(polys)))
 
     g_images = [smp_g(p) for p in part_a]
-    g_keys = {q.coeffs for q in g_images}
     ok_g = (
-        len(g_keys) == len(part_a)
+        len({q.coeffs for q in g_images}) == len(part_a)
         and all(smp_mul_x(q) == p for p, q in zip(part_a, g_images))
-        and g_keys == {p.coeffs for p in polys if p.degree <= max_degree - 1}
+        and {q.coeffs for q in g_images} == {p.coeffs for p in polys if p.degree <= max_degree - 1}
     )
     findings.append(Finding("g_bijection", ok_g, "" if ok_g else "shift-down failed an exactness check"))
 
     h_images = [smp_h(p) for p in part_b]
-    h_keys = {q.coeffs for q in h_images}
     ok_h = (
-        len(h_keys) == len(part_b)
+        len({q.coeffs for q in h_images}) == len(part_b)
         and all(smp_add_one(q) == p for p, q in zip(part_b, h_images))
-        and h_keys == {p.coeffs for p in polys if p.constant <= max_coeff - 1}
+        and {q.coeffs for q in h_images} == {p.coeffs for p in polys if p.constant <= max_coeff - 1}
     )
     findings.append(Finding("h_bijection", ok_h, "" if ok_h else "decrement failed an exactness check"))
 

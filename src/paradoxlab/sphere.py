@@ -464,39 +464,6 @@ class AbsorbReport:
         return f"{head}: unresolved pair {self.unresolved} -> inconclusive"
 
 
-def _demo_row(ia, points, heights, by_latitude, rank, slack, min_low, end):
-    """The pairs (ia, ib), ia < ib < end, that a latitude walk from point ia cannot rule out.
-
-    Points are indexed layer by layer, so point ia lies on direction
-    ia % n.  The walk goes outward from that direction in latitude order,
-    each way up to the first direction whose certified height gap keeps
-    its points, and every point beyond, above ``min_low`` (the smallest
-    positive lower bound so far).  Returns the new smallest lower bound,
-    the number of interval distances computed, and the ib whose interval
-    reaches zero, each with its squared-distance interval.
-    """
-    n = len(by_latitude)
-    k = ia % n
-    checked = 0
-    touching = {}
-    for r, step in ((rank[k], 1), (rank[k] - 1, -1)):
-        while 0 <= r < n:
-            kb = by_latitude[r]
-            if min_low is not None and ((heights[kb] - heights[k]) ** 2 - slack).a >= min_low:
-                break
-            # the points of direction kb past ia: layers j with j*n + kb > ia
-            for ib in range(kb + n * ((ia - kb) // n + 1), end, n):
-                d2 = _iv_dist2(points[ia], points[ib])
-                checked += 1
-                low = d2.a
-                if not low > 0:
-                    touching[ib] = d2
-                elif min_low is None or low < min_low:
-                    min_low = low
-            r += step
-    return min_low, checked, touching
-
-
 def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbReport:
     """Check the truncated absorption picture with fresh interval arithmetic.
 
@@ -512,10 +479,10 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
     straddles zero without resolving.
 
     g keeps every latitude, so each point is compared only with the points
-    of nearby latitude (see _demo_row).  Pairs are taken in (ia, ib) order,
-    points indexed layer by layer: the collision reported is the first, the
-    unresolved pair the last before it, and on a fail min_separation covers
-    only the pairs before the collision.
+    of nearby latitude.  Pairs are taken in (ia, ib) order, points indexed
+    layer by layer: the collision reported is the first, the unresolved
+    pair the last before it, and on a fail min_separation covers only the
+    pairs before the collision.
     """
     if M < 1:
         raise ValueError("need at least one rotated layer")
@@ -544,15 +511,47 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
         points = [p for layer in layers for p in layer]
         heights = [_iv_height(axis_unit, p) for p in base]
         slack = _distance_slack(points, g.precision_bits)
-        walk = (points, heights, by_latitude, rank, slack)
+        n = len(triples)
+
+        def row(ia, min_low, end):
+            """The pairs (ia, ib), ia < ib < end, that a latitude walk from point ia cannot rule out.
+
+            Point ia lies on direction ia % n.  The walk goes outward from
+            it in latitude order, each way up to the first direction whose
+            certified height gap keeps its points, and every point beyond,
+            above ``min_low`` (the smallest positive lower bound so far).
+            Returns the new smallest lower bound, the number of interval
+            distances computed, and the ib whose interval reaches zero, each
+            with its squared-distance interval.
+            """
+            k = ia % n
+            checked = 0
+            touching = {}
+            for r, step in ((rank[k], 1), (rank[k] - 1, -1)):
+                while 0 <= r < n:
+                    kb = by_latitude[r]
+                    if min_low is not None and ((heights[kb] - heights[k]) ** 2 - slack).a >= min_low:
+                        break
+                    # the points of direction kb past ia: layers j with j*n + kb > ia
+                    for ib in range(kb + n * ((ia - kb) // n + 1), end, n):
+                        d2 = _iv_dist2(points[ia], points[ib])
+                        checked += 1
+                        low = d2.a
+                        if not low > 0:
+                            touching[ib] = d2
+                        elif min_low is None or low < min_low:
+                            min_low = low
+                    r += step
+            return min_low, checked, touching
+
         for ia in range(len(points)):
-            row_low, checked, touching = _demo_row(ia, *walk, min_low, len(points))
+            row_low, checked, touching = row(ia, min_low, len(points))
             pairs_checked += checked
             hits = [ib for ib, d2 in touching.items() if d2.b < resolution_sq]
             if hits:
                 collision = (labels[ia], labels[min(hits)])
                 # Walk the row again, counting only the pairs before the collision.
-                row_low, checked, touching = _demo_row(ia, *walk, min_low, min(hits))
+                row_low, checked, touching = row(ia, min_low, min(hits))
                 pairs_checked += checked
             min_low = row_low
             if touching:

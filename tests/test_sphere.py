@@ -322,7 +322,8 @@ def _absorb_demo_all_pairs(C, g, M):
 
 
 def _assert_same_report(fast, slow):
-    # Every field but the work count; the sweep must never compute more pairs.
+    # Every field but the work count; without a collision to stop at, the
+    # all-pairs loop computes every pair, so the sweep can only compute fewer.
     assert dataclasses.replace(fast, pairs_checked=0) == dataclasses.replace(slow, pairs_checked=0)
     if slow.collision is None:
         assert fast.pairs_checked <= slow.pairs_checked
@@ -340,10 +341,13 @@ def _control_pairs(C):
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
-def test_sweep_matches_all_pairs_for_searched_rotations(depth):
+@pytest.mark.parametrize("start_bits", [2, 128])
+def test_sweep_matches_all_pairs_for_searched_rotations(depth, start_bits):
+    # From 2 bits the search certifies at 4 or 8, where the interval widths,
+    # and so the slack in the sweep's stop rule, are large.
     C = fixed_directions(depth)
     for M in range(1, 6):
-        g = find_absorbing_rotation_adaptive(C, M)
+        g = find_absorbing_rotation_adaptive(C, M, start_bits=start_bits)
         margin = certify_margin(g.axis, g.angle, C.directions, M, g.precision_bits)
         assert margin == g.margin == _certify_margin_all_pairs(g.axis, g.angle, C.directions, M, g.precision_bits)
         _assert_same_report(absorb_demo(C, g, M), _absorb_demo_all_pairs(C, g, M))
@@ -368,6 +372,15 @@ def test_certify_margin_matches_all_pairs_over_every_candidate(bits):
             results.add(fast is None)
     # Nothing certifies at 2 bits, some rotations do at 4, all at 128.
     assert results == {2: {True}, 4: {True, False}, 128: {False}}[bits]
+
+
+def test_certify_margin_matches_all_pairs_where_the_slack_decides():
+    # At 6 bits the point intervals are wide enough that a stop rule without
+    # the slack would skip the pair that sets this margin, and report more.
+    C = fixed_directions(3)
+    axis = ProjectiveDirection.canonical(1, 0, 0)
+    margin = certify_margin(axis, Fraction(1, 2), C.directions, 1, 6)
+    assert margin == _certify_margin_all_pairs(axis, Fraction(1, 2), C.directions, 1, 6)
 
 
 def _half_turn_collides(axis, first, second):
