@@ -361,17 +361,27 @@ def certify_margin(
         for i in range(1, powers + 1):
             ti = theta * i
             cos_t, sin_t = iv.cos(ti), iv.sin(ti)
-            layer = [_iv_rotate(axis_unit, cos_t, sin_t, p) for p in points]
+            # Each point first meets its own base direction, a pair no gap can
+            # rule out; a failure there returns before the rest of the layer.
+            layer = []
+            for p in points:
+                gp = _iv_rotate(axis_unit, cos_t, sin_t, p)
+                low = _iv_dist2(gp, p).a
+                if not low > 0:
+                    return None
+                if min_low is None or low < min_low:
+                    min_low = low
+                layer.append(gp)
             slack = _distance_slack(points + layer, precision_bits)
             for a, gp in enumerate(layer):
-                for b, step in ((a, 1), (a - 1, -1)):
+                for b, step in ((a + 1, 1), (a - 1, -1)):
                     while 0 <= b < n:
-                        if min_low is not None and ((heights[b] - heights[a]) ** 2 - slack).a >= min_low:
+                        if ((heights[b] - heights[a]) ** 2 - slack).a >= min_low:
                             break
                         low = _iv_dist2(gp, points[b]).a
                         if not low > 0:
                             return None
-                        if min_low is None or low < min_low:
+                        if low < min_low:
                             min_low = low
                         b += step
         bound = math.sqrt(float(mpmath.mpf(min_low.a)))
