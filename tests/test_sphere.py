@@ -427,23 +427,17 @@ def test_half_turn_oracle_rejects_a_near_miss():
     assert not _half_turn_collides(axis, (0, (2, 1, 0)), (1, (0, -1, -2)))  # antipodal
 
 
-def _skip_rule_settings(depth):
-    C = fixed_directions(depth)
-    p, q = _control_pairs(C)[0]
-    return C, [
-        find_absorbing_rotation_adaptive(C, 2),
-        find_absorbing_rotation_adaptive(C, 2, start_bits=2),
-        corrupted_rotation(p, q),
-    ]
-
-
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_skip_rule_lower_bound_holds_for_every_pair(depth):
     # A pair is skipped when gap_low^2 - slack reaches the current minimum;
     # that is sound only if every pair's interval lower bound is at least it.
-    C, rotations = _skip_rule_settings(depth)
-    triples = sorted(d.as_tuple() for d in C.directions)
-    n = len(triples)
+    C = fixed_directions(depth)
+    n = len(C)
+    rotations = [
+        find_absorbing_rotation_adaptive(C, 2),
+        find_absorbing_rotation_adaptive(C, 2, start_bits=2),
+        corrupted_rotation(*_control_pairs(C)[0]),
+    ]
     for g in rotations:
         with interval_precision(g.precision_bits):
             labels, points = _demo_points(C, g, 2)
