@@ -34,13 +34,9 @@ from mpmath.libmp import (
     fzero,
     from_man_exp,
     mpc_abs,
-    mpc_add,
-    mpc_conjugate,
     mpc_exp,
     mpc_mul,
-    mpc_mul_int,
     mpc_sub,
-    mpc_sub_mpf,
     mpf_abs,
     mpf_cmp,
     mpf_sub,
@@ -421,25 +417,91 @@ def enumerate_polys(max_degree: int, max_coeff: int) -> tuple[NNPoly, ...]:
     return tuple(polys)
 
 
-def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[tuple, list[tuple]]:
-    """t = e^i and P(t) for every P of ``enumerate_polys``, as raw libmp complex tuples.
+def _grid_bits(precision_bits: int) -> int:
+    """F of the fixed-point grid: the numeric half of smp_verify holds each real as an int v meaning v*2^-F.
+
+    Sums of grid values, and their products by an integer, lie on the grid,
+    and rounding to precision_bits significant bits only clears low bits.
+    The exact product of two grid values lies on 2^-2F; rounded, it is back
+    on 2^-F whenever its magnitude is at least 2^-precision_bits, since its
+    lowest kept bit is then at or above 2^-2*precision_bits = 2^-F.
+    :func:`_mul` checks this for every product all the same.
+    """
+    return 2 * precision_bits
+
+
+class _OffGrid(ArithmeticError):
+    """A value the fixed-point kernel cannot hold exactly."""
+
+
+def _round(v: int, prec: int) -> int:
+    """v rounded to prec significant bits, ties to even (libmp's round_nearest), at the same scale."""
+    s = v.bit_length() - prec
+    if s <= 0:
+        return v
+    # With v = q*2^s + r, q floored, adding 2^(s-1) - 1 and q's low bit
+    # carries into q exactly when r is above one half, or equal to it with q odd.
+    return (v + (1 << (s - 1)) - 1 + ((v >> s) & 1)) >> s << s
+
+
+def _mul(z: tuple[int, int], w: tuple[int, int], prec: int, grid: int) -> tuple[int, int]:
+    """Complex product as libmp's mpc_mul: exact, one rounding per component, then back from 2^-2F to 2^-F."""
+    a, b = z
+    c, d = w
+    re = _round(a * c - b * d, prec)
+    im = _round(a * d + b * c, prec)
+    low = (1 << grid) - 1
+    if re & low or im & low:
+        raise _OffGrid(f"a {prec}-bit product has bits below the fixed-point grid 2^-{grid}; it is not rounded again")
+    return re >> grid, im >> grid
+
+
+def _from_mpf(x: tuple, grid: int) -> int:
+    sign, man, exp, _ = x
+    if exp + grid < 0:
+        raise _OffGrid(f"a libmp value has bits below the fixed-point grid 2^-{grid}")
+    v = man << (exp + grid)
+    return -v if sign else v
+
+
+def _to_mpc(z: tuple[int, int], grid: int) -> tuple:
+    """A grid point as an exact raw libmp complex tuple."""
+    return from_man_exp(z[0], -grid), from_man_exp(z[1], -grid)
+
+
+def _to_floats(points: list[tuple[int, int]], grid: int) -> list[tuple[float, float]]:
+    """Grid points as float pairs.
+
+    int / int rounds to nearest, ties to even, so for normal results this
+    is to_float(..., rnd=round_nearest) of the exact value.
+    """
+    one = 1 << grid
+    return [(x / one, y / one) for x, y in points]
+
+
+def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[tuple[int, int], list[tuple[int, int]]]:
+    """t = e^i and P(t) for every P of ``enumerate_polys``, on the grid of :func:`_grid_bits`.
 
     The sum over c0..ck is shared by every polynomial with that prefix, so
     the sums are built one power of t at a time.  Each term c*t^k is rounded
     once, and each nonzero coefficient adds one rounded sum: the operations
     of summing each polynomial on its own, in the same order, so every value
     is bit-identical to that route.  Rounding is to nearest, as in mpmath's
-    default context.
+    default context; only t itself comes from libmp.
     """
-    prec, rnd = precision_bits, round_nearest
-    t = mpc_exp((fzero, fone), prec, rnd)
-    power = (fone, fzero)
-    sums = [(fzero, fzero)]
+    prec, grid = precision_bits, _grid_bits(precision_bits)
+    t = tuple(_from_mpf(x, grid) for x in mpc_exp((fzero, fone), prec, round_nearest))
+    power = (1 << grid, 0)
+    sums = [(0, 0)]
     for k in range(max_degree + 1):
         if k:
-            power = mpc_mul(power, t, prec, rnd)
-        terms = [mpc_mul_int(power, c, prec, rnd) for c in range(1, max_coeff + 1)]
-        sums = [z if term is None else mpc_add(z, term, prec, rnd) for z in sums for term in (None, *terms)]
+            power = _mul(power, t, prec, grid)
+        terms = [(_round(c * power[0], prec), _round(c * power[1], prec)) for c in range(1, max_coeff + 1)]
+        sums = [
+            z if term is None else (_round(z[0] + term[0], prec), _round(z[1] + term[1], prec))
+            for z in sums
+            for term in (None, *terms)
+        ]
     return t, sums
 
 
@@ -520,6 +582,16 @@ class SMPReport:
         return self.outcome == "pass"
 
 
+def _exact_inverse(domain: list[NNPoly], images: list[NNPoly], inverse, expected: set) -> bool:
+    """The images are distinct, ``inverse`` undoes each, and their coefficients form exactly ``expected``."""
+    keys = {q.coeffs for q in images}
+    return (
+        len(keys) == len(domain)
+        and all(inverse(q).coeffs == p.coeffs for p, q in zip(domain, images))
+        and keys == expected
+    )
+
+
 def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DEFAULT_PRECISION_BITS) -> SMPReport:
     """Verify the two-piece planar paradox on a finite truncation.
 
@@ -529,7 +601,8 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
     pairwise distinct beyond 1e-12, and g/h act as the claimed isometries
     (rotation by e^-i, translation by -1).  Separation below threshold is
     reported as inconclusive, not failure: the embedded points are distinct
-    transcendentals, only the precision can fall short.
+    transcendentals, only the precision can fall short.  A value the
+    fixed-point kernel cannot hold exactly fails the run (``fixed_point_grid``).
     """
     if max_degree < 1 or max_coeff < 1:
         raise ValueError("need max_degree >= 1 and max_coeff >= 1")
@@ -539,69 +612,36 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
     # The sets and the index key on coefficient tuples: NNPoly equality is
     # tuple equality, and a tuple hashes in C where NNPoly.__hash__ is Python.
     index = {p.coeffs: i for i, p in enumerate(polys)}
-    part_a = [p for p in polys if smp_classify(p) is PolyClass.A]
-    part_b = [p for p in polys if smp_classify(p) is PolyClass.B]
+    part_a: list[NNPoly] = []
+    part_b: list[NNPoly] = []
+    for p in polys:
+        (part_a if smp_classify(p) is PolyClass.A else part_b).append(p)
     findings: list[Finding] = []
     findings.append(Finding("partition", len(part_a) + len(part_b) == len(polys) and len(index) == len(polys)))
 
     g_images = [smp_g(p) for p in part_a]
-    ok_g = (
-        len({q.coeffs for q in g_images}) == len(part_a)
-        and all(smp_mul_x(q) == p for p, q in zip(part_a, g_images))
-        and {q.coeffs for q in g_images} == {p.coeffs for p in polys if p.degree <= max_degree - 1}
-    )
+    # degree <= max_degree - 1
+    ok_g = _exact_inverse(part_a, g_images, smp_mul_x, {c for c in index if len(c) <= max_degree})
     findings.append(Finding("g_bijection", ok_g, "" if ok_g else "shift-down failed an exactness check"))
 
     h_images = [smp_h(p) for p in part_b]
-    ok_h = (
-        len({q.coeffs for q in h_images}) == len(part_b)
-        and all(smp_add_one(q) == p for p, q in zip(part_b, h_images))
-        and {q.coeffs for q in h_images} == {p.coeffs for p in polys if p.constant <= max_coeff - 1}
-    )
+    # constant <= max_coeff - 1
+    ok_h = _exact_inverse(part_b, h_images, smp_add_one, {c for c in index if not c or c[0] < max_coeff})
     findings.append(Finding("h_bijection", ok_h, "" if ok_h else "decrement failed an exactness check"))
 
-    prec, rnd = precision_bits, round_nearest
-    t, embeds = _embed_polys(max_degree, max_coeff, prec)
-    t_inv = mpc_conjugate(t, prec, rnd)
-
-    def dist(z, w):
-        return mpc_abs(mpc_sub(z, w, prec, rnd), prec, rnd)
-
-    def rotate(z):
-        return mpc_mul(t_inv, z, prec, rnd)
-
-    floats = [(to_float(re, rnd=rnd), to_float(im, rnd=rnd)) for re, im in embeds]
-    best_sq, (i, j) = _closest_pair_sq(floats)
-    min_distance = to_float(dist(embeds[i], embeds[j]), rnd=rnd)
-    distance = math.sqrt(best_sq)
-    separated = distance - _separation_slack(max_degree, max_coeff, prec, distance) > SEPARATION_RESOLUTION
-    findings.append(
-        Finding(
-            "separation",
-            separated,
-            f"min pairwise distance {min_distance:.6g} between {polys[i]} and {polys[j]}",
+    try:
+        numeric, min_distance, min_pair, defect = _smp_numeric(
+            polys, index, zip(part_a, g_images), zip(part_b, h_images), max_degree, max_coeff, precision_bits
         )
-    )
+    except _OffGrid as exc:
+        numeric = [Finding("fixed_point_grid", False, str(exc))]
+        min_distance, min_pair, defect = math.nan, ("", ""), math.nan
+    findings += numeric
 
-    defects = [dist(embeds[index[q.coeffs]], rotate(embeds[index[p.coeffs]])) for p, q in zip(part_a, g_images)]
-    defects += [
-        dist(embeds[index[q.coeffs]], mpc_sub_mpf(embeds[index[p.coeffs]], fone, prec, rnd))
-        for p, q in zip(part_b, h_images)
-    ]
-    # rotation preserves sampled pairwise distances
-    sample = embeds[:: max(1, len(polys) // 257)]
-    defects += [
-        mpf_abs(mpf_sub(dist(rotate(u), rotate(v)), dist(u, v), prec, rnd), prec, rnd) for u, v in zip(sample, sample[1:])
-    ]
-    defect = max(defects, key=cmp_to_key(mpf_cmp))
-    tol = from_man_exp(1, 24 - precision_bits)
-    isometry_ok = mpf_cmp(defect, tol) <= 0
-    findings.append(Finding("isometries", isometry_ok, f"max defect {to_str(defect, 6)} vs tolerance {to_str(tol, 6)}"))
-
-    symbolic_ok = findings[0].ok and ok_g and ok_h
-    if not symbolic_ok or not isometry_ok:
+    # a separation below the resolution alone is inconclusive; any other failed check fails the run
+    if not all(f.ok for f in findings if f.name != "separation"):
         outcome = "fail"
-    elif not separated:
+    elif not all(f.ok for f in findings):
         outcome = "inconclusive"
     else:
         outcome = "pass"
@@ -613,11 +653,80 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
         count_a=len(part_a),
         count_b=len(part_b),
         min_distance=min_distance,
-        min_pair=(str(polys[i]), str(polys[j])),
-        max_isometry_defect=to_float(defect, rnd=rnd),
+        min_pair=min_pair,
+        max_isometry_defect=defect,
         findings=tuple(findings),
         outcome=outcome,
     )
+
+
+def _smp_numeric(polys, index, g_pairs, h_pairs, max_degree, max_coeff, precision_bits):
+    """The separation and isometries findings, the min distance and its pair, and the max isometry defect.
+
+    The embedding, the float conversion and the g/h defects run on the
+    fixed-point kernel; the closest pair's distance and the sampled
+    rotation-invariance pairs run on libmp, on exactly converted points.
+    """
+    prec, rnd, grid = precision_bits, round_nearest, _grid_bits(precision_bits)
+    t, embeds = _embed_polys(max_degree, max_coeff, prec)
+
+    def dist(z, w):
+        return mpc_abs(mpc_sub(z, w, prec, rnd), prec, rnd)
+
+    best_sq, (i, j) = _closest_pair_sq(_to_floats(embeds, grid))
+    min_distance = to_float(dist(_to_mpc(embeds[i], grid), _to_mpc(embeds[j], grid)), rnd=rnd)
+    distance = math.sqrt(best_sq)
+    separated = distance - _separation_slack(max_degree, max_coeff, prec, distance) > SEPARATION_RESOLUTION
+    separation = Finding(
+        "separation", separated, f"min pairwise distance {min_distance:.6g} between {polys[i]} and {polys[j]}"
+    )
+
+    defects = [_gh_defect(t, embeds, index, g_pairs, h_pairs, prec)]
+
+    # rotation preserves sampled pairwise distances
+    lib_t_inv = _to_mpc((t[0], -t[1]), grid)
+
+    def rotate(z):
+        return mpc_mul(lib_t_inv, z, prec, rnd)
+
+    sample = [_to_mpc(z, grid) for z in embeds[:: max(1, len(polys) // 257)]]
+    defects += [
+        mpf_abs(mpf_sub(dist(rotate(u), rotate(v)), dist(u, v), prec, rnd), prec, rnd) for u, v in zip(sample, sample[1:])
+    ]
+    defect = max(defects, key=cmp_to_key(mpf_cmp))
+    tol = from_man_exp(1, 24 - precision_bits)
+    isometry_ok = mpf_cmp(defect, tol) <= 0
+    isometries = Finding("isometries", isometry_ok, f"max defect {to_str(defect, 6)} vs tolerance {to_str(tol, 6)}")
+    return [separation, isometries], min_distance, (str(polys[i]), str(polys[j])), to_float(defect, rnd=rnd)
+
+
+def _gh_defect(t, embeds, index, g_pairs, h_pairs, precision_bits: int) -> tuple:
+    """max |P'(t) - moved P(t)| over the (P, P') pairs of g and h, as libmp's mpc_abs of mpc_sub would give it.
+
+    g rotates by t^-1 = conj(t), h translates by -1, both on the grid.  The
+    difference is rounded per component as mpc_sub rounds it, and mpf_hypot
+    is monotone in the exact squared modulus, so one mpc_abs of the
+    difference with the largest dx^2 + dy^2 is the largest defect.
+    """
+    prec, grid = precision_bits, _grid_bits(precision_bits)
+    t_inv = (t[0], -t[1])
+    one = 1 << grid
+
+    def moved():
+        for p, q in g_pairs:
+            yield q, _mul(t_inv, embeds[index[p.coeffs]], prec, grid)
+        for p, q in h_pairs:
+            zr, zi = embeds[index[p.coeffs]]
+            yield q, (_round(zr - one, prec), zi)
+
+    worst_sq, worst = -1, (0, 0)
+    for q, (zr, zi) in moved():
+        wr, wi = embeds[index[q.coeffs]]
+        dx, dy = _round(wr - zr, prec), _round(wi - zi, prec)
+        sq = dx * dx + dy * dy
+        if sq > worst_sq:
+            worst_sq, worst = sq, (dx, dy)
+    return mpc_abs(_to_mpc(worst, grid), prec, round_nearest)
 
 
 def smp_truncation_model(

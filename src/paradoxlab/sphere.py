@@ -208,10 +208,15 @@ def _iv_rotate(axis_unit, cos_t, sin_t, v):
     )
 
 
+#: The exponent of every interval square, converted once: ``x ** 2`` would
+#: convert the int to an interval on each call before the same squaring.
+_TWO = iv.mpf(2)
+
+
 def _iv_dist2(p, q):
-    # ``** 2`` keeps each square nonnegative; ``x * x`` would not, because the
-    # interval product forgets the two factors are the same number.
-    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
+    # ``** _TWO`` keeps each square nonnegative; ``x * x`` would not, because
+    # the interval product forgets the two factors are the same number.
+    return (p[0] - q[0]) ** _TWO + (p[1] - q[1]) ** _TWO + (p[2] - q[2]) ** _TWO
 
 
 def _iv_height(axis_unit, v):
@@ -376,7 +381,7 @@ def certify_margin(
             for a, gp in enumerate(layer):
                 for b, step in ((a + 1, 1), (a - 1, -1)):
                     while 0 <= b < n:
-                        if ((heights[b] - heights[a]) ** 2 - slack).a >= min_low:
+                        if ((heights[b] - heights[a]) ** _TWO - slack).a >= min_low:
                             break
                         low = _iv_dist2(gp, points[b]).a
                         if not low > 0:
@@ -540,7 +545,7 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
             for r, step in ((rank[k], 1), (rank[k] - 1, -1)):
                 while 0 <= r < n:
                     kb = by_latitude[r]
-                    if min_low is not None and ((heights[kb] - heights[k]) ** 2 - slack).a >= min_low:
+                    if min_low is not None and ((heights[kb] - heights[k]) ** _TWO - slack).a >= min_low:
                         break
                     # the points of direction kb past ia: layers j with j*n + kb > ia
                     for ib in range(kb + n * ((ia - kb) // n + 1), end, n):

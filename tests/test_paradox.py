@@ -1,12 +1,27 @@
 """Finite action models, paradox witnesses, and the planar two-piece paradox."""
 
 from dataclasses import replace
+from functools import cache, cmp_to_key
 
 import mpmath
 import pytest
 from hypothesis import given, strategies as st
-from mpmath.libmp import from_float, mpf_sub, round_nearest, to_float
+from mpmath.libmp import (
+    from_float,
+    from_man_exp,
+    mpc_abs,
+    mpc_conjugate,
+    mpc_mul,
+    mpc_sub,
+    mpc_sub_mpf,
+    fone,
+    mpf_cmp,
+    mpf_sub,
+    round_nearest,
+    to_float,
+)
 
+from paradoxlab import paradox
 from paradoxlab.errors import DomainError, ModelError, PreconditionError
 from paradoxlab.exactlin import generator_matrix
 from paradoxlab.freeness import build_certificate
@@ -29,9 +44,16 @@ from paradoxlab.paradox import (
     two_to_one_shift_model,
     verify_equidecomp,
     verify_paradox_witness,
+    _OffGrid,
     _coordinate_error,
     _embed_polys,
+    _gh_defect,
+    _grid_bits,
+    _mul,
+    _round,
     _separation_slack,
+    _to_floats,
+    _to_mpc,
 )
 from paradoxlab.words import Letter
 
@@ -177,6 +199,25 @@ def test_smp_verify_guards():
         smp_verify(4, 2, 32)
 
 
+@pytest.mark.parametrize(
+    "name,broken",
+    [
+        ("smp_mul_x", lambda q: q),  # no longer undoes g
+        ("smp_add_one", lambda q: smp_add_one(smp_add_one(q))),  # adds 2
+        ("smp_g", lambda p: NNPoly(p.coeffs[2:]) if len(p.coeffs) > 2 else NNPoly()),  # off by one power
+        ("smp_h", lambda p: NNPoly.from_coeffs((0,) + p.coeffs[1:])),  # clears the constant
+    ],
+)
+def test_smp_verify_names_a_broken_map(monkeypatch, name, broken):
+    monkeypatch.setattr(paradox, name, broken)
+    report = smp_verify(3, 2, 128)
+    failed = [f.name for f in report.findings if not f.ok]
+    assert report.outcome == "fail"
+    # the first failing check names the map; a broken forward map also moves the isometry defects
+    assert failed[0] == ("g_bijection" if name in ("smp_mul_x", "smp_g") else "h_bijection")
+    assert set(failed) <= {failed[0], "isometries"}
+
+
 def test_trusted_polys_pass_public_validation():
     # enumerate_polys and the four smp maps build their results without validation
     polys = enumerate_polys(4, 3)
@@ -191,6 +232,7 @@ def test_trusted_polys_pass_public_validation():
         assert NNPoly(p.coeffs) == p
 
 
+@cache
 def _per_polynomial_embedding(max_degree, max_coeff, bits):
     # the slow route: sum each polynomial on its own with mpmath.mpc
     with mpmath.workprec(bits):
@@ -208,9 +250,115 @@ def _per_polynomial_embedding(max_degree, max_coeff, bits):
     return t._mpc_, embeds
 
 
-@pytest.mark.parametrize("max_degree,max_coeff,bits", [(3, 2, 64), (4, 4, 128), (5, 2, 256)])
+def _kernel_embedding(max_degree, max_coeff, bits):
+    # the kernel's grid values, converted exactly to raw libmp tuples
+    grid = _grid_bits(bits)
+    t, embeds = _embed_polys(max_degree, max_coeff, bits)
+    return _to_mpc(t, grid), [_to_mpc(z, grid) for z in embeds]
+
+
+@pytest.mark.parametrize("max_degree,max_coeff,bits", [(3, 2, 64), (4, 4, 128), (5, 2, 256), (1, 200, 128)])
 def test_shared_prefix_embedding_matches_per_polynomial_sums(max_degree, max_coeff, bits):
-    assert _embed_polys(max_degree, max_coeff, bits) == _per_polynomial_embedding(max_degree, max_coeff, bits)
+    assert _kernel_embedding(max_degree, max_coeff, bits) == _per_polynomial_embedding(max_degree, max_coeff, bits)
+
+
+def _ties(prec):
+    # ints exactly half-way between two prec-bit neighbours: a kept part, a
+    # half bit, then s - 1 zero bits; both parities of the kept part
+    return st.builds(
+        lambda kept, s, negative: (-1 if negative else 1) * ((((1 << (prec - 1)) | kept) << s) | (1 << (s - 1))),
+        st.integers(min_value=0, max_value=(1 << (prec - 1)) - 1),
+        st.integers(min_value=1, max_value=300),
+        st.booleans(),
+    )
+
+
+@given(
+    st.sampled_from([64, 96, 128, 256]).flatmap(
+        lambda prec: st.tuples(st.just(prec), st.integers(min_value=-(1 << 700), max_value=1 << 700) | _ties(prec))
+    )
+)
+def test_round_matches_libmp_round_nearest(case):
+    prec, v = case
+    assert from_man_exp(_round(v, prec), 0) == from_man_exp(v, 0, prec, round_nearest)
+
+
+def test_round_breaks_ties_to_even():
+    # 3-bit neighbours of 0b10010 (18) are 16 and 20; of 0b10110 (22), 20 and 24
+    assert [_round(v, 3) for v in (18, 22, -18, -22, 19, -19, 17)] == [16, 24, -16, -24, 20, -20, 16]
+
+
+def _normal_results(grid):
+    # grid values whose floats are zero or normal (at least 2^-1000, below 2^20); 2048 is the grid of 1024 bits
+    return st.integers(min_value=-(1 << (grid + 20)), max_value=1 << (grid + 20)).filter(
+        lambda v: v == 0 or v.bit_length() > grid - 1000
+    )
+
+
+@given(st.sampled_from([128, 256, 512, 2048]).flatmap(lambda grid: st.tuples(st.just(grid), _normal_results(grid))))
+def test_float_conversion_matches_to_float(case):
+    grid, v = case
+    assert _to_floats([(v, -v)], grid) == [
+        (to_float(from_man_exp(v, -grid), rnd=round_nearest), to_float(from_man_exp(-v, -grid), rnd=round_nearest))
+    ]
+
+
+@pytest.mark.parametrize("max_degree,max_coeff,bits", [(4, 3, 128), (1, 200, 128), (3, 2, 64)])
+def test_float_conversion_of_the_embedding_matches_to_float(max_degree, max_coeff, bits):
+    _, embeds = _embed_polys(max_degree, max_coeff, bits)
+    _, reference = _per_polynomial_embedding(max_degree, max_coeff, bits)
+    assert _to_floats(embeds, _grid_bits(bits)) == [
+        (to_float(re, rnd=round_nearest), to_float(im, rnd=round_nearest)) for re, im in reference
+    ]
+
+
+@pytest.mark.parametrize("sides", ["g", "h", "gh"])
+# at (3, 4, 64) the h side's largest defect needs the rounded translation
+@pytest.mark.parametrize("max_degree,max_coeff,bits", [(4, 3, 128), (1, 200, 128), (3, 4, 64)])
+def test_gh_defect_argmax_matches_the_max_over_pairs(max_degree, max_coeff, bits, sides):
+    # the old route: one rounded multiply (or subtract), mpc_sub and mpc_abs per pair
+    prec, rnd = bits, round_nearest
+    t, lib = _per_polynomial_embedding(max_degree, max_coeff, bits)
+    t_inv = mpc_conjugate(t, prec, rnd)
+    polys = enumerate_polys(max_degree, max_coeff)
+    index = {p.coeffs: i for i, p in enumerate(polys)}
+    g_pairs = [(p, smp_g(p)) for p in polys if smp_classify(p) is PolyClass.A] if "g" in sides else []
+    h_pairs = [(p, smp_h(p)) for p in polys if smp_classify(p) is PolyClass.B] if "h" in sides else []
+    defects = [
+        mpc_abs(mpc_sub(lib[index[q.coeffs]], mpc_mul(t_inv, lib[index[p.coeffs]], prec, rnd), prec, rnd), prec, rnd)
+        for p, q in g_pairs
+    ]
+    defects += [
+        mpc_abs(mpc_sub(lib[index[q.coeffs]], mpc_sub_mpf(lib[index[p.coeffs]], fone, prec, rnd), prec, rnd), prec, rnd)
+        for p, q in h_pairs
+    ]
+    expected = max(defects, key=cmp_to_key(mpf_cmp))
+    assert mpf_cmp(expected, from_man_exp(0, 0)) > 0
+    kernel_t, embeds = _embed_polys(max_degree, max_coeff, bits)
+    assert _gh_defect(kernel_t, embeds, index, g_pairs, h_pairs, bits) == expected
+
+
+def test_rescale_with_low_bits_fails_closed():
+    grid = _grid_bits(64)
+    one = 1 << grid
+    # the grid is 2^-128 at 64 bits: 2^-64 squared lies on it, 2^-65 squared does not
+    assert _mul((1 << (grid - 64), 0), (1 << (grid - 64), 0), 64, grid) == (1, 0)
+    with pytest.raises(_OffGrid, match=r"below the fixed-point grid 2\^-128"):
+        _mul((1 << (grid - 65), 0), (1 << (grid - 65), 0), 64, grid)
+    # (2^-128 i) * (1 + 3*2^-128 i) has real part -3*2^-256
+    with pytest.raises(_OffGrid):
+        _mul((0, 1), (one, 3), 64, grid)
+
+
+def test_smp_verify_fails_closed_off_the_grid(monkeypatch):
+    # On a grid of only precision_bits fractional bits, e^2i already has bits below it.
+    monkeypatch.setattr(paradox, "_grid_bits", lambda bits: bits)
+    report = smp_verify(3, 2, 128)
+    assert report.outcome == "fail"
+    last = report.findings[-1]
+    assert (last.name, last.ok) == ("fixed_point_grid", False)
+    assert "below the fixed-point grid 2^-128" in last.detail
+    assert [f.name for f in report.findings] == ["partition", "g_bijection", "h_bijection", "fixed_point_grid"]
 
 
 def test_separation_slack_is_derived_from_the_magnitudes():
@@ -224,8 +372,8 @@ def test_separation_slack_is_derived_from_the_magnitudes():
     assert _separation_slack(7, 3, 64, 0.0) == pytest.approx(7.781770748351461e-15, rel=1e-12, abs=0)
     # the per-coordinate bound holds against the 128-bit values and a 256-bit reference
     bound = _coordinate_error(1, 200, 128)
-    _, coarse = _embed_polys(1, 200, 128)
-    _, fine = _embed_polys(1, 200, 256)
+    _, coarse = _kernel_embedding(1, 200, 128)
+    _, fine = _kernel_embedding(1, 200, 256)
     worst = 0.0
     for z, w in zip(coarse, fine):
         for a, b in zip(z, w):
