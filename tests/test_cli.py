@@ -198,6 +198,34 @@ def test_sphere_absorb_report_bytes_are_pinned(args, digest):
     assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
+# sha256 of the stdout of each command with `--seed 1`, recorded before the
+# word, fixed-direction and chain layers moved from ReducedWord objects,
+# kernel bases and Fraction sums to letter tuples, cross-product axes and
+# per-denominator sums over the support.  The fixed-points report carries
+# each direction's witness word.
+EXACT_LAYER_DIGESTS = [
+    (("words", "verify", "--depth", "8"), "f93b272fcd104460d26b838e869c60728a003e63d6819c851e5a873f77779646"),
+    (("freeness", "exhaustive", "--depth", "8"), "874c791f3462481fc823f3448742df47091dac4a7762bc613b72b4c6e864cb24"),
+    (("sphere", "fixed-points", "--depth", "5"), "3a58074a2183c81fa7cd154c23544c3e6cb82c8315db288cd9233bbbb62ea468"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", EXACT_LAYER_DIGESTS, ids=[" ".join(a) for a, _ in EXACT_LAYER_DIGESTS])
+def test_exact_layer_report_bytes_are_pinned(argv, digest):
+    result = run_cli(*argv, "--seed", "1")
+    assert result.code == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+
+def test_paradox_contradiction_report_bytes_are_pinned(tmp_path, monkeypatch):
+    # The input path is a report parameter, so run from its directory.
+    path = _shift_input(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    result = run_cli("paradox", "contradiction", "--input", path.name, "--seed", "1")
+    assert result.code == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == "8d7c9e2bafbc752507dcba94f881814426182c71cee0a8efbfdb91512bc6b685"
+
+
 def test_sphere_absorb_at_depth_6_passes(report_schema):
     result = run_cli("sphere", "absorb", "--depth", "6", "--iters", "3")
     assert result.code == 0
