@@ -9,7 +9,11 @@ Everything here is arithmetic over arbitrary-precision rationals (stdlib
 
 are special orthogonal with inverse = transpose.  Products of k generators
 have denominator dividing 7^k, which the word-evaluation fast path exploits
-by carrying the integer matrix 7^k * M instead of fractions.
+by carrying the integer matrix 7^k * M instead of fractions.  A rotation's
+axis comes from that integer matrix too: the cross product of two
+independent rows of 7^k * (M - I) (:func:`_scaled_axis`).  The general
+fraction-free kernel (:func:`integer_kernel_basis`) stays as the reference
+route the tests check it against.
 """
 
 from __future__ import annotations
@@ -170,9 +174,11 @@ _INT_IDENTITY: IntMat = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 def ball_matrices(
     depth: int,
     generators: Mapping[Letter, Mat3] | None = None,
-) -> Iterator[tuple[ReducedWord, IntMat, int]]:
-    """Yield (word, d*eval(word) as integers, d) over ball(depth) in length-lex order.
+) -> Iterator[tuple[tuple[Letter, ...], IntMat, int]]:
+    """Yield (letters, d*eval(word) as integers, d) over ball(depth) in length-lex order.
 
+    ``letters`` is the word's raw letter tuple, as :func:`words.walk_ball`
+    yields it.
     Each word's matrix is one integer product away from its parent's, so the
     whole ball costs one 3x3 multiply per word.  With the default generators
     d = 7^len(word).
@@ -186,7 +192,7 @@ def ball_matrices(
         g_ints, g_den = scaled[letter]
         return _matmul_ints(parent[0], g_ints), parent[1] * g_den
 
-    return ((w, ints, den) for w, (ints, den) in walk_ball(depth, (_INT_IDENTITY, 1), step))
+    return ((letters, ints, den) for letters, (ints, den) in walk_ball(depth, (_INT_IDENTITY, 1), step))
 
 
 def eval_word(w: ReducedWord) -> Mat3:
@@ -303,18 +309,40 @@ class ProjectiveDirection:
         return f"[{self.a}:{self.b}:{self.c}]"
 
 
+def _scaled_axis(ints: IntMat, den: int) -> ProjectiveDirection:
+    """Axis of the rotation whose scaled integer matrix is (ints, den).
+
+    The fixed space is the right kernel of N = ints - den*I.  When N has rank
+    2, the cross product of two independent rows spans it.  Some cross
+    product of two rows must be nonzero (else rank <= 1) and it must be
+    orthogonal to all three rows (else rank 3); otherwise the fixed space is
+    not a line and InvariantViolationError is raised.
+    """
+    r0 = (ints[0] - den, ints[1], ints[2])
+    r1 = (ints[3], ints[4] - den, ints[5])
+    r2 = (ints[6], ints[7], ints[8] - den)
+    for p, q in ((r0, r1), (r0, r2), (r1, r2)):
+        a = p[1] * q[2] - p[2] * q[1]
+        b = p[2] * q[0] - p[0] * q[2]
+        c = p[0] * q[1] - p[1] * q[0]
+        if a or b or c:
+            break
+    else:
+        dim = 3 if not any(r0 + r1 + r2) else 2
+        raise InvariantViolationError(f"fixed space is {dim}-dimensional; expected a single axis")
+    for r in (r0, r1, r2):
+        if r[0] * a + r[1] * b + r[2] * c:
+            raise InvariantViolationError("fixed space is 0-dimensional; expected a single axis")
+    g = gcd(a, b, c)
+    if (a or b or c) < 0:
+        g = -g
+    return ProjectiveDirection(a // g, b // g, c // g)
+
+
 def axis(m: Mat3) -> ProjectiveDirection:
-    """Rotation axis of a special orthogonal matrix, by exact kernel of M - I."""
+    """Rotation axis of a special orthogonal matrix, from its scaled integer form."""
     if not is_special_orthogonal(m):
         raise DomainError("axis is defined for special orthogonal matrices only")
     if m == Mat3.identity():
         raise DegenerateInputError("the identity rotation fixes every direction")
-    diff = m - Mat3.identity()
-    d = lcm(*(e.denominator for e in diff.entries))
-    rows = [[int(e * d) for e in diff.row(i)] for i in range(3)]
-    basis = integer_kernel_basis(rows)
-    if len(basis) != 1:
-        raise InvariantViolationError(
-            f"fixed space of a non-identity rotation must be 1-dimensional, got {len(basis)}"
-        )
-    return ProjectiveDirection.canonical(*basis[0])
+    return _scaled_axis(*scaled_integer_form(m))

@@ -75,12 +75,12 @@ def exhaustive_check(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     checked = 0
-    for w, ints, den in ball_matrices(depth, generators):
-        if w.is_identity:
+    for letters, ints, den in ball_matrices(depth, generators):
+        if not letters:
             continue
         checked += 1
         if ints == (den, 0, 0, 0, den, 0, 0, 0, den):
-            return FreenessVerdict("counterexample", w, depth, checked)
+            return FreenessVerdict("counterexample", ReducedWord(letters), depth, checked)
     return FreenessVerdict("certified", None, depth, checked)
 
 

@@ -45,7 +45,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .paradox import FiniteActionModel, ParadoxWitness
+from .paradox import FiniteActionModel, ParadoxWitness, interior_mismatch
 from .report import Finding
 
 Point = Hashable
@@ -338,10 +338,25 @@ class PointMeasure:
         return cls(pts, {at: Fraction(1)})
 
     def mu(self, subset: Iterable) -> Fraction:
+        """Exact mass of ``subset``, summed over its meeting with the support only.
+
+        The loop runs over the smaller of the subset and the weighted points.
+        Numerators are added per denominator, then one Fraction per
+        denominator, so a uniform measure costs one Fraction however large
+        the subset.
+        """
         s = frozenset(subset)
         if not s <= self.universe:
             raise DomainError("measure evaluated outside its universe")
-        return sum((self.weights.get(p, Fraction(0)) for p in s), start=Fraction(0))
+        weights = self.weights
+        if len(s) < len(weights):
+            hit = [weights[p] for p in s if p in weights]
+        else:
+            hit = [w for p, w in weights.items() if p in s]
+        numerators: dict[int, int] = {}
+        for w in hit:
+            numerators[w.denominator] = numerators.get(w.denominator, 0) + w.numerator
+        return sum((Fraction(n, d) for d, n in numerators.items()), start=Fraction(0))
 
     def total(self) -> Fraction:
         return self.mu(self.universe)
@@ -832,7 +847,9 @@ def paradox_contradiction(
     counterexamples.  On truncated models pass ``interior``: the final
     covering link then certifies that each side's moved union covers the
     interior exactly, instead of demanding nu(union) = nu(X), which no
-    honest truncation satisfies.  Without the invariance hypothesis the
+    honest truncation satisfies.  The interior checked is the one derived
+    from the model (:meth:`FiniteActionModel.interior`); the passed value is
+    only compared with it, and any difference fails the link.  Without the invariance hypothesis the
     link also fails when nu puts mass on moved points outside the
     interior: the truncation is faithful only inside it, so mass that
     leaks past the interior is reported rather than counted as covered.
@@ -902,7 +919,8 @@ def paradox_contradiction(
 
     union_a = frozenset().union(*moved_a)
     union_b = frozenset().union(*moved_b)
-    nu_unions = nu.mu(union_a & space) + nu.mu(union_b & space)
+    nu_a, nu_b = nu.mu(union_a & space), nu.mu(union_b & space)
+    nu_unions = nu_a + nu_b
     links.append(
         ChainLink(
             "subadditivity",
@@ -914,7 +932,7 @@ def paradox_contradiction(
     )
 
     if interior is None:
-        covers = nu.mu(union_a & space) == total and nu.mu(union_b & space) == total
+        covers = nu_a == total and nu_b == total
         links.append(
             ChainLink(
                 "covering",
@@ -926,20 +944,24 @@ def paradox_contradiction(
             )
         )
     else:
-        covers = interior <= union_a and interior <= union_b
-        leaked = 0 if invariant else nu.mu(((union_a | union_b) & space) - interior)
-        if not covers:
+        derived = model.interior(witness)
+        mismatch = interior_mismatch(interior, derived)
+        covers = derived <= union_a and derived <= union_b
+        leaked = 0 if invariant else nu.mu(((union_a | union_b) & space) - derived)
+        if mismatch:
+            detail = mismatch
+        elif not covers:
             detail = "a moved union misses interior points"
         elif leaked:
             detail = f"moved mass leaks past the interior: nu gives {leaked} to moved points outside it"
         else:
             detail = (
-                f"each side covers the {len(interior)}-point interior exactly; "
-                f"boundary excess a: {len(union_a - interior)}, b: {len(union_b - interior)} point(s), "
+                f"each side covers the {len(derived)}-point interior exactly; "
+                f"boundary excess a: {len(union_a - derived)}, b: {len(union_b - derived)} point(s), "
                 f"undefined a: {undefined_a}, b: {undefined_b}; "
                 "in the untruncated model the unions cover all of X"
             )
-        links.append(ChainLink("covering", "truncation", covers and not leaked, nu_unions, 2 * total, detail))
+        links.append(ChainLink("covering", "truncation", not mismatch and covers and not leaked, nu_unions, 2 * total, detail))
 
     bad = [link.name for link in links if not link.ok]
     if bad:

@@ -4,8 +4,10 @@ A :class:`FiniteActionModel` is a finite set of points with labelled maps.
 Witness verifiers check the set-theoretic content of a paradoxical or
 equidecomposability claim on such a model.  Infinite sets only ever appear
 through finite truncations, so covering identities may be scoped to an
-*interior* subset: points whose preimages stay inside the truncation.
-Boundary effects are reported, never silently passed.
+*interior* subset: points whose preimages stay inside the truncation.  The
+interior is derived from the model (:meth:`FiniteActionModel.interior`); an
+interior a caller passes is only compared with it.  Boundary effects are
+reported, never silently passed.
 
 Two concrete decompositions are built here:
 
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from mpmath.libmp import (
     fone,
@@ -49,7 +51,7 @@ from .errors import DomainError, InvariantViolationError, ModelError, Preconditi
 from .freeness import FreenessCertificate, verify_certificate
 from .report import Finding
 from .sphere import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, SEPARATION_RESOLUTION
-from .words import Letter, PrefixClass, ReducedWord, ball, ball_size, prefix_class
+from .words import Letter, ReducedWord, ball, ball_size
 from .exactlin import SCALED_GENERATORS, Vec3, ball_matrices
 
 Point = Hashable
@@ -101,6 +103,37 @@ class FiniteActionModel:
             images.append(frozenset(mapping[p] for p in piece if p in mapping))
             undefined += sum(1 for p in piece if p not in mapping)
         return images, undefined
+
+    def interior(self, witness: "ParadoxWitness") -> frozenset:
+        """The points every mover of ``witness`` reaches: the intersection of the movers' ranges.
+
+        A truncated model is faithful to the infinite action exactly where
+        every mover's preimage exists, so the covering identities are audited
+        there.  On a total model it is every point.
+        """
+        inside = frozenset(self.points)
+        for label in dict.fromkeys(witness.movers_a + witness.movers_b):
+            if label not in self.maps:
+                raise ModelError(f"unknown group label {label!r}")
+            inside = inside.intersection(self.maps[label].values())
+        return inside
+
+
+def interior_mismatch(given: frozenset, derived: frozenset) -> str:
+    """How a caller's interior differs from the derived one, naming points; "" when they agree."""
+    if given == derived:
+        return ""
+
+    def some(points: frozenset) -> str:
+        names = sorted(map(str, points))
+        return ", ".join(map(repr, names[:3])) + (", ..." if len(names) > 3 else "")
+
+    parts = []
+    if given - derived:
+        parts.append(f"{len(given - derived)} given point(s) outside the movers' common range ({some(given - derived)})")
+    if derived - given:
+        parts.append(f"{len(derived - given)} point(s) of that range not given ({some(derived - given)})")
+    return "the given interior is not the derived one: " + "; ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -159,13 +192,16 @@ def verify_paradox_witness(
 ) -> WitnessReport:
     """Check disjointness and both covering identities on a finite model.
 
-    ``interior`` scopes the covering requirement for truncated models; the
-    uncovered boundary is reported in the details either way.
+    Passing ``interior`` marks the model as truncated: covering is then
+    required on the derived interior (:meth:`FiniteActionModel.interior`),
+    and an ``interior`` that differs from it fails both covering findings.
+    The uncovered boundary is reported in the details either way.
     """
     model.validate()
-    target = space if interior is None else interior
-    if not target <= space:
+    if interior is not None and not interior <= space:
         raise ModelError("interior must sit inside the space")
+    target = space if interior is None else model.interior(witness)
+    mismatch = "" if interior is None else interior_mismatch(interior, target)
     findings: list[Finding] = []
     all_pieces = list(witness.pieces_a) + list(witness.pieces_b)
     contained = all(p <= space for p in all_pieces)
@@ -187,11 +223,12 @@ def verify_paradox_witness(
                 "" if not undefined_total else f"mover undefined on {undefined_total} point(s)",
             )
         )
+        ok = covers and in_space and not mismatch
         findings.append(
             Finding(
                 f"moved_{side}_covers",
-                covers and in_space,
-                "" if covers and in_space else f"{len(missing)} interior point(s) uncovered",
+                ok,
+                "" if ok else mismatch or f"{len(missing)} interior point(s) uncovered",
             )
         )
         details[f"moved_{side}_size"] = len(union)
@@ -260,26 +297,33 @@ def f2_ball_model(depth: int) -> tuple[FiniteActionModel, frozenset, ParadoxWitn
                 action[w] = moved
         maps[letter.symbol] = action
     model = FiniteActionModel(points=space, maps=maps, partial=True)
-    witness, interior = _prefix_class_witness(maps["e"], depth)
+    witness, interior = _prefix_class_witness(((w.letters, w) for w in space), depth)
     return model, space, witness, interior
 
 
-def _prefix_class_witness(point_of: Mapping[ReducedWord, Point], depth: int) -> tuple[ParadoxWitness, frozenset]:
+def _prefix_class_witness(
+    points: Iterable[tuple[tuple[Letter, ...], Point]], depth: int
+) -> tuple[ParadoxWitness, frozenset]:
     """The four prefix-class pieces with movers e, a, e, b, and the interior ball(depth - 1).
 
-    ``point_of`` carries each word of ball(depth) to the point that stands for it.
+    ``points`` pairs the letters of each word of ball(depth) with the point
+    that stands for it.  The interior is the word ball's own; the verifiers
+    compare it with the one they derive from the model.
     """
-    piece: dict[PrefixClass, set] = {c: set() for c in PrefixClass}
-    for w, p in point_of.items():
-        piece[prefix_class(w)].add(p)
+    piece: list[set] = [set(), set(), set(), set()]  # by first letter
+    interior = set()
+    for letters, p in points:
+        if letters:
+            piece[letters[0]].add(p)
+        if len(letters) < depth:
+            interior.add(p)
     witness = ParadoxWitness(
-        pieces_a=(frozenset(piece[PrefixClass.W_A]), frozenset(piece[PrefixClass.W_A_INV])),
+        pieces_a=(frozenset(piece[Letter.A]), frozenset(piece[Letter.A_INV])),
         movers_a=("e", Letter.A.symbol),
-        pieces_b=(frozenset(piece[PrefixClass.W_B]), frozenset(piece[PrefixClass.W_B_INV])),
+        pieces_b=(frozenset(piece[Letter.B]), frozenset(piece[Letter.B_INV])),
         movers_b=("e", Letter.B.symbol),
     )
-    interior = frozenset(p for w, p in point_of.items() if len(w) < depth)
-    return witness, interior
+    return witness, frozenset(interior)
 
 
 def verify_equidecomp(
@@ -795,21 +839,22 @@ def orbit_transport(depth: int, certificate: FreenessCertificate) -> OrbitTransp
     # A word's matrix has denominator 7^len, so every orbit point p of
     # ball(depth) has the integer key p * 7^depth, and keys are injective.
     scale = 7**depth
-    by_word: dict[ReducedWord, Vec3] = {}
-    at_key: dict[tuple[int, int, int], tuple[ReducedWord, Vec3]] = {}
-    for w, ints, den in ball_matrices(depth):
+    by_word: dict[tuple[Letter, ...], Vec3] = {}
+    at_key: dict[tuple[int, int, int], tuple[tuple[Letter, ...], Vec3]] = {}
+    for letters, ints, den in ball_matrices(depth):
         x = ints[0] * bx + ints[1] * by + ints[2] * bz
         y = ints[3] * bx + ints[4] * by + ints[5] * bz
         z = ints[6] * bx + ints[7] * by + ints[8] * bz
         p = Vec3(Fraction(x, den), Fraction(y, den), Fraction(z, den))
-        by_word[w] = p
+        by_word[letters] = p
         factor = scale // den
         key = (x * factor, y * factor, z * factor)
         if key in at_key:
             raise InvariantViolationError(
-                f"orbit collision: {at_key[key][0]} and {w} agree at the base vector despite the certificate"
+                f"orbit collision: {ReducedWord(at_key[key][0])} and {ReducedWord(letters)} "
+                "agree at the base vector despite the certificate"
             )
-        at_key[key] = (w, p)
+        at_key[key] = (letters, p)
 
     # The generator G acts on keys as (7G) k / 7.  A non-integral result is
     # no orbit point's key, so G p lies outside the truncation.
@@ -829,7 +874,7 @@ def orbit_transport(depth: int, certificate: FreenessCertificate) -> OrbitTransp
                 action[p] = hit[1]
         maps[letter.symbol] = action
     model = FiniteActionModel(points=points, maps=maps, partial=True)
-    witness, interior = _prefix_class_witness(by_word, depth)
+    witness, interior = _prefix_class_witness(by_word.items(), depth)
     report = verify_paradox_witness(model, points, witness, interior=interior)
     return OrbitTransportResult(
         model=model,

@@ -34,7 +34,7 @@ from .errors import (
     InconclusiveError,
     InvariantViolationError,
 )
-from .exactlin import ProjectiveDirection, Vec3, ball_matrices, integer_kernel_basis
+from .exactlin import ProjectiveDirection, Vec3, _scaled_axis, ball_matrices
 from .words import ReducedWord
 
 # Points closer than this count as coinciding: a collision in absorb_demo, a
@@ -101,21 +101,15 @@ def fixed_directions(depth: int) -> FixedDirectionSet:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     found: dict[ProjectiveDirection, ReducedWord] = {}
-    for word, ints, den in ball_matrices(depth):
-        if not word.letters:
+    for letters, ints, den in ball_matrices(depth):
+        if not letters:
             continue
-        rows = [
-            [ints[0] - den, ints[1], ints[2]],
-            [ints[3], ints[4] - den, ints[5]],
-            [ints[6], ints[7], ints[8] - den],
-        ]
-        basis = integer_kernel_basis(rows)
-        if len(basis) != 1:
-            raise InvariantViolationError(
-                f"fixed space of {word} is {len(basis)}-dimensional; expected a single axis"
-            )
-        direction = ProjectiveDirection.canonical(*basis[0])
-        found.setdefault(direction, word)
+        try:
+            direction = _scaled_axis(ints, den)
+        except InvariantViolationError as exc:
+            raise InvariantViolationError(f"{ReducedWord(letters)}: {exc}") from None
+        if direction not in found:
+            found[direction] = ReducedWord(letters)
     return FixedDirectionSet(depth, frozenset(found), found)
 
 
@@ -135,8 +129,8 @@ def is_free_at_direct(v0, depth: int) -> bool:
     iff the scaled integer matrix satisfies M v = d v exactly.
     """
     x, y, z = _as_direction(v0).as_tuple()
-    for word, ints, den in ball_matrices(depth):
-        if not word.letters:
+    for letters, ints, den in ball_matrices(depth):
+        if not letters:
             continue
         image = (
             ints[0] * x + ints[1] * y + ints[2] * z,

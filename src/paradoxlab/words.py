@@ -72,6 +72,9 @@ class PrefixClass(Enum):
 #: Prefix class of the words starting with each letter, indexed by letter.
 _CLASS_OF_LETTER = (PrefixClass.W_A, PrefixClass.W_B, PrefixClass.W_A_INV, PrefixClass.W_B_INV)
 
+#: First letter of every word of each nonempty prefix class.
+_FIRST_LETTER = {c: Letter(i) for i, c in enumerate(_CLASS_OF_LETTER)}
+
 
 @dataclass(frozen=True, slots=True)
 class ReducedWord:
@@ -146,15 +149,19 @@ def reduce(letters: Iterable[Letter]) -> ReducedWord:
     return ReducedWord(tuple(stack))
 
 
-def concat(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
-    """Product in the free group; cancellation happens only at the seam."""
-    a, b = w1.letters, w2.letters
+def _seam(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """Letters of the product of two reduced letter tuples; cancellation happens only at the seam."""
     i = len(a)
     j = 0
     while i > 0 and j < len(b) and a[i - 1] == _INVERSES[b[j]]:
         i -= 1
         j += 1
-    return _reduced(a[:i] + b[j:])
+    return a[:i] + b[j:]
+
+
+def concat(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
+    """Product in the free group."""
+    return _reduced(_seam(w1.letters, w2.letters))
 
 
 def invert(w: ReducedWord) -> ReducedWord:
@@ -164,33 +171,34 @@ def invert(w: ReducedWord) -> ReducedWord:
 _ALPHABET = tuple(Letter)
 
 
-def walk_ball(n: int, root: V, step: Callable[[V, Letter], V]) -> Iterator[tuple[ReducedWord, V]]:
-    """Stream ball(n) in length-lexicographic order, each word with a carried value.
+def walk_ball(n: int, root: V, step: Callable[[V, Letter], V]) -> Iterator[tuple[tuple[Letter, ...], V]]:
+    """Stream ball(n) in length-lexicographic order: (letters, carried value) per word.
 
-    The identity carries ``root`` and the word w.x carries ``step(value of w, x)``,
+    ``letters`` is the raw letter tuple of the word; the identity is ``()``
+    and carries ``root``, and the word w.x carries ``step(value of w, x)``,
     so a per-word product costs one step from its parent.  Breadth-first by
     length, extending in letter order, gives length-lex order.  Only the level
     being extended is held; the last level is yielded and dropped.  This is the
     one place the radius cap is enforced.  A child never appends the inverse
-    of its parent's last letter, so every yielded word is reduced by
-    construction and skips validation.
+    of its parent's last letter, so every yielded tuple is reduced by
+    construction; callers wrap one in a :class:`ReducedWord` only where a
+    report needs the word.
     """
     if n < 0:
         raise ValueError("ball radius must be >= 0")
     if n > BALL_CAP:
         raise ResourceLimitError(f"ball({n}) exceeds the configured cap {BALL_CAP}")
-    yield IDENTITY, root
-    level = [(IDENTITY, root)]
+    yield (), root
+    level = [((), root)]
     for k in range(n):
         keep = k < n - 1
-        nxt: list[tuple[ReducedWord, V]] = []
-        for w, value in level:
-            letters = w.letters
+        nxt: list[tuple[tuple[Letter, ...], V]] = []
+        for letters, value in level:
             barred = _INVERSES[letters[-1]] if letters else None
             for letter in _ALPHABET:
                 if letter is barred:
                     continue
-                item = (_reduced(letters + (letter,)), step(value, letter))
+                item = (letters + (letter,), step(value, letter))
                 yield item
                 if keep:
                     nxt.append(item)
@@ -203,7 +211,7 @@ def _no_value(value: None, letter: Letter) -> None:
 
 def ball(n: int) -> tuple[ReducedWord, ...]:
     """All reduced words of length <= n, in length-lexicographic order."""
-    return tuple(w for w, _ in walk_ball(n, None, _no_value))
+    return tuple(_reduced(letters) for letters, _ in walk_ball(n, None, _no_value))
 
 
 def ball_size(n: int) -> int:
@@ -236,25 +244,30 @@ class SplitCheck:
 
 
 def _split_violation(
-    h: ReducedWord,
-    cover: PrefixClass,
-    piece: PrefixClass,
-    mover: ReducedWord,
-    mover_inv: ReducedWord,
+    h: tuple[Letter, ...],
+    cover: Letter,
+    piece: Letter,
+    mover: tuple[Letter, ...],
+    mover_inv: tuple[Letter, ...],
 ) -> str | None:
-    """Why h is not in W(cover) u mover.W(piece), or None when it is.
+    """Why the word with letters h is not in W(cover) u mover.W(piece), or None when it is.
 
-    A word h outside W(cover) is covered iff mover^-1.h starts with the piece
-    letter and mover.(mover^-1.h) reproduces h.  Both facts are tested
-    directly, so corrupted movers or pieces surface as explicit violations.
+    ``cover`` and ``piece`` are the first letters of the two classes, and the
+    movers come as letter tuples.  A word h outside W(cover) is covered iff
+    mover^-1.h starts with the piece letter and mover.(mover^-1.h) reproduces
+    h.  Both facts are tested directly, so corrupted movers or pieces surface
+    as explicit violations.
     """
-    if prefix_class(h) is cover:
+    if h and h[0] is cover:
         return None
-    shifted = concat(mover_inv, h)
-    if prefix_class(shifted) is not piece:
-        return f"{str(h)!r} not covered: {str(mover)!r}^-1 * h = {str(shifted)!r} is not in class {piece.value}"
-    if concat(mover, shifted) != h:  # pragma: no cover - group law, unreachable
-        return f"reassembly failed for {str(h)!r}"
+    shifted = _seam(mover_inv, h)
+    if not shifted or shifted[0] is not piece:
+        return (
+            f"{str(_reduced(h))!r} not covered: {str(_reduced(mover))!r}^-1 * h = "
+            f"{str(_reduced(shifted))!r} is not in class {_CLASS_OF_LETTER[piece].value}"
+        )
+    if _seam(mover, shifted) != h:  # pragma: no cover - group law, unreachable
+        return f"reassembly failed for {str(_reduced(h))!r}"
     return None
 
 
@@ -267,12 +280,13 @@ def check_split(
     """Check that every word of length <= depth lies in W(cover) u mover.W(piece)."""
     if cover is PrefixClass.IDENTITY or piece is PrefixClass.IDENTITY:
         raise ValueError("cover and piece must be prefix classes of nonempty words")
-    mover_inv = invert(mover)
+    cover_letter, piece_letter = _FIRST_LETTER[cover], _FIRST_LETTER[piece]
+    mover_letters, inv_letters = mover.letters, invert(mover).letters
     violations: list[str] = []
     checked = 0
     for h, _ in walk_ball(depth, None, _no_value):
         checked += 1
-        problem = _split_violation(h, cover, piece, mover, mover_inv)
+        problem = _split_violation(h, cover_letter, piece_letter, mover_letters, inv_letters)
         if problem is not None and len(violations) < MAX_VIOLATIONS:
             violations.append(problem)
     return SplitCheck(depth, cover, piece, mover, checked, tuple(violations))
@@ -294,45 +308,40 @@ class F2ParadoxReport:
 def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     """Verify the prefix-class partition and both covering identities on ball(depth).
 
-    One pass over the ball: each word is counted, its class memberships are
-    recomputed from raw letters, and it is tested against both splits
-    F2 = W(a) u a.W(a^-1) and F2 = W(b) u b.W(b^-1), exactly as
-    :func:`check_split` tests one.
+    One pass over the ball's letter tuples: each word is counted by its first
+    letter, its class memberships are recomputed from raw letters, and it is
+    tested against both splits F2 = W(a) u a.W(a^-1) and F2 = W(b) u b.W(b^-1),
+    exactly as :func:`check_split` tests one.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    word_a = ReducedWord((Letter.A,))
-    word_b = ReducedWord((Letter.B,))
-    inv_a, inv_b = invert(word_a), invert(word_b)
-    counts: dict[PrefixClass, int] = {c: 0 for c in PrefixClass}
+    A, B, A_INV, B_INV = _ALPHABET
+    word_a, word_b = (A,), (B,)
+    inv_a, inv_b = (A_INV,), (B_INV,)
+    counts = [0, 0, 0, 0, 0]  # by first letter; the identity at index 4
     partition_violations: list[str] = []
     violations_a: list[str] = []
     violations_b: list[str] = []
     checked = 0
-    for w, _ in walk_ball(depth, None, _no_value):
+    for h, _ in walk_ball(depth, None, _no_value):
         checked += 1
-        letters = w.letters
-        # Memberships recomputed from raw structure, not trusted from prefix_class.
-        first = letters[0] if letters else None
-        flags = (
-            not letters,
-            first is Letter.A,
-            first is Letter.B,
-            first is Letter.A_INV,
-            first is Letter.B_INV,
-        )
-        if sum(flags) != 1 and len(partition_violations) < MAX_VIOLATIONS:  # pragma: no cover - unreachable
-            partition_violations.append(f"{str(w)!r} lies in {sum(flags)} classes")
-        counts[prefix_class(w)] += 1
-        problem = _split_violation(w, PrefixClass.W_A, PrefixClass.W_A_INV, word_a, inv_a)
+        # Memberships recomputed from raw letters, not trusted from the count index.
+        first = h[0] if h else None
+        classes = (first is None) + (first is A) + (first is B) + (first is A_INV) + (first is B_INV)
+        if classes != 1 and len(partition_violations) < MAX_VIOLATIONS:  # pragma: no cover - unreachable
+            partition_violations.append(f"{str(_reduced(h))!r} lies in {classes} classes")
+        counts[4 if first is None else first] += 1
+        problem = _split_violation(h, A, A_INV, word_a, inv_a)
         if problem is not None and len(violations_a) < MAX_VIOLATIONS:
             violations_a.append(problem)
-        problem = _split_violation(w, PrefixClass.W_B, PrefixClass.W_B_INV, word_b, inv_b)
+        problem = _split_violation(h, B, B_INV, word_b, inv_b)
         if problem is not None and len(violations_b) < MAX_VIOLATIONS:
             violations_b.append(problem)
-    split_a = SplitCheck(depth, PrefixClass.W_A, PrefixClass.W_A_INV, word_a, checked, tuple(violations_a))
-    split_b = SplitCheck(depth, PrefixClass.W_B, PrefixClass.W_B_INV, word_b, checked, tuple(violations_b))
-    return F2ParadoxReport(depth, counts, tuple(partition_violations), split_a, split_b)
+    class_counts = {PrefixClass.IDENTITY: counts[4]}
+    class_counts.update((_CLASS_OF_LETTER[x], counts[x]) for x in _ALPHABET)
+    split_a = SplitCheck(depth, PrefixClass.W_A, PrefixClass.W_A_INV, _reduced(word_a), checked, tuple(violations_a))
+    split_b = SplitCheck(depth, PrefixClass.W_B, PrefixClass.W_B_INV, _reduced(word_b), checked, tuple(violations_b))
+    return F2ParadoxReport(depth, class_counts, tuple(partition_violations), split_a, split_b)
 
 
 def brute_force_ball(n: int) -> frozenset[ReducedWord]:

@@ -75,6 +75,30 @@ def test_paradox_contradiction_end_to_end(tmp_path, report_schema):
     assert names == ["total_mass", "superadditivity", "invariance", "subadditivity", "covering"]
 
 
+def test_paradox_contradiction_rejects_an_empty_interior(tmp_path, report_schema):
+    # The identity alone moves nothing, so the derived interior is the whole
+    # space and the pieces {x} and {y} cannot cover it.
+    data = {
+        "schema": "contradiction-input-v1",
+        "space": ["x", "y"],
+        "identity": "e",
+        "partial": False,
+        "maps": {"e": {"x": "x", "y": "y"}},
+        "witness": {"pieces_a": [["x"]], "movers_a": ["e"], "pieces_b": [["y"]], "movers_b": ["e"]},
+        "nu": {"weights": {"x": "1/2", "y": "1/2"}},
+        "invariant": True,
+        "interior": [],
+    }
+    path = tmp_path / "empty-interior.json"
+    path.write_text(json.dumps(data))
+    result = run_cli("paradox", "contradiction", "--input", str(path))
+    assert result.code == 1
+    report = result.report
+    jsonschema.validate(report, report_schema)
+    assert (report["outcome"], report["details"]["first_failure"]) == ("fail", "covering")
+    assert "2 point(s) of that range not given ('x', 'y')" in report["details"]["links"][-1]["detail"]
+
+
 def test_inconclusive_exit_code(monkeypatch, report_schema):
     def give_up(*args, **kwargs):
         raise InconclusiveError("precision cap reached without certification")

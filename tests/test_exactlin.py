@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from paradoxlab.errors import DegenerateInputError, DomainError
+from paradoxlab.errors import DegenerateInputError, DomainError, InvariantViolationError
 from paradoxlab.exactlin import (
     DEFAULT_GENERATORS,
     GEN_A,
@@ -23,6 +23,7 @@ from paradoxlab.exactlin import (
     is_special_orthogonal,
     row_reduce_int,
     scaled_integer_form,
+    _scaled_axis,
 )
 from paradoxlab.report import jsonable
 from paradoxlab.words import Letter, ReducedWord, ball
@@ -60,8 +61,8 @@ def test_eval_word_identity():
 
 def test_eval_word_matches_scaled_integer_route():
     # The rational product and the integer fast path must agree word by word.
-    for w, ints, den in ball_matrices(3):
-        assert eval_word(w) == Mat3(tuple(Fraction(v, den) for v in ints))
+    for letters, ints, den in ball_matrices(3):
+        assert eval_word(ReducedWord(letters)) == Mat3(tuple(Fraction(v, den) for v in ints))
 
 
 def test_eval_word_matches_the_rational_product():
@@ -76,12 +77,13 @@ def test_eval_word_matches_the_rational_product():
 
 def test_ball_matrices_walk_the_ball_in_order():
     for n in range(6):
-        assert [w for w, _, _ in ball_matrices(n)] == list(ball(n))
+        # Every walked letter tuple rebuilds through the validating constructor.
+        assert [ReducedWord(letters) for letters, _, _ in ball_matrices(n)] == list(ball(n))
 
 
 def test_ball_matrices_denominators():
-    for w, ints, den in ball_matrices(3):
-        assert den == 7 ** len(w)
+    for letters, ints, den in ball_matrices(3):
+        assert den == 7 ** len(letters)
 
 
 def test_scaled_integer_form():
@@ -172,6 +174,36 @@ def test_axis_fixed_vector():
     for gen in (GEN_A, GEN_B):
         v = axis(gen).as_vec3()
         assert gen.apply(v) == v
+
+
+def _kernel_axis(ints, den):
+    """The reference route: the fraction-free kernel of ints - den*I."""
+    rows = [[ints[3 * i + j] - (den if i == j else 0) for j in range(3)] for i in range(3)]
+    basis = integer_kernel_basis(rows)
+    assert len(basis) == 1
+    return ProjectiveDirection.canonical(*basis[0])
+
+
+def test_cross_product_axis_matches_the_kernel_basis():
+    for letters, ints, den in ball_matrices(6):
+        if letters:
+            assert _scaled_axis(ints, den) == _kernel_axis(ints, den), letters
+    for gen in (GEN_A, GEN_B):
+        assert axis(gen) == _kernel_axis(*scaled_integer_form(gen))
+
+
+@pytest.mark.parametrize(
+    "ints,den,dim",
+    [
+        ((7, 0, 0, 0, 7, 0, 0, 0, 7), 7, 3),  # rank 0: the identity
+        ((8, 0, 0, 0, 7, 0, 0, 0, 7), 7, 2),  # rank 1
+        ((1, 2, 3, 2, 4, 6, 3, 6, 9), 0, 2),  # rank 1, no zero row
+        ((0, 0, 0, 0, 0, 0, 0, 0, 0), 1, 0),  # rank 3
+    ],
+)
+def test_cross_product_axis_rejects_fixed_spaces_that_are_not_lines(ints, den, dim):
+    with pytest.raises(InvariantViolationError, match=f"fixed space is {dim}-dimensional"):
+        _scaled_axis(ints, den)
 
 
 def test_axis_rejects_identity_and_non_rotations():

@@ -27,7 +27,7 @@ from paradoxlab.measures import (
     uniform_group_measure,
     verify_boolean_axioms,
 )
-from paradoxlab.paradox import f2_ball_model, two_to_one_shift_model
+from paradoxlab.paradox import FiniteActionModel, ParadoxWitness, f2_ball_model, two_to_one_shift_model
 
 # -- Boolean algebras --------------------------------------------------------
 
@@ -104,6 +104,24 @@ def test_point_measure_guards():
 
 def test_point_measure_additivity_audit():
     assert audit_point_measure(PointMeasure.uniform(range(8))).ok
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_mu_matches_a_plain_fraction_sum(data):
+    universe = frozenset(range(12))
+    support = data.draw(st.sets(st.sampled_from(sorted(universe))))
+    weight = st.fractions(min_value=0, max_value=3, max_denominator=30)
+    m = PointMeasure(universe, {p: data.draw(weight) for p in support})
+    drawn = data.draw(st.sets(st.sampled_from(sorted(universe))))
+    # Inside, across and outside the support, and the empty set.
+    for subset in (drawn, frozenset(support), universe - support, universe, frozenset()):
+        want = sum((m.weights.get(p, Fraction(0)) for p in subset), start=Fraction(0))
+        got = m.mu(subset)
+        assert (got, type(got)) == (want, Fraction)
+    assert m.mu(iter(sorted(drawn))) == m.mu(drawn)
+    with pytest.raises(DomainError):
+        m.mu(drawn | {12})
 
 
 # -- group tables and invariance ---------------------------------------------
@@ -332,6 +350,25 @@ def test_chain_reports_covering_gap():
     report = paradox_contradiction(broken, space, witness, nu, True, interior=interior)
     assert report.outcome == "chain-broken"
     assert report.first_failure == "covering"
+
+
+def test_chain_rejects_an_interior_of_a_total_action():
+    # Z/4 acting on itself by rotation has an invariant measure, so no chain
+    # may close on it, whatever interior the caller claims.
+    model = FiniteActionModel(
+        points=frozenset(range(4)),
+        maps={"e": {i: i for i in range(4)}, "s": {i: (i + 1) % 4 for i in range(4)}},
+    )
+    witness = ParadoxWitness(
+        pieces_a=(frozenset({0}),), movers_a=("e",), pieces_b=(frozenset({3}),), movers_b=("s",)
+    )
+    nu = PointMeasure.uniform(model.points)
+    report = paradox_contradiction(model, model.points, witness, nu, True, interior=frozenset({0}))
+    assert report.outcome == "chain-broken"
+    assert report.first_failure == "covering"
+    assert report.links[-1].detail == (
+        "the given interior is not the derived one: 3 point(s) of that range not given ('1', '2', '3')"
+    )
 
 
 def test_chain_guards():

@@ -55,7 +55,7 @@ from paradoxlab.paradox import (
     _to_floats,
     _to_mpc,
 )
-from paradoxlab.words import Letter
+from paradoxlab.words import Letter, ball_size
 
 # -- models and witnesses ----------------------------------------------------
 
@@ -107,6 +107,57 @@ def test_f2_ball_model_witness_passes():
     assert report.passed
     assert len(space) == 161
     assert len(interior) == 53
+
+
+def _z4_rotation():
+    """Z/4 acting on itself by rotation: a total bijective action with an invariant measure."""
+    model = FiniteActionModel(
+        points=frozenset(range(4)),
+        maps={"e": {i: i for i in range(4)}, "s": {i: (i + 1) % 4 for i in range(4)}},
+    )
+    witness = ParadoxWitness(
+        pieces_a=(frozenset({0}),), movers_a=("e",), pieces_b=(frozenset({3}),), movers_b=("s",)
+    )
+    return model, witness
+
+
+def test_derived_interior_equals_the_shipped_interiors():
+    for depth in range(2, 8):
+        model, _, witness, interior = f2_ball_model(depth)
+        assert model.interior(witness) == interior
+    for max_len in (1, 3, 6):
+        model, _, witness, interior = two_to_one_shift_model(max_len)
+        assert model.interior(witness) == interior
+    for deg, coef in ((2, 1), (3, 2), (4, 2)):
+        model, witness, interior = smp_truncation_model(deg, coef)
+        assert model.interior(witness) == interior
+    cert = build_certificate((0, 1, 0))
+    for depth in (2, 4, 5, 7):
+        # orbit_transport passes the interior of its word ball; a mismatch would fail it.
+        result = orbit_transport(depth, cert)
+        assert len(result.model.interior(result.witness)) == ball_size(depth - 1)
+        assert result.passed
+
+
+def test_derived_interior_of_a_total_action_is_everything():
+    model, witness = _z4_rotation()
+    assert model.interior(witness) == model.points
+    with pytest.raises(ModelError, match="'nope'"):
+        model.interior(replace(witness, movers_b=("nope",)))
+
+
+def test_witness_check_rejects_an_interior_the_movers_do_not_give():
+    # Z/4 by rotation: {0} is no interior of a total action, so covering fails.
+    model, witness = _z4_rotation()
+    report = verify_paradox_witness(model, model.points, witness, interior=frozenset({0}))
+    failed = {f.name: f.detail for f in report.findings if not f.ok}
+    assert set(failed) == {"moved_a_covers", "moved_b_covers"}
+    assert "3 point(s) of that range not given ('1', '2', '3')" in failed["moved_a_covers"]
+    # An interior bigger than the movers' common range is named too.
+    model, space, witness, interior = two_to_one_shift_model(3)
+    report = verify_paradox_witness(model, space, witness, interior=space)
+    failed = {f.name: f.detail for f in report.findings if not f.ok}
+    assert "8 given point(s) outside the movers' common range ('000', '001', '010', ...)" in failed["moved_a_covers"]
 
 
 def test_disjointness_mutations_rejected():

@@ -10,9 +10,12 @@ from paradoxlab.paradox import f2_ball_model, orbit_transport
 from paradoxlab.sphere import fixed_directions
 from paradoxlab.words import (
     IDENTITY,
+    MAX_VIOLATIONS,
+    F2ParadoxReport,
     Letter,
     PrefixClass,
     ReducedWord,
+    SplitCheck,
     ball,
     ball_size,
     brute_force_ball,
@@ -51,8 +54,8 @@ def test_unreduced_construction_rejected():
 def test_fast_built_words_pass_public_validation():
     # walk_ball, concat and invert skip validation; the public constructor must
     # accept every word they build and rebuild an equal one.
-    for w, _ in walk_ball(6, None, lambda value, letter: None):
-        assert ReducedWord(w.letters) == w
+    walked = [ReducedWord(letters) for letters, _ in walk_ball(6, None, lambda value, letter: None)]
+    assert walked == list(ball(6))
     b3 = ball(3)
     for u in b3:
         assert ReducedWord(invert(u).letters) == invert(u)
@@ -174,6 +177,66 @@ def test_one_pass_verify_matches_check_split():
         assert report.split_a == check_split(d, PrefixClass.W_A, PrefixClass.W_A_INV, a)
         assert report.split_b == check_split(d, PrefixClass.W_B, PrefixClass.W_B_INV, b)
         assert report.split_a.checked == ball_size(d)
+
+
+# The ReducedWord route the letter-tuple checks replaced, kept as their
+# reference.  Free reduction of the joined letters stands in for seam
+# cancellation, so the two share no product code.
+
+
+def _split_violation_by_words(h, cover, piece, mover):
+    if prefix_class(h) is cover:
+        return None
+    shifted = reduce(invert(mover).letters + h.letters)
+    if prefix_class(shifted) is not piece:
+        return f"{str(h)!r} not covered: {str(mover)!r}^-1 * h = {str(shifted)!r} is not in class {piece.value}"
+    if reduce(mover.letters + shifted.letters) != h:
+        return f"reassembly failed for {str(h)!r}"
+    return None
+
+
+def _check_split_by_words(depth, cover, piece, mover):
+    words = ball(depth)
+    violations = [v for h in words if (v := _split_violation_by_words(h, cover, piece, mover)) is not None]
+    return SplitCheck(depth, cover, piece, mover, len(words), tuple(violations[:MAX_VIOLATIONS]))
+
+
+def _verify_f2_paradox_by_words(depth):
+    counts = {c: 0 for c in PrefixClass}
+    for w in ball(depth):
+        counts[prefix_class(w)] += 1
+    a, b = ReducedWord.from_string("a"), ReducedWord.from_string("b")
+    return F2ParadoxReport(
+        depth,
+        counts,
+        (),
+        _check_split_by_words(depth, PrefixClass.W_A, PrefixClass.W_A_INV, a),
+        _check_split_by_words(depth, PrefixClass.W_B, PrefixClass.W_B_INV, b),
+    )
+
+
+def test_verify_matches_the_word_object_route():
+    for d in range(1, 9):
+        report = verify_f2_paradox(d)
+        assert report == _verify_f2_paradox_by_words(d)
+        assert list(report.class_counts) == list(PrefixClass)
+
+
+CORRUPTED_SPLITS = [
+    (PrefixClass.W_A, PrefixClass.W_A_INV, "b"),  # wrong mover
+    (PrefixClass.W_A, PrefixClass.W_B, "a"),  # wrong piece
+    (PrefixClass.W_B, PrefixClass.W_A_INV, "a"),  # wrong cover
+    (PrefixClass.W_A, PrefixClass.W_A_INV, "aB"),  # a two-letter mover, so seams cancel twice
+]
+
+
+@pytest.mark.parametrize("cover,piece,mover", CORRUPTED_SPLITS)
+def test_corrupted_splits_match_the_word_object_route(cover, piece, mover):
+    mover = ReducedWord.from_string(mover)
+    for d in (1, 4):
+        bad = check_split(d, cover, piece, mover)
+        assert bad.violations
+        assert bad == _check_split_by_words(d, cover, piece, mover)
 
 
 def test_verify_f2_paradox_rejects_bad_depth():
