@@ -178,10 +178,9 @@ def ball_matrices(
     """Yield (letters, d*eval(word) as integers, d) over ball(depth) in length-lex order.
 
     ``letters`` is the word's raw letter tuple, as :func:`words.walk_ball`
-    yields it.
-    Each word's matrix is one integer product away from its parent's, so the
-    whole ball costs one 3x3 multiply per word.  With the default generators
-    d = 7^len(word).
+    yields it.  Each word's matrix is one integer product away from its
+    parent's, so the whole ball costs one 3x3 multiply per word.  With the
+    default generators d = 7^len(word).
     """
     if generators is None:
         scaled = SCALED_GENERATORS

@@ -849,10 +849,11 @@ def paradox_contradiction(
     interior exactly, instead of demanding nu(union) = nu(X), which no
     honest truncation satisfies.  The interior checked is the one derived
     from the model (:meth:`FiniteActionModel.interior`); the passed value is
-    only compared with it, and any difference fails the link.  Without the invariance hypothesis the
-    link also fails when nu puts mass on moved points outside the
-    interior: the truncation is faithful only inside it, so mass that
-    leaks past the interior is reported rather than counted as covered.
+    only compared with it, and any difference fails the link.  Without the
+    invariance hypothesis the link also fails when nu puts mass on moved
+    points outside the interior: the truncation is faithful only inside it,
+    so mass that leaks past the interior is reported rather than counted as
+    covered.
     """
     model.validate()
     pieces = list(witness.pieces_a) + list(witness.pieces_b)
@@ -961,7 +962,8 @@ def paradox_contradiction(
                 f"undefined a: {undefined_a}, b: {undefined_b}; "
                 "in the untruncated model the unions cover all of X"
             )
-        links.append(ChainLink("covering", "truncation", not mismatch and covers and not leaked, nu_unions, 2 * total, detail))
+        ok = not mismatch and covers and not leaked
+        links.append(ChainLink("covering", "truncation", ok, nu_unions, 2 * total, detail))
 
     bad = [link.name for link in links if not link.ok]
     if bad:

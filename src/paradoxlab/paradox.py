@@ -128,11 +128,12 @@ def interior_mismatch(given: frozenset, derived: frozenset) -> str:
         names = sorted(map(str, points))
         return ", ".join(map(repr, names[:3])) + (", ..." if len(names) > 3 else "")
 
+    extra, missing = given - derived, derived - given
     parts = []
-    if given - derived:
-        parts.append(f"{len(given - derived)} given point(s) outside the movers' common range ({some(given - derived)})")
-    if derived - given:
-        parts.append(f"{len(derived - given)} point(s) of that range not given ({some(derived - given)})")
+    if extra:
+        parts.append(f"{len(extra)} given point(s) outside the movers' common range ({some(extra)})")
+    if missing:
+        parts.append(f"{len(missing)} point(s) of that range not given ({some(missing)})")
     return "the given interior is not the derived one: " + "; ".join(parts)
 
 

@@ -13,6 +13,10 @@ two covering identities
 where W(x) is the set of reduced words starting with x.  Every word h outside
 W(a) satisfies h = a.(a^-1 h) with a^-1 h in W(a^-1); the verifier checks that
 identity literally for every ball element, so no boundary fudging is needed.
+
+The ball walk (:func:`walk_ball`) and the checks run on raw letter tuples;
+a :class:`ReducedWord` is built only where a caller or a report needs the
+word: the ball itself, violation messages and witnesses.
 """
 
 from __future__ import annotations
