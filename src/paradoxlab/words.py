@@ -135,10 +135,14 @@ class ReducedWord:
 IDENTITY = ReducedWord()
 
 
+#: The slot's own setter, which skips the frozen dataclass's __setattr__.
+_set_letters = ReducedWord.__dict__["letters"].__set__
+
+
 def _reduced(letters: tuple[Letter, ...]) -> ReducedWord:
     """Wrap letters the caller knows are reduced, without re-validating them."""
     w = object.__new__(ReducedWord)
-    object.__setattr__(w, "letters", letters)
+    _set_letters(w, letters)
     return w
 
 

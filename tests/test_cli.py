@@ -222,11 +222,11 @@ def test_sphere_absorb_report_bytes_are_pinned(args, digest):
     assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
-# sha256 of the stdout of each command with `--seed 1`, recorded before the
-# word, fixed-direction and chain layers moved from ReducedWord objects,
-# kernel bases and Fraction sums to letter tuples, cross-product axes and
-# per-denominator sums over the support.  The fixed-points report carries
-# each direction's witness word.
+# sha256 of the stdout of each command with `--seed 1`, recorded at commit
+# e3571bf, before the word, fixed-direction and chain layers moved from
+# ReducedWord objects, kernel bases and Fraction sums to letter tuples,
+# cross-product axes and per-denominator sums over the support.  The
+# fixed-points report carries each direction's witness word.
 EXACT_LAYER_DIGESTS = [
     (("words", "verify", "--depth", "8"), "f93b272fcd104460d26b838e869c60728a003e63d6819c851e5a873f77779646"),
     (("freeness", "exhaustive", "--depth", "8"), "874c791f3462481fc823f3448742df47091dac4a7762bc613b72b4c6e864cb24"),
@@ -242,7 +242,8 @@ def test_exact_layer_report_bytes_are_pinned(argv, digest):
 
 
 def test_paradox_contradiction_report_bytes_are_pinned(tmp_path, monkeypatch):
-    # The input path is a report parameter, so run from its directory.
+    # Recorded with the other exact-layer pins.  The input path is a report
+    # parameter, so run from its directory.
     path = _shift_input(tmp_path)
     monkeypatch.chdir(tmp_path)
     result = run_cli("paradox", "contradiction", "--input", path.name, "--seed", "1")
