@@ -418,14 +418,14 @@ def smp_classify(p: NNPoly) -> PolyClass:
 
 def smp_g(p: NNPoly) -> NNPoly:
     """Divide by x (rotate the planar point by e^-i).  Domain: class A."""
-    if smp_classify(p) is not PolyClass.A:
+    if p.coeffs and p.coeffs[0]:
         raise DomainError("smp_g needs a zero constant term")
     return _nnpoly(p.coeffs[1:])
 
 
 def smp_h(p: NNPoly) -> NNPoly:
     """Subtract 1 (translate the planar point by -1).  Domain: class B."""
-    if smp_classify(p) is not PolyClass.B:
+    if not (p.coeffs and p.coeffs[0]):
         raise DomainError("smp_h needs a positive constant term")
     coeffs = (p.coeffs[0] - 1,) + p.coeffs[1:]
     # only a lone constant 1 can leave a trailing zero
@@ -434,14 +434,14 @@ def smp_h(p: NNPoly) -> NNPoly:
 
 def smp_mul_x(p: NNPoly) -> NNPoly:
     """Inverse of smp_g on its image."""
-    if p.is_zero:
+    if not p.coeffs:
         return p
     return _nnpoly((0,) + p.coeffs)
 
 
 def smp_add_one(p: NNPoly) -> NNPoly:
     """Inverse of smp_h."""
-    if p.is_zero:
+    if not p.coeffs:
         return _nnpoly((1,))
     return _nnpoly((p.coeffs[0] + 1,) + p.coeffs[1:])
 
@@ -581,28 +581,26 @@ def _separation_slack(max_degree: int, max_coeff: int, precision_bits: int, dist
 
 
 def _closest_pair_sq(points: list[tuple[float, float]]) -> tuple[float, tuple[int, int]]:
-    """Plane sweep for the closest pair; returns (squared distance, indices)."""
-    order = sorted(range(len(points)), key=lambda i: points[i])
-    best = math.inf
+    """Plane sweep for the closest pair; returns (squared distance, indices).
+
+    Points are visited in (x, y, index) order and the active strip is kept in
+    (y, x, index) order, so of several pairs at the least distance the first
+    one met wins.  The strip's width sqrt(best) changes only with best.
+    """
+    order = sorted((x, y, i) for i, (x, y) in enumerate(points))
+    best = d = math.inf
     pair = (-1, -1)
     active: list[tuple[float, float, int]] = []  # (y, x, index), sorted
     left = 0
-    for pos, idx in enumerate(order):
-        x, y = points[idx]
-        d = math.sqrt(best) if best < math.inf else math.inf
-        while left < pos and points[order[left]][0] < x - d:
-            old = order[left]
-            ox, oy = points[old]
+    for x, y, idx in order:
+        while order[left][0] < x - d:
+            ox, oy, old = order[left]
             del active[bisect_left(active, (oy, ox, old))]
             left += 1
-        if best == math.inf:
-            window = list(active)
-        else:
-            window = active[bisect_left(active, (y - d,)) : bisect_right(active, (y + d,))]
-        for cy, cx, cidx in window:
+        for cy, cx, cidx in active[bisect_left(active, (y - d,)) : bisect_right(active, (y + d,))]:
             dsq = (x - cx) ** 2 + (y - cy) ** 2
             if dsq < best:
-                best = dsq
+                best, d = dsq, math.sqrt(dsq)
                 pair = (cidx, idx)
         insort(active, (y, x, idx))
     return best, pair
@@ -627,13 +625,25 @@ class SMPReport:
         return self.outcome == "pass"
 
 
-def _exact_inverse(domain: list[NNPoly], images: list[NNPoly], inverse, expected: set) -> bool:
-    """The images are distinct, ``inverse`` undoes each, and their coefficients form exactly ``expected``."""
-    keys = {q.coeffs for q in images}
-    return (
-        len(keys) == len(domain)
-        and all(inverse(q).coeffs == p.coeffs for p, q in zip(domain, images))
-        and keys == expected
+def _smp_index_maps(max_degree: int, max_coeff: int) -> tuple[int, range, range]:
+    """g and h on the indices of ``enumerate_polys``, in closed form: (n_A, g images, h images).
+
+    The order is mixed radix in base B = max_coeff + 1 with the constant term
+    the most significant of the max_degree + 1 digits, so class A is the
+    indices i < n_A = B^max_degree.  Dividing by x moves every digit one
+    place up, so g is i -> B*i on class A; subtracting 1 lowers the top digit,
+    so h is i -> i - n_A on class B, the indices n_A..B*n_A - 1.
+    """
+    base = max_coeff + 1
+    n_a = base**max_degree
+    return n_a, range(0, base * n_a, base), range((base - 1) * n_a)
+
+
+def _maps_match(polys: tuple[NNPoly, ...], domain: range, images: range, forward, inverse) -> bool:
+    """forward takes each polys[i] to polys[j] of the index map i -> j, and inverse takes it back."""
+    return len(images) == len(domain) and all(
+        forward(polys[i]).coeffs == polys[j].coeffs and inverse(polys[j]).coeffs == polys[i].coeffs
+        for i, j in zip(domain, images)
     )
 
 
@@ -642,8 +652,10 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
 
     Symbolic side: A/B partition the range; g and h are injective with exact
     inverses, and their images are exactly the degree- and constant-truncated
-    ranges.  Numeric side, at ``precision_bits``: all embedded points are
-    pairwise distinct beyond 1e-12, and g/h act as the claimed isometries
+    ranges.  Both are checked on the indices of the enumeration, where the
+    closed-form index maps of :func:`_smp_index_maps` must agree with the
+    polynomial maps.  Numeric side, at ``precision_bits``: all embedded points
+    are pairwise distinct beyond 1e-12, and g/h act as the claimed isometries
     (rotation by e^-i, translation by -1).  Separation below threshold is
     reported as inconclusive, not failure: the embedded points are distinct
     transcendentals, only the precision can fall short.  A value the
@@ -654,29 +666,31 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
     if precision_bits < MIN_PRECISION_BITS:
         raise ValueError(f"precision_bits must be >= {MIN_PRECISION_BITS}")
     polys = enumerate_polys(max_degree, max_coeff)
-    # The sets and the index key on coefficient tuples: NNPoly equality is
-    # tuple equality, and a tuple hashes in C where NNPoly.__hash__ is Python.
-    index = {p.coeffs: i for i, p in enumerate(polys)}
-    part_a: list[NNPoly] = []
-    part_b: list[NNPoly] = []
-    for p in polys:
-        (part_a if smp_classify(p) is PolyClass.A else part_b).append(p)
-    findings: list[Finding] = []
-    findings.append(Finding("partition", len(part_a) + len(part_b) == len(polys) and len(index) == len(polys)))
+    coeffs = [p.coeffs for p in polys]
+    n_a, g_images, h_images = _smp_index_maps(max_degree, max_coeff)
+    part_a, part_b = range(n_a), range(n_a, len(polys))
+    # Stripping trailing zeros keeps the lexicographic order of the padded
+    # tuples, so an enumeration in strictly increasing order is distinct.
+    distinct = all(map(tuple.__lt__, coeffs, coeffs[1:]))
+    class_a = [j for j, c in enumerate(coeffs) if not c or not c[0]]
+    findings: list[Finding] = [Finding("partition", distinct and class_a == list(part_a))]
 
-    g_images = [smp_g(p) for p in part_a]
-    # degree <= max_degree - 1
-    ok_g = _exact_inverse(part_a, g_images, smp_mul_x, {c for c in index if len(c) <= max_degree})
+    # Each image is compared first, so the maps only ever index the enumeration.
+    # g's image: degree <= max_degree - 1
+    ok_g = [j for j, c in enumerate(coeffs) if len(c) <= max_degree] == list(g_images) and _maps_match(
+        polys, part_a, g_images, smp_g, smp_mul_x
+    )
     findings.append(Finding("g_bijection", ok_g, "" if ok_g else "shift-down failed an exactness check"))
 
-    h_images = [smp_h(p) for p in part_b]
-    # constant <= max_coeff - 1
-    ok_h = _exact_inverse(part_b, h_images, smp_add_one, {c for c in index if not c or c[0] < max_coeff})
+    # h's image: constant <= max_coeff - 1
+    ok_h = [j for j, c in enumerate(coeffs) if not c or c[0] < max_coeff] == list(h_images) and _maps_match(
+        polys, part_b, h_images, smp_h, smp_add_one
+    )
     findings.append(Finding("h_bijection", ok_h, "" if ok_h else "decrement failed an exactness check"))
 
     try:
         numeric, min_distance, min_pair, defect = _smp_numeric(
-            polys, index, zip(part_a, g_images), zip(part_b, h_images), max_degree, max_coeff, precision_bits
+            polys, zip(part_a, g_images), zip(part_b, h_images), max_degree, max_coeff, precision_bits
         )
     except _OffGrid as exc:
         numeric = [Finding("fixed_point_grid", False, str(exc))]
@@ -705,7 +719,7 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
     )
 
 
-def _smp_numeric(polys, index, g_pairs, h_pairs, max_degree, max_coeff, precision_bits):
+def _smp_numeric(polys, g_pairs, h_pairs, max_degree, max_coeff, precision_bits):
     """The separation and isometries findings, the min distance and its pair, and the max isometry defect.
 
     The embedding, the float conversion and the g/h defects run on the
@@ -726,7 +740,7 @@ def _smp_numeric(polys, index, g_pairs, h_pairs, max_degree, max_coeff, precisio
         "separation", separated, f"min pairwise distance {min_distance:.6g} between {polys[i]} and {polys[j]}"
     )
 
-    defects = [_gh_defect(t, embeds, index, g_pairs, h_pairs, prec)]
+    defects = [_gh_defect(t, embeds, g_pairs, h_pairs, prec)]
 
     # rotation preserves sampled pairwise distances
     lib_t_inv = _to_mpc((t[0], -t[1]), grid)
@@ -745,8 +759,8 @@ def _smp_numeric(polys, index, g_pairs, h_pairs, max_degree, max_coeff, precisio
     return [separation, isometries], min_distance, (str(polys[i]), str(polys[j])), to_float(defect, rnd=rnd)
 
 
-def _gh_defect(t, embeds, index, g_pairs, h_pairs, precision_bits: int) -> tuple:
-    """max |P'(t) - moved P(t)| over the (P, P') pairs of g and h, as libmp's mpc_abs of mpc_sub would give it.
+def _gh_defect(t, embeds, g_pairs, h_pairs, precision_bits: int) -> tuple:
+    """max |z_j - moved z_i| over the index pairs (i, j) of g and h, as libmp's mpc_abs of mpc_sub would give it.
 
     g rotates by t^-1 = conj(t), h translates by -1, both on the grid.  The
     difference is rounded per component as mpc_sub rounds it, and mpf_hypot
@@ -758,51 +772,20 @@ def _gh_defect(t, embeds, index, g_pairs, h_pairs, precision_bits: int) -> tuple
     one = 1 << grid
 
     def moved():
-        for p, q in g_pairs:
-            yield q, _mul(t_inv, embeds[index[p.coeffs]], prec, grid)
-        for p, q in h_pairs:
-            zr, zi = embeds[index[p.coeffs]]
-            yield q, (_round(zr - one, prec), zi)
+        for i, j in g_pairs:
+            yield j, _mul(t_inv, embeds[i], prec, grid)
+        for i, j in h_pairs:
+            zr, zi = embeds[i]
+            yield j, (_round(zr - one, prec), zi)
 
     worst_sq, worst = -1, (0, 0)
-    for q, (zr, zi) in moved():
-        wr, wi = embeds[index[q.coeffs]]
+    for j, (zr, zi) in moved():
+        wr, wi = embeds[j]
         dx, dy = _round(wr - zr, prec), _round(wi - zi, prec)
         sq = dx * dx + dy * dy
         if sq > worst_sq:
             worst_sq, worst = sq, (dx, dy)
     return mpc_abs(_to_mpc(worst, grid), prec, round_nearest)
-
-
-def smp_truncation_model(
-    max_degree: int, max_coeff: int
-) -> tuple[FiniteActionModel, ParadoxWitness, frozenset]:
-    """The planar paradox as a finite action model.
-
-    Returns (model, witness, interior): the partial model on the truncated
-    range with labels g and h, the two-piece witness, and the interior on
-    which both moved images provably cover (degree and constant one below
-    their caps).
-    """
-    polys = enumerate_polys(max_degree, max_coeff)
-    points = frozenset(polys)
-    g_map = {p: smp_g(p) for p in polys if smp_classify(p) is PolyClass.A}
-    h_map = {p: smp_h(p) for p in polys if smp_classify(p) is PolyClass.B}
-    model = FiniteActionModel(
-        points=points,
-        maps={"e": {p: p for p in polys}, "g": g_map, "h": h_map},
-        partial=True,
-    )
-    witness = ParadoxWitness(
-        pieces_a=(frozenset(g_map),),
-        movers_a=("g",),
-        pieces_b=(frozenset(h_map),),
-        movers_b=("h",),
-    )
-    interior = frozenset(
-        p for p in polys if p.degree <= max_degree - 1 and p.constant <= max_coeff - 1
-    )
-    return model, witness, interior
 
 
 # ---------------------------------------------------------------------------

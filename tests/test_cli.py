@@ -182,14 +182,17 @@ def test_reports_are_byte_identical():
 
 # sha256 of the stdout of `smp verify ... --seed 1`.  The first three were
 # recorded before the numeric half of smp_verify moved to raw libmp tuples
-# with shared prefixes; the last two (the benchmark size, and magnitudes up
-# to 400) before it moved from libmp to the fixed-point integer kernel.
+# with shared prefixes; the next two (the benchmark size, and magnitudes up
+# to 400) before it moved from libmp to the fixed-point integer kernel; the
+# last (the target size, deg 8) before the symbolic half moved to the
+# closed-form index maps and the closest-pair sweep was reworked.
 SMP_VERIFY_DIGESTS = [
     (("--deg", "3", "--coef", "2"), "2451ed29de6179309580ee19a03ac0f7ed630f2bc8695c862808ce0f4211fd97"),
     (("--deg", "6", "--coef", "3"), "0763d6911bd90d46f1a3d63ae4096bb6a99140d1c6aec7f695a921d927a9e145"),
     (("--deg", "6", "--coef", "3", "--bits", "64"), "6a0f6e23b36a77354b96faf3e0ed03ade6d33b70fb08ff655644d2a6a6f845a0"),
     (("--deg", "7", "--coef", "3"), "32347b54a3352b276eee8e7af78448c7c9751e01f5f12ff10659b4834ab14b60"),
     (("--deg", "1", "--coef", "200"), "77592d2a8ca120735e5f6c0b20916000a3406aaa97072ab5700d15182b53c1df"),
+    (("--deg", "8", "--coef", "3"), "53fd63a2a9b21c7e3c96c41817dc07966440a39f7b907fe6a4c5c378dc6d5c15"),
 ]
 
 

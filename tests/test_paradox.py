@@ -1,5 +1,7 @@
 """Finite action models, paradox witnesses, and the planar two-piece paradox."""
 
+import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import replace
 from functools import cache, cmp_to_key
 
@@ -39,12 +41,12 @@ from paradoxlab.paradox import (
     smp_g,
     smp_h,
     smp_mul_x,
-    smp_truncation_model,
     smp_verify,
     two_to_one_shift_model,
     verify_equidecomp,
     verify_paradox_witness,
     _OffGrid,
+    _closest_pair_sq,
     _coordinate_error,
     _embed_polys,
     _gh_defect,
@@ -52,6 +54,7 @@ from paradoxlab.paradox import (
     _mul,
     _round,
     _separation_slack,
+    _smp_index_maps,
     _to_floats,
     _to_mpc,
 )
@@ -127,9 +130,6 @@ def test_derived_interior_equals_the_shipped_interiors():
         assert model.interior(witness) == interior
     for max_len in (1, 3, 6):
         model, _, witness, interior = two_to_one_shift_model(max_len)
-        assert model.interior(witness) == interior
-    for deg, coef in ((2, 1), (3, 2), (4, 2)):
-        model, witness, interior = smp_truncation_model(deg, coef)
         assert model.interior(witness) == interior
     cert = build_certificate((0, 1, 0))
     for depth in (2, 4, 5, 7):
@@ -269,6 +269,39 @@ def test_smp_verify_names_a_broken_map(monkeypatch, name, broken):
     assert set(failed) <= {failed[0], "isometries"}
 
 
+@pytest.mark.parametrize(
+    "max_degree,max_coeff", [(d, c) for d in range(1, 6) for c in range(1, 5)] + [(7, 3)]
+)
+def test_index_maps_are_the_polynomial_maps(max_degree, max_coeff):
+    polys = enumerate_polys(max_degree, max_coeff)
+    n_a, g_images, h_images = _smp_index_maps(max_degree, max_coeff)
+    for i, p in enumerate(polys):
+        if smp_classify(p) is PolyClass.A:
+            assert i < n_a and smp_g(p) == polys[g_images[i]]
+        else:
+            assert i >= n_a and smp_h(p) == polys[h_images[i - n_a]]
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize("side", ["g", "h"])
+def test_smp_verify_rejects_an_off_by_one_index_map(monkeypatch, side, shift):
+    closed_form = _smp_index_maps
+
+    def off_by_one(max_degree, max_coeff):
+        n_a, g_images, h_images = closed_form(max_degree, max_coeff)
+        if side == "g":
+            g_images = range(g_images.start + shift, g_images.stop + shift, g_images.step)
+        else:
+            h_images = range(h_images.start + shift, h_images.stop + shift)
+        return n_a, g_images, h_images
+
+    monkeypatch.setattr(paradox, "_smp_index_maps", off_by_one)
+    report = smp_verify(3, 2, 128)
+    failed = [f.name for f in report.findings if not f.ok]
+    assert report.outcome == "fail"
+    assert failed[0] == f"{side}_bijection"
+
+
 def test_trusted_polys_pass_public_validation():
     # enumerate_polys and the four smp maps build their results without validation
     polys = enumerate_polys(4, 3)
@@ -386,7 +419,57 @@ def test_gh_defect_argmax_matches_the_max_over_pairs(max_degree, max_coeff, bits
     expected = max(defects, key=cmp_to_key(mpf_cmp))
     assert mpf_cmp(expected, from_man_exp(0, 0)) > 0
     kernel_t, embeds = _embed_polys(max_degree, max_coeff, bits)
-    assert _gh_defect(kernel_t, embeds, index, g_pairs, h_pairs, bits) == expected
+    assert (
+        _gh_defect(
+            kernel_t,
+            embeds,
+            [(index[p.coeffs], index[q.coeffs]) for p, q in g_pairs],
+            [(index[p.coeffs], index[q.coeffs]) for p, q in h_pairs],
+            bits,
+        )
+        == expected
+    )
+
+
+def _reference_closest_pair_sq(points):
+    # the sweep as it was before it sorted (x, y, i) tuples once and kept sqrt(best)
+    order = sorted(range(len(points)), key=lambda i: points[i])
+    best = math.inf
+    pair = (-1, -1)
+    active: list[tuple[float, float, int]] = []  # (y, x, index), sorted
+    left = 0
+    for pos, idx in enumerate(order):
+        x, y = points[idx]
+        d = math.sqrt(best) if best < math.inf else math.inf
+        while left < pos and points[order[left]][0] < x - d:
+            old = order[left]
+            ox, oy = points[old]
+            del active[bisect_left(active, (oy, ox, old))]
+            left += 1
+        if best == math.inf:
+            window = list(active)
+        else:
+            window = active[bisect_left(active, (y - d,)) : bisect_right(active, (y + d,))]
+        for cy, cx, cidx in window:
+            dsq = (x - cx) ** 2 + (y - cy) ** 2
+            if dsq < best:
+                best = dsq
+                pair = (cidx, idx)
+        insort(active, (y, x, idx))
+    return best, pair
+
+
+@pytest.mark.parametrize("max_degree,max_coeff,bits", [(3, 2, 128), (6, 3, 64), (7, 3, 128), (1, 200, 128), (3, 4, 64)])
+def test_closest_pair_matches_the_reference_sweep_on_the_embedding(max_degree, max_coeff, bits):
+    _, embeds = _embed_polys(max_degree, max_coeff, bits)
+    points = _to_floats(embeds, _grid_bits(bits))
+    assert _closest_pair_sq(points) == _reference_closest_pair_sq(points)
+
+
+# small integer coordinates: repeated points and equal distances are common
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(lambda p: (float(p[0]), float(p[1]))), max_size=60))
+def test_closest_pair_matches_the_reference_sweep_on_lattice_points(points):
+    assert _closest_pair_sq(points) == _reference_closest_pair_sq(points)
 
 
 def test_rescale_with_low_bits_fails_closed():
@@ -432,12 +515,6 @@ def test_separation_slack_is_derived_from_the_magnitudes():
             # exact differences (no precision given), rounded once for the comparison
             worst = max(worst, abs(to_float(mpf_sub(f, a))), abs(to_float(mpf_sub(f, b))))
     assert 0 < worst <= bound
-
-
-def test_smp_truncation_model_witness():
-    model, witness, interior = smp_truncation_model(4, 2)
-    report = verify_paradox_witness(model, model.points, witness, interior=interior)
-    assert report.passed
 
 
 # -- orbit transport ---------------------------------------------------------
