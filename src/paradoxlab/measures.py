@@ -33,10 +33,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from random import Random
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DomainError,
@@ -45,7 +48,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .paradox import FiniteActionModel, ParadoxWitness, interior_mismatch
+from .paradox import FiniteActionModel, ParadoxWitness, PointBits, bitset
 from .report import Finding
 
 Point = Hashable
@@ -363,6 +366,26 @@ class PointMeasure:
 
     def is_probability(self) -> bool:
         return self.total() == 1
+
+
+def _indexed_mass(nu: PointMeasure, bits: PointBits) -> Callable[[int], Fraction]:
+    """nu on the bitsets of one verifier call: mu(b) = sum over weights w of w * |b & points weighing w|.
+
+    The weights are grouped by value, so a uniform measure is one group and
+    a Dirac measure one bit.
+    """
+    by_value: defaultdict[tuple[int, int], list] = defaultdict(list)
+    for p, w in nu.weights.items():
+        by_value[w.numerator, w.denominator].append(p)
+    groups = []
+    for value, points in by_value.items():
+        ids = bits.ids(points)
+        groups.append((Fraction(*value), bitset(ids, bits.width)))
+
+    def mass(b: int) -> Fraction:
+        return sum((w * (b & group).bit_count() for w, group in groups), start=Fraction(0))
+
+    return mass
 
 
 #: Random disjoint pairs drawn by :func:`audit_point_measure`.
@@ -864,8 +887,14 @@ def paradox_contradiction(
     if interior is not None and not interior <= space:
         raise ModelError("interior must sit inside the space")
 
+    bits = PointBits(model)
+    space_bits = bits.of(space)
+    piece_ids = [bits.ids(p) for p in pieces]
+    piece_bits = [bitset(ids, bits.width) for ids in piece_ids]
+    mass = _indexed_mass(nu, bits)
+
     links: list[ChainLink] = []
-    total = nu.mu(space)
+    total = mass(space_bits)
     links.append(
         ChainLink(
             "total_mass",
@@ -877,9 +906,8 @@ def paradox_contradiction(
         )
     )
 
-    union_sizes = len(frozenset().union(*pieces))
-    disjoint = union_sizes == sum(len(p) for p in pieces)
-    sum_pieces = sum((nu.mu(p) for p in pieces), start=Fraction(0))
+    disjoint = reduce(or_, piece_bits).bit_count() == sum(len(p) for p in pieces)
+    sum_pieces = sum(map(mass, piece_bits), start=Fraction(0))
     links.append(
         ChainLink(
             "superadditivity",
@@ -891,9 +919,14 @@ def paradox_contradiction(
         )
     )
 
-    moved_a, undefined_a = model.images(witness.pieces_a, witness.movers_a)
-    moved_b, undefined_b = model.images(witness.pieces_b, witness.movers_b)
-    sum_moved = sum((nu.mu(m) for m in moved_a + moved_b), start=Fraction(0))
+    k = len(witness.pieces_a)
+    moved_a, undefined_a = bits.moved(piece_ids[:k], witness.movers_a)
+    moved_b, undefined_b = bits.moved(piece_ids[k:], witness.movers_b)
+    if not model.points <= nu.universe:
+        unmeasured = bitset((i for i, p in enumerate(bits.index.points) if p not in nu.universe), bits.width)
+        if any(m & unmeasured for m in moved_a + moved_b):
+            raise DomainError("measure evaluated outside its universe")
+    sum_moved = sum(map(mass, moved_a + moved_b), start=Fraction(0))
 
     if invariant:
         links.append(
@@ -918,9 +951,9 @@ def paradox_contradiction(
             )
         )
 
-    union_a = frozenset().union(*moved_a)
-    union_b = frozenset().union(*moved_b)
-    nu_a, nu_b = nu.mu(union_a & space), nu.mu(union_b & space)
+    union_a = reduce(or_, moved_a)
+    union_b = reduce(or_, moved_b)
+    nu_a, nu_b = mass(union_a & space_bits), mass(union_b & space_bits)
     nu_unions = nu_a + nu_b
     links.append(
         ChainLink(
@@ -945,10 +978,10 @@ def paradox_contradiction(
             )
         )
     else:
-        derived = model.interior(witness)
-        mismatch = interior_mismatch(interior, derived)
-        covers = derived <= union_a and derived <= union_b
-        leaked = 0 if invariant else nu.mu(((union_a | union_b) & space) - derived)
+        derived = bits.index.interior(witness.movers_a + witness.movers_b)
+        mismatch = bits.mismatch(interior, derived)
+        covers = not derived & ~union_a and not derived & ~union_b
+        leaked = 0 if invariant else mass((union_a | union_b) & space_bits & ~derived)
         if mismatch:
             detail = mismatch
         elif not covers:
@@ -957,8 +990,8 @@ def paradox_contradiction(
             detail = f"moved mass leaks past the interior: nu gives {leaked} to moved points outside it"
         else:
             detail = (
-                f"each side covers the {len(derived)}-point interior exactly; "
-                f"boundary excess a: {len(union_a - derived)}, b: {len(union_b - derived)} point(s), "
+                f"each side covers the {derived.bit_count()}-point interior exactly; "
+                f"boundary excess a: {(union_a & ~derived).bit_count()}, b: {(union_b & ~derived).bit_count()} point(s), "
                 f"undefined a: {undefined_a}, b: {undefined_b}; "
                 "in the untruncated model the unions cover all of X"
             )

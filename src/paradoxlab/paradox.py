@@ -1,8 +1,8 @@
 """Finite action models, paradox witnesses, and two worked decompositions.
 
 A :class:`FiniteActionModel` is a finite set of points with labelled maps.
-Witness verifiers check the set-theoretic content of a paradoxical or
-equidecomposability claim on such a model.  Infinite sets only ever appear
+Witness verifiers check the set-theoretic content of a paradoxical
+decomposition on such a model.  Infinite sets only ever appear
 through finite truncations, so covering identities may be scoped to an
 *interior* subset: points whose preimages stay inside the truncation.  The
 interior is derived from the model (:meth:`FiniteActionModel.interior`); an
@@ -28,7 +28,9 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key, reduce
+from operator import or_
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from mpmath.libmp import (
@@ -62,13 +64,82 @@ Point = Hashable
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+def bitset(indices: Iterable[int], width: int) -> int:
+    """The int with bit i set for each i of ``indices``, all below ``width``; -1 sets no bit."""
+    flags = bytearray(b"0") * (width + 1)
+    for i in indices:
+        flags[i] = 49  # "1"; -1 writes the spare last slot, cleared below
+    flags[-1] = 48
+    return int(flags[::-1], 2)
+
+
+@dataclass(frozen=True)
+class _PointIndex:
+    """A model's points numbered 0..n-1 in one fixed order, and its maps on those numbers.
+
+    ``image[label][i]`` is the number of the image of point i, or -1 where
+    the label is undefined there; ``reach[label]`` is the bitset of the
+    label's range.  A label in ``outside`` maps a point, or to a point,
+    outside the point set: its tuple holds only the pairs inside it.
+    """
+
+    points: tuple
+    at: dict
+    image: dict[str, tuple[int, ...]]
+    reach: dict[str, int]
+    outside: frozenset[str]
+
+    @classmethod
+    def build(cls, points: frozenset, maps: Mapping[str, Mapping[Point, Point]]) -> "_PointIndex":
+        # Iteration order of the frozenset, not sorting: points need not be mutually orderable.
+        order = tuple(points)
+        n = len(order)
+        at = dict(zip(order, range(n)))
+        image, reach, outside = {}, {}, set()
+        for label, mapping in maps.items():
+            src = list(map(at.get, mapping))
+            dst = list(map(at.get, mapping.values()))
+            row = [-1] * n
+            if None in src or None in dst:
+                outside.add(label)
+                pairs = [(i, j) for i, j in zip(src, dst) if i is not None and j is not None]
+                dst = [j for j in dst if j is not None]
+            else:
+                pairs = zip(src, dst)
+            for i, j in pairs:
+                row[i] = j
+            image[label] = tuple(row)
+            reach[label] = bitset(dst, n)
+        return cls(order, at, image, reach, frozenset(outside))
+
+    def subset(self, bits: int) -> frozenset:
+        """The points whose bits are set; every bit must be below the number of points."""
+        flags = format(bits, f"0{len(self.points)}b")[::-1]
+        return frozenset(itertools.compress(self.points, map("1".__eq__, flags)))
+
+    def interior(self, movers: Sequence[str]) -> int:
+        """The bitset of points every mover reaches."""
+        inside = (1 << len(self.points)) - 1
+        for label in dict.fromkeys(movers):
+            if label not in self.image:
+                raise ModelError(f"unknown group label {label!r}")
+            inside &= self.reach[label]
+        return inside
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteActionModel:
     """Points plus labelled maps; ``partial`` admits truncation boundaries.
 
     Total models require every label to act as a bijection.  Partial models
     (finite shadows of infinite actions) require injectivity on the defined
     domain instead; the identity label must still be total.
+
+    The model keeps read-only copies of ``points`` and ``maps``, and the
+    verifiers run on an index built from them once, on first use: the
+    points numbered 0..n-1, each map an int tuple and point sets int
+    bitsets (:class:`PointBits`).  Point objects come back only for
+    messages.
     """
 
     points: frozenset
@@ -76,33 +147,32 @@ class FiniteActionModel:
     identity: str = "e"
     partial: bool = False
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "points", frozenset(self.points))
+        frozen = {label: MappingProxyType(dict(mapping)) for label, mapping in self.maps.items()}
+        object.__setattr__(self, "maps", MappingProxyType(frozen))
+
+    @cached_property
+    def _index(self) -> _PointIndex:
+        return _PointIndex.build(self.points, self.maps)
+
     def validate(self) -> None:
         if self.identity not in self.maps:
             raise ModelError(f"identity label {self.identity!r} missing from maps")
-        for label, mapping in self.maps.items():
-            dom = set(mapping)
-            rng = set(mapping.values())
-            if not dom <= self.points or not rng <= self.points:
+        index = self._index
+        n = len(index.points)
+        for label, row in index.image.items():
+            if label in index.outside:
                 raise ModelError(f"label {label!r} maps outside the point set")
-            if len(rng) != len(mapping):
+            defined = n - row.count(-1)
+            targets = set(row)
+            targets.discard(-1)
+            if len(targets) != defined:
                 raise ModelError(f"label {label!r} is not injective")
-            if not self.partial and dom != self.points:
+            if not self.partial and defined != n:
                 raise ModelError(f"label {label!r} is not total on the point set")
-        ident = self.maps[self.identity]
-        if set(ident) != self.points or any(ident[p] != p for p in ident):
+        if index.image[self.identity] != tuple(range(n)):
             raise ModelError("identity label must fix every point")
-
-    def images(self, pieces: Sequence[frozenset], movers: Sequence[str]) -> tuple[list[frozenset], int]:
-        """(image of each piece under its mover, count of points where the mover is undefined)."""
-        images = []
-        undefined = 0
-        for piece, label in zip(pieces, movers):
-            if label not in self.maps:
-                raise ModelError(f"unknown group label {label!r}")
-            mapping = self.maps[label]
-            images.append(frozenset(mapping[p] for p in piece if p in mapping))
-            undefined += sum(1 for p in piece if p not in mapping)
-        return images, undefined
 
     def interior(self, witness: "ParadoxWitness") -> frozenset:
         """The points every mover of ``witness`` reaches: the intersection of the movers' ranges.
@@ -111,12 +181,63 @@ class FiniteActionModel:
         every mover's preimage exists, so the covering identities are audited
         there.  On a total model it is every point.
         """
-        inside = frozenset(self.points)
-        for label in dict.fromkeys(witness.movers_a + witness.movers_b):
-            if label not in self.maps:
+        index = self._index
+        return index.subset(index.interior(witness.movers_a + witness.movers_b))
+
+
+class PointBits:
+    """The point sets of one verifier call as int bitsets over a model's index.
+
+    Bit i stands for point i of the index.  A point the model lacks (a
+    caller's space or piece may hold one) gets the next free bit for the rest
+    of the call, and no label is defined on it.
+    """
+
+    def __init__(self, model: FiniteActionModel) -> None:
+        self.points = model.points
+        self.index = model._index
+        self.extra: dict = {}
+
+    @property
+    def width(self) -> int:
+        return len(self.index.points) + len(self.extra)
+
+    def ids(self, subset: Iterable[Point]) -> list[int]:
+        """The bit of each point of ``subset``; a point without one gets the next free bit."""
+        ids = list(map(self.index.at.get, subset))
+        if None in ids:
+            ids = [self.extra.setdefault(p, self.width) if i is None else i for i, p in zip(ids, subset)]
+        return ids
+
+    def of(self, subset: frozenset) -> int:
+        """The bitset of ``subset``; the model's own point set is every bit, without a lookup."""
+        if subset == self.points:
+            return (1 << len(self.index.points)) - 1
+        ids = self.ids(subset)
+        return bitset(ids, self.width)
+
+    def moved(self, pieces: Sequence[list[int]], movers: Sequence[str]) -> tuple[list[int], int]:
+        """Move each piece, given by its bits (:meth:`ids`), by its mover.
+
+        Returns the bitset of each image and the count of points where the
+        mover is undefined.
+        """
+        pad = (-1,) * len(self.extra)
+        images, undefined = [], 0
+        for ids, label in zip(pieces, movers):
+            row = self.index.image.get(label)
+            if row is None:
                 raise ModelError(f"unknown group label {label!r}")
-            inside = inside.intersection(self.maps[label].values())
-        return inside
+            targets = list(map((row + pad).__getitem__, ids))
+            undefined += targets.count(-1)
+            images.append(bitset(targets, self.width))
+        return images, undefined
+
+    def mismatch(self, given: frozenset, derived: int) -> str:
+        """:func:`interior_mismatch` of a caller's interior and the derived interior's bitset."""
+        if self.of(given) == derived:
+            return ""
+        return interior_mismatch(given, self.index.subset(derived))
 
 
 def interior_mismatch(given: frozenset, derived: frozenset) -> str:
@@ -154,18 +275,6 @@ class ParadoxWitness:
 
 
 @dataclass(frozen=True)
-class EquidecompWitness:
-    pieces: tuple[frozenset, ...]
-    movers: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.pieces) != len(self.movers):
-            raise ModelError("each piece needs exactly one mover")
-        if not self.pieces:
-            raise ModelError("an equidecomposition needs at least one piece")
-
-
-@dataclass(frozen=True)
 class WitnessReport:
     findings: tuple[Finding, ...]
     details: dict
@@ -175,12 +284,13 @@ class WitnessReport:
         return all(f.ok for f in self.findings)
 
 
-def _disjointness(pieces: Sequence[frozenset]) -> list[str]:
+def _disjointness(pieces: Sequence[int]) -> list[str]:
+    """Each overlapping pair of piece bitsets, with the points they share."""
     problems = []
     for i, j in itertools.combinations(range(len(pieces)), 2):
-        overlap = pieces[i] & pieces[j]
+        overlap = (pieces[i] & pieces[j]).bit_count()
         if overlap:
-            problems.append(f"pieces {i} and {j} share {len(overlap)} point(s)")
+            problems.append(f"pieces {i} and {j} share {overlap} point(s)")
     return problems
 
 
@@ -201,22 +311,28 @@ def verify_paradox_witness(
     model.validate()
     if interior is not None and not interior <= space:
         raise ModelError("interior must sit inside the space")
-    target = space if interior is None else model.interior(witness)
-    mismatch = "" if interior is None else interior_mismatch(interior, target)
+    bits = PointBits(model)
+    space_bits = bits.of(space)
+    if interior is None:
+        target, mismatch = space_bits, ""
+    else:
+        target = bits.index.interior(witness.movers_a + witness.movers_b)
+        mismatch = bits.mismatch(interior, target)
     findings: list[Finding] = []
-    all_pieces = list(witness.pieces_a) + list(witness.pieces_b)
-    contained = all(p <= space for p in all_pieces)
+    piece_ids = [bits.ids(p) for p in list(witness.pieces_a) + list(witness.pieces_b)]
+    piece_bits = [bitset(ids, bits.width) for ids in piece_ids]
+    contained = all(p & space_bits == p for p in piece_bits)
     findings.append(Finding("pieces_in_space", contained, "" if contained else "a piece leaves the space"))
-    overlap_problems = _disjointness(all_pieces)
+    overlap_problems = _disjointness(piece_bits)
     findings.append(Finding("pieces_disjoint", not overlap_problems, "; ".join(overlap_problems)))
 
-    details: dict = {"space_size": len(space), "interior_size": len(target)}
-    for side, pieces, movers in (("a", witness.pieces_a, witness.movers_a), ("b", witness.pieces_b, witness.movers_b)):
-        images, undefined_total = model.images(pieces, movers)
-        union = frozenset().union(*images)
-        in_space = union <= space
-        covers = target <= union
-        missing = target - union
+    details: dict = {"space_size": len(space), "interior_size": target.bit_count()}
+    k = len(witness.pieces_a)
+    for side, ids, movers in (("a", piece_ids[:k], witness.movers_a), ("b", piece_ids[k:], witness.movers_b)):
+        images, undefined_total = bits.moved(ids, movers)
+        union = reduce(or_, images)
+        in_space = union & space_bits == union
+        missing = (target & ~union).bit_count()
         findings.append(
             Finding(
                 f"moved_{side}_defined",
@@ -224,16 +340,16 @@ def verify_paradox_witness(
                 "" if not undefined_total else f"mover undefined on {undefined_total} point(s)",
             )
         )
-        ok = covers and in_space and not mismatch
+        ok = not missing and in_space and not mismatch
         findings.append(
             Finding(
                 f"moved_{side}_covers",
                 ok,
-                "" if ok else mismatch or f"{len(missing)} interior point(s) uncovered",
+                "" if ok else mismatch or f"{missing} interior point(s) uncovered",
             )
         )
-        details[f"moved_{side}_size"] = len(union)
-        details[f"boundary_{side}_leak"] = len(union - target)
+        details[f"moved_{side}_size"] = union.bit_count()
+        details[f"boundary_{side}_leak"] = (union & ~target).bit_count()
     return WitnessReport(tuple(findings), details)
 
 
@@ -325,35 +441,6 @@ def _prefix_class_witness(
         movers_b=("e", Letter.B.symbol),
     )
     return witness, frozenset(interior)
-
-
-def verify_equidecomp(
-    model: FiniteActionModel,
-    source: frozenset,
-    target: frozenset,
-    witness: EquidecompWitness,
-) -> WitnessReport:
-    """Pieces partition the source; moved pieces partition the target."""
-    model.validate()
-    findings: list[Finding] = []
-    src_union = frozenset().union(*witness.pieces)
-    problems = _disjointness(witness.pieces)
-    findings.append(Finding("pieces_disjoint", not problems, "; ".join(problems)))
-    findings.append(
-        Finding("pieces_partition_source", src_union == source,
-                "" if src_union == source else f"source mismatch by {len(src_union ^ source)} point(s)")
-    )
-    images, undefined_total = model.images(witness.pieces, witness.movers)
-    findings.append(Finding("movers_defined", undefined_total == 0,
-                            "" if not undefined_total else f"{undefined_total} undefined point(s)"))
-    problems = _disjointness(images)
-    findings.append(Finding("images_disjoint", not problems, "; ".join(problems)))
-    img_union = frozenset().union(*images)
-    findings.append(
-        Finding("images_partition_target", img_union == target,
-                "" if img_union == target else f"target mismatch by {len(img_union ^ target)} point(s)")
-    )
-    return WitnessReport(tuple(findings), {"source_size": len(source), "target_size": len(target)})
 
 
 # ---------------------------------------------------------------------------
@@ -515,11 +602,21 @@ def _to_mpc(z: tuple[int, int], grid: int) -> tuple:
 
 
 def _to_floats(points: list[tuple[int, int]], grid: int) -> list[tuple[float, float]]:
-    """Grid points as float pairs.
+    """Grid points as float pairs: each coordinate v becomes v * 2^-grid rounded to nearest, ties to even.
 
-    int / int rounds to nearest, ties to even, so for normal results this
-    is to_float(..., rnd=round_nearest) of the exact value.
+    ``ldexp`` rounds the int v to a float once, to nearest with ties to
+    even, and then scales by 2^-grid, which is exact while the result stays
+    normal.  A nonzero |v| * 2^-grid is at least 2^-grid, so for grid <= 1022
+    it is normal and the float is the correctly rounded value: the same as
+    the exact int division v / 2^grid, which to_float(..., rnd=round_nearest)
+    also gives.  Finer grids, and ints too wide for a float, take that
+    division.
     """
+    if grid <= 1022:
+        try:
+            return [(math.ldexp(x, -grid), math.ldexp(y, -grid)) for x, y in points]
+        except OverflowError:
+            pass
     one = 1 << grid
     return [(x / one, y / one) for x, y in points]
 

@@ -10,6 +10,7 @@ import pytest
 
 from paradoxlab import cli, measures, paradox
 from paradoxlab.errors import InconclusiveError
+from paradoxlab.words import ReducedWord
 
 from conftest import run_cli
 
@@ -253,6 +254,39 @@ def test_paradox_contradiction_report_bytes_are_pinned(tmp_path, monkeypatch):
     assert result.code == 0
     assert hashlib.sha256(result.stdout).hexdigest() == "8d7c9e2bafbc752507dcba94f881814426182c71cee0a8efbfdb91512bc6b685"
 
+
+
+# sha256 of repr(report) for the contradiction chain on f2_ball_model(5), with
+# the shipped interior: the uniform measure and a Dirac measure at each word
+# below, each with invariant True and False.  Recorded at commit dc8556c,
+# before the chain moved from point sets to bitsets over an interned index.
+CHAIN_REPORT_DIGESTS = [
+    (None, True, "a7bbfb67b9e3d4ca6832312e4dbc010b63ba91574aec42ba18225211a6a6941f"),
+    (None, False, "744264a071aba7b8218ff34444082d4dff713897343ad8ba4e7e17302c47d37b"),
+    ("", True, "27e5b4ba2034faf69559cee8a248236c2d39201bba2bd4039e00c37ff625147f"),
+    ("", False, "0957d0c8fb12388c34440f5a1ddf999702756c49298fcb481f24594fc73fd2d2"),
+    ("a", True, "e648f0940b0c75b4ad6d83e58191ab3a4197ad0fc0ebd87f3e9a1302bd0498fe"),
+    ("a", False, "9ca336baa84e95a2d3a1f6c07514dd800eb06536cde4f3975f5c7fa0e065ca42"),
+    ("A", True, "e648f0940b0c75b4ad6d83e58191ab3a4197ad0fc0ebd87f3e9a1302bd0498fe"),
+    ("A", False, "9ca336baa84e95a2d3a1f6c07514dd800eb06536cde4f3975f5c7fa0e065ca42"),
+    ("abAB", True, "e648f0940b0c75b4ad6d83e58191ab3a4197ad0fc0ebd87f3e9a1302bd0498fe"),
+    ("abAB", False, "9ca336baa84e95a2d3a1f6c07514dd800eb06536cde4f3975f5c7fa0e065ca42"),
+    ("aBaBa", True, "4dcbd71ef5bcc1b5433a08616840cad1d262f1010f40fcc3139104bfc6eb831b"),
+    ("aBaBa", False, "e9e6dedb0904ee6264d5ee230a3eea10818951a41592f7d02e742a2ae7d7fca6"),
+    ("BABAB", True, "1e66f81f68e3260a0112073fe8daaab9ec36eb2fe1d857d2ff4213de197b58c3"),
+    ("BABAB", False, "285118055004187524b1f80782f5f687de7790e8482f4a64ee5d017d63ddd30f"),
+]
+
+
+def test_chain_reports_on_the_depth_5_ball_are_pinned():
+    model, space, witness, interior = paradox.f2_ball_model(5)
+    for at, invariant, digest in CHAIN_REPORT_DIGESTS:
+        if at is None:
+            nu = measures.PointMeasure.uniform(space)
+        else:
+            nu = measures.PointMeasure.dirac(space, ReducedWord.from_string(at))
+        report = measures.paradox_contradiction(model, space, witness, nu, invariant, interior=interior)
+        assert hashlib.sha256(repr(report).encode()).hexdigest() == digest, (at, invariant)
 
 def test_sphere_absorb_at_depth_6_passes(report_schema):
     result = run_cli("sphere", "absorb", "--depth", "6", "--iters", "3")

@@ -28,7 +28,6 @@ from paradoxlab.errors import DomainError, ModelError, PreconditionError
 from paradoxlab.exactlin import generator_matrix
 from paradoxlab.freeness import build_certificate
 from paradoxlab.paradox import (
-    EquidecompWitness,
     FiniteActionModel,
     NNPoly,
     ParadoxWitness,
@@ -43,7 +42,6 @@ from paradoxlab.paradox import (
     smp_mul_x,
     smp_verify,
     two_to_one_shift_model,
-    verify_equidecomp,
     verify_paradox_witness,
     _OffGrid,
     _closest_pair_sq,
@@ -61,15 +59,6 @@ from paradoxlab.paradox import (
 from paradoxlab.words import Letter, ball_size
 
 # -- models and witnesses ----------------------------------------------------
-
-
-def _tiny_model():
-    pts = frozenset(range(4))
-    swap = {0: 1, 1: 0, 2: 3, 3: 2}
-    return FiniteActionModel(
-        points=pts,
-        maps={"e": {p: p for p in pts}, "s": swap},
-    )
 
 
 def test_model_validation_catches_defects():
@@ -181,15 +170,6 @@ def test_disjointness_mutations_rejected():
         report = verify_paradox_witness(model, space, bad, interior=interior)
         failed = {f.name for f in report.findings if not f.ok}
         assert "pieces_disjoint" in failed
-
-
-def test_equidecomp_on_tiny_model():
-    model = _tiny_model()
-    witness = EquidecompWitness(pieces=(frozenset({0, 2}),), movers=("s",))
-    report = verify_equidecomp(model, frozenset({0, 2}), frozenset({1, 3}), witness)
-    assert report.passed
-    bad = verify_equidecomp(model, frozenset({0, 2}), frozenset({1, 2}), witness)
-    assert not bad.passed
 
 
 # -- nonnegative integer polynomials -----------------------------------------
@@ -385,6 +365,33 @@ def test_float_conversion_matches_to_float(case):
     assert _to_floats([(v, -v)], grid) == [
         (to_float(from_man_exp(v, -grid), rnd=round_nearest), to_float(from_man_exp(-v, -grid), rnd=round_nearest))
     ]
+
+
+def _to_floats_by_division(points, grid):
+    # the conversion _to_floats replaced: one exact int division per coordinate
+    one = 1 << grid
+    return [(x / one, y / one) for x, y in points]
+
+
+def test_float_conversion_by_ldexp_equals_the_int_division():
+    bits = 128
+    grid = _grid_bits(bits)
+    _, embeds = _embed_polys(6, 3, bits)
+    assert _to_floats(embeds, grid) == _to_floats_by_division(embeds, grid)
+    # ties and near-ties of rounding to 53 bits, in odd values wider than 53 bits, at several scales
+    ties = [(1 << 53) + 1, (1 << 53) + 3, (1 << 54) + 2, (1 << 70) + (1 << 17), (1 << 70) + (1 << 17) + 1, (1 << 70) + 1]
+    values = [v << shift for v in ties for shift in (0, grid - 60, grid - 53, grid)] + [1, 1 << grid, 0]
+    points = [(v, -v) for v in values] + [(-v, v) for v in values]
+    assert _to_floats(points, grid) == _to_floats_by_division(points, grid)
+    assert _to_floats([(1 << grid, -(1 << grid)), (0, 0)], grid) == [(1.0, -1.0), (0.0, 0.0)]
+    # 2^-1022 is the smallest normal float; past that grid, and for ints too wide
+    # for a float, the conversion divides exactly.  At grid 1100 the value
+    # 2^55 + 2^25 + 1 lands among subnormals, where rounding v to a float first
+    # and scaling after would round twice, to 2^55 * 2^-1100.
+    subnormal_tie = (1 << 55) + (1 << 25) + 1
+    assert math.ldexp(subnormal_tie, -1100) != subnormal_tie / (1 << 1100)
+    for grid, v in ((1022, 1), (1022, 3), (1024, 1), (1100, subnormal_tie), (1100, 3 << 1099), (1000, (1 << 1030) + 1)):
+        assert _to_floats([(v, -v)], grid) == _to_floats_by_division([(v, -v)], grid)
 
 
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(4, 3, 128), (1, 200, 128), (3, 2, 64)])
