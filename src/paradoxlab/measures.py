@@ -2,12 +2,6 @@
 
 Everything here is exact rational arithmetic over finite carriers:
 
-* Boolean algebras as explicit operation tables, with the axiom audit and
-  the uniform-on-atoms probability measure that every finite algebra admits.
-  (For infinite algebras the analogous existence statement needs choice
-  principles and is out of constructive reach; only the finite content is
-  built.)
-
 * Point-weight measures on power sets, invariant measures on finite group
   tables, and the measure a free finite action induces on its acting group:
   integrate the uniform orbit measures of a piece's translates against an
@@ -62,46 +56,6 @@ def _frac(x) -> Fraction:
     return Fraction(x)
 
 
-def _fmt(x) -> str:
-    if isinstance(x, frozenset):
-        return "{" + ",".join(sorted(map(str, x))) + "}"
-    return str(x)
-
-
-# ---------------------------------------------------------------------------
-# Boolean algebras with explicit tables
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class FiniteBooleanAlgebra:
-    """A finite Boolean algebra given by full operation tables.
-
-    Tables are plain mappings so that tests can corrupt single entries and
-    watch the audit localize the damage.  Storage is quadratic in the number
-    of elements; fine for the power sets of small bases used here.
-    """
-
-    elements: frozenset
-    join: Mapping[tuple, Point]
-    meet: Mapping[tuple, Point]
-    complement: Mapping[Point, Point]
-    zero: Point
-    one: Point
-
-    def join_of(self, a, b):
-        try:
-            return self.join[(a, b)]
-        except KeyError:
-            raise ModelError(f"join table missing entry ({_fmt(a)}, {_fmt(b)})") from None
-
-    def meet_of(self, a, b):
-        try:
-            return self.meet[(a, b)]
-        except KeyError:
-            raise ModelError(f"meet table missing entry ({_fmt(a)}, {_fmt(b)})") from None
-
-
 #: Largest carrier whose subsets are enumerated exhaustively (2^12 = 4096 subsets).
 MAX_EXHAUSTIVE_ORDER = 12
 
@@ -116,185 +70,6 @@ def _subsets(items: Sequence) -> Iterator[frozenset]:
         )
     for mask in range(1 << n):
         yield frozenset(items[i] for i in range(n) if mask >> i & 1)
-
-
-def power_set_algebra(base: Iterable) -> FiniteBooleanAlgebra:
-    """The power set of a finite base with union, intersection, complement."""
-    items = tuple(base)
-    if len(set(items)) != len(items):
-        raise ModelError("base elements must be distinct")
-    full = frozenset(items)
-    subsets = list(_subsets(items))
-    return FiniteBooleanAlgebra(
-        elements=frozenset(subsets),
-        join={(x, y): x | y for x in subsets for y in subsets},
-        meet={(x, y): x & y for x in subsets for y in subsets},
-        complement={x: full - x for x in subsets},
-        zero=frozenset(),
-        one=full,
-    )
-
-
-@dataclass(frozen=True)
-class BooleanAxiomReport:
-    element_count: int
-    findings: tuple[Finding, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(f.ok for f in self.findings)
-
-
-def verify_boolean_axioms(ba: FiniteBooleanAlgebra) -> BooleanAxiomReport:
-    """Exhaustive audit of the algebra axioms; violations are reported, not raised.
-
-    Beyond the axiom schemas this derives the constants: a /\\ ~a must be the
-    same element for every a (the zero), dually for the one, and both must
-    match the declared distinguished elements.
-    """
-    elems = sorted(ba.elements, key=_fmt)
-    findings: list[Finding] = []
-
-    missing = []
-    for a in elems:
-        if a not in ba.complement:
-            missing.append(f"~{_fmt(a)}")
-        for b in elems:
-            if (a, b) not in ba.join:
-                missing.append(f"join({_fmt(a)},{_fmt(b)})")
-            if (a, b) not in ba.meet:
-                missing.append(f"meet({_fmt(a)},{_fmt(b)})")
-    findings.append(
-        Finding("tables_total", not missing, "" if not missing else f"missing {missing[0]} and {len(missing) - 1} more")
-    )
-    if missing:
-        return BooleanAxiomReport(len(elems), tuple(findings))
-
-    def first_violation(pairs_or_triples, check, describe):
-        for tup in pairs_or_triples:
-            if not check(*tup):
-                return describe(*tup)
-        return ""
-
-    pairs = list(itertools.product(elems, repeat=2))
-    triples = list(itertools.product(elems, repeat=3))
-
-    detail = first_violation(
-        pairs,
-        lambda a, b: ba.join[(a, b)] == ba.join[(b, a)] and ba.meet[(a, b)] == ba.meet[(b, a)],
-        lambda a, b: f"commutativity breaks at ({_fmt(a)}, {_fmt(b)})",
-    )
-    findings.append(Finding("commutativity", not detail, detail))
-
-    detail = first_violation(
-        triples,
-        lambda a, b, c: ba.join[(ba.join[(a, b)], c)] == ba.join[(a, ba.join[(b, c)])]
-        and ba.meet[(ba.meet[(a, b)], c)] == ba.meet[(a, ba.meet[(b, c)])],
-        lambda a, b, c: f"associativity breaks at ({_fmt(a)}, {_fmt(b)}, {_fmt(c)})",
-    )
-    findings.append(Finding("associativity", not detail, detail))
-
-    detail = first_violation(
-        triples,
-        lambda a, b, c: ba.meet[(a, ba.join[(b, c)])] == ba.join[(ba.meet[(a, b)], ba.meet[(a, c)])]
-        and ba.join[(a, ba.meet[(b, c)])] == ba.meet[(ba.join[(a, b)], ba.join[(a, c)])],
-        lambda a, b, c: f"distributivity breaks at ({_fmt(a)}, {_fmt(b)}, {_fmt(c)})",
-    )
-    findings.append(Finding("distributivity", not detail, detail))
-
-    detail = first_violation(
-        pairs,
-        lambda a, b: ba.join[(ba.meet[(a, b)], b)] == b and ba.meet[(ba.join[(a, b)], b)] == b,
-        lambda a, b: f"absorption breaks at ({_fmt(a)}, {_fmt(b)})",
-    )
-    findings.append(Finding("absorption", not detail, detail))
-
-    detail = first_violation(
-        pairs,
-        lambda a, b: ba.join[(ba.meet[(a, ba.complement[a])], b)] == b
-        and ba.meet[(ba.join[(a, ba.complement[a])], b)] == b,
-        lambda a, b: f"complement law breaks at ({_fmt(a)}, {_fmt(b)})",
-    )
-    findings.append(Finding("complement_bounds", not detail, detail))
-
-    bottoms = {ba.meet[(a, ba.complement[a])] for a in elems}
-    tops = {ba.join[(a, ba.complement[a])] for a in elems}
-    ok = bottoms == {ba.zero} and tops == {ba.one}
-    findings.append(
-        Finding(
-            "constants_welldefined",
-            ok,
-            ""
-            if ok
-            else f"derived bottoms {sorted(map(_fmt, bottoms))} / tops {sorted(map(_fmt, tops))} "
-            f"vs declared {_fmt(ba.zero)} / {_fmt(ba.one)}",
-        )
-    )
-    return BooleanAxiomReport(len(elems), tuple(findings))
-
-
-@dataclass(eq=False)
-class AlgebraMeasure:
-    """Exact rational values on every element of a finite Boolean algebra."""
-
-    algebra: FiniteBooleanAlgebra
-    values: Mapping[Point, Fraction]
-
-    def mu(self, x) -> Fraction:
-        try:
-            return self.values[x]
-        except KeyError:
-            raise ModelError(f"{_fmt(x)} is not in the algebra") from None
-
-
-def construct_probability_measure(ba: FiniteBooleanAlgebra) -> AlgebraMeasure:
-    """Uniform weight on the atoms, extended by additivity.
-
-    Atoms are the minimal nonzero elements; in a finite Boolean algebra every
-    element is the join of the atoms below it, so counting atoms below x and
-    dividing by the atom total yields a finitely additive probability
-    measure, exactly.
-    """
-    audit = verify_boolean_axioms(ba)
-    if not audit.passed:
-        bad = next(f.name for f in audit.findings if not f.ok)
-        raise PreconditionError(f"algebra fails the axiom audit ({bad})")
-    elems = sorted(ba.elements, key=_fmt)
-    nonzero = [x for x in elems if x != ba.zero]
-    atoms = [
-        x
-        for x in nonzero
-        if not any(y != x and ba.meet_of(y, x) == y for y in nonzero)
-    ]
-    if not atoms:
-        raise DomainError("degenerate algebra: zero equals one")
-    total = len(atoms)
-    values = {
-        x: Fraction(sum(1 for a in atoms if ba.meet_of(a, x) == a), total) for x in elems
-    }
-    measure = AlgebraMeasure(ba, values)
-    if measure.mu(ba.zero) != 0 or measure.mu(ba.one) != 1:
-        raise InvariantViolationError("atom construction lost the endpoints")
-    return measure
-
-
-def audit_algebra_additivity(measure: AlgebraMeasure) -> Finding:
-    """Independent recheck: mu(a v b) = mu(a) + mu(b) on every disjoint pair."""
-    ba = measure.algebra
-    elems = sorted(ba.elements, key=_fmt)
-    checked = 0
-    for a in elems:
-        for b in elems:
-            if ba.meet_of(a, b) != ba.zero:
-                continue
-            checked += 1
-            if measure.mu(ba.join_of(a, b)) != measure.mu(a) + measure.mu(b):
-                return Finding(
-                    "additivity",
-                    False,
-                    f"mu({_fmt(a)} v {_fmt(b)}) != mu({_fmt(a)}) + mu({_fmt(b)})",
-                )
-    return Finding("additivity", True, f"checked {checked} disjoint pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +93,10 @@ class PointMeasure:
         fixed = {}
         for p, w in self.weights.items():
             if p not in self.universe:
-                raise ModelError(f"weight on {_fmt(p)} outside the universe")
+                raise ModelError(f"weight on {p!s} outside the universe")
             w = _frac(w)
             if w < 0:
-                raise ModelError(f"negative weight on {_fmt(p)}")
+                raise ModelError(f"negative weight on {p!s}")
             fixed[p] = w
         self.weights = fixed
 
@@ -337,7 +112,7 @@ class PointMeasure:
     def dirac(cls, universe: Iterable, at) -> "PointMeasure":
         pts = frozenset(universe)
         if at not in pts:
-            raise ModelError(f"dirac point {_fmt(at)} outside the universe")
+            raise ModelError(f"dirac point {at!s} outside the universe")
         return cls(pts, {at: Fraction(1)})
 
     def mu(self, subset: Iterable) -> Fraction:
@@ -395,7 +170,7 @@ ADDITIVITY_SAMPLES = 200
 def audit_point_measure(m: PointMeasure, *, seed: int = 0) -> Finding:
     """Additivity on random disjoint pairs: mu(A u B) = mu(A) + mu(B)."""
     rng = Random(seed)
-    pts = sorted(m.universe, key=_fmt)
+    pts = sorted(m.universe, key=str)
     if m.mu(frozenset()) != 0:
         return Finding("additivity", False, "mu(empty) != 0")
     for _ in range(ADDITIVITY_SAMPLES):
@@ -529,24 +304,24 @@ class GroupAction:
         for g in self.group.elements:
             for x in self.points:
                 if (g, x) not in self.act:
-                    raise ModelError(f"action undefined at ({g!r}, {_fmt(x)})")
+                    raise ModelError(f"action undefined at ({g!r}, {x!s})")
                 if self.act[(g, x)] not in self.points:
-                    raise ModelError(f"action leaves the point set at ({g!r}, {_fmt(x)})")
+                    raise ModelError(f"action leaves the point set at ({g!r}, {x!s})")
         for x in self.points:
             if self.act[(self.group.identity, x)] != x:
-                raise ModelError(f"identity moves {_fmt(x)}")
+                raise ModelError(f"identity moves {x!s}")
         for g in self.group.elements:
             for h in self.group.elements:
                 gh = self.group.mul(g, h)
                 for x in self.points:
                     if self.act[(g, self.act[(h, x)])] != self.act[(gh, x)]:
-                        raise ModelError(f"action is not compatible at ({g!r}, {h!r}, {_fmt(x)})")
+                        raise ModelError(f"action is not compatible at ({g!r}, {h!r}, {x!s})")
 
     def apply(self, g, x):
         try:
             return self.act[(g, x)]
         except KeyError:
-            raise ModelError(f"action undefined at ({g!r}, {_fmt(x)})") from None
+            raise ModelError(f"action undefined at ({g!r}, {x!s})") from None
 
     def free_violations(self) -> list[tuple]:
         e = self.group.identity
@@ -561,7 +336,7 @@ class GroupAction:
     def orbits(self) -> list[frozenset]:
         seen: set = set()
         out = []
-        for x in sorted(self.points, key=_fmt):
+        for x in sorted(self.points, key=str):
             if x in seen:
                 continue
             orb = frozenset(self.apply(g, x) for g in self.group.elements)
@@ -614,18 +389,18 @@ def induced_group_measure(action: GroupAction, mu: PointMeasure) -> InducedMeasu
     violations = action.free_violations()
     if violations:
         g, x = violations[0]
-        raise PreconditionError(f"action is not free: {g!r} fixes {_fmt(x)}")
+        raise PreconditionError(f"action is not free: {g!r} fixes {x!s}")
     for g in G.elements:
         for x in action.points:
             if mu.mu({action.apply(g, x)}) != mu.mu({x}):
-                raise PreconditionError(f"mu is not invariant: weight changes along ({g!r}, {_fmt(x)})")
+                raise PreconditionError(f"mu is not invariant: weight changes along ({g!r}, {x!s})")
 
     orbits = action.orbits()
     for orb in orbits:
         if len(orb) != len(G):
             raise InvariantViolationError("free finite action produced an orbit smaller than the group")
 
-    points = sorted(action.points, key=_fmt)
+    points = sorted(action.points, key=str)
     point_mass = {x: mu.mu({x}) for x in points}
 
     def f(A: frozenset, x) -> Fraction:
@@ -1056,41 +831,67 @@ def contradiction_input_to_json(
 
 
 def contradiction_input_from_json(data: Mapping):
-    """Inverse of :func:`contradiction_input_to_json`, with located complaints."""
+    """Inverse of :func:`contradiction_input_to_json`, with located complaints.
+
+    Point names, map labels and the identity must be strings, and ``maps``
+    an object of objects; any other JSON shape raises ModelError naming the
+    field, before a model is built from it.
+    """
 
     def need(key):
         if key not in data:
             raise ModelError(f"contradiction input is missing {key!r}")
         return data[key]
 
+    def names(value, field):
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ModelError(f"{field} must be a list of strings")
+        return value
+
     schema = need("schema")
     if schema != "contradiction-input-v1":
         raise ModelError(f"unsupported input schema {schema!r}")
-    space = frozenset(need("space"))
-    maps = {
-        label: dict(mapping.items()) for label, mapping in need("maps").items()
-    }
+    space = frozenset(names(need("space"), "space"))
+    identity = need("identity")
+    if not isinstance(identity, str):
+        raise ModelError("identity must be a string")
+    maps = need("maps")
+    if not isinstance(maps, dict):
+        raise ModelError("maps must be an object of objects")
+    for label, mapping in maps.items():
+        if not isinstance(mapping, dict):
+            raise ModelError(f"maps[{label!r}] must be an object")
+        if not all(isinstance(q, str) for q in mapping.values()):
+            raise ModelError(f"maps[{label!r}] must map point names to point names (strings)")
     model = FiniteActionModel(
         points=space,
-        maps=maps,
-        identity=need("identity"),
+        maps={label: dict(mapping) for label, mapping in maps.items()},
+        identity=identity,
         partial=bool(need("partial")),
     )
     w = need("witness")
     for key in ("pieces_a", "movers_a", "pieces_b", "movers_b"):
         if key not in w:
             raise ModelError(f"witness is missing {key!r}")
+
+    def pieces(key):
+        if not isinstance(w[key], list):
+            raise ModelError(f"witness {key} must be a list of lists of strings")
+        return tuple(frozenset(names(p, f"witness {key}[{i}]")) for i, p in enumerate(w[key]))
+
     witness = ParadoxWitness(
-        pieces_a=tuple(frozenset(p) for p in w["pieces_a"]),
-        movers_a=tuple(w["movers_a"]),
-        pieces_b=tuple(frozenset(p) for p in w["pieces_b"]),
-        movers_b=tuple(w["movers_b"]),
+        pieces_a=pieces("pieces_a"),
+        movers_a=tuple(names(w["movers_a"], "witness movers_a")),
+        pieces_b=pieces("pieces_b"),
+        movers_b=tuple(names(w["movers_b"], "witness movers_b")),
     )
     nu_data = need("nu")
     if "weights" not in nu_data:
         raise ModelError("nu is missing 'weights'")
     nu = PointMeasure(space, {p: Fraction(v) for p, v in nu_data["weights"].items()})
     interior = data.get("interior")
+    if interior is not None:
+        names(interior, "interior")
     return (
         model,
         space,

@@ -34,7 +34,7 @@ from .errors import (
     InconclusiveError,
     InvariantViolationError,
 )
-from .exactlin import ProjectiveDirection, Vec3, _scaled_axis, ball_matrices
+from .exactlin import ProjectiveDirection, _scaled_axis, ball_matrices
 from .words import ReducedWord
 
 # Points closer than this count as coinciding: a collision in absorb_demo, a
@@ -111,53 +111,6 @@ def fixed_directions(depth: int) -> FixedDirectionSet:
         if direction not in found:
             found[direction] = ReducedWord(letters)
     return FixedDirectionSet(depth, frozenset(found), found)
-
-
-def _as_direction(v0) -> ProjectiveDirection:
-    if isinstance(v0, ProjectiveDirection):
-        return v0
-    if isinstance(v0, Vec3):
-        return ProjectiveDirection.of_vec(v0)
-    x, y, z = v0
-    return ProjectiveDirection.canonical(x, y, z)
-
-
-def is_free_at_direct(v0, depth: int) -> bool:
-    """Freeness oracle by brute evaluation: no ball word may fix v0's direction.
-
-    Works on the primitive integer representative, so w fixes the direction
-    iff the scaled integer matrix satisfies M v = d v exactly.
-    """
-    x, y, z = _as_direction(v0).as_tuple()
-    for letters, ints, den in ball_matrices(depth):
-        if not letters:
-            continue
-        image = (
-            ints[0] * x + ints[1] * y + ints[2] * z,
-            ints[3] * x + ints[4] * y + ints[5] * z,
-            ints[6] * x + ints[7] * y + ints[8] * z,
-        )
-        if image == (den * x, den * y, den * z):
-            return False
-    return True
-
-
-def is_free_at(v0, depth: int) -> bool:
-    """True when no non-identity word of length <= depth fixes the direction of v0.
-
-    Computed by membership in the assembled fixed-direction set and always
-    cross-checked against direct evaluation of every ball word.  The two
-    routes share no kernel machinery, so a disagreement means a bug in one of
-    them and raises rather than guessing.
-    """
-    direction = _as_direction(v0)
-    by_set = direction not in fixed_directions(depth)
-    by_eval = is_free_at_direct(direction, depth)
-    if by_eval != by_set:
-        raise InvariantViolationError(
-            f"freeness oracles disagree at {direction}: set={by_set} direct={by_eval}"
-        )
-    return by_set
 
 
 # -- interval geometry ------------------------------------------------------

@@ -171,6 +171,35 @@ def test_unreadable_input_exits_64(tmp_path):
     assert (result.code, result.stdout) == (64, b"")
     assert "unknown.json" in result.stderr and "'nope'" in result.stderr
 
+    # JSON shapes the model cannot be built from name the field at fault.
+    def list_map_value(d):
+        d["maps"]["s0"][sorted(d["maps"]["s0"])[0]] = ["x"]
+
+    def list_mover(d):
+        d["witness"]["movers_a"][0] = ["s0"]
+
+    def list_identity(d):
+        d["identity"] = ["e"]
+
+    def list_map(d):
+        d["maps"]["s0"] = ["x", "y"]
+
+    for i, (corrupt, field) in enumerate(
+        (
+            (list_map_value, "maps['s0']"),
+            (list_mover, "movers_a"),
+            (list_identity, "identity"),
+            (list_map, "maps['s0']"),
+        )
+    ):
+        data = json.loads(_shift_input(tmp_path).read_text())
+        corrupt(data)
+        path = tmp_path / f"shape{i}.json"
+        path.write_text(json.dumps(data))
+        result = run_cli("paradox", "contradiction", "--input", str(path))
+        assert (result.code, result.stdout) == (64, b""), corrupt.__name__
+        assert path.name in result.stderr and field in result.stderr, corrupt.__name__
+
 
 # -- determinism and timing --------------------------------------------------
 
@@ -235,6 +264,14 @@ EXACT_LAYER_DIGESTS = [
     (("words", "verify", "--depth", "8"), "f93b272fcd104460d26b838e869c60728a003e63d6819c851e5a873f77779646"),
     (("freeness", "exhaustive", "--depth", "8"), "874c791f3462481fc823f3448742df47091dac4a7762bc613b72b4c6e864cb24"),
     (("sphere", "fixed-points", "--depth", "5"), "3a58074a2183c81fa7cd154c23544c3e6cb82c8315db288cd9233bbbb62ea468"),
+    # The rest of the scoreboard, recorded at commit 0c1f0a3, before the
+    # Boolean-algebra tables were deleted from measures.py.
+    (("measures", "demo", "--which", "finite-group"), "a72e450ac8a3af5ffd1c5533b7bf3a282652b731fde2b7a1206992f5e970ed5f"),
+    (("measures", "demo", "--which", "density"), "122b3999b48669f9ec3ff4afb6c691f453fec6a19f011a796418c7a9386e2635"),
+    (("measures", "demo", "--which", "induced-measure"), "c27c00521ec2bf02243b573cc776c66b69954eb8360524f389e4f250856d90ff"),
+    (("measures", "demo", "--which", "ergodic"), "4e5fdf4f8854d0970cf32fdba0fda5487b807a883880ad0a522e5e609a0acf96"),
+    (("freeness", "certify"), "c58ee093de7493fa2e085b5fd2663d152ee2fbbd44bdf093507c290a32397ab2"),
+    (("cauchy", "demo", "--rank", "2"), "bff599d0dfde9164ac5cd3186a91aad3d595a69319f4af37ebbc6b9bc58e757e"),
 ]
 
 

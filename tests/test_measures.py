@@ -1,4 +1,4 @@
-"""Boolean algebras, finite invariant measures, and the contradiction chain."""
+"""Finite invariant measures and the contradiction chain."""
 
 from fractions import Fraction
 
@@ -12,70 +12,18 @@ from paradoxlab.measures import (
     GroupTable,
     PiecewiseConstant,
     PointMeasure,
-    audit_algebra_additivity,
     audit_group_invariance,
     audit_point_measure,
-    construct_probability_measure,
     contradiction_input_from_json,
     contradiction_input_to_json,
     density_measure,
     ergodic_average,
     induced_group_measure,
     paradox_contradiction,
-    power_set_algebra,
     shift_defect,
     uniform_group_measure,
-    verify_boolean_axioms,
 )
 from paradoxlab.paradox import FiniteActionModel, ParadoxWitness, f2_ball_model, two_to_one_shift_model
-
-# -- Boolean algebras --------------------------------------------------------
-
-
-def test_power_set_algebra_satisfies_axioms():
-    report = verify_boolean_axioms(power_set_algebra("xyz"))
-    assert report.passed
-    assert report.element_count == 8
-
-
-def test_corrupted_complement_is_localized():
-    ba = power_set_algebra("xy")
-    atom = frozenset("x")
-    ba.complement = dict(ba.complement)
-    ba.complement[atom] = atom  # a /\ ~a is no longer zero
-    report = verify_boolean_axioms(ba)
-    failed = {f.name for f in report.findings if not f.ok}
-    assert failed <= {"complement_bounds", "constants_welldefined"}
-    assert "complement_bounds" in failed
-    ok = {f.name for f in report.findings if f.ok}
-    assert {"commutativity", "associativity", "distributivity", "absorption"} <= ok
-
-
-def test_missing_table_entry_reported_first():
-    ba = power_set_algebra("xy")
-    ba.join = {k: v for k, v in ba.join.items() if k != (frozenset(), frozenset())}
-    report = verify_boolean_axioms(ba)
-    assert report.findings[0].name == "tables_total"
-    assert not report.findings[0].ok
-
-
-def test_uniform_atom_measure_is_exactly_additive():
-    ba = power_set_algebra("pqr")
-    measure = construct_probability_measure(ba)
-    assert measure.mu(ba.one) == 1
-    assert measure.mu(frozenset("p")) == Fraction(1, 3)
-    finding = audit_algebra_additivity(measure)
-    assert finding.ok
-
-
-def test_measure_construction_requires_sound_algebra():
-    ba = power_set_algebra("xy")
-    atom = frozenset("x")
-    ba.complement = dict(ba.complement)
-    ba.complement[atom] = atom
-    with pytest.raises(PreconditionError):
-        construct_probability_measure(ba)
-
 
 # -- point measures ----------------------------------------------------------
 
@@ -159,8 +107,6 @@ def test_invariance_audit_is_exhaustive_up_to_the_cap():
     G = GroupTable.cyclic(13)
     with pytest.raises(ResourceLimitError):
         audit_group_invariance(G, uniform_group_measure(G))
-    with pytest.raises(ResourceLimitError):
-        power_set_algebra(range(13))
 
 
 def test_noninvariant_measure_detected():

@@ -8,8 +8,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paradoxlab.errors import DegenerateInputError, DomainError, InconclusiveError
-from paradoxlab.exactlin import ProjectiveDirection, eval_word
+from paradoxlab import sphere
+from paradoxlab.errors import DegenerateInputError, DomainError, InconclusiveError, InvariantViolationError
+from paradoxlab.exactlin import ProjectiveDirection, ball_matrices, eval_word
 from paradoxlab.sphere import (
     ANGLE_CANDIDATES,
     SEPARATION_RESOLUTION,
@@ -22,8 +23,6 @@ from paradoxlab.sphere import (
     find_absorbing_rotation_adaptive,
     fixed_directions,
     interval_precision,
-    is_free_at,
-    is_free_at_direct,
     _distance_slack,
     _iv_dist2,
     _iv_height,
@@ -33,6 +32,7 @@ from paradoxlab.sphere import (
     _latitude_key,
     _shrink_lower,
 )
+from paradoxlab.words import Letter
 
 
 def _triples(C):
@@ -76,7 +76,57 @@ def test_fixed_direction_set_helpers():
     assert C.to_json()["depth"] == 1
 
 
+def test_fixed_directions_fails_closed_on_a_fixed_space_that_is_not_a_line(monkeypatch):
+    # ints - den*I is the identity for the word a: rank 3, so nothing is fixed.
+    def broken(depth):
+        yield (), (1, 0, 0, 0, 1, 0, 0, 0, 1), 1
+        yield (Letter.A,), (2, 0, 0, 0, 2, 0, 0, 0, 2), 1
+
+    monkeypatch.setattr(sphere, "ball_matrices", broken)
+    with pytest.raises(InvariantViolationError) as info:
+        fixed_directions(1)
+    assert str(info.value).startswith("a: fixed space is 0-dimensional")
+
+
 # -- freeness at a direction -------------------------------------------------
+#
+# Two reference oracles for "no non-identity word of length <= depth fixes
+# the direction of v0": membership in the assembled fixed-direction set, and
+# direct application of every ball word's scaled integer matrix.  The two
+# share no kernel machinery, so is_free_at raises when they disagree.
+
+
+def _as_direction(v0) -> ProjectiveDirection:
+    if isinstance(v0, ProjectiveDirection):
+        return v0
+    return ProjectiveDirection.canonical(*v0)
+
+
+def is_free_at_direct(v0, depth: int) -> bool:
+    """Brute evaluation on the primitive integer representative: M v = d v exactly."""
+    x, y, z = _as_direction(v0).as_tuple()
+    for letters, ints, den in ball_matrices(depth):
+        if not letters:
+            continue
+        image = (
+            ints[0] * x + ints[1] * y + ints[2] * z,
+            ints[3] * x + ints[4] * y + ints[5] * z,
+            ints[6] * x + ints[7] * y + ints[8] * z,
+        )
+        if image == (den * x, den * y, den * z):
+            return False
+    return True
+
+
+def is_free_at(v0, depth: int) -> bool:
+    direction = _as_direction(v0)
+    by_set = direction not in fixed_directions(depth)
+    by_eval = is_free_at_direct(direction, depth)
+    if by_eval != by_set:
+        raise InvariantViolationError(
+            f"freeness oracles disagree at {direction}: set={by_set} direct={by_eval}"
+        )
+    return by_set
 
 
 def test_axes_are_not_free():
