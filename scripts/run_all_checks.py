@@ -12,7 +12,8 @@ import json
 import sys
 import tempfile
 import time
-from contextlib import redirect_stderr
+import types
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from paradoxlab import cli, measures, paradox
@@ -35,17 +36,9 @@ CHECKS = [
 def run_one(argv: list[str]) -> tuple[int, dict]:
     out = io.BytesIO()
     err = io.StringIO()
-
-    class _Stdout:
-        buffer = out
-
-    saved = sys.stdout
-    sys.stdout = _Stdout()
-    try:
-        with redirect_stderr(err):
-            code = cli.main(argv)
-    finally:
-        sys.stdout = saved
+    # cli.main writes its report to sys.stdout.buffer.
+    with redirect_stdout(types.SimpleNamespace(buffer=out)), redirect_stderr(err):
+        code = cli.main(argv)
     return code, json.loads(out.getvalue())
 
 

@@ -62,10 +62,6 @@ class HamelModel:
             "images": [str(x) for x in self.basis_images],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "HamelModel":
-        return cls.of(data["basis"], data["images"])
-
 
 @dataclass(frozen=True)
 class AdditiveMap:

@@ -134,8 +134,7 @@ def _run_sphere_fixed_points(args):
     found = sphere.fixed_directions(args.depth)
     recheck_bad = []
     for direction, witness in found.witnesses.items():
-        v = eval_word(witness).apply(direction.as_vec3())
-        if v != direction.as_vec3():
+        if eval_word(witness).apply(direction.as_tuple()) != direction.as_tuple():
             recheck_bad.append(str(direction))
     findings = [
         Finding("witnesses_fix_directions", not recheck_bad, ", ".join(recheck_bad)),

@@ -1,7 +1,9 @@
 """Exact rational 3x3 linear algebra and the two rotation generators.
 
 Everything here is arithmetic over arbitrary-precision rationals (stdlib
-``fractions.Fraction``); no floats appear.  The two generators
+``fractions.Fraction``); no floats appear.  A vector is a plain triple of
+ints or Fractions, and :meth:`Mat3.apply` returns a tuple of Fractions,
+which compare and hash like the ints they equal.  The two generators
 
     A = (1/7) [ 6  2  3 ]        B = (1/7) [ 2 -6  3 ]
               [ 2  3 -6 ]                  [ 6  3  2 ]
@@ -29,25 +31,6 @@ from .words import Letter, ReducedWord, walk_ball
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-@dataclass(frozen=True)
-class Vec3:
-    x: Fraction
-    y: Fraction
-    z: Fraction
-
-    def __post_init__(self) -> None:
-        # Each Fraction hash costs a modular pow and orbit points are hashed
-        # many times over, so hash once; a plain attribute, not a field.
-        object.__setattr__(self, "_hash", hash((self.x, self.y, self.z)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @classmethod
-    def of(cls, x, y, z) -> "Vec3":
-        return cls(_frac(x), _frac(y), _frac(z))
 
 
 @dataclass(frozen=True)
@@ -86,12 +69,14 @@ class Mat3:
     def __sub__(self, other: "Mat3") -> "Mat3":
         return Mat3(tuple(p - q for p, q in zip(self.entries, other.entries)))
 
-    def apply(self, v: Vec3) -> Vec3:
+    def apply(self, v: Sequence) -> tuple[Fraction, Fraction, Fraction]:
+        """M v for a triple of ints or Fractions, as a tuple of Fractions."""
+        x, y, z = v
         e = self.entries
-        return Vec3(
-            e[0] * v.x + e[1] * v.y + e[2] * v.z,
-            e[3] * v.x + e[4] * v.y + e[5] * v.z,
-            e[6] * v.x + e[7] * v.y + e[8] * v.z,
+        return (
+            e[0] * x + e[1] * y + e[2] * z,
+            e[3] * x + e[4] * y + e[5] * z,
+            e[6] * x + e[7] * y + e[8] * z,
         )
 
     def transpose(self) -> "Mat3":
@@ -105,13 +90,6 @@ class Mat3:
             - e[1] * (e[3] * e[8] - e[5] * e[6])
             + e[2] * (e[3] * e[7] - e[4] * e[6])
         )
-
-    def to_json(self) -> list[str]:
-        return [str(e) for e in self.entries]
-
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "Mat3":
-        return cls(tuple(Fraction(s) for s in data))
 
 
 GEN_A = Mat3.from_rows([[6, 2, 3], [2, 3, -6], [-3, 6, 2]], scale=Fraction(1, 7))
@@ -294,15 +272,8 @@ class ProjectiveDirection:
             ints = [-v for v in ints]
         return cls(*ints)
 
-    @classmethod
-    def of_vec(cls, v: Vec3) -> "ProjectiveDirection":
-        return cls.canonical(v.x, v.y, v.z)
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
-
-    def as_vec3(self) -> Vec3:
-        return Vec3.of(self.a, self.b, self.c)
 
     def __str__(self) -> str:
         return f"[{self.a}:{self.b}:{self.c}]"

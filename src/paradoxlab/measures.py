@@ -833,15 +833,22 @@ def contradiction_input_to_json(
 def contradiction_input_from_json(data: Mapping):
     """Inverse of :func:`contradiction_input_to_json`, with located complaints.
 
-    Point names, map labels and the identity must be strings, and ``maps``
-    an object of objects; any other JSON shape raises ModelError naming the
-    field, before a model is built from it.
+    Point names, map labels and the identity must be strings, ``maps`` an
+    object of objects, ``partial`` and ``invariant`` JSON booleans, and ``nu``
+    an object whose ``weights`` map point names to strings; any other JSON
+    shape raises ModelError naming the field, before a model is built from it.
     """
 
     def need(key):
         if key not in data:
             raise ModelError(f"contradiction input is missing {key!r}")
         return data[key]
+
+    def flag(key):
+        value = need(key)
+        if not isinstance(value, bool):
+            raise ModelError(f"{key} must be true or false")
+        return value
 
     def names(value, field):
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
@@ -867,7 +874,7 @@ def contradiction_input_from_json(data: Mapping):
         points=space,
         maps={label: dict(mapping) for label, mapping in maps.items()},
         identity=identity,
-        partial=bool(need("partial")),
+        partial=flag("partial"),
     )
     w = need("witness")
     for key in ("pieces_a", "movers_a", "pieces_b", "movers_b"):
@@ -886,9 +893,14 @@ def contradiction_input_from_json(data: Mapping):
         movers_b=tuple(names(w["movers_b"], "witness movers_b")),
     )
     nu_data = need("nu")
+    if not isinstance(nu_data, dict):
+        raise ModelError("nu must be an object")
     if "weights" not in nu_data:
         raise ModelError("nu is missing 'weights'")
-    nu = PointMeasure(space, {p: Fraction(v) for p, v in nu_data["weights"].items()})
+    weights = nu_data["weights"]
+    if not isinstance(weights, dict) or not all(isinstance(v, str) for v in weights.values()):
+        raise ModelError("nu weights must map point names to strings such as '1/3'")
+    nu = PointMeasure(space, {p: Fraction(v) for p, v in weights.items()})
     interior = data.get("interior")
     if interior is not None:
         names(interior, "interior")
@@ -897,6 +909,6 @@ def contradiction_input_from_json(data: Mapping):
         space,
         witness,
         nu,
-        bool(need("invariant")),
+        flag("invariant"),
         None if interior is None else frozenset(interior),
     )

@@ -17,7 +17,8 @@ Two concrete decompositions are built here:
 
 * the orbit of an integer base vector under the free rotation group
   (:func:`orbit_transport`), which transports the word-level decomposition
-  to honest subsets of the sphere's orbit points.
+  to honest subsets of the sphere's orbit points.  Each orbit point p of
+  the word ball of radius depth is held as the integer triple p * 7^depth.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property, cmp_to_key, reduce
 from operator import or_
 from types import MappingProxyType
@@ -49,12 +49,12 @@ from mpmath.libmp import (
     to_str,
 )
 
-from .errors import DomainError, InvariantViolationError, ModelError, PreconditionError
+from .errors import DomainError, InvariantViolationError, ModelError, PreconditionError, ResourceLimitError
 from .freeness import FreenessCertificate, verify_certificate
 from .report import Finding
 from .sphere import DEFAULT_PRECISION_BITS, MIN_PRECISION_BITS, SEPARATION_RESOLUTION
-from .words import Letter, ReducedWord, ball, ball_size
-from .exactlin import SCALED_GENERATORS, Vec3, ball_matrices
+from .words import SMP_POINT_CAP, Letter, ReducedWord, ball, ball_size
+from .exactlin import SCALED_GENERATORS, ball_matrices
 
 Point = Hashable
 
@@ -473,11 +473,6 @@ class NNPoly:
         return cls(tuple(int(c) for c in cs))
 
     @property
-    def degree(self) -> int:
-        # the zero polynomial reports degree -1
-        return len(self.coeffs) - 1
-
-    @property
     def constant(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 
@@ -539,7 +534,15 @@ def enumerate_polys(max_degree: int, max_coeff: int) -> tuple[NNPoly, ...]:
     Padded coefficient tuples map one-to-one onto stripped polynomials, so
     this yields (max_coeff+1)^(max_degree+1) distinct elements, in
     ``itertools.product`` order with the constant term most significant.
+    Past :data:`words.SMP_POINT_CAP` points it raises ResourceLimitError
+    before enumerating anything.
     """
+    # Any base >= 2 overshoots the cap at an exponent of its bit length, so
+    # clamping the exponent there keeps the verdict and skips a huge power.
+    if (max_coeff + 1) ** min(max_degree + 1, SMP_POINT_CAP.bit_length()) > SMP_POINT_CAP:
+        raise ResourceLimitError(
+            f"{max_coeff + 1}^{max_degree + 1} polynomials exceed the configured cap {SMP_POINT_CAP}"
+        )
     polys = []
     for t in itertools.product(range(max_coeff + 1), repeat=max_degree + 1):
         n = len(t)
@@ -910,6 +913,10 @@ def orbit_transport(depth: int, certificate: FreenessCertificate) -> OrbitTransp
     base vector is what makes w -> w*v0 injective, so the word pieces map to
     honest disjoint point sets.  Covering is checked on the interior (orbit
     points of ball(depth-1)), the one truncation concession.
+
+    A model point is the integer triple p * 7^depth for the orbit point
+    p = w v0 of a word w of ball(depth): w's matrix has denominator 7^len(w),
+    so the triple is integral, and scaling is injective.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -917,45 +924,43 @@ def orbit_transport(depth: int, certificate: FreenessCertificate) -> OrbitTransp
         raise PreconditionError("certificate does not verify")
     bx, by, bz = certificate.base_vector
 
-    # A word's matrix has denominator 7^len, so every orbit point p of
-    # ball(depth) has the integer key p * 7^depth, and keys are injective.
+    # word_at takes each point to its word; it is also the collision check.
     scale = 7**depth
-    by_word: dict[tuple[Letter, ...], Vec3] = {}
-    at_key: dict[tuple[int, int, int], tuple[tuple[Letter, ...], Vec3]] = {}
+    word_at: dict[Point, tuple[Letter, ...]] = {}
     for letters, ints, den in ball_matrices(depth):
-        x = ints[0] * bx + ints[1] * by + ints[2] * bz
-        y = ints[3] * bx + ints[4] * by + ints[5] * bz
-        z = ints[6] * bx + ints[7] * by + ints[8] * bz
-        p = Vec3(Fraction(x, den), Fraction(y, den), Fraction(z, den))
-        by_word[letters] = p
         factor = scale // den
-        key = (x * factor, y * factor, z * factor)
-        if key in at_key:
+        p = (
+            (ints[0] * bx + ints[1] * by + ints[2] * bz) * factor,
+            (ints[3] * bx + ints[4] * by + ints[5] * bz) * factor,
+            (ints[6] * bx + ints[7] * by + ints[8] * bz) * factor,
+        )
+        if p in word_at:
             raise InvariantViolationError(
-                f"orbit collision: {ReducedWord(at_key[key][0])} and {ReducedWord(letters)} "
+                f"orbit collision: {ReducedWord(word_at[p])} and {ReducedWord(letters)} "
                 "agree at the base vector despite the certificate"
             )
-        at_key[key] = (letters, p)
+        word_at[p] = letters
 
-    # The generator G acts on keys as (7G) k / 7.  A non-integral result is
-    # no orbit point's key, so G p lies outside the truncation.
-    points = frozenset(by_word.values())
+    # The generator G acts on points as (7G) p / 7.  A non-integral result is
+    # no orbit point, so G p lies outside the truncation.
+    points = frozenset(word_at)
     maps: dict[str, dict[Point, Point]] = {"e": {p: p for p in points}}
     for letter in Letter:
         g, g_den = SCALED_GENERATORS[letter]
         action: dict[Point, Point] = {}
-        for (kx, ky, kz), (_, p) in at_key.items():
-            qx = g[0] * kx + g[1] * ky + g[2] * kz
-            qy = g[3] * kx + g[4] * ky + g[5] * kz
-            qz = g[6] * kx + g[7] * ky + g[8] * kz
+        for p in word_at:
+            px, py, pz = p
+            qx = g[0] * px + g[1] * py + g[2] * pz
+            qy = g[3] * px + g[4] * py + g[5] * pz
+            qz = g[6] * px + g[7] * py + g[8] * pz
             if qx % g_den or qy % g_den or qz % g_den:
                 continue
-            hit = at_key.get((qx // g_den, qy // g_den, qz // g_den))
-            if hit is not None:
-                action[p] = hit[1]
+            q = (qx // g_den, qy // g_den, qz // g_den)
+            if q in word_at:
+                action[p] = q
         maps[letter.symbol] = action
     model = FiniteActionModel(points=points, maps=maps, partial=True)
-    witness, interior = _prefix_class_witness(by_word.items(), depth)
+    witness, interior = _prefix_class_witness(((letters, p) for p, letters in word_at.items()), depth)
     report = verify_paradox_witness(model, points, witness, interior=interior)
     return OrbitTransportResult(
         model=model,

@@ -3,7 +3,8 @@
 import io
 import json
 import pathlib
-from contextlib import redirect_stderr
+import types
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
@@ -27,22 +28,12 @@ def run_cli(*argv: str) -> CliResult:
     """Run the CLI in-process, capturing streams and the would-be exit code."""
     out = io.BytesIO()
     err = io.StringIO()
-
-    class _Stdout:
-        buffer = out
-
-    import sys as _sys
-
-    saved = _sys.stdout
-    _sys.stdout = _Stdout()
-    try:
-        with redirect_stderr(err):
-            try:
-                code = cli.main(list(argv))
-            except SystemExit as exc:  # argparse error paths call sys.exit
-                code = exc.code if isinstance(exc.code, int) else 1
-    finally:
-        _sys.stdout = saved
+    # cli.main writes its report to sys.stdout.buffer.
+    with redirect_stdout(types.SimpleNamespace(buffer=out)), redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse error paths call sys.exit
+            code = exc.code if isinstance(exc.code, int) else 1
     return CliResult(code, out.getvalue(), err.getvalue())
 
 

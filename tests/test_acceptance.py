@@ -126,7 +126,7 @@ def test_criterion_06_fixed_point_geometry(capsys):
     started = time.perf_counter()
     axes_ok = axis(GEN_A).as_tuple() == (2, 1, 0) and axis(GEN_B).as_tuple() == (0, 1, 2)
     for gen, triple in ((GEN_A, (2, 1, 0)), (GEN_B, (0, 1, 2))):
-        v = ProjectiveDirection.canonical(*triple).as_vec3()
+        v = ProjectiveDirection.canonical(*triple).as_tuple()
         axes_ok &= gen.apply(v) == v
 
     ranks_ok = True

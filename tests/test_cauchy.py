@@ -93,7 +93,3 @@ def test_witness_skips_dead_pairs():
     assert witness is not None
     e_i, e_j = witness
     assert e_j == (0, 0, 1)
-
-
-def test_model_json_roundtrip():
-    assert HamelModel.from_json(TWO.to_json()) == TWO

@@ -127,6 +127,8 @@ def test_inconclusive_exit_code(monkeypatch, report_schema):
         ("measures", "demo", "--which", "nope"),
         ("freeness", "certify", "--base", "1,2"),
         ("smp", "verify", "--deg", "2", "--coef", "1", "--bits", "32"),
+        pytest.param(("smp", "verify", "--deg", "20", "--coef", "3"), id="smp verify past the point cap"),
+        pytest.param(("smp", "verify", "--deg", "1000000000", "--coef", "3"), id="smp verify far past the point cap"),
         ("sphere", "absorb", "--depth", "1", "--iters", "2", "--bits", "2"),
     ],
 )
@@ -184,12 +186,34 @@ def test_unreadable_input_exits_64(tmp_path):
     def list_map(d):
         d["maps"]["s0"] = ["x", "y"]
 
+    # bool("false") is True, so only JSON booleans may say false.
+    def string_invariant(d):
+        d["invariant"] = "false"
+
+    def string_partial(d):
+        d["partial"] = "false"
+
+    def list_weights(d):
+        d["nu"]["weights"] = sorted(d["nu"]["weights"])
+
+    # JSON numbers would reach Fraction() unchecked: a float as its binary value, true as 1.
+    def float_weight(d):
+        d["nu"]["weights"][sorted(d["nu"]["weights"])[0]] = 1 / 31
+
+    def true_weight(d):
+        d["nu"]["weights"][sorted(d["nu"]["weights"])[0]] = True
+
     for i, (corrupt, field) in enumerate(
         (
             (list_map_value, "maps['s0']"),
             (list_mover, "movers_a"),
             (list_identity, "identity"),
             (list_map, "maps['s0']"),
+            (string_invariant, "invariant"),
+            (string_partial, "partial"),
+            (list_weights, "nu weights"),
+            (float_weight, "nu weights"),
+            (true_weight, "nu weights"),
         )
     ):
         data = json.loads(_shift_input(tmp_path).read_text())

@@ -24,8 +24,8 @@ from mpmath.libmp import (
 )
 
 from paradoxlab import paradox
-from paradoxlab.errors import DomainError, ModelError, PreconditionError
-from paradoxlab.exactlin import generator_matrix
+from paradoxlab.errors import DomainError, ModelError, PreconditionError, ResourceLimitError
+from paradoxlab.exactlin import eval_word, generator_matrix
 from paradoxlab.freeness import build_certificate
 from paradoxlab.paradox import (
     FiniteActionModel,
@@ -56,7 +56,7 @@ from paradoxlab.paradox import (
     _to_floats,
     _to_mpc,
 )
-from paradoxlab.words import Letter, ball_size
+from paradoxlab.words import Letter, ball, ball_size
 
 # -- models and witnesses ----------------------------------------------------
 
@@ -228,6 +228,18 @@ def test_smp_verify_guards():
         smp_verify(0, 2, 128)
     with pytest.raises(ValueError):
         smp_verify(4, 2, 32)
+
+
+def test_smp_point_cap_is_checked_before_enumerating(monkeypatch):
+    monkeypatch.setattr(paradox, "SMP_POINT_CAP", 3**5)
+    assert smp_verify(4, 2, 128).total == 3**5
+    with pytest.raises(ResourceLimitError, match=r"3\^6 polynomials exceed the configured cap 243"):
+        smp_verify(5, 2, 128)
+    with pytest.raises(ResourceLimitError):
+        smp_verify(4, 3, 128)
+    # The exponent alone rules this out; 2^(10^9) is never computed.
+    with pytest.raises(ResourceLimitError):
+        enumerate_polys(10**9, 1)
 
 
 @pytest.mark.parametrize(
@@ -533,6 +545,15 @@ def test_orbit_transport_small():
     assert result.passed
     assert result.orbit_size == 53
     assert result.expected_size == 53
+
+
+def test_orbit_points_are_scaled_rational_images():
+    # Each point is 7^depth * (w v0), rebuilt here from w's Fraction matrix.
+    for base in ((0, 1, 0), (1, 1, 1)):
+        cert = build_certificate(base)
+        for depth in range(1, 5):
+            expected = {tuple(7**depth * c for c in eval_word(w).apply(base)) for w in ball(depth)}
+            assert orbit_transport(depth, cert).model.points == expected
 
 
 def test_orbit_transport_maps_match_rational_application():

@@ -65,7 +65,7 @@ def test_fixed_directions_grow_with_depth():
 def test_witnesses_fix_their_directions():
     C = fixed_directions(2)
     for direction, word in C.witnesses.items():
-        v = direction.as_vec3()
+        v = direction.as_tuple()
         assert eval_word(word).apply(v) == v
 
 
