@@ -127,9 +127,9 @@ def test_inconclusive_exit_code(monkeypatch, report_schema):
         ("measures", "demo", "--which", "nope"),
         ("freeness", "certify", "--base", "1,2"),
         ("smp", "verify", "--deg", "2", "--coef", "1", "--bits", "32"),
+        ("sphere", "absorb", "--depth", "1", "--iters", "2", "--bits", "2"),
         pytest.param(("smp", "verify", "--deg", "20", "--coef", "3"), id="smp verify past the point cap"),
         pytest.param(("smp", "verify", "--deg", "1000000000", "--coef", "3"), id="smp verify far past the point cap"),
-        ("sphere", "absorb", "--depth", "1", "--iters", "2", "--bits", "2"),
     ],
 )
 def test_usage_errors_exit_64(argv):

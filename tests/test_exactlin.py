@@ -138,6 +138,10 @@ def test_canonical_first_nonzero_positive():
     assert ProjectiveDirection.canonical(-2, -1, 0).as_tuple() == (2, 1, 0)
     assert ProjectiveDirection.canonical(0, -3, 6).as_tuple() == (0, 1, -2)
     assert str(ProjectiveDirection.canonical(4, 2, 0)) == "[2:1:0]"
+
+
+def test_of_vec_roundtrip():
+    # A rational vector clears its denominators to the same direction.
     assert ProjectiveDirection.canonical(Fraction(4, 7), Fraction(2, 7), 0).as_tuple() == (2, 1, 0)
 
 
