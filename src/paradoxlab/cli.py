@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _int_at_least(minimum: int):
+def _int_in(minimum: int, maximum: int | None = None):
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -46,13 +46,15 @@ def _int_at_least(minimum: int):
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
         if value < minimum:
             raise argparse.ArgumentTypeError(f"value must be >= {minimum}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"value must be <= {maximum}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1)
-_precision_bits = _int_at_least(sphere.MIN_PRECISION_BITS)
+_positive_int = _int_in(1)
+_precision_bits = _int_in(sphere.MIN_PRECISION_BITS, sphere.MAX_PRECISION_BITS)
 
 
 def _int_triple(text: str) -> tuple[int, int, int]:

@@ -43,6 +43,9 @@ from .words import ReducedWord
 SEPARATION_RESOLUTION = 1e-12
 
 DEFAULT_PRECISION_BITS = 128
+
+#: Most --bits the CLI accepts for `sphere absorb` and `smp verify`, the most
+#: smp_verify runs at, and the top of the absorbing-rotation precision ladder.
 MAX_PRECISION_BITS = 1024
 
 #: Least --bits the CLI accepts for `sphere absorb` and `smp verify`, and the
@@ -377,6 +380,8 @@ def find_absorbing_rotation_adaptive(
     max_bits: int = MAX_PRECISION_BITS,
 ) -> AbsorbingRotation:
     """Double the interval precision until certification succeeds or the cap is hit."""
+    if start_bits > max_bits:
+        raise ValueError(f"start_bits {start_bits} exceeds max_bits {max_bits}")
     bits = start_bits
     while True:
         try:

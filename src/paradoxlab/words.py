@@ -30,10 +30,6 @@ from .errors import ResourceLimitError
 #: Hard cap on ball radius; |ball(14)| is ~9.5M words and past the desk scale.
 BALL_CAP = 14
 
-#: Hard cap on the planar paradox's (max_coeff+1)^(max_degree+1) points; at
-#: the cap, ``smp verify`` takes 14-17 s and 590-750 MiB on a 2-vCPU VM.
-SMP_POINT_CAP = 2**20
-
 #: Violation messages kept per decomposition check; later ones are dropped.
 MAX_VIOLATIONS = 10
 

@@ -130,6 +130,10 @@ def test_inconclusive_exit_code(monkeypatch, report_schema):
         ("sphere", "absorb", "--depth", "1", "--iters", "2", "--bits", "2"),
         pytest.param(("smp", "verify", "--deg", "20", "--coef", "3"), id="smp verify past the point cap"),
         pytest.param(("smp", "verify", "--deg", "1000000000", "--coef", "3"), id="smp verify far past the point cap"),
+        pytest.param(("smp", "verify", "--deg", "1", "--coef", "1", "--bits", "1025"), id="smp verify past the bits cap"),
+        pytest.param(
+            ("sphere", "absorb", "--depth", "1", "--iters", "2", "--bits", "1025"), id="sphere absorb past the bits cap"
+        ),
     ],
 )
 def test_usage_errors_exit_64(argv):
@@ -238,8 +242,10 @@ def test_reports_are_byte_identical():
 # recorded before the numeric half of smp_verify moved to raw libmp tuples
 # with shared prefixes; the next two (the benchmark size, and magnitudes up
 # to 400) before it moved from libmp to the fixed-point integer kernel; the
-# last (the target size, deg 8) before the symbolic half moved to the
-# closed-form index maps and the closest-pair sweep was reworked.
+# deg 8 pin (the target size) before the symbolic half moved to the
+# closed-form index maps and the closest-pair sweep was reworked; the 1024-bit
+# pin, the first whose grid 2048 > 1022 takes the float conversion's exact
+# int division, before polynomials became plain coefficient tuples.
 SMP_VERIFY_DIGESTS = [
     (("--deg", "3", "--coef", "2"), "2451ed29de6179309580ee19a03ac0f7ed630f2bc8695c862808ce0f4211fd97"),
     (("--deg", "6", "--coef", "3"), "0763d6911bd90d46f1a3d63ae4096bb6a99140d1c6aec7f695a921d927a9e145"),
@@ -247,6 +253,7 @@ SMP_VERIFY_DIGESTS = [
     (("--deg", "7", "--coef", "3"), "32347b54a3352b276eee8e7af78448c7c9751e01f5f12ff10659b4834ab14b60"),
     (("--deg", "1", "--coef", "200"), "77592d2a8ca120735e5f6c0b20916000a3406aaa97072ab5700d15182b53c1df"),
     (("--deg", "8", "--coef", "3"), "53fd63a2a9b21c7e3c96c41817dc07966440a39f7b907fe6a4c5c378dc6d5c15"),
+    (("--deg", "4", "--coef", "3", "--bits", "1024"), "63e0f4b9c396f548bc2b151a104a850e4f16571bbfd3e0948a79550b64fa307f"),
 ]
 
 

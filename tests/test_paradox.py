@@ -29,14 +29,12 @@ from paradoxlab.exactlin import eval_word, generator_matrix
 from paradoxlab.freeness import build_certificate
 from paradoxlab.paradox import (
     FiniteActionModel,
-    NNPoly,
     ParadoxWitness,
-    PolyClass,
     enumerate_polys,
     f2_ball_model,
     orbit_transport,
+    poly_str,
     smp_add_one,
-    smp_classify,
     smp_g,
     smp_h,
     smp_mul_x,
@@ -175,28 +173,45 @@ def test_disjointness_mutations_rejected():
 # -- nonnegative integer polynomials -----------------------------------------
 
 
-def test_nnpoly_normal_form():
-    assert NNPoly.from_coeffs([1, 2, 0, 0]).coeffs == (1, 2)
-    assert NNPoly.from_coeffs([]).is_zero
-    with pytest.raises(ValueError):
-        NNPoly((1, 0))
-    with pytest.raises(ValueError):
-        NNPoly((-1,))
+def _stripped(coeffs):
+    """Coefficients as a polynomial: a tuple without trailing zeros."""
+    coeffs = list(coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _class_a(p):
+    return not p or not p[0]  # zero constant term
 
 
 def test_poly_classification():
-    assert smp_classify(NNPoly()) is PolyClass.A  # zero constant term
-    assert smp_classify(NNPoly((0, 1))) is PolyClass.A
-    assert smp_classify(NNPoly((2, 1))) is PolyClass.B
+    # class A (zero constant term) is g's domain, class B h's
+    for p in ((), (0, 1)):
+        assert _class_a(p) and smp_g(p) == p[1:]
+        with pytest.raises(DomainError):
+            smp_h(p)
+    assert not _class_a((2, 1)) and smp_h((2, 1)) == (1, 1)
+    with pytest.raises(DomainError):
+        smp_g((2, 1))
 
 
-coeff_lists = st.lists(st.integers(min_value=0, max_value=5), max_size=6)
+def test_poly_str():
+    assert [poly_str(p) for p in ((), (1,), (0, 1), (1, 2, 0, 1), (0, 0, 3))] == [
+        "0",
+        "1",
+        "1x^1",
+        "1 + 2x^1 + 1x^3",
+        "3x^2",
+    ]
 
 
-@given(coeff_lists)
-def test_smp_maps_invert_exactly(coeffs):
-    p = NNPoly.from_coeffs(coeffs)
-    if smp_classify(p) is PolyClass.A:
+coeff_tuples = st.lists(st.integers(min_value=0, max_value=5), max_size=6).map(_stripped)
+
+
+@given(coeff_tuples)
+def test_smp_maps_invert_exactly(p):
+    if _class_a(p):
         assert smp_mul_x(smp_g(p)) == p
     else:
         assert smp_add_one(smp_h(p)) == p
@@ -204,9 +219,9 @@ def test_smp_maps_invert_exactly(coeffs):
 
 def test_smp_maps_enforce_domains():
     with pytest.raises(DomainError):
-        smp_g(NNPoly((1,)))
+        smp_g((1,))
     with pytest.raises(DomainError):
-        smp_h(NNPoly((0, 1)))
+        smp_h((0, 1))
 
 
 def test_enumerate_polys_count():
@@ -228,6 +243,8 @@ def test_smp_verify_guards():
         smp_verify(0, 2, 128)
     with pytest.raises(ValueError):
         smp_verify(4, 2, 32)
+    with pytest.raises(ValueError):
+        smp_verify(4, 2, 1025)
 
 
 def test_smp_point_cap_is_checked_before_enumerating(monkeypatch):
@@ -247,8 +264,8 @@ def test_smp_point_cap_is_checked_before_enumerating(monkeypatch):
     [
         ("smp_mul_x", lambda q: q),  # no longer undoes g
         ("smp_add_one", lambda q: smp_add_one(smp_add_one(q))),  # adds 2
-        ("smp_g", lambda p: NNPoly(p.coeffs[2:])),  # one power too many
-        ("smp_h", lambda p: NNPoly.from_coeffs((0,) + p.coeffs[1:])),  # clears the constant
+        ("smp_g", lambda p: p[2:]),  # one power too many
+        ("smp_h", lambda p: _stripped((0,) + p[1:])),  # clears the constant
     ],
 )
 def test_smp_verify_names_a_broken_map(monkeypatch, name, broken):
@@ -268,7 +285,7 @@ def test_index_maps_are_the_polynomial_maps(max_degree, max_coeff):
     polys = enumerate_polys(max_degree, max_coeff)
     n_a, g_images, h_images = _smp_index_maps(max_degree, max_coeff)
     for i, p in enumerate(polys):
-        if smp_classify(p) is PolyClass.A:
+        if _class_a(p):
             assert i < n_a and smp_g(p) == polys[g_images[i]]
         else:
             assert i >= n_a and smp_h(p) == polys[h_images[i - n_a]]
@@ -294,18 +311,14 @@ def test_smp_verify_rejects_an_off_by_one_index_map(monkeypatch, side, shift):
     assert failed[0] == f"{side}_bijection"
 
 
-def test_trusted_polys_pass_public_validation():
-    # enumerate_polys and the four smp maps build their results without validation
+def test_polys_are_canonical_coefficient_tuples():
+    # every tuple enumerate_polys and the four smp maps return holds nonnegative ints and has no trailing zero
     polys = enumerate_polys(4, 3)
     built = list(polys)
     for p in polys:
-        if smp_classify(p) is PolyClass.A:
-            built.append(smp_g(p))
-        else:
-            built.append(smp_h(p))
-        built += [smp_mul_x(p), smp_add_one(p)]
+        built += [smp_g(p) if _class_a(p) else smp_h(p), smp_mul_x(p), smp_add_one(p)]
     for p in built:
-        assert NNPoly(p.coeffs) == p
+        assert type(p) is tuple and all(type(c) is int and c >= 0 for c in p) and p == _stripped(p)
 
 
 @cache
@@ -319,7 +332,7 @@ def _per_polynomial_embedding(max_degree, max_coeff, bits):
         embeds = []
         for p in enumerate_polys(max_degree, max_coeff):
             acc = mpmath.mpc(0)
-            for k, c in enumerate(p.coeffs):
+            for k, c in enumerate(p):
                 if c:
                     acc += c * powers[k]
             embeds.append(acc._mpc_)
@@ -424,15 +437,15 @@ def test_gh_defect_argmax_matches_the_max_over_pairs(max_degree, max_coeff, bits
     t, lib = _per_polynomial_embedding(max_degree, max_coeff, bits)
     t_inv = mpc_conjugate(t, prec, rnd)
     polys = enumerate_polys(max_degree, max_coeff)
-    index = {p.coeffs: i for i, p in enumerate(polys)}
-    g_pairs = [(p, smp_g(p)) for p in polys if smp_classify(p) is PolyClass.A] if "g" in sides else []
-    h_pairs = [(p, smp_h(p)) for p in polys if smp_classify(p) is PolyClass.B] if "h" in sides else []
+    index = {p: i for i, p in enumerate(polys)}
+    g_pairs = [(p, smp_g(p)) for p in polys if _class_a(p)] if "g" in sides else []
+    h_pairs = [(p, smp_h(p)) for p in polys if not _class_a(p)] if "h" in sides else []
     defects = [
-        mpc_abs(mpc_sub(lib[index[q.coeffs]], mpc_mul(t_inv, lib[index[p.coeffs]], prec, rnd), prec, rnd), prec, rnd)
+        mpc_abs(mpc_sub(lib[index[q]], mpc_mul(t_inv, lib[index[p]], prec, rnd), prec, rnd), prec, rnd)
         for p, q in g_pairs
     ]
     defects += [
-        mpc_abs(mpc_sub(lib[index[q.coeffs]], mpc_sub_mpf(lib[index[p.coeffs]], fone, prec, rnd), prec, rnd), prec, rnd)
+        mpc_abs(mpc_sub(lib[index[q]], mpc_sub_mpf(lib[index[p]], fone, prec, rnd), prec, rnd), prec, rnd)
         for p, q in h_pairs
     ]
     expected = max(defects, key=cmp_to_key(mpf_cmp))
@@ -442,8 +455,8 @@ def test_gh_defect_argmax_matches_the_max_over_pairs(max_degree, max_coeff, bits
         _gh_defect(
             kernel_t,
             embeds,
-            [(index[p.coeffs], index[q.coeffs]) for p, q in g_pairs],
-            [(index[p.coeffs], index[q.coeffs]) for p, q in h_pairs],
+            [(index[p], index[q]) for p, q in g_pairs],
+            [(index[p], index[q]) for p, q in h_pairs],
             bits,
         )
         == expected

@@ -225,6 +225,8 @@ def test_precision_ladder_doubles_until_certified():
 def test_precision_ladder_stops_at_the_cap():
     with pytest.raises(InconclusiveError):
         find_absorbing_rotation_adaptive(fixed_directions(2), 5, start_bits=2, max_bits=2)
+    with pytest.raises(ValueError):
+        find_absorbing_rotation_adaptive(fixed_directions(2), 5, start_bits=4, max_bits=2)
 
 
 def test_absorb_demo_passes():
