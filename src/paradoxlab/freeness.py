@@ -21,6 +21,10 @@ generators evaluates to the identity rotation:
 
 The prepend restriction is essential: 7*gen(x) times 7*gen(x^-1) is 49 times
 the identity, which vanishes mod 7, so unreduced products do collapse.
+
+Both oracles run on the paper's two generators only.  A certificate leaves
+the program as JSON (:func:`certificate_to_json`, in the ``freeness
+certify`` report); nothing reads one back.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Literal, Mapping
 
 from .errors import InvariantViolationError
 from .words import Letter, ReducedWord
-from .exactlin import SCALED_GENERATORS, Mat3, ball_matrices, generator_matrix
+from .exactlin import SCALED_GENERATORS, ball_matrices, generator_matrix
 
 _MOD = 7
 
@@ -64,10 +68,7 @@ class FreenessVerdict:
         return self.outcome == "certified"
 
 
-def exhaustive_check(
-    depth: int,
-    generators: Mapping[Letter, Mat3] | None = None,
-) -> FreenessVerdict:
+def exhaustive_check(depth: int) -> FreenessVerdict:
     """Evaluate every nonempty word of length <= depth; exact, depth-complete.
 
     Returns the length-lexicographically first counterexample if one exists.
@@ -75,7 +76,7 @@ def exhaustive_check(
     if depth < 1:
         raise ValueError("depth must be >= 1")
     checked = 0
-    for letters, ints, den in ball_matrices(depth, generators):
+    for letters, ints, den in ball_matrices(depth):
         if not letters:
             continue
         checked += 1
@@ -268,17 +269,3 @@ def certificate_to_json(cert: FreenessCertificate) -> dict:
         "transitions": [[key(s), Letter(lv).symbol, key(t)] for (s, lv), t in transitions],
     }
 
-
-def certificate_from_json(data: dict) -> FreenessCertificate:
-    def unkey(item: list) -> StateKey:
-        return (int(Letter.from_symbol(item[0])), tuple(int(v) for v in item[1]))
-
-    if data["kind"] != "vector":
-        raise ValueError(f"unknown certificate kind {data['kind']!r}; only vector certificates exist")
-    return FreenessCertificate(
-        base_vector=tuple(int(v) for v in data["base_vector"]),
-        states=frozenset(unkey(s) for s in data["states"]),
-        transitions={
-            (unkey(s), int(Letter.from_symbol(sym))): unkey(t) for s, sym, t in data["transitions"]
-        },
-    )

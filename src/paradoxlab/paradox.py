@@ -406,14 +406,18 @@ def f2_ball_model(depth: int) -> tuple[FiniteActionModel, frozenset, ParadoxWitn
     """
     if depth < 2:
         raise ValueError("depth must be at least 2 so the interior is nontrivial")
-    space = frozenset(ball(depth))
+    words = ball(depth)
+    word_of = {w.letters: w for w in words}
+    space = frozenset(words)
     maps: dict[str, dict] = {"e": {w: w for w in space}}
     for letter in Letter:
-        gen = ReducedWord((letter,))
+        inverse = letter.inverse()
         action = {}
         for w in space:
-            moved = gen * w
-            if len(moved.letters) <= depth:
+            # x.(x^-1 u) = u cancels; any other x.w is x prepended to w.
+            letters = w.letters
+            moved = word_of.get(letters[1:] if letters and letters[0] is inverse else (letter,) + letters)
+            if moved is not None:
                 action[w] = moved
         maps[letter.symbol] = action
     model = FiniteActionModel(points=space, maps=maps, partial=True)

@@ -53,6 +53,13 @@ MAX_PRECISION_BITS = 1024
 #: rotation its search certified (depth 1, M=2 from 2 bits).
 MIN_PRECISION_BITS = 64
 
+#: Most points, (iters + 1) * |C|, the CLI's absorb demo may place.  The demo's
+#: cost grows with the points that share a latitude band, so at the cap the
+#: fewest directions are slowest: depth 1, iters 1499 (2 directions) takes
+#: 119 s, and depth 6, iters 3 (2,664 points) 1.9 s, on a 2-vCPU VM, one
+#: in-process run each.
+ABSORB_POINT_CAP = 3000
+
 #: Working precision of the bad-angle control (corrupted_rotation).
 CONTROL_PRECISION_BITS = 256
 

@@ -16,7 +16,9 @@ identity literally for every ball element, so no boundary fudging is needed.
 
 The ball walk (:func:`walk_ball`) and the checks run on raw letter tuples;
 a :class:`ReducedWord` is built only where a caller or a report needs the
-word: the ball itself, violation messages and witnesses.
+word: the ball itself, violation messages and witnesses.  The group law on
+words (product and inverse), the one-split check and the brute-force ball
+are reference oracles and live in the tests.
 """
 
 from __future__ import annotations
@@ -76,9 +78,6 @@ class PrefixClass(Enum):
 #: Prefix class of the words starting with each letter, indexed by letter.
 _CLASS_OF_LETTER = (PrefixClass.W_A, PrefixClass.W_B, PrefixClass.W_A_INV, PrefixClass.W_B_INV)
 
-#: First letter of every word of each nonempty prefix class.
-_FIRST_LETTER = {c: Letter(i) for i, c in enumerate(_CLASS_OF_LETTER)}
-
 
 @dataclass(frozen=True, slots=True)
 class ReducedWord:
@@ -105,19 +104,6 @@ class ReducedWord:
     def is_identity(self) -> bool:
         return not self.letters
 
-    # -- group operations ---------------------------------------------------
-
-    def __mul__(self, other: "ReducedWord") -> "ReducedWord":
-        return concat(self, other)
-
-    def __pow__(self, n: int) -> "ReducedWord":
-        if n < 0:
-            return invert(self) ** (-n)
-        out = ReducedWord()
-        for _ in range(n):
-            out = concat(out, self)
-        return out
-
     # -- text form ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -130,9 +116,6 @@ class ReducedWord:
     def from_string(cls, text: str) -> "ReducedWord":
         """Parse a word over the alphabet a, b, A, B (A = a^-1, B = b^-1)."""
         return reduce(Letter.from_symbol(ch) for ch in text)
-
-
-IDENTITY = ReducedWord()
 
 
 #: The slot's own setter, which skips the frozen dataclass's __setattr__.
@@ -165,15 +148,6 @@ def _seam(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
         i -= 1
         j += 1
     return a[:i] + b[j:]
-
-
-def concat(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
-    """Product in the free group."""
-    return _reduced(_seam(w1.letters, w2.letters))
-
-
-def invert(w: ReducedWord) -> ReducedWord:
-    return _reduced(tuple(_INVERSES[l] for l in reversed(w.letters)))
 
 
 _ALPHABET = tuple(Letter)
@@ -227,11 +201,6 @@ def ball_size(n: int) -> int:
     return 1 + sum(4 * 3 ** (k - 1) for k in range(1, n + 1))
 
 
-def prefix_class(w: ReducedWord) -> PrefixClass:
-    letters = w.letters
-    return _CLASS_OF_LETTER[letters[0]] if letters else PrefixClass.IDENTITY
-
-
 # -- decomposition checks ---------------------------------------------------
 
 
@@ -279,27 +248,6 @@ def _split_violation(
     return None
 
 
-def check_split(
-    depth: int,
-    cover: PrefixClass,
-    piece: PrefixClass,
-    mover: ReducedWord,
-) -> SplitCheck:
-    """Check that every word of length <= depth lies in W(cover) u mover.W(piece)."""
-    if cover is PrefixClass.IDENTITY or piece is PrefixClass.IDENTITY:
-        raise ValueError("cover and piece must be prefix classes of nonempty words")
-    cover_letter, piece_letter = _FIRST_LETTER[cover], _FIRST_LETTER[piece]
-    mover_letters, inv_letters = mover.letters, invert(mover).letters
-    violations: list[str] = []
-    checked = 0
-    for h, _ in walk_ball(depth, None, _no_value):
-        checked += 1
-        problem = _split_violation(h, cover_letter, piece_letter, mover_letters, inv_letters)
-        if problem is not None and len(violations) < MAX_VIOLATIONS:
-            violations.append(problem)
-    return SplitCheck(depth, cover, piece, mover, checked, tuple(violations))
-
-
 @dataclass(frozen=True)
 class F2ParadoxReport:
     depth: int
@@ -318,8 +266,8 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
 
     One pass over the ball's letter tuples: each word is counted by its first
     letter, its class memberships are recomputed from raw letters, and it is
-    tested against both splits F2 = W(a) u a.W(a^-1) and F2 = W(b) u b.W(b^-1),
-    exactly as :func:`check_split` tests one.
+    tested against both splits F2 = W(a) u a.W(a^-1) and F2 = W(b) u b.W(b^-1)
+    by :func:`_split_violation`.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -350,18 +298,3 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     split_a = SplitCheck(depth, PrefixClass.W_A, PrefixClass.W_A_INV, _reduced(word_a), checked, tuple(violations_a))
     split_b = SplitCheck(depth, PrefixClass.W_B, PrefixClass.W_B_INV, _reduced(word_b), checked, tuple(violations_b))
     return F2ParadoxReport(depth, class_counts, tuple(partition_violations), split_a, split_b)
-
-
-def brute_force_ball(n: int) -> frozenset[ReducedWord]:
-    """Independent oracle: reduce every raw letter string of length <= n.
-
-    Exponential in n (4^n strings), so only usable for small n, which is the
-    point: it shares no code with the incremental enumeration in :func:`ball`.
-    """
-    words: set[ReducedWord] = {IDENTITY}
-    level: list[tuple[Letter, ...]] = [()]
-    for _ in range(n):
-        nxt = [seq + (letter,) for seq in level for letter in Letter]
-        words.update(reduce(seq) for seq in nxt)
-        level = nxt
-    return frozenset(words)

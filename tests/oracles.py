@@ -1,0 +1,188 @@
+"""Reference oracles the tests check the library against.
+
+Nothing in the product runs these: the rational matrix algebra, the
+fraction-free kernel, the group law on reduced words, the one-split check and
+the brute-force ball.  Each is the slow, general route that a fast path in
+``exactlin``, ``words`` or ``paradox`` must agree with.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+from typing import Sequence
+
+from paradoxlab.errors import DegenerateInputError, DomainError
+from paradoxlab.exactlin import Mat3, ProjectiveDirection, _scaled_axis, scaled_integer_form
+from paradoxlab.words import (
+    _CLASS_OF_LETTER,
+    _INVERSES,
+    MAX_VIOLATIONS,
+    Letter,
+    PrefixClass,
+    ReducedWord,
+    SplitCheck,
+    _no_value,
+    _reduced,
+    _seam,
+    _split_violation,
+    reduce,
+    walk_ball,
+)
+
+# -- rational 3x3 matrices ----------------------------------------------------
+
+
+def identity() -> Mat3:
+    one, zero = Fraction(1), Fraction(0)
+    return Mat3((one, zero, zero, zero, one, zero, zero, zero, one))
+
+
+def matmul(m: Mat3, other: Mat3) -> Mat3:
+    a, b = m.entries, other.entries
+    return Mat3(
+        tuple(
+            a[3 * i] * b[j] + a[3 * i + 1] * b[3 + j] + a[3 * i + 2] * b[6 + j]
+            for i in range(3)
+            for j in range(3)
+        )
+    )
+
+
+def sub(m: Mat3, other: Mat3) -> Mat3:
+    return Mat3(tuple(p - q for p, q in zip(m.entries, other.entries)))
+
+
+def det(m: Mat3) -> Fraction:
+    e = m.entries
+    return (
+        e[0] * (e[4] * e[8] - e[5] * e[7])
+        - e[1] * (e[3] * e[8] - e[5] * e[6])
+        + e[2] * (e[3] * e[7] - e[4] * e[6])
+    )
+
+
+def is_special_orthogonal(m: Mat3) -> bool:
+    """Exact test: M * M^T = I and det M = 1."""
+    return matmul(m, m.transpose()) == identity() and det(m) == 1
+
+
+# -- exact kernels ------------------------------------------------------------
+
+
+def row_reduce_int(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form of an integer matrix.
+
+    Elimination uses cross-multiplication (pivot*row - entry*pivot_row) and a
+    gcd division per updated row, so entries never leave the integers and do
+    not blow up.  Returns (echelon rows, pivot column indices).
+    """
+    work = [list(map(int, r)) for r in rows]
+    ncols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        for i in range(r + 1, len(work)):
+            if work[i][c]:
+                pv, ev = work[r][c], work[i][c]
+                row = [pv * work[i][j] - ev * work[r][j] for j in range(ncols)]
+                g = gcd(*row)
+                work[i] = [v // g for v in row] if g else row
+        pivots.append(c)
+        r += 1
+    return work[:r], pivots
+
+
+def integer_rank(rows: Sequence[Sequence[int]]) -> int:
+    return len(row_reduce_int(rows)[1])
+
+
+def integer_kernel_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Primitive integer basis of the right kernel of an integer matrix."""
+    echelon, pivots = row_reduce_int(rows)
+    ncols = len(rows[0])
+    free_cols = [c for c in range(ncols) if c not in pivots]
+    basis: list[tuple[int, ...]] = []
+    for fc in free_cols:
+        sol = [Fraction(0)] * ncols
+        sol[fc] = Fraction(1)
+        # Back-substitute pivot variables from the bottom row up.
+        for row, pc in reversed(list(zip(echelon, pivots))):
+            s = sum((row[j] * sol[j] for j in range(pc + 1, ncols)), start=Fraction(0))
+            sol[pc] = -s / row[pc]
+        d = lcm(*(f.denominator for f in sol))
+        ints = [int(f * d) for f in sol]
+        g = gcd(*ints)
+        basis.append(tuple(v // g for v in ints))
+    return basis
+
+
+def axis(m: Mat3) -> ProjectiveDirection:
+    """Rotation axis of a special orthogonal matrix, from its scaled integer form."""
+    if not is_special_orthogonal(m):
+        raise DomainError("axis is defined for special orthogonal matrices only")
+    if m == identity():
+        raise DegenerateInputError("the identity rotation fixes every direction")
+    return _scaled_axis(*scaled_integer_form(m))
+
+
+# -- reduced words --------------------------------------------------------------
+
+IDENTITY = ReducedWord()
+
+#: First letter of every word of each nonempty prefix class.
+_FIRST_LETTER = {c: Letter(i) for i, c in enumerate(_CLASS_OF_LETTER)}
+
+
+def concat(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
+    """Product in the free group."""
+    return _reduced(_seam(w1.letters, w2.letters))
+
+
+def invert(w: ReducedWord) -> ReducedWord:
+    return _reduced(tuple(_INVERSES[l] for l in reversed(w.letters)))
+
+
+def prefix_class(w: ReducedWord) -> PrefixClass:
+    letters = w.letters
+    return _CLASS_OF_LETTER[letters[0]] if letters else PrefixClass.IDENTITY
+
+
+def check_split(
+    depth: int,
+    cover: PrefixClass,
+    piece: PrefixClass,
+    mover: ReducedWord,
+) -> SplitCheck:
+    """Check that every word of length <= depth lies in W(cover) u mover.W(piece)."""
+    if cover is PrefixClass.IDENTITY or piece is PrefixClass.IDENTITY:
+        raise ValueError("cover and piece must be prefix classes of nonempty words")
+    cover_letter, piece_letter = _FIRST_LETTER[cover], _FIRST_LETTER[piece]
+    mover_letters, inv_letters = mover.letters, invert(mover).letters
+    violations: list[str] = []
+    checked = 0
+    for h, _ in walk_ball(depth, None, _no_value):
+        checked += 1
+        problem = _split_violation(h, cover_letter, piece_letter, mover_letters, inv_letters)
+        if problem is not None and len(violations) < MAX_VIOLATIONS:
+            violations.append(problem)
+    return SplitCheck(depth, cover, piece, mover, checked, tuple(violations))
+
+
+def brute_force_ball(n: int) -> frozenset[ReducedWord]:
+    """Independent oracle: reduce every raw letter string of length <= n.
+
+    Exponential in n (4^n strings), so only usable for small n, which is the
+    point: it shares no code with the incremental enumeration in ``words.ball``.
+    """
+    words: set[ReducedWord] = {IDENTITY}
+    level: list[tuple[Letter, ...]] = [()]
+    for _ in range(n):
+        nxt = [seq + (letter,) for seq in level for letter in Letter]
+        words.update(reduce(seq) for seq in nxt)
+        level = nxt
+    return frozenset(words)

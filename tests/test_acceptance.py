@@ -15,22 +15,14 @@ from random import Random
 
 import pytest
 
-from paradoxlab import measures, paradox, sphere, words
+from paradoxlab import exactlin, measures, paradox, sphere, words
 from paradoxlab.cauchy import AdditiveMap, HamelModel, nonproportionality_witness, verify_cauchy
 from paradoxlab.errors import PreconditionError
-from paradoxlab.exactlin import (
-    GEN_A,
-    GEN_B,
-    Mat3,
-    ProjectiveDirection,
-    axis,
-    eval_word,
-    integer_rank,
-    is_special_orthogonal,
-    scaled_integer_form,
-)
+from paradoxlab.exactlin import GEN_A, GEN_B, Mat3, ProjectiveDirection, eval_word, scaled_integer_form
 from paradoxlab.freeness import build_certificate, exhaustive_check, verify_certificate
-from paradoxlab.words import IDENTITY, Letter, PrefixClass, ReducedWord, ball, concat, invert, reduce
+from paradoxlab.words import Letter, PrefixClass, ReducedWord, ball, reduce
+
+from oracles import IDENTITY, axis, check_split, concat, identity, integer_rank, invert, is_special_orthogonal, sub
 
 
 def _line(capsys, num: int, ok: bool, text: str) -> None:
@@ -71,9 +63,9 @@ def test_criterion_02_f2_decomposition_and_mutations(capsys):
     started = time.perf_counter()
     report = words.verify_f2_paradox(6)
     corrupted = [
-        words.check_split(4, PrefixClass.W_A, PrefixClass.W_A_INV, ReducedWord.from_string("b")),
-        words.check_split(4, PrefixClass.W_A, PrefixClass.W_B, ReducedWord.from_string("a")),
-        words.check_split(4, PrefixClass.W_B, PrefixClass.W_A_INV, ReducedWord.from_string("a")),
+        check_split(4, PrefixClass.W_A, PrefixClass.W_A_INV, ReducedWord.from_string("b")),
+        check_split(4, PrefixClass.W_A, PrefixClass.W_B, ReducedWord.from_string("a")),
+        check_split(4, PrefixClass.W_B, PrefixClass.W_A_INV, ReducedWord.from_string("a")),
     ]
     mutations_fail = all(not c.passed for c in corrupted)
     elapsed = time.perf_counter() - started
@@ -108,7 +100,7 @@ def test_criterion_04_two_freeness_oracles_agree(capsys):
     _line(capsys, 4, ok, f"13120 exact evaluations certified and the residue certificate verifies ({elapsed:.1f}s < 60s)")
 
 
-def test_criterion_05_order_four_negative_control(capsys):
+def test_criterion_05_order_four_negative_control(capsys, monkeypatch):
     rot_z = Mat3.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
     rot_x = Mat3.from_rows([[1, 0, 0], [0, 0, -1], [0, 1, 0]])
     gens = {
@@ -117,7 +109,8 @@ def test_criterion_05_order_four_negative_control(capsys):
         Letter.A_INV: rot_z.transpose(),
         Letter.B_INV: rot_x.transpose(),
     }
-    verdict = exhaustive_check(4, gens)
+    monkeypatch.setattr(exactlin, "SCALED_GENERATORS", tuple(scaled_integer_form(gens[x]) for x in Letter))
+    verdict = exhaustive_check(4)
     ok = verdict.outcome == "counterexample" and str(verdict.witness) == "aaaa"
     _line(capsys, 5, ok, f"order-4 rotations rejected with witness {verdict.witness}")
 
@@ -133,7 +126,7 @@ def test_criterion_06_fixed_point_geometry(capsys):
     for w in ball(4):
         if w.is_identity:
             continue
-        ints, _ = scaled_integer_form(eval_word(w) - Mat3.identity())
+        ints, _ = scaled_integer_form(sub(eval_word(w), identity()))
         rows = [list(ints[3 * i : 3 * i + 3]) for i in range(3)]
         ranks_ok &= integer_rank(rows) == 2
     elapsed = time.perf_counter() - started

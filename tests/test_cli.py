@@ -8,9 +8,9 @@ import sys
 import jsonschema
 import pytest
 
-from paradoxlab import cli, measures, paradox
-from paradoxlab.errors import InconclusiveError
-from paradoxlab.words import ReducedWord
+from paradoxlab import cauchy, cli, measures, paradox, sphere
+from paradoxlab.errors import InconclusiveError, InvariantViolationError
+from paradoxlab.words import Letter, ReducedWord
 
 from conftest import run_cli
 
@@ -112,6 +112,39 @@ def test_inconclusive_exit_code(monkeypatch, report_schema):
     assert report["outcome"] == "inconclusive"
 
 
+def test_a_broken_invariant_gives_a_fail_report(monkeypatch, report_schema):
+    # ints - den*I is the identity for the word a: rank 3, so nothing is fixed.
+    def broken(depth):
+        yield (), (1, 0, 0, 0, 1, 0, 0, 0, 1), 1
+        yield (Letter.A,), (2, 0, 0, 0, 2, 0, 0, 0, 2), 1
+
+    monkeypatch.setattr(sphere, "ball_matrices", broken)
+    result = run_cli("sphere", "fixed-points", "--depth", "1")
+    assert result.code == 1
+    report = result.report
+    jsonschema.validate(report, report_schema)
+    assert report["outcome"] == "fail"
+    [finding] = report["details"]["findings"]
+    assert finding["ok"] is False
+    assert finding["detail"].startswith("a: fixed space is 0-dimensional")
+
+
+def test_a_broken_demo_bound_gives_a_fail_report(monkeypatch, report_schema):
+    # The demo leaves the bound to the library, so a broken bound is the library's raise.
+    def broken(*args):
+        raise InvariantViolationError("invariance defect 1 exceeds 2 sup|f| / 3")
+
+    monkeypatch.setattr(measures, "ergodic_average", broken)
+    result = run_cli("measures", "demo", "--which", "ergodic")
+    assert result.code == 1
+    report = result.report
+    jsonschema.validate(report, report_schema)
+    assert report["outcome"] == "fail"
+    assert report["details"]["findings"] == [
+        {"name": "InvariantViolationError", "ok": False, "detail": "invariance defect 1 exceeds 2 sup|f| / 3"}
+    ]
+
+
 # -- usage errors ------------------------------------------------------------
 
 
@@ -134,6 +167,13 @@ def test_inconclusive_exit_code(monkeypatch, report_schema):
         pytest.param(
             ("sphere", "absorb", "--depth", "1", "--iters", "2", "--bits", "1025"), id="sphere absorb past the bits cap"
         ),
+        pytest.param(("cauchy", "demo", "--rank", str(cauchy.MAX_RANK + 1)), id="cauchy demo past the rank cap"),
+        # Depth 1 has two fixed directions, so iters + 1 layers make 2 * (iters + 1) points.
+        pytest.param(
+            ("sphere", "absorb", "--depth", "1", "--iters", str(sphere.ABSORB_POINT_CAP // 2)),
+            id="sphere absorb past the point cap",
+        ),
+        pytest.param(("sphere", "absorb", "--depth", "6", "--iters", "4"), id="sphere absorb at depth 6 past the point cap"),
     ],
 )
 def test_usage_errors_exit_64(argv):

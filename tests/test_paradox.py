@@ -54,7 +54,9 @@ from paradoxlab.paradox import (
     _to_floats,
     _to_mpc,
 )
-from paradoxlab.words import Letter, ball, ball_size
+from paradoxlab.words import Letter, ReducedWord, ball, ball_size
+
+from oracles import concat
 
 # -- models and witnesses ----------------------------------------------------
 
@@ -97,6 +99,19 @@ def test_f2_ball_model_witness_passes():
     assert report.passed
     assert len(space) == 161
     assert len(interior) == 53
+
+
+@pytest.mark.parametrize("depth", range(2, 7))
+def test_f2_ball_model_maps_are_left_multiplication_inside_the_ball(depth):
+    model, space, _, _ = f2_ball_model(depth)
+    for x in Letter:
+        action = model.maps[x.symbol]
+        for w in space:
+            product = concat(ReducedWord((x,)), w)
+            if len(product) <= depth:
+                assert action[w] == product, (x, w)
+            else:
+                assert w not in action, (x, w)
 
 
 def _z4_rotation():
