@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import or_
@@ -42,7 +41,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .paradox import FiniteActionModel, ParadoxWitness, PointBits, bitset
+from .paradox import FiniteActionModel, ParadoxWitness, _witness_pass
 from .report import Finding
 
 Point = Hashable
@@ -83,21 +82,36 @@ class PointMeasure:
 
     Determined by nonnegative point weights; additivity is then automatic,
     but :func:`audit_point_measure` rechecks it anyway on sampled pairs, as a
-    guard on the evaluation code rather than on the mathematics.
+    guard on the evaluation code rather than on the mathematics.  The
+    weights are grouped by value once: ``groups`` pairs each distinct weight
+    with the points that carry it, so a uniform measure is one group and a
+    Dirac measure one point.
     """
 
     universe: frozenset
     weights: Mapping[Point, Fraction]
 
+    groups: tuple[tuple[Fraction, frozenset], ...] = field(init=False, repr=False)
+
     def __post_init__(self) -> None:
-        fixed = {}
-        for p, w in self.weights.items():
-            if p not in self.universe:
-                raise ModelError(f"weight on {p!s} outside the universe")
-            w = _frac(w)
-            if w < 0:
-                raise ModelError(f"negative weight on {p!s}")
-            fixed[p] = w
+        fixed = dict(self.weights)
+        by_value: dict[tuple[int, int], tuple[Fraction, list]] = {}
+        last = object()
+        for p, w in fixed.items():
+            # A uniform measure gives every point one Fraction, so its key is computed once.
+            if w is not last:
+                last = _frac(w)
+                points = by_value.setdefault((last.numerator, last.denominator), (last, []))[1]
+            points.append(p)
+        self.groups = tuple((w, frozenset(points)) for w, points in by_value.values())
+        if not all(points <= self.universe for _, points in self.groups):
+            p = next(p for p in fixed if p not in self.universe)
+            raise ModelError(f"weight on {p!s} outside the universe")
+        for (numerator, _), (_, points) in by_value.items():
+            if numerator < 0:
+                raise ModelError(f"negative weight on {points[0]!s}")
+        for w, points in self.groups:
+            fixed.update(dict.fromkeys(points, w))
         self.weights = fixed
 
     @classmethod
@@ -105,8 +119,7 @@ class PointMeasure:
         pts = frozenset(universe)
         if not pts:
             raise DomainError("empty universe has no uniform probability")
-        w = Fraction(1, len(pts))
-        return cls(pts, {p: w for p in pts})
+        return cls(pts, dict.fromkeys(pts, Fraction(1, len(pts))))
 
     @classmethod
     def dirac(cls, universe: Iterable, at) -> "PointMeasure":
@@ -116,25 +129,11 @@ class PointMeasure:
         return cls(pts, {at: Fraction(1)})
 
     def mu(self, subset: Iterable) -> Fraction:
-        """Exact mass of ``subset``, summed over its meeting with the support only.
-
-        The loop runs over the smaller of the subset and the weighted points.
-        Numerators are added per denominator, then one Fraction per
-        denominator, so a uniform measure costs one Fraction however large
-        the subset.
-        """
+        """Exact mass of ``subset``: each group's weight times the number of its points in the subset."""
         s = frozenset(subset)
         if not s <= self.universe:
             raise DomainError("measure evaluated outside its universe")
-        weights = self.weights
-        if len(s) < len(weights):
-            hit = [weights[p] for p in s if p in weights]
-        else:
-            hit = [w for p, w in weights.items() if p in s]
-        numerators: dict[int, int] = {}
-        for w in hit:
-            numerators[w.denominator] = numerators.get(w.denominator, 0) + w.numerator
-        return sum((Fraction(n, d) for d, n in numerators.items()), start=Fraction(0))
+        return sum((w * n for w, points in self.groups if (n := len(s & points))), start=Fraction(0))
 
     def total(self) -> Fraction:
         return self.mu(self.universe)
@@ -143,19 +142,13 @@ class PointMeasure:
         return self.total() == 1
 
 
-def _indexed_mass(nu: PointMeasure, bits: PointBits) -> Callable[[int], Fraction]:
-    """nu on the bitsets of one verifier call: mu(b) = sum over weights w of w * |b & points weighing w|.
+def _indexed_mass(nu: PointMeasure, model: FiniteActionModel) -> Callable[[int], Fraction]:
+    """nu on bitsets over the model's index: each group's weight times its bits in the bitset.
 
-    The weights are grouped by value, so a uniform measure is one group and
-    a Dirac measure one bit.
+    A weighted point the model lacks is in no bitset, so it adds nothing.
     """
-    by_value: defaultdict[tuple[int, int], list] = defaultdict(list)
-    for p, w in nu.weights.items():
-        by_value[w.numerator, w.denominator].append(p)
-    groups = []
-    for value, points in by_value.items():
-        ids = bits.ids(points)
-        groups.append((Fraction(*value), bitset(ids, bits.width)))
+    index = model._index
+    groups = [(w, index.bits(points & index.members, "nu")) for w, points in nu.groups]
 
     def mass(b: int) -> Fraction:
         return sum((w * (b & group).bit_count() for w, group in groups), start=Fraction(0))
@@ -228,12 +221,6 @@ class GroupTable:
         except KeyError:
             raise ModelError(f"product {g!r}*{h!r} missing from the table") from None
 
-    def inverse(self, g):
-        for h in self.elements:
-            if self.mul(g, h) == self.identity:
-                return h
-        raise ModelError(f"{g!r} has no inverse")
-
     def __len__(self) -> int:
         return len(self.elements)
 
@@ -254,16 +241,6 @@ class GroupTable:
             (p, q): tuple(p[q[i]] for i in range(n)) for p in elems for q in elems
         }
         return cls(elems, table, tuple(range(n)))
-
-    @classmethod
-    def product(cls, a: "GroupTable", b: "GroupTable") -> "GroupTable":
-        elems = tuple(itertools.product(a.elements, b.elements))
-        table = {
-            ((g1, g2), (h1, h2)): (a.mul(g1, h1), b.mul(g2, h2))
-            for (g1, g2) in elems
-            for (h1, h2) in elems
-        }
-        return cls(elems, table, (a.identity, b.identity))
 
 
 def uniform_group_measure(G: GroupTable) -> PointMeasure:
@@ -646,7 +623,7 @@ def paradox_contradiction(
     covering link then certifies that each side's moved union covers the
     interior exactly, instead of demanding nu(union) = nu(X), which no
     honest truncation satisfies.  The interior checked is the one derived
-    from the model (:meth:`FiniteActionModel.interior`); the passed value is
+    from the model, the points every mover reaches; the passed value is
     only compared with it, and any difference fails the link.  Without the
     invariance hypothesis the link also fails when nu puts mass on moved
     points outside the interior: the truncation is faithful only inside it,
@@ -654,7 +631,7 @@ def paradox_contradiction(
     covered.
     """
     model.validate()
-    pieces = list(witness.pieces_a) + list(witness.pieces_b)
+    pieces = witness.pieces_a + witness.pieces_b
     if not all(p <= space for p in pieces):
         raise ModelError("witness pieces must sit inside the space")
     if not space <= nu.universe:
@@ -662,11 +639,9 @@ def paradox_contradiction(
     if interior is not None and not interior <= space:
         raise ModelError("interior must sit inside the space")
 
-    bits = PointBits(model)
-    space_bits = bits.of(space)
-    piece_ids = [bits.ids(p) for p in pieces]
-    piece_bits = [bitset(ids, bits.width) for ids in piece_ids]
-    mass = _indexed_mass(nu, bits)
+    run = _witness_pass(model, space, witness, interior)
+    space_bits = run.space
+    mass = _indexed_mass(nu, model)
 
     links: list[ChainLink] = []
     total = mass(space_bits)
@@ -681,8 +656,8 @@ def paradox_contradiction(
         )
     )
 
-    disjoint = reduce(or_, piece_bits).bit_count() == sum(len(p) for p in pieces)
-    sum_pieces = sum(map(mass, piece_bits), start=Fraction(0))
+    disjoint = reduce(or_, run.pieces).bit_count() == sum(len(p) for p in pieces)
+    sum_pieces = sum(map(mass, run.pieces), start=Fraction(0))
     links.append(
         ChainLink(
             "superadditivity",
@@ -694,14 +669,11 @@ def paradox_contradiction(
         )
     )
 
-    k = len(witness.pieces_a)
-    moved_a, undefined_a = bits.moved(piece_ids[:k], witness.movers_a)
-    moved_b, undefined_b = bits.moved(piece_ids[k:], witness.movers_b)
-    if not model.points <= nu.universe:
-        unmeasured = bitset((i for i, p in enumerate(bits.index.points) if p not in nu.universe), bits.width)
-        if any(m & unmeasured for m in moved_a + moved_b):
-            raise DomainError("measure evaluated outside its universe")
-    sum_moved = sum(map(mass, moved_a + moved_b), start=Fraction(0))
+    moved = run.moved[0] + run.moved[1]
+    unmeasured = model._index.bits(model.points - nu.universe, "model")
+    if any(m & unmeasured for m in moved):
+        raise DomainError("measure evaluated outside its universe")
+    sum_moved = sum(map(mass, moved), start=Fraction(0))
 
     if invariant:
         links.append(
@@ -726,8 +698,7 @@ def paradox_contradiction(
             )
         )
 
-    union_a = reduce(or_, moved_a)
-    union_b = reduce(or_, moved_b)
+    union_a, union_b = run.unions
     nu_a, nu_b = mass(union_a & space_bits), mass(union_b & space_bits)
     nu_unions = nu_a + nu_b
     links.append(
@@ -753,12 +724,12 @@ def paradox_contradiction(
             )
         )
     else:
-        derived = bits.index.interior(witness.movers_a + witness.movers_b)
-        mismatch = bits.mismatch(interior, derived)
+        derived = run.target
         covers = not derived & ~union_a and not derived & ~union_b
         leaked = 0 if invariant else mass((union_a | union_b) & space_bits & ~derived)
-        if mismatch:
-            detail = mismatch
+        undefined_a, undefined_b = run.undefined
+        if run.mismatch:
+            detail = run.mismatch
         elif not covers:
             detail = "a moved union misses interior points"
         elif leaked:
@@ -770,7 +741,7 @@ def paradox_contradiction(
                 f"undefined a: {undefined_a}, b: {undefined_b}; "
                 "in the untruncated model the unions cover all of X"
             )
-        ok = not mismatch and covers and not leaked
+        ok = not run.mismatch and covers and not leaked
         links.append(ChainLink("covering", "truncation", ok, nu_unions, 2 * total, detail))
 
     bad = [link.name for link in links if not link.ok]
@@ -833,11 +804,14 @@ def contradiction_input_to_json(
 def contradiction_input_from_json(data: Mapping):
     """Inverse of :func:`contradiction_input_to_json`, with located complaints.
 
-    Point names, map labels and the identity must be strings, ``maps`` an
-    object of objects, ``partial`` and ``invariant`` JSON booleans, and ``nu``
-    an object whose ``weights`` map point names to strings; any other JSON
-    shape raises ModelError naming the field, before a model is built from it.
+    The input and ``witness`` must be objects, point names, map labels and the
+    identity strings, ``maps`` an object of objects, ``partial`` and
+    ``invariant`` JSON booleans, and ``nu`` an object whose ``weights`` map
+    point names to fractions written as strings; any other JSON shape raises
+    ModelError naming the field, before a model is built from it.
     """
+    if not isinstance(data, dict):
+        raise ModelError("contradiction input must be an object")
 
     def need(key):
         if key not in data:
@@ -877,6 +851,8 @@ def contradiction_input_from_json(data: Mapping):
         partial=flag("partial"),
     )
     w = need("witness")
+    if not isinstance(w, dict):
+        raise ModelError("witness must be an object")
     for key in ("pieces_a", "movers_a", "pieces_b", "movers_b"):
         if key not in w:
             raise ModelError(f"witness is missing {key!r}")
@@ -900,7 +876,14 @@ def contradiction_input_from_json(data: Mapping):
     weights = nu_data["weights"]
     if not isinstance(weights, dict) or not all(isinstance(v, str) for v in weights.values()):
         raise ModelError("nu weights must map point names to strings such as '1/3'")
-    nu = PointMeasure(space, {p: Fraction(v) for p, v in weights.items()})
+
+    def weight(v):
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise ModelError(f"nu weights must be fractions such as '1/3', not {v!r}") from None
+
+    nu = PointMeasure(space, {p: weight(v) for p, v in weights.items()})
     interior = data.get("interior")
     if interior is not None:
         names(interior, "interior")

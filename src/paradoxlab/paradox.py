@@ -5,9 +5,9 @@ Witness verifiers check the set-theoretic content of a paradoxical
 decomposition on such a model.  Infinite sets only ever appear
 through finite truncations, so covering identities may be scoped to an
 *interior* subset: points whose preimages stay inside the truncation.  The
-interior is derived from the model (:meth:`FiniteActionModel.interior`); an
-interior a caller passes is only compared with it.  Boundary effects are
-reported, never silently passed.
+interior is derived from the model, as the points every mover of the
+witness reaches; an interior a caller passes is only compared with it.
+Boundary effects are reported, never silently passed.
 
 Two concrete decompositions are built here:
 
@@ -83,9 +83,11 @@ class _PointIndex:
     ``image[label][i]`` is the number of the image of point i, or -1 where
     the label is undefined there; ``reach[label]`` is the bitset of the
     label's range.  A label in ``outside`` maps a point, or to a point,
-    outside the point set: its tuple holds only the pairs inside it.
+    outside the point set: its tuple holds only the pairs inside it.  Bit i
+    of a bitset stands for point i; a point the model lacks has no bit.
     """
 
+    members: frozenset
     points: tuple
     at: dict
     image: dict[str, tuple[int, ...]]
@@ -113,16 +115,51 @@ class _PointIndex:
                 row[i] = j
             image[label] = tuple(row)
             reach[label] = bitset(dst, n)
-        return cls(order, at, image, reach, frozenset(outside))
+        return cls(points, order, at, image, reach, frozenset(outside))
+
+    @property
+    def full(self) -> int:
+        """The bitset of every point."""
+        return (1 << len(self.points)) - 1
+
+    def ids(self, subset: frozenset, what: str) -> list[int]:
+        """The bit of each point of ``subset``; a point the model lacks raises ModelError naming it and ``what``."""
+        ids = list(map(self.at.get, subset))
+        if None in ids:
+            lost = min(repr(p) for i, p in zip(ids, subset) if i is None)
+            raise ModelError(f"{what} point {lost} is not in the model")
+        return ids
+
+    def bits(self, subset: frozenset, what: str) -> int:
+        """The bitset of ``subset`` (see :meth:`ids`); the model's own point set is every bit, without a lookup."""
+        if subset == self.members:
+            return self.full
+        return bitset(self.ids(subset, what), len(self.points))
 
     def subset(self, bits: int) -> frozenset:
         """The points whose bits are set; every bit must be below the number of points."""
         flags = format(bits, f"0{len(self.points)}b")[::-1]
         return frozenset(itertools.compress(self.points, map("1".__eq__, flags)))
 
+    def moved(self, pieces: Sequence[list[int]], movers: Sequence[str]) -> tuple[list[int], int]:
+        """Move each piece, given by its bits (:meth:`ids`), by its mover.
+
+        Returns the bitset of each image and the count of points where the
+        mover is undefined.
+        """
+        images, undefined = [], 0
+        for ids, label in zip(pieces, movers):
+            row = self.image.get(label)
+            if row is None:
+                raise ModelError(f"unknown group label {label!r}")
+            targets = list(map(row.__getitem__, ids))
+            undefined += targets.count(-1)
+            images.append(bitset(targets, len(self.points)))
+        return images, undefined
+
     def interior(self, movers: Sequence[str]) -> int:
         """The bitset of points every mover reaches."""
-        inside = (1 << len(self.points)) - 1
+        inside = self.full
         for label in dict.fromkeys(movers):
             if label not in self.image:
                 raise ModelError(f"unknown group label {label!r}")
@@ -141,8 +178,8 @@ class FiniteActionModel:
     The model keeps read-only copies of ``points`` and ``maps``, and the
     verifiers run on an index built from them once, on first use: the
     points numbered 0..n-1, each map an int tuple and point sets int
-    bitsets (:class:`PointBits`).  Point objects come back only for
-    messages.
+    bitsets.  A verifier refuses a point the model lacks.  Point objects
+    come back only for messages.
     """
 
     points: frozenset
@@ -176,71 +213,6 @@ class FiniteActionModel:
                 raise ModelError(f"label {label!r} is not total on the point set")
         if index.image[self.identity] != tuple(range(n)):
             raise ModelError("identity label must fix every point")
-
-    def interior(self, witness: "ParadoxWitness") -> frozenset:
-        """The points every mover of ``witness`` reaches: the intersection of the movers' ranges.
-
-        A truncated model is faithful to the infinite action exactly where
-        every mover's preimage exists, so the covering identities are audited
-        there.  On a total model it is every point.
-        """
-        index = self._index
-        return index.subset(index.interior(witness.movers_a + witness.movers_b))
-
-
-class PointBits:
-    """The point sets of one verifier call as int bitsets over a model's index.
-
-    Bit i stands for point i of the index.  A point the model lacks (a
-    caller's space or piece may hold one) gets the next free bit for the rest
-    of the call, and no label is defined on it.
-    """
-
-    def __init__(self, model: FiniteActionModel) -> None:
-        self.points = model.points
-        self.index = model._index
-        self.extra: dict = {}
-
-    @property
-    def width(self) -> int:
-        return len(self.index.points) + len(self.extra)
-
-    def ids(self, subset: Iterable[Point]) -> list[int]:
-        """The bit of each point of ``subset``; a point without one gets the next free bit."""
-        ids = list(map(self.index.at.get, subset))
-        if None in ids:
-            ids = [self.extra.setdefault(p, self.width) if i is None else i for i, p in zip(ids, subset)]
-        return ids
-
-    def of(self, subset: frozenset) -> int:
-        """The bitset of ``subset``; the model's own point set is every bit, without a lookup."""
-        if subset == self.points:
-            return (1 << len(self.index.points)) - 1
-        ids = self.ids(subset)
-        return bitset(ids, self.width)
-
-    def moved(self, pieces: Sequence[list[int]], movers: Sequence[str]) -> tuple[list[int], int]:
-        """Move each piece, given by its bits (:meth:`ids`), by its mover.
-
-        Returns the bitset of each image and the count of points where the
-        mover is undefined.
-        """
-        pad = (-1,) * len(self.extra)
-        images, undefined = [], 0
-        for ids, label in zip(pieces, movers):
-            row = self.index.image.get(label)
-            if row is None:
-                raise ModelError(f"unknown group label {label!r}")
-            targets = list(map((row + pad).__getitem__, ids))
-            undefined += targets.count(-1)
-            images.append(bitset(targets, self.width))
-        return images, undefined
-
-    def mismatch(self, given: frozenset, derived: int) -> str:
-        """:func:`interior_mismatch` of a caller's interior and the derived interior's bitset."""
-        if self.of(given) == derived:
-            return ""
-        return interior_mismatch(given, self.index.subset(derived))
 
 
 def interior_mismatch(given: frozenset, derived: frozenset) -> str:
@@ -297,6 +269,51 @@ def _disjointness(pieces: Sequence[int]) -> list[str]:
     return problems
 
 
+@dataclass(frozen=True)
+class _WitnessPass:
+    """A witness on a model's index, as both verifiers read it; a-side pieces come first in ``pieces``.
+
+    ``target`` is the set the moved unions must cover: the space, or, for a
+    truncated model, the interior derived from the movers' common range.
+    ``mismatch`` says how a given interior differs from that derived one.
+    """
+
+    space: int
+    pieces: list[int]
+    moved: tuple[list[int], list[int]]
+    unions: tuple[int, int]
+    undefined: tuple[int, int]
+    target: int
+    mismatch: str
+
+
+def _witness_pass(
+    model: FiniteActionModel, space: frozenset, witness: ParadoxWitness, interior: frozenset | None
+) -> _WitnessPass:
+    """Space, pieces, images and covering target of ``witness`` as bitsets; a point the model lacks raises ModelError."""
+    index = model._index
+    space_bits = index.bits(space, "space")
+    piece_ids = [index.ids(p, "piece") for p in witness.pieces_a + witness.pieces_b]
+    n = len(index.points)
+    k = len(witness.pieces_a)
+    moved_a, undefined_a = index.moved(piece_ids[:k], witness.movers_a)
+    moved_b, undefined_b = index.moved(piece_ids[k:], witness.movers_b)
+    if interior is None:
+        target, mismatch = space_bits, ""
+    else:
+        target = index.interior(witness.movers_a + witness.movers_b)
+        mismatch = "" if index.bits(interior, "interior") == target else interior_mismatch(interior, index.subset(target))
+    return _WitnessPass(
+        space_bits,
+        [bitset(ids, n) for ids in piece_ids],
+        (moved_a, moved_b),
+        (reduce(or_, moved_a), reduce(or_, moved_b)),
+        (undefined_a, undefined_b),
+        target,
+        mismatch,
+    )
+
+
 def verify_paradox_witness(
     model: FiniteActionModel,
     space: frozenset,
@@ -307,34 +324,25 @@ def verify_paradox_witness(
     """Check disjointness and both covering identities on a finite model.
 
     Passing ``interior`` marks the model as truncated: covering is then
-    required on the derived interior (:meth:`FiniteActionModel.interior`),
-    and an ``interior`` that differs from it fails both covering findings.
-    The uncovered boundary is reported in the details either way.
+    required on the interior derived from the model, the points every
+    mover reaches, and an ``interior`` that differs from it fails both
+    covering findings.  The uncovered boundary is reported in the details
+    either way.  A space or piece point the model lacks raises ModelError.
     """
     model.validate()
     if interior is not None and not interior <= space:
         raise ModelError("interior must sit inside the space")
-    bits = PointBits(model)
-    space_bits = bits.of(space)
-    if interior is None:
-        target, mismatch = space_bits, ""
-    else:
-        target = bits.index.interior(witness.movers_a + witness.movers_b)
-        mismatch = bits.mismatch(interior, target)
+    run = _witness_pass(model, space, witness, interior)
+    target = run.target
     findings: list[Finding] = []
-    piece_ids = [bits.ids(p) for p in list(witness.pieces_a) + list(witness.pieces_b)]
-    piece_bits = [bitset(ids, bits.width) for ids in piece_ids]
-    contained = all(p & space_bits == p for p in piece_bits)
+    contained = all(p & run.space == p for p in run.pieces)
     findings.append(Finding("pieces_in_space", contained, "" if contained else "a piece leaves the space"))
-    overlap_problems = _disjointness(piece_bits)
+    overlap_problems = _disjointness(run.pieces)
     findings.append(Finding("pieces_disjoint", not overlap_problems, "; ".join(overlap_problems)))
 
     details: dict = {"space_size": len(space), "interior_size": target.bit_count()}
-    k = len(witness.pieces_a)
-    for side, ids, movers in (("a", piece_ids[:k], witness.movers_a), ("b", piece_ids[k:], witness.movers_b)):
-        images, undefined_total = bits.moved(ids, movers)
-        union = reduce(or_, images)
-        in_space = union & space_bits == union
+    for side, union, undefined_total in zip("ab", run.unions, run.undefined):
+        in_space = union & run.space == union
         missing = (target & ~union).bit_count()
         findings.append(
             Finding(
@@ -343,12 +351,12 @@ def verify_paradox_witness(
                 "" if not undefined_total else f"mover undefined on {undefined_total} point(s)",
             )
         )
-        ok = not missing and in_space and not mismatch
+        ok = not missing and in_space and not run.mismatch
         findings.append(
             Finding(
                 f"moved_{side}_covers",
                 ok,
-                "" if ok else mismatch or f"{missing} interior point(s) uncovered",
+                "" if ok else run.mismatch or f"{missing} interior point(s) uncovered",
             )
         )
         details[f"moved_{side}_size"] = union.bit_count()

@@ -384,19 +384,18 @@ def find_absorbing_rotation_adaptive(
     M: int,
     *,
     start_bits: int = DEFAULT_PRECISION_BITS,
-    max_bits: int = MAX_PRECISION_BITS,
 ) -> AbsorbingRotation:
-    """Double the interval precision until certification succeeds or the cap is hit."""
-    if start_bits > max_bits:
-        raise ValueError(f"start_bits {start_bits} exceeds max_bits {max_bits}")
+    """Double the interval precision until certification succeeds or :data:`MAX_PRECISION_BITS` is hit."""
+    if start_bits > MAX_PRECISION_BITS:
+        raise ValueError(f"start_bits {start_bits} exceeds MAX_PRECISION_BITS {MAX_PRECISION_BITS}")
     bits = start_bits
     while True:
         try:
             return find_absorbing_rotation(C, M, bits)
         except InconclusiveError:
-            if bits >= max_bits:
+            if bits >= MAX_PRECISION_BITS:
                 raise
-            bits = min(2 * bits, max_bits)
+            bits = min(2 * bits, MAX_PRECISION_BITS)
 
 
 # -- truncated Hilbert-hotel demo -------------------------------------------

@@ -100,10 +100,6 @@ class ReducedWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
     # -- text form ----------------------------------------------------------
 
     def __str__(self) -> str:

@@ -1,19 +1,23 @@
 """Reference oracles the tests check the library against.
 
 Nothing in the product runs these: the rational matrix algebra, the
-fraction-free kernel, the group law on reduced words, the one-split check and
-the brute-force ball.  Each is the slow, general route that a fast path in
-``exactlin``, ``words`` or ``paradox`` must agree with.
+fraction-free kernel, the group law on reduced words, the one-split check,
+the brute-force ball, the direct product of group tables, and the
+frozenset route of finite action models (validation, images and the derived
+interior on point objects).  Each is the slow, general route that a fast
+path in ``exactlin``, ``words``, ``measures`` or ``paradox`` must agree with.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from paradoxlab.errors import DegenerateInputError, DomainError
+from paradoxlab.errors import DegenerateInputError, DomainError, ModelError
 from paradoxlab.exactlin import Mat3, ProjectiveDirection, _scaled_axis, scaled_integer_form
+from paradoxlab.measures import GroupTable
 from paradoxlab.words import (
     _CLASS_OF_LETTER,
     _INVERSES,
@@ -186,3 +190,56 @@ def brute_force_ball(n: int) -> frozenset[ReducedWord]:
         words.update(reduce(seq) for seq in nxt)
         level = nxt
     return frozenset(words)
+
+
+# -- finite groups --------------------------------------------------------------
+
+
+def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
+    """The direct product a x b, multiplied componentwise."""
+    elems = tuple(itertools.product(a.elements, b.elements))
+    table = {((g1, g2), (h1, h2)): (a.mul(g1, h1), b.mul(g2, h2)) for (g1, g2) in elems for (h1, h2) in elems}
+    return GroupTable(elems, table, (a.identity, b.identity))
+
+
+# -- finite action models on point objects ------------------------------------
+
+
+def ref_validate(model) -> None:
+    if model.identity not in model.maps:
+        raise ModelError(f"identity label {model.identity!r} missing from maps")
+    for label, mapping in model.maps.items():
+        dom = set(mapping)
+        rng = set(mapping.values())
+        if not dom <= model.points or not rng <= model.points:
+            raise ModelError(f"label {label!r} maps outside the point set")
+        if len(rng) != len(mapping):
+            raise ModelError(f"label {label!r} is not injective")
+        if not model.partial and dom != model.points:
+            raise ModelError(f"label {label!r} is not total on the point set")
+    ident = model.maps[model.identity]
+    if set(ident) != model.points or any(ident[p] != p for p in ident):
+        raise ModelError("identity label must fix every point")
+
+
+def ref_images(model, pieces, movers) -> tuple[list[frozenset], int]:
+    """The image of each piece under its mover, and the count of points where a mover is undefined."""
+    images = []
+    undefined = 0
+    for piece, label in zip(pieces, movers):
+        if label not in model.maps:
+            raise ModelError(f"unknown group label {label!r}")
+        mapping = model.maps[label]
+        images.append(frozenset(mapping[p] for p in piece if p in mapping))
+        undefined += sum(1 for p in piece if p not in mapping)
+    return images, undefined
+
+
+def ref_interior(model, witness) -> frozenset:
+    """The points every mover of ``witness`` reaches: the intersection of the movers' ranges."""
+    inside = frozenset(model.points)
+    for label in dict.fromkeys(witness.movers_a + witness.movers_b):
+        if label not in model.maps:
+            raise ModelError(f"unknown group label {label!r}")
+        inside = inside.intersection(model.maps[label].values())
+    return inside

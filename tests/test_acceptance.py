@@ -22,7 +22,18 @@ from paradoxlab.exactlin import GEN_A, GEN_B, Mat3, ProjectiveDirection, eval_wo
 from paradoxlab.freeness import build_certificate, exhaustive_check, verify_certificate
 from paradoxlab.words import Letter, PrefixClass, ReducedWord, ball, reduce
 
-from oracles import IDENTITY, axis, check_split, concat, identity, integer_rank, invert, is_special_orthogonal, sub
+from oracles import (
+    IDENTITY,
+    axis,
+    check_split,
+    concat,
+    direct_product,
+    identity,
+    integer_rank,
+    invert,
+    is_special_orthogonal,
+    sub,
+)
 
 
 def _line(capsys, num: int, ok: bool, text: str) -> None:
@@ -124,7 +135,7 @@ def test_criterion_06_fixed_point_geometry(capsys):
 
     ranks_ok = True
     for w in ball(4):
-        if w.is_identity:
+        if w == IDENTITY:
             continue
         ints, _ = scaled_integer_form(sub(eval_word(w), identity()))
         rows = [list(ints[3 * i : 3 * i + 3]) for i in range(3)]
@@ -137,7 +148,7 @@ def test_criterion_06_fixed_point_geometry(capsys):
 def test_criterion_07_absorbing_rotation_with_control(capsys):
     started = time.perf_counter()
     C = sphere.fixed_directions(2)
-    g = sphere.find_absorbing_rotation_adaptive(C, 5, start_bits=128, max_bits=256)
+    g = sphere.find_absorbing_rotation_adaptive(C, 5, start_bits=128)
     demo = sphere.absorb_demo(C, g, 5)
     bad = sphere.corrupted_rotation((2, 1, 0), (0, 1, 2))
     control = sphere.absorb_demo(C, bad, 5)
@@ -202,8 +213,8 @@ def test_criterion_10_induced_measures_on_random_actions(capsys):
         measures.GroupTable.cyclic(5),
         measures.GroupTable.cyclic(6),
         measures.GroupTable.symmetric(3),
-        measures.GroupTable.product(c2, c2),
-        measures.GroupTable.product(c2, c3),
+        direct_product(c2, c2),
+        direct_product(c2, c3),
     ]
     all_ok = True
     for _ in range(20):
@@ -229,7 +240,7 @@ def test_criterion_11_contradiction_chain(capsys):
     nu = measures.PointMeasure.uniform(space)
     closed = measures.paradox_contradiction(model, space, witness, nu, True, interior=interior)
 
-    dirac = measures.PointMeasure.dirac(space, next(w for w in space if w.is_identity))
+    dirac = measures.PointMeasure.dirac(space, IDENTITY)
     broken = measures.paradox_contradiction(model, space, witness, dirac, False, interior=interior)
 
     ok = (

@@ -247,6 +247,17 @@ def test_unreadable_input_exits_64(tmp_path):
     def true_weight(d):
         d["nu"]["weights"][sorted(d["nu"]["weights"])[0]] = True
 
+    # A corruption that returns a value replaces the whole input with it.  A
+    # list or string holding the keys passes an `in` test but not indexing.
+    def array_input(d):
+        return list(d)
+
+    def string_witness(d):
+        d["witness"] = " ".join(d["witness"])
+
+    def zero_denominator_weight(d):
+        d["nu"]["weights"][sorted(d["nu"]["weights"])[0]] = "1/0"
+
     for i, (corrupt, field) in enumerate(
         (
             (list_map_value, "maps['s0']"),
@@ -258,10 +269,13 @@ def test_unreadable_input_exits_64(tmp_path):
             (list_weights, "nu weights"),
             (float_weight, "nu weights"),
             (true_weight, "nu weights"),
+            (array_input, "contradiction input"),
+            (string_witness, "witness"),
+            (zero_denominator_weight, "nu weights"),
         )
     ):
         data = json.loads(_shift_input(tmp_path).read_text())
-        corrupt(data)
+        data = corrupt(data) or data
         path = tmp_path / f"shape{i}.json"
         path.write_text(json.dumps(data))
         result = run_cli("paradox", "contradiction", "--input", str(path))

@@ -2,10 +2,11 @@
 
 ``FiniteActionModel`` numbers its points 0..n-1 once and runs validation,
 the witness check and the contradiction chain on int tuples and bitsets.
-The frozenset route below is the reference: validation, images, the derived
-interior, the witness check and the chain on point objects, as they were
-before the index.  Reports must agree field for field, and errors word for
-word.
+The frozenset route is the reference: validation, images and the derived
+interior from ``oracles``, and the witness check and the chain below, on
+point objects, as they were before the index.  Reports must agree field for
+field, and errors word for word.  A point the model lacks has no bit, so
+the verifiers refuse it where the frozenset route gave it a place.
 """
 
 import dataclasses
@@ -29,45 +30,9 @@ from paradoxlab.paradox import (
 )
 from paradoxlab.report import Finding
 
+from oracles import ref_images, ref_interior, ref_validate
+
 # -- the frozenset route -----------------------------------------------------
-
-
-def ref_validate(model):
-    if model.identity not in model.maps:
-        raise ModelError(f"identity label {model.identity!r} missing from maps")
-    for label, mapping in model.maps.items():
-        dom = set(mapping)
-        rng = set(mapping.values())
-        if not dom <= model.points or not rng <= model.points:
-            raise ModelError(f"label {label!r} maps outside the point set")
-        if len(rng) != len(mapping):
-            raise ModelError(f"label {label!r} is not injective")
-        if not model.partial and dom != model.points:
-            raise ModelError(f"label {label!r} is not total on the point set")
-    ident = model.maps[model.identity]
-    if set(ident) != model.points or any(ident[p] != p for p in ident):
-        raise ModelError("identity label must fix every point")
-
-
-def ref_images(model, pieces, movers):
-    images = []
-    undefined = 0
-    for piece, label in zip(pieces, movers):
-        if label not in model.maps:
-            raise ModelError(f"unknown group label {label!r}")
-        mapping = model.maps[label]
-        images.append(frozenset(mapping[p] for p in piece if p in mapping))
-        undefined += sum(1 for p in piece if p not in mapping)
-    return images, undefined
-
-
-def ref_interior(model, witness):
-    inside = frozenset(model.points)
-    for label in dict.fromkeys(witness.movers_a + witness.movers_b):
-        if label not in model.maps:
-            raise ModelError(f"unknown group label {label!r}")
-        inside = inside.intersection(model.maps[label].values())
-    return inside
 
 
 def _ref_disjointness(pieces):
@@ -339,24 +304,29 @@ def test_corruptions_match_the_frozenset_route(kind, size):
             assert chained.outcome == "chain-broken", name
 
 
-def test_points_the_model_lacks_match_the_frozenset_route():
-    # A space, piece or measure may hold points that are not in the model;
-    # they get bits of their own for the call and no map acts on them.
+def test_points_the_model_lacks_are_named_and_wider_measures_match():
+    # Bits exist only for the model's points: a space or piece point outside it is refused by name.
     model, space, witness, interior = two_to_one_shift_model(3)
-    wider = space | {"ghost", "spook"}
     haunted = dataclasses.replace(witness, pieces_a=(witness.pieces_a[0] | {"ghost"},))
-    for w in (witness, haunted):
-        assert_witness_check_matches(model, wider, w, interior)
-        assert_witness_check_matches(model, space, w, interior)
-    universe = wider | {"far"}
+    wider = space | {"ghost"}
+    refused = (ModelError, "space point 'ghost' is not in the model")
+    nu = PointMeasure.uniform(wider)
+    for w, given, invariant in itertools.product((witness, haunted), (None, interior), (True, False)):
+        assert _outcome(verify_paradox_witness, model, wider, w, interior=given) == refused
+        assert _outcome(paradox_contradiction, model, wider, w, nu, invariant, interior=given) == refused
+    assert _outcome(verify_paradox_witness, model, space, haunted, interior=interior) == (
+        ModelError,
+        "piece point 'ghost' is not in the model",
+    )
+    # A measure may weigh points the model lacks; they lie in no piece, image or union.
+    universe = space | {"ghost", "far"}
     for nu in (
-        PointMeasure.uniform(wider),
         PointMeasure.uniform(universe),
         PointMeasure.dirac(universe, "ghost"),
         PointMeasure(universe, {"ghost": Fraction(1, 2), "far": Fraction(1, 4), "0": Fraction(1, 4)}),
     ):
-        for invariant, w, given in itertools.product((True, False), (witness, haunted), (None, interior)):
-            assert_chain_matches(model, wider, w, nu, invariant, given)
+        for invariant, given in itertools.product((True, False), (None, interior)):
+            assert_chain_matches(model, space, witness, nu, invariant, given)
     # the moved pieces land on "", outside this measure's universe
     short = space - {""}
     report = assert_chain_matches(model, short, witness, PointMeasure.uniform(short), True, None)
@@ -372,19 +342,17 @@ def test_a_space_short_of_the_model_matches_the_frozenset_route():
         partial=True,
     )
     witness = ParadoxWitness(pieces_a=(frozenset({0, 4}),), movers_a=("s",), pieces_b=(frozenset({2}),), movers_b=("t",))
-    assert model.interior(witness) == frozenset({1})
-    for space in (frozenset({0, 1, 2, 4}), frozenset({0, 1, 2, 4, "ghost"})):
-        assert_witness_check_matches(model, space, witness, frozenset({1}))
-        assert not verify_paradox_witness(model, space, witness).passed
-        for nu in (
-            PointMeasure.uniform(points | space),
-            PointMeasure(points, {1: Fraction(1, 2), 3: Fraction(1, 2)}),
-            PointMeasure(points, {0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 4), 3: Fraction(1, 4)}),
-        ):
-            if not space <= nu.universe:
-                continue
-            for invariant, given in itertools.product((True, False), (None, frozenset({1}))):
-                assert_chain_matches(model, space, witness, nu, invariant, given)
+    assert ref_interior(model, witness) == frozenset({1})
+    space = frozenset({0, 1, 2, 4})
+    assert_witness_check_matches(model, space, witness, frozenset({1}))
+    assert not verify_paradox_witness(model, space, witness).passed
+    for nu in (
+        PointMeasure.uniform(points),
+        PointMeasure(points, {1: Fraction(1, 2), 3: Fraction(1, 2)}),
+        PointMeasure(points, {0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 4), 3: Fraction(1, 4)}),
+    ):
+        for invariant, given in itertools.product((True, False), (None, frozenset({1}))):
+            assert_chain_matches(model, space, witness, nu, invariant, given)
 
 
 def test_points_that_do_not_sort_match_the_frozenset_route():
@@ -400,7 +368,7 @@ def test_points_that_do_not_sort_match_the_frozenset_route():
     witness = ParadoxWitness(
         pieces_a=(frozenset({0, None}),), movers_a=("e",), pieces_b=(frozenset({"0"}),), movers_b=("s",)
     )
-    assert model.interior(witness) == ref_interior(model, witness) == points
+    assert ref_interior(model, witness) == points
     assert_witness_check_matches(model, points, witness, points)
     assert_witness_check_matches(model, points, witness, frozenset({0}))
     for nu in (PointMeasure.uniform(points), PointMeasure.dirac(points, None)):
@@ -438,15 +406,6 @@ def test_every_validation_message_is_unchanged(case):
     with pytest.raises(ModelError) as reference:
         ref_validate(model)
     assert str(indexed.value) == str(reference.value) == message
-
-
-def test_interior_of_an_unvalidated_model_matches_the_frozenset_route():
-    # interior() does not validate: a label mapping outside the point set still
-    # contributes the part of its range inside it.
-    pts = frozenset(range(3))
-    model = FiniteActionModel(points=pts, maps={"e": {p: p for p in pts}, "s": {0: 1, 7: 2, 1: 9}}, partial=True)
-    witness = ParadoxWitness(pieces_a=(frozenset({0}),), movers_a=("s",), pieces_b=(frozenset({1}),), movers_b=("e",))
-    assert model.interior(witness) == ref_interior(model, witness) == frozenset({1, 2})
 
 
 def test_valid_models_pass_both_validations():

@@ -56,7 +56,7 @@ from paradoxlab.paradox import (
 )
 from paradoxlab.words import Letter, ReducedWord, ball, ball_size
 
-from oracles import concat
+from oracles import concat, ref_interior
 
 # -- models and witnesses ----------------------------------------------------
 
@@ -127,25 +127,32 @@ def _z4_rotation():
 
 
 def test_derived_interior_equals_the_shipped_interiors():
+    # A given interior that differs from the derived one fails the witness check.
     for depth in range(2, 8):
-        model, _, witness, interior = f2_ball_model(depth)
-        assert model.interior(witness) == interior
+        model, space, witness, interior = f2_ball_model(depth)
+        assert ref_interior(model, witness) == interior
+        assert verify_paradox_witness(model, space, witness, interior=interior).passed
     for max_len in (1, 3, 6):
-        model, _, witness, interior = two_to_one_shift_model(max_len)
-        assert model.interior(witness) == interior
+        model, space, witness, interior = two_to_one_shift_model(max_len)
+        assert ref_interior(model, witness) == interior
+        assert verify_paradox_witness(model, space, witness, interior=interior).passed
     cert = build_certificate((0, 1, 0))
     for depth in (2, 4, 5, 7):
         # orbit_transport passes the interior of its word ball; a mismatch would fail it.
         result = orbit_transport(depth, cert)
-        assert len(result.model.interior(result.witness)) == ball_size(depth - 1)
+        assert len(ref_interior(result.model, result.witness)) == ball_size(depth - 1)
+        assert result.report.details["interior_size"] == ball_size(depth - 1)
         assert result.passed
 
 
 def test_derived_interior_of_a_total_action_is_everything():
     model, witness = _z4_rotation()
-    assert model.interior(witness) == model.points
+    assert ref_interior(model, witness) == model.points
+    report = verify_paradox_witness(model, model.points, witness, interior=model.points)
+    assert report.details["interior_size"] == len(model.points)
+    assert not any(f.detail.startswith("the given interior") for f in report.findings)
     with pytest.raises(ModelError, match="'nope'"):
-        model.interior(replace(witness, movers_b=("nope",)))
+        verify_paradox_witness(model, model.points, replace(witness, movers_b=("nope",)), interior=model.points)
 
 
 def test_witness_check_rejects_an_interior_the_movers_do_not_give():

@@ -214,19 +214,21 @@ def test_certify_margin_tightens_with_precision():
     assert hi >= lo - 1e-15  # a sound lower bound never shrinks as bits grow
 
 
-def test_precision_ladder_doubles_until_certified():
+def test_precision_ladder_doubles_until_certified(monkeypatch):
     # At 2 bits no candidate certifies; one doubling to 4 bits does.
+    monkeypatch.setattr(sphere, "MAX_PRECISION_BITS", 128)
     C = fixed_directions(2)
     assert certify_margin(ProjectiveDirection.canonical(0, 0, 1), Fraction(1), C.directions, 5, 2) is None
-    g = find_absorbing_rotation_adaptive(C, 5, start_bits=2, max_bits=128)
+    g = find_absorbing_rotation_adaptive(C, 5, start_bits=2)
     assert g.precision_bits == 4
 
 
-def test_precision_ladder_stops_at_the_cap():
+def test_precision_ladder_stops_at_the_cap(monkeypatch):
+    monkeypatch.setattr(sphere, "MAX_PRECISION_BITS", 2)
     with pytest.raises(InconclusiveError):
-        find_absorbing_rotation_adaptive(fixed_directions(2), 5, start_bits=2, max_bits=2)
+        find_absorbing_rotation_adaptive(fixed_directions(2), 5, start_bits=2)
     with pytest.raises(ValueError):
-        find_absorbing_rotation_adaptive(fixed_directions(2), 5, start_bits=4, max_bits=2)
+        find_absorbing_rotation_adaptive(fixed_directions(2), 5, start_bits=4)
 
 
 def test_absorb_demo_passes():

@@ -64,7 +64,7 @@ def test_string_roundtrip():
     w = ReducedWord.from_string("abAB")
     assert str(w) == "abAB"
     assert ReducedWord.from_string("aA") is not None  # reduces, does not raise
-    assert ReducedWord.from_string("aA").is_identity
+    assert ReducedWord.from_string("aA") == IDENTITY
 
 
 @given(letter_lists)
