@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, reduce
-from operator import or_
+from operator import itemgetter, or_, truediv
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -462,8 +463,9 @@ def _prefix_class_witness(
 # nonnegative integer polynomials: the planar two-piece paradox
 # ---------------------------------------------------------------------------
 
-#: Hard cap on the planar paradox's (max_coeff+1)^(max_degree+1) points; at the cap,
-#: ``smp_verify`` takes 12.3 s and 694 MiB peak RSS at (19, 1), 13.7 s and 611 MiB at (9, 3), on a 2-vCPU VM.
+#: Hard cap on the planar paradox's (max_coeff+1)^(max_degree+1) points; at the cap, ``smp_verify``
+#: takes 12.7 s and 269 MiB peak RSS at (19, 1), 12.4 s and 243 MiB at (9, 3), 8.8 s and 238 MiB at
+#: (1, 1023) and 7.4 s and 241 MiB at (4, 15), one in-process run each on a 2-vCPU VM: time bounds it.
 SMP_POINT_CAP = 2**20
 
 
@@ -573,8 +575,8 @@ def _to_mpc(z: tuple[int, int], grid: int) -> tuple:
     return from_man_exp(z[0], -grid), from_man_exp(z[1], -grid)
 
 
-def _to_floats(points: list[tuple[int, int]], grid: int) -> list[tuple[float, float]]:
-    """Grid points as float pairs: each coordinate v becomes v * 2^-grid rounded to nearest, ties to even.
+def _to_floats(points: list[tuple[int, int]], grid: int) -> tuple[array, array]:
+    """Grid points as two float arrays, x and y: each coordinate v becomes v * 2^-grid rounded to nearest, ties to even.
 
     ``ldexp`` rounds the int v to a float once, to nearest with ties to
     even, and then scales by 2^-grid, which is exact while the result stays
@@ -584,13 +586,17 @@ def _to_floats(points: list[tuple[int, int]], grid: int) -> list[tuple[float, fl
     also gives.  Finer grids, and ints too wide for a float, take that
     division.
     """
+
+    def column(k: int, convert, arg) -> array:
+        return array("d", map(convert, map(itemgetter(k), points), itertools.repeat(arg, len(points))))
+
     if grid <= 1022:
         try:
-            return [(math.ldexp(x, -grid), math.ldexp(y, -grid)) for x, y in points]
+            return column(0, math.ldexp, -grid), column(1, math.ldexp, -grid)
         except OverflowError:
             pass
     one = 1 << grid
-    return [(x / one, y / one) for x, y in points]
+    return column(0, truediv, one), column(1, truediv, one)
 
 
 def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[tuple[int, int], list[tuple[int, int]]]:
@@ -617,6 +623,18 @@ def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[
             for term in (None, *terms)
         ]
     return t, sums
+
+
+def _embed_poly(p: tuple[int, ...], t: tuple[int, int], precision_bits: int) -> tuple[int, int]:
+    """P(t) for one polynomial, summed on its own in the order :func:`_embed_polys` documents, so bit-identical."""
+    prec, grid = precision_bits, _grid_bits(precision_bits)
+    power, z = (1 << grid, 0), (0, 0)
+    for k, c in enumerate(p):
+        if k:
+            power = _mul(power, t, prec, grid)
+        if c:
+            z = (_round(z[0] + _round(c * power[0], prec), prec), _round(z[1] + _round(c * power[1], prec), prec))
+    return z
 
 
 #: Unit roundoff of a float: round to nearest with a 53-bit significand.
@@ -649,22 +667,25 @@ def _separation_slack(max_degree: int, max_coeff: int, precision_bits: int, dist
     return 2 * math.sqrt(2) * _coordinate_error(max_degree, max_coeff, precision_bits) + 4 * FLOAT_UNIT * distance
 
 
-def _closest_pair_sq(points: list[tuple[float, float]]) -> tuple[float, tuple[int, int]]:
-    """Plane sweep for the closest pair; returns (squared distance, indices).
+def _closest_pair_sq(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, tuple[int, int]]:
+    """Plane sweep for the closest pair of the points (xs[i], ys[i]); returns (squared distance, indices).
 
-    Points are visited in (x, y, index) order and the active strip is kept in
+    Points are visited in (x, y, index) order, built as two stable sorts of
+    the indices (by y, then by x), and the active strip is kept in
     (y, x, index) order, so of several pairs at the least distance the first
     one met wins.  The strip's width sqrt(best) changes only with best.
     """
-    order = sorted((x, y, i) for i, (x, y) in enumerate(points))
+    order = sorted(range(len(xs)), key=ys.__getitem__)
+    order.sort(key=xs.__getitem__)
     best = d = math.inf
     pair = (-1, -1)
     active: list[tuple[float, float, int]] = []  # (y, x, index), sorted
     left = 0
-    for x, y, idx in order:
-        while order[left][0] < x - d:
-            ox, oy, old = order[left]
-            del active[bisect_left(active, (oy, ox, old))]
+    for idx in order:
+        x, y = xs[idx], ys[idx]
+        while xs[order[left]] < x - d:
+            old = order[left]
+            del active[bisect_left(active, (ys[old], xs[old], old))]
             left += 1
         for cy, cx, cidx in active[bisect_left(active, (y - d,)) : bisect_right(active, (y + d,))]:
             dsq = (x - cx) ** 2 + (y - cy) ** 2
@@ -708,6 +729,16 @@ def _smp_index_maps(max_degree: int, max_coeff: int) -> tuple[int, range, range]
     return n_a, range(0, base * n_a, base), range((base - 1) * n_a)
 
 
+def _smp_poly(i: int, max_degree: int, max_coeff: int) -> tuple[int, ...]:
+    """``enumerate_polys(max_degree, max_coeff)[i]``, decoded from the mixed-radix order of :func:`_smp_index_maps`."""
+    coeffs = [0] * (max_degree + 1)
+    for k in range(max_degree, -1, -1):
+        i, coeffs[k] = divmod(i, max_coeff + 1)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
 def _maps_match(polys: tuple[tuple[int, ...], ...], domain: range, images: range, forward, inverse) -> bool:
     """forward takes each polys[i] to polys[j] of the index map i -> j, and inverse takes it back."""
     return len(images) == len(domain) and all(
@@ -734,13 +765,14 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
     if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
         raise ValueError(f"precision_bits must be in {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}")
     polys = enumerate_polys(max_degree, max_coeff)
+    total = len(polys)
     n_a, g_images, h_images = _smp_index_maps(max_degree, max_coeff)
-    part_a, part_b = range(n_a), range(n_a, len(polys))
+    part_a, part_b = range(n_a), range(n_a, total)
     # Stripping trailing zeros keeps the lexicographic order of the padded
     # tuples, so an enumeration in strictly increasing order is distinct.
     distinct = all(map(tuple.__lt__, polys, polys[1:]))
-    class_a = [j for j, p in enumerate(polys) if not p or not p[0]]
-    findings: list[Finding] = [Finding("partition", distinct and class_a == list(part_a))]
+    ok_partition = distinct and [j for j, p in enumerate(polys) if not p or not p[0]] == list(part_a)
+    findings: list[Finding] = [Finding("partition", ok_partition)]
 
     # Each image is compared first, so the maps only ever index the enumeration.
     # g's image: degree <= max_degree - 1
@@ -754,10 +786,12 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
         polys, part_b, h_images, smp_h, smp_add_one
     )
     findings.append(Finding("h_bijection", ok_h, "" if ok_h else "decrement failed an exactness check"))
+    # The numeric half decodes the two polynomials it names from their indices.
+    del polys
 
     try:
         numeric, min_distance, min_pair, defect = _smp_numeric(
-            polys, zip(part_a, g_images), zip(part_b, h_images), max_degree, max_coeff, precision_bits
+            zip(part_a, g_images), zip(part_b, h_images), max_degree, max_coeff, precision_bits
         )
     except _OffGrid as exc:
         numeric = [Finding("fixed_point_grid", False, str(exc))]
@@ -775,7 +809,7 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
         max_degree=max_degree,
         max_coeff=max_coeff,
         precision_bits=precision_bits,
-        total=len(polys),
+        total=total,
         count_a=len(part_a),
         count_b=len(part_b),
         min_distance=min_distance,
@@ -786,27 +820,20 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
     )
 
 
-def _smp_numeric(polys, g_pairs, h_pairs, max_degree, max_coeff, precision_bits):
+def _smp_numeric(g_pairs, h_pairs, max_degree, max_coeff, precision_bits):
     """The separation and isometries findings, the min distance and its pair, and the max isometry defect.
 
     The embedding, the float conversion and the g/h defects run on the
     fixed-point kernel; the closest pair's distance and the sampled
     rotation-invariance pairs run on libmp, on exactly converted points.
+    The grid points are freed before the sweep, which runs on two float
+    arrays; the closest pair's two points are summed again on their own.
     """
     prec, rnd, grid = precision_bits, round_nearest, _grid_bits(precision_bits)
     t, embeds = _embed_polys(max_degree, max_coeff, prec)
 
     def dist(z, w):
         return mpc_abs(mpc_sub(z, w, prec, rnd), prec, rnd)
-
-    best_sq, (i, j) = _closest_pair_sq(_to_floats(embeds, grid))
-    min_distance = to_float(dist(_to_mpc(embeds[i], grid), _to_mpc(embeds[j], grid)), rnd=rnd)
-    distance = math.sqrt(best_sq)
-    separated = distance - _separation_slack(max_degree, max_coeff, prec, distance) > SEPARATION_RESOLUTION
-    pair = (poly_str(polys[i]), poly_str(polys[j]))
-    separation = Finding(
-        "separation", separated, f"min pairwise distance {min_distance:.6g} between {pair[0]} and {pair[1]}"
-    )
 
     defects = [_gh_defect(t, embeds, g_pairs, h_pairs, prec)]
 
@@ -816,7 +843,7 @@ def _smp_numeric(polys, g_pairs, h_pairs, max_degree, max_coeff, precision_bits)
     def rotate(z):
         return mpc_mul(lib_t_inv, z, prec, rnd)
 
-    sample = [_to_mpc(z, grid) for z in embeds[:: max(1, len(polys) // 257)]]
+    sample = [_to_mpc(z, grid) for z in embeds[:: max(1, len(embeds) // 257)]]
     defects += [
         mpf_abs(mpf_sub(dist(rotate(u), rotate(v)), dist(u, v), prec, rnd), prec, rnd) for u, v in zip(sample, sample[1:])
     ]
@@ -824,6 +851,19 @@ def _smp_numeric(polys, g_pairs, h_pairs, max_degree, max_coeff, precision_bits)
     tol = from_man_exp(1, 24 - precision_bits)
     isometry_ok = mpf_cmp(defect, tol) <= 0
     isometries = Finding("isometries", isometry_ok, f"max defect {to_str(defect, 6)} vs tolerance {to_str(tol, 6)}")
+
+    xs, ys = _to_floats(embeds, grid)
+    del embeds
+    best_sq, (i, j) = _closest_pair_sq(xs, ys)
+    p, q = _smp_poly(i, max_degree, max_coeff), _smp_poly(j, max_degree, max_coeff)
+    z, w = _embed_poly(p, t, prec), _embed_poly(q, t, prec)
+    min_distance = to_float(dist(_to_mpc(z, grid), _to_mpc(w, grid)), rnd=rnd)
+    distance = math.sqrt(best_sq)
+    separated = distance - _separation_slack(max_degree, max_coeff, prec, distance) > SEPARATION_RESOLUTION
+    pair = (poly_str(p), poly_str(q))
+    separation = Finding(
+        "separation", separated, f"min pairwise distance {min_distance:.6g} between {pair[0]} and {pair[1]}"
+    )
     return [separation, isometries], min_distance, pair, to_float(defect, rnd=rnd)
 
 

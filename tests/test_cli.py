@@ -299,7 +299,10 @@ def test_reports_are_byte_identical():
 # deg 8 pin (the target size) before the symbolic half moved to the
 # closed-form index maps and the closest-pair sweep was reworked; the 1024-bit
 # pin, the first whose grid 2048 > 1022 takes the float conversion's exact
-# int division, before polynomials became plain coefficient tuples.
+# int division, before polynomials became plain coefficient tuples; the deg 12
+# coef 1 pin (0/1 coefficients, so many equal coordinates for the sweep's ties)
+# and the deg 2 coef 15 pin (wide coefficients) before the numeric half moved to
+# float arrays, an index-order sweep and decoded min-pair polynomials.
 SMP_VERIFY_DIGESTS = [
     (("--deg", "3", "--coef", "2"), "2451ed29de6179309580ee19a03ac0f7ed630f2bc8695c862808ce0f4211fd97"),
     (("--deg", "6", "--coef", "3"), "0763d6911bd90d46f1a3d63ae4096bb6a99140d1c6aec7f695a921d927a9e145"),
@@ -308,6 +311,8 @@ SMP_VERIFY_DIGESTS = [
     (("--deg", "1", "--coef", "200"), "77592d2a8ca120735e5f6c0b20916000a3406aaa97072ab5700d15182b53c1df"),
     (("--deg", "8", "--coef", "3"), "53fd63a2a9b21c7e3c96c41817dc07966440a39f7b907fe6a4c5c378dc6d5c15"),
     (("--deg", "4", "--coef", "3", "--bits", "1024"), "63e0f4b9c396f548bc2b151a104a850e4f16571bbfd3e0948a79550b64fa307f"),
+    (("--deg", "12", "--coef", "1"), "28f030cb76a6ee6d330241522c4d2b1110e7e1cb7aae201aeb192e92f7ae83ae"),
+    (("--deg", "2", "--coef", "15"), "a9816a120e034ac41f5564ced4a9d182f339ff5b20bc2d973eaa32b6a5676189"),
 ]
 
 

@@ -1,6 +1,8 @@
 """Finite action models, paradox witnesses, and the planar two-piece paradox."""
 
 import math
+import tracemalloc
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import replace
 from functools import cache, cmp_to_key
@@ -44,6 +46,7 @@ from paradoxlab.paradox import (
     _OffGrid,
     _closest_pair_sq,
     _coordinate_error,
+    _embed_poly,
     _embed_polys,
     _gh_defect,
     _grid_bits,
@@ -51,6 +54,7 @@ from paradoxlab.paradox import (
     _round,
     _separation_slack,
     _smp_index_maps,
+    _smp_poly,
     _to_floats,
     _to_mpc,
 )
@@ -281,6 +285,24 @@ def test_smp_point_cap_is_checked_before_enumerating(monkeypatch):
         enumerate_polys(10**9, 1)
 
 
+#: Bound on the tracemalloc peak of smp_verify(6, 3), in bytes per point.  At
+#: its peak the run holds the grid points and their two float arrays, about
+#: 240 B per point with Python 3.11; holding the enumeration, the grid points,
+#: float pairs and sorted sweep tuples at once took about 520.
+SMP_PEAK_BYTES_PER_POINT = 300
+
+
+def test_smp_verify_peak_memory_per_point():
+    tracemalloc.start()
+    try:
+        report = smp_verify(6, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.total == 4**7
+    assert peak / report.total < SMP_PEAK_BYTES_PER_POINT
+
+
 @pytest.mark.parametrize(
     "name,broken",
     [
@@ -311,6 +333,15 @@ def test_index_maps_are_the_polynomial_maps(max_degree, max_coeff):
             assert i < n_a and smp_g(p) == polys[g_images[i]]
         else:
             assert i >= n_a and smp_h(p) == polys[h_images[i - n_a]]
+
+
+@pytest.mark.parametrize(
+    "max_degree,max_coeff", [(d, c) for d in range(1, 6) for c in range(1, 5)] + [(7, 3)]
+)
+def test_index_decoder_is_the_enumeration(max_degree, max_coeff):
+    # smp_verify names its closest pair by decoding two indices, not by keeping the enumeration
+    polys = enumerate_polys(max_degree, max_coeff)
+    assert [_smp_poly(i, max_degree, max_coeff) for i in range(len(polys))] == list(polys)
 
 
 @pytest.mark.parametrize("shift", [1, -1])
@@ -373,6 +404,13 @@ def test_shared_prefix_embedding_matches_per_polynomial_sums(max_degree, max_coe
     assert _kernel_embedding(max_degree, max_coeff, bits) == _per_polynomial_embedding(max_degree, max_coeff, bits)
 
 
+@pytest.mark.parametrize("max_degree,max_coeff,bits", [(3, 2, 64), (4, 4, 128), (5, 2, 256), (1, 200, 128), (4, 3, 1024)])
+def test_one_polynomial_embeds_as_in_the_shared_prefix_sums(max_degree, max_coeff, bits):
+    # smp_verify sums its closest pair's two points again after freeing the grid points
+    t, embeds = _embed_polys(max_degree, max_coeff, bits)
+    assert [_embed_poly(p, t, bits) for p in enumerate_polys(max_degree, max_coeff)] == embeds
+
+
 def _ties(prec):
     # ints exactly half-way between two prec-bit neighbours: a kept part, a
     # half bit, then s - 1 zero bits; both parities of the kept part
@@ -409,9 +447,14 @@ def _normal_results(grid):
 @given(st.sampled_from([128, 256, 512, 2048]).flatmap(lambda grid: st.tuples(st.just(grid), _normal_results(grid))))
 def test_float_conversion_matches_to_float(case):
     grid, v = case
-    assert _to_floats([(v, -v)], grid) == [
+    assert _float_pairs([(v, -v)], grid) == [
         (to_float(from_man_exp(v, -grid), rnd=round_nearest), to_float(from_man_exp(-v, -grid), rnd=round_nearest))
     ]
+
+
+def _float_pairs(points, grid):
+    # _to_floats's two arrays read back as (x, y) pairs
+    return list(zip(*_to_floats(points, grid)))
 
 
 def _to_floats_by_division(points, grid):
@@ -424,13 +467,13 @@ def test_float_conversion_by_ldexp_equals_the_int_division():
     bits = 128
     grid = _grid_bits(bits)
     _, embeds = _embed_polys(6, 3, bits)
-    assert _to_floats(embeds, grid) == _to_floats_by_division(embeds, grid)
+    assert _float_pairs(embeds, grid) == _to_floats_by_division(embeds, grid)
     # ties and near-ties of rounding to 53 bits, in odd values wider than 53 bits, at several scales
     ties = [(1 << 53) + 1, (1 << 53) + 3, (1 << 54) + 2, (1 << 70) + (1 << 17), (1 << 70) + (1 << 17) + 1, (1 << 70) + 1]
     values = [v << shift for v in ties for shift in (0, grid - 60, grid - 53, grid)] + [1, 1 << grid, 0]
     points = [(v, -v) for v in values] + [(-v, v) for v in values]
-    assert _to_floats(points, grid) == _to_floats_by_division(points, grid)
-    assert _to_floats([(1 << grid, -(1 << grid)), (0, 0)], grid) == [(1.0, -1.0), (0.0, 0.0)]
+    assert _float_pairs(points, grid) == _to_floats_by_division(points, grid)
+    assert _float_pairs([(1 << grid, -(1 << grid)), (0, 0)], grid) == [(1.0, -1.0), (0.0, 0.0)]
     # 2^-1022 is the smallest normal float; past that grid, and for ints too wide
     # for a float, the conversion divides exactly.  At grid 1100 the value
     # 2^55 + 2^25 + 1 lands among subnormals, where rounding v to a float first
@@ -438,14 +481,14 @@ def test_float_conversion_by_ldexp_equals_the_int_division():
     subnormal_tie = (1 << 55) + (1 << 25) + 1
     assert math.ldexp(subnormal_tie, -1100) != subnormal_tie / (1 << 1100)
     for grid, v in ((1022, 1), (1022, 3), (1024, 1), (1100, subnormal_tie), (1100, 3 << 1099), (1000, (1 << 1030) + 1)):
-        assert _to_floats([(v, -v)], grid) == _to_floats_by_division([(v, -v)], grid)
+        assert _float_pairs([(v, -v)], grid) == _to_floats_by_division([(v, -v)], grid)
 
 
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(4, 3, 128), (1, 200, 128), (3, 2, 64)])
 def test_float_conversion_of_the_embedding_matches_to_float(max_degree, max_coeff, bits):
     _, embeds = _embed_polys(max_degree, max_coeff, bits)
     _, reference = _per_polynomial_embedding(max_degree, max_coeff, bits)
-    assert _to_floats(embeds, _grid_bits(bits)) == [
+    assert _float_pairs(embeds, _grid_bits(bits)) == [
         (to_float(re, rnd=round_nearest), to_float(im, rnd=round_nearest)) for re, im in reference
     ]
 
@@ -516,14 +559,15 @@ def _reference_closest_pair_sq(points):
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(3, 2, 128), (6, 3, 64), (7, 3, 128), (1, 200, 128), (3, 4, 64)])
 def test_closest_pair_matches_the_reference_sweep_on_the_embedding(max_degree, max_coeff, bits):
     _, embeds = _embed_polys(max_degree, max_coeff, bits)
-    points = _to_floats(embeds, _grid_bits(bits))
-    assert _closest_pair_sq(points) == _reference_closest_pair_sq(points)
+    xs, ys = _to_floats(embeds, _grid_bits(bits))
+    assert _closest_pair_sq(xs, ys) == _reference_closest_pair_sq(list(zip(xs, ys)))
 
 
 # small integer coordinates: repeated points and equal distances are common
 @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(lambda p: (float(p[0]), float(p[1]))), max_size=60))
 def test_closest_pair_matches_the_reference_sweep_on_lattice_points(points):
-    assert _closest_pair_sq(points) == _reference_closest_pair_sq(points)
+    xs, ys = array("d", [x for x, _ in points]), array("d", [y for _, y in points])
+    assert _closest_pair_sq(xs, ys) == _reference_closest_pair_sq(list(zip(xs, ys)))
 
 
 def test_rescale_with_low_bits_fails_closed():
