@@ -26,12 +26,10 @@ Everything here is exact rational arithmetic over finite carriers:
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import or_
 from random import Random
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -130,26 +128,12 @@ class PointMeasure:
             raise ModelError(f"dirac point {at!s} outside the universe")
         return cls(pts, {at: Fraction(1)})
 
-    @cached_property
-    def _group_of(self) -> dict[Point, int]:
-        """Each weighted point's position in ``groups``."""
-        return {p: g for g, (_, points) in enumerate(self.groups) for p in points}
-
     def mu(self, subset: Iterable) -> Fraction:
-        """Exact mass of ``subset``: each group's weight times the number of its points in the subset.
-
-        The subset's points are counted by group and the products summed over
-        one common denominator, so the cost follows the subset, not the number
-        of distinct weights.
-        """
+        """Exact mass of ``subset``: each group's weight times the number of its points in the subset."""
         s = frozenset(subset)
         if not s <= self.universe:
             raise DomainError("measure evaluated outside its universe")
-        counts = Counter(map(self._group_of.get, s))
-        counts.pop(None, None)  # points that carry no weight
-        weights = [(self.groups[g][0], n) for g, n in counts.items()]
-        den = math.lcm(*(w.denominator for w, _ in weights))
-        return Fraction(sum(w.numerator * (den // w.denominator) * n for w, n in weights), den)
+        return sum((w * n for w, points in self.groups if (n := len(s & points))), start=Fraction(0))
 
     def total(self) -> Fraction:
         return self.mu(self.universe)

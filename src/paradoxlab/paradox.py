@@ -33,7 +33,7 @@ from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, reduce
-from operator import itemgetter, or_, truediv
+from operator import or_
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -586,17 +586,14 @@ def _to_floats(points: list[tuple[int, int]], grid: int) -> tuple[array, array]:
     also gives.  Finer grids, and ints too wide for a float, take that
     division.
     """
-
-    def column(k: int, convert, arg) -> array:
-        return array("d", map(convert, map(itemgetter(k), points), itertools.repeat(arg, len(points))))
-
     if grid <= 1022:
         try:
-            return column(0, math.ldexp, -grid), column(1, math.ldexp, -grid)
+            xs = array("d", (math.ldexp(x, -grid) for x, _ in points))
+            return xs, array("d", (math.ldexp(y, -grid) for _, y in points))
         except OverflowError:
             pass
     one = 1 << grid
-    return column(0, truediv, one), column(1, truediv, one)
+    return array("d", (x / one for x, _ in points)), array("d", (y / one for _, y in points))
 
 
 def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[tuple[int, int], list[tuple[int, int]]]:

@@ -2,8 +2,8 @@
 
 Nothing in the product runs these: the rational matrix algebra, the
 fraction-free kernel, the group law on reduced words, the one-split check,
-the brute-force ball, the direct product of group tables, the
-frozenset route of point-measure mass, and the frozenset route of finite action models (validation, images and the derived
+the brute-force ball, the direct product of group tables, and the
+frozenset route of finite action models (validation, images and the derived
 interior on point objects).  Each is the slow, general route that a fast
 path in ``exactlin``, ``words``, ``measures`` or ``paradox`` must agree with.
 """
@@ -200,12 +200,6 @@ def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
     elems = tuple(itertools.product(a.elements, b.elements))
     table = {((g1, g2), (h1, h2)): (a.mul(g1, h1), b.mul(g2, h2)) for (g1, g2) in elems for (h1, h2) in elems}
     return GroupTable(elems, table, (a.identity, b.identity))
-
-
-def ref_mu(m, subset) -> Fraction:
-    """``PointMeasure.mu`` by one frozenset intersection per weight group."""
-    s = frozenset(subset)
-    return sum((w * n for w, points in m.groups if (n := len(s & points))), start=Fraction(0))
 
 
 # -- finite action models on point objects ------------------------------------
