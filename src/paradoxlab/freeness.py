@@ -3,9 +3,16 @@
 Two independent oracles decide whether any nonempty reduced word in the two
 generators evaluates to the identity rotation:
 
-* :func:`exhaustive_check` multiplies out every word in a ball exactly and
-  compares against the identity.  Complete up to the chosen depth, silent
-  beyond it.
+* :func:`exhaustive_check` decides every word of length <= d exactly, but
+  multiplies out only the half ball, ball(ceil(d/2)).  Split a nonempty
+  reduced word w with |w| <= d as w = u.v, |u| = ceil(|w|/2) and
+  |v| = floor(|w|/2).  If w evaluates to the identity then u and v^-1 are two
+  words of ball(ceil(d/2)) with one matrix, and they are distinct words
+  because w is reduced.  So pairwise distinct half-ball matrices prove that
+  no such w exists.  When two of them coincide, :func:`walk_check`
+  multiplies out ball(d) word by word: it finds the length-lex first
+  witness, or certifies if the coincidence only stands for a relation
+  longer than d.  Complete up to the chosen depth, silent beyond it.
 
 * :func:`build_certificate` certifies *all* depths at once with a finite
   automaton.  For a nonempty reduced word w and an integer base vector v0,
@@ -31,10 +38,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import gcd
 from typing import Literal, Mapping
 
 from .errors import InvariantViolationError
-from .words import Letter, ReducedWord
+from .words import Letter, ReducedWord, ball_size, check_ball_radius
 from .exactlin import SCALED_GENERATORS, ball_matrices, generator_matrix
 
 _MOD = 7
@@ -58,6 +66,14 @@ StateKey = tuple[int, tuple[int, ...]]
 
 @dataclass(frozen=True)
 class FreenessVerdict:
+    """Outcome of an exhaustive check to ``depth``.
+
+    ``words_checked`` counts the non-identity words the verdict covers when
+    it certifies (all of ball(depth) but the identity), or the words walked
+    in length-lex order up to and including the witness.  It is not the
+    number of matrices multiplied out.
+    """
+
     outcome: Literal["certified", "counterexample"]
     witness: ReducedWord | None
     depth: int
@@ -69,12 +85,44 @@ class FreenessVerdict:
 
 
 def exhaustive_check(depth: int) -> FreenessVerdict:
-    """Evaluate every nonempty word of length <= depth; exact, depth-complete.
+    """Decide every nonempty word of length <= depth; exact, depth-complete.
 
-    Returns the length-lexicographically first counterexample if one exists.
+    Suppose a nonempty reduced word w with |w| <= depth evaluates to I.  Split
+    it as w = u.v with |u| = ceil(|w|/2) and |v| = floor(|w|/2).  Then
+    M_u = M_{v^-1}, and both words lie in ball(ceil(depth/2)).  u != v^-1,
+    because w is reduced and nonempty (for |w| = 1, v^-1 is the identity
+    word and u is not).  So if the exact matrices of ball(ceil(depth/2)) are
+    pairwise distinct, no such w exists and the verdict is ``certified``,
+    covering all ball_size(depth) - 1 non-identity words.
+
+    Each matrix is keyed by its scaled integer form divided by
+    gcd(den, *ints), which is unique for a rational matrix.  A repeated key
+    proves nothing by itself: for odd depth it may stand for a relation of
+    length depth + 1.  So on the first repeat :func:`walk_check` decides
+    instead, and returns the length-lexicographically first counterexample
+    if one exists.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    check_ball_radius(depth)
+    seen: set[tuple[int, ...]] = set()
+    for _, ints, den in ball_matrices((depth + 1) // 2):
+        g = gcd(den, *ints)
+        key = (den // g, *(v // g for v in ints))
+        if key in seen:
+            return walk_check(depth)
+        seen.add(key)
+    return FreenessVerdict("certified", None, depth, ball_size(depth) - 1)
+
+
+def walk_check(depth: int) -> FreenessVerdict:
+    """Multiply out every nonempty word of length <= depth in length-lex order.
+
+    Returns the first word that evaluates to the identity, with the number
+    of words walked up to it, or ``certified`` after the whole ball.  This
+    is the witness locator of :func:`exhaustive_check` and the slow route
+    its half-ball test is checked against.
+    """
     checked = 0
     for letters, ints, den in ball_matrices(depth):
         if not letters:

@@ -149,6 +149,14 @@ def _seam(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
 _ALPHABET = tuple(Letter)
 
 
+def check_ball_radius(n: int) -> None:
+    """Refuse a negative radius, or one above BALL_CAP; the one place the cap is enforced."""
+    if n < 0:
+        raise ValueError("ball radius must be >= 0")
+    if n > BALL_CAP:
+        raise ResourceLimitError(f"ball({n}) exceeds the configured cap {BALL_CAP}")
+
+
 def walk_ball(n: int, root: V, step: Callable[[V, Letter], V]) -> Iterator[tuple[tuple[Letter, ...], V]]:
     """Stream ball(n) in length-lexicographic order: (letters, carried value) per word.
 
@@ -156,16 +164,13 @@ def walk_ball(n: int, root: V, step: Callable[[V, Letter], V]) -> Iterator[tuple
     and carries ``root``, and the word w.x carries ``step(value of w, x)``,
     so a per-word product costs one step from its parent.  Breadth-first by
     length, extending in letter order, gives length-lex order.  Only the level
-    being extended is held; the last level is yielded and dropped.  This is the
-    one place the radius cap is enforced.  A child never appends the inverse
-    of its parent's last letter, so every yielded tuple is reduced by
-    construction; callers wrap one in a :class:`ReducedWord` only where a
-    report needs the word.
+    being extended is held; the last level is yielded and dropped.  The radius
+    is checked by :func:`check_ball_radius` on the first ``next``.  A child
+    never appends the inverse of its parent's last letter, so every yielded
+    tuple is reduced by construction; callers wrap one in a
+    :class:`ReducedWord` only where a report needs the word.
     """
-    if n < 0:
-        raise ValueError("ball radius must be >= 0")
-    if n > BALL_CAP:
-        raise ResourceLimitError(f"ball({n}) exceeds the configured cap {BALL_CAP}")
+    check_ball_radius(n)
     yield (), root
     level = [((), root)]
     for k in range(n):

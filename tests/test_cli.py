@@ -362,6 +362,11 @@ EXACT_LAYER_DIGESTS = [
     (("measures", "demo", "--which", "ergodic"), "4e5fdf4f8854d0970cf32fdba0fda5487b807a883880ad0a522e5e609a0acf96"),
     (("freeness", "certify"), "c58ee093de7493fa2e085b5fd2663d152ee2fbbd44bdf093507c290a32397ab2"),
     (("cauchy", "demo", "--rank", "2"), "bff599d0dfde9164ac5cd3186a91aad3d595a69319f4af37ebbc6b9bc58e757e"),
+    # Recorded at commit 914f61b, before exhaustive_check stopped multiplying
+    # out ball(depth) and tested the matrices of ball(ceil(depth/2)) instead.
+    (("freeness", "exhaustive", "--depth", "9"), "1874183a9905aa10aef4789195fbf0eeb91f740fa67775868276deaa68f704ad"),
+    (("freeness", "exhaustive", "--depth", "11"), "84787f8f506f3917f17fc7513f647ed386690cae8faa8995d1f0f3b72174ead7"),
+    (("freeness", "exhaustive", "--depth", "12"), "d58707ca440d7f595cdbde403ab3d9e34b68901f872f72ae68fed434239f5c69"),
 ]
 
 
