@@ -14,8 +14,17 @@ where W(x) is the set of reduced words starting with x.  Every word h outside
 W(a) satisfies h = a.(a^-1 h) with a^-1 h in W(a^-1); the verifier checks that
 identity literally for every ball element, so no boundary fudging is needed.
 
-The ball walk (:func:`walk_ball`) and the checks run on raw letter tuples;
-a :class:`ReducedWord` is built only where a caller or a report needs the
+Two enumerators share one successor table, ``_NEXT``, and both run on raw
+letter tuples:
+
+- :func:`ball_levels` yields the ball one length at a time as lists of
+  letter tuples.  :func:`ball` wraps its words and :func:`verify_f2_paradox`
+  checks them, each in one loop over the levels with no call per word.
+- :func:`walk_ball` streams the words one by one, each with a value carried
+  from its parent; :func:`exactlin.ball_matrices` carries each word's matrix
+  this way.
+
+A :class:`ReducedWord` is built only where a caller or a report needs the
 word: the ball itself, violation messages and witnesses.  The group law on
 words (product and inverse), the one-split check and the brute-force ball
 are reference oracles and live in the tests.
@@ -23,8 +32,10 @@ are reference oracles and live in the tests.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Mapping, TypeVar
 
 from .errors import ResourceLimitError
@@ -136,17 +147,14 @@ def reduce(letters: Iterable[Letter]) -> ReducedWord:
     return ReducedWord(tuple(stack))
 
 
-def _seam(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    """Letters of the product of two reduced letter tuples; cancellation happens only at the seam."""
-    i = len(a)
-    j = 0
-    while i > 0 and j < len(b) and a[i - 1] == _INVERSES[b[j]]:
-        i -= 1
-        j += 1
-    return a[:i] + b[j:]
-
-
 _ALPHABET = tuple(Letter)
+
+#: The one-letter words, in letter order: the successors of the identity.
+_FIRST = tuple((x,) for x in _ALPHABET)
+
+#: Successor suffixes, indexed by a word's last letter: the one-letter tuples
+#: of every letter but its inverse, in letter order.
+_NEXT = tuple(tuple((y,) for y in _ALPHABET if y is not _INVERSES[x]) for x in _ALPHABET)
 
 
 def check_ball_radius(n: int) -> None:
@@ -157,18 +165,38 @@ def check_ball_radius(n: int) -> None:
         raise ResourceLimitError(f"ball({n}) exceeds the configured cap {BALL_CAP}")
 
 
+def ball_levels(n: int) -> Iterator[Iterable[tuple[Letter, ...]]]:
+    """Yield ball(n) one length at a time, 0 to n, each in length-lexicographic order.
+
+    Every length below n comes as a list of letter tuples, built from the
+    one before by extending each word with the suffixes ``_NEXT`` allows
+    after its last letter; length n is streamed from length n - 1 and never
+    stored.  The radius is checked by :func:`check_ball_radius` on the first
+    ``next``.  A suffix never inverts the last letter, so every tuple is
+    reduced by construction.  :func:`ball` and :func:`verify_f2_paradox`
+    enumerate the ball this way.
+    """
+    check_ball_radius(n)
+    level: Iterable[tuple[Letter, ...]] = [()]
+    for k in range(n):
+        level = list(level)
+        yield level
+        level = (w + s for w in level for s in _NEXT[w[-1]]) if k else iter(_FIRST)
+    yield level
+
+
 def walk_ball(n: int, root: V, step: Callable[[V, Letter], V]) -> Iterator[tuple[tuple[Letter, ...], V]]:
     """Stream ball(n) in length-lexicographic order: (letters, carried value) per word.
 
     ``letters`` is the raw letter tuple of the word; the identity is ``()``
     and carries ``root``, and the word w.x carries ``step(value of w, x)``,
     so a per-word product costs one step from its parent.  Breadth-first by
-    length, extending in letter order, gives length-lex order.  Only the level
-    being extended is held; the last level is yielded and dropped.  The radius
-    is checked by :func:`check_ball_radius` on the first ``next``.  A child
-    never appends the inverse of its parent's last letter, so every yielded
-    tuple is reduced by construction; callers wrap one in a
-    :class:`ReducedWord` only where a report needs the word.
+    length, extending by the same ``_NEXT`` suffixes as :func:`ball_levels`,
+    gives length-lex order.  Only the level being extended is held; the last
+    level is yielded and dropped.  The radius is checked by
+    :func:`check_ball_radius` on the first ``next``.  This is the enumerator
+    for callers that carry a value per word, such as
+    :func:`exactlin.ball_matrices`.
     """
     check_ball_radius(n)
     yield (), root
@@ -177,24 +205,24 @@ def walk_ball(n: int, root: V, step: Callable[[V, Letter], V]) -> Iterator[tuple
         keep = k < n - 1
         nxt: list[tuple[tuple[Letter, ...], V]] = []
         for letters, value in level:
-            barred = _INVERSES[letters[-1]] if letters else None
-            for letter in _ALPHABET:
-                if letter is barred:
-                    continue
-                item = (letters + (letter,), step(value, letter))
+            for suffix in _NEXT[letters[-1]] if letters else _FIRST:
+                item = (letters + suffix, step(value, suffix[0]))
                 yield item
                 if keep:
                     nxt.append(item)
         level = nxt
 
 
-def _no_value(value: None, letter: Letter) -> None:
-    return None
-
-
 def ball(n: int) -> tuple[ReducedWord, ...]:
-    """All reduced words of length <= n, in length-lexicographic order."""
-    return tuple(_reduced(letters) for letters, _ in walk_ball(n, None, _no_value))
+    """All reduced words of length <= n, in length-lexicographic order.
+
+    The letter tuples come from :func:`ball_levels`; the words are allocated
+    and their slots filled by two C-level maps, with no Python call per word.
+    """
+    letters = list(chain.from_iterable(ball_levels(n)))
+    words = tuple(map(object.__new__, repeat(ReducedWord, len(letters))))
+    deque(map(_set_letters, words, letters), maxlen=0)
+    return words
 
 
 def ball_size(n: int) -> int:
@@ -221,32 +249,14 @@ class SplitCheck:
         return not self.violations
 
 
-def _split_violation(
-    h: tuple[Letter, ...],
-    cover: Letter,
-    piece: Letter,
-    mover: tuple[Letter, ...],
-    mover_inv: tuple[Letter, ...],
-) -> str | None:
-    """Why the word with letters h is not in W(cover) u mover.W(piece), or None when it is.
-
-    ``cover`` and ``piece`` are the first letters of the two classes, and the
-    movers come as letter tuples.  A word h outside W(cover) is covered iff
-    mover^-1.h starts with the piece letter and mover.(mover^-1.h) reproduces
-    h.  Both facts are tested directly, so corrupted movers or pieces surface
-    as explicit violations.
-    """
-    if h and h[0] is cover:
-        return None
-    shifted = _seam(mover_inv, h)
-    if not shifted or shifted[0] is not piece:
-        return (
-            f"{str(_reduced(h))!r} not covered: {str(_reduced(mover))!r}^-1 * h = "
-            f"{str(_reduced(shifted))!r} is not in class {_CLASS_OF_LETTER[piece].value}"
-        )
-    if _seam(mover, shifted) != h:  # pragma: no cover - group law, unreachable
-        return f"reassembly failed for {str(_reduced(h))!r}"
-    return None
+def _not_covered(
+    h: tuple[Letter, ...], mover: tuple[Letter, ...], shifted: tuple[Letter, ...], piece: PrefixClass
+) -> str:
+    """The violation message for a word h whose shift mover^-1.h is not in the piece."""
+    return (
+        f"{str(_reduced(h))!r} not covered: {str(_reduced(mover))!r}^-1 * h = "
+        f"{str(_reduced(shifted))!r} is not in class {piece.value}"
+    )
 
 
 @dataclass(frozen=True)
@@ -265,10 +275,13 @@ class F2ParadoxReport:
 def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     """Verify the prefix-class partition and both covering identities on ball(depth).
 
-    One pass over the ball's letter tuples: each word is counted by its first
-    letter, its class memberships are recomputed from raw letters, and it is
-    tested against both splits F2 = W(a) u a.W(a^-1) and F2 = W(b) u b.W(b^-1)
-    by :func:`_split_violation`.
+    One pass over the levels of :func:`ball_levels`: each word is counted by
+    its first letter and its class memberships are recomputed from raw
+    letters.  Against each split F2 = W(x) u x.W(x^-1), a word h outside W(x)
+    is covered iff x^-1.h starts with x^-1 and x.(x^-1.h) reproduces h; both
+    products are written out as one-letter seams (the letter cancels h's
+    first letter when that is its inverse, else it is prepended), and both
+    facts are tested directly.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -280,20 +293,29 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     violations_a: list[str] = []
     violations_b: list[str] = []
     checked = 0
-    for h, _ in walk_ball(depth, None, _no_value):
-        checked += 1
-        # Memberships recomputed from raw letters, not trusted from the count index.
-        first = h[0] if h else None
-        classes = (first is None) + (first is A) + (first is B) + (first is A_INV) + (first is B_INV)
-        if classes != 1 and len(partition_violations) < MAX_VIOLATIONS:  # pragma: no cover - unreachable
-            partition_violations.append(f"{str(_reduced(h))!r} lies in {classes} classes")
-        counts[4 if first is None else first] += 1
-        problem = _split_violation(h, A, A_INV, word_a, inv_a)
-        if problem is not None and len(violations_a) < MAX_VIOLATIONS:
-            violations_a.append(problem)
-        problem = _split_violation(h, B, B_INV, word_b, inv_b)
-        if problem is not None and len(violations_b) < MAX_VIOLATIONS:
-            violations_b.append(problem)
+    for level in ball_levels(depth):
+        for h in level:
+            checked += 1
+            # Memberships recomputed from raw letters, not trusted from the count index.
+            first = h[0] if h else None
+            classes = (first is None) + (first is A) + (first is B) + (first is A_INV) + (first is B_INV)
+            if classes != 1 and len(partition_violations) < MAX_VIOLATIONS:  # pragma: no cover - unreachable
+                partition_violations.append(f"{str(_reduced(h))!r} lies in {classes} classes")
+            counts[4 if first is None else first] += 1
+            # a^-1.h: a^-1 would cancel a leading a, which h lacks here.
+            # a.(a^-1.h): a cancels the leading a^-1.  Likewise for b.
+            if first is not A:
+                shifted = inv_a + h
+                if shifted[0] is not A_INV and len(violations_a) < MAX_VIOLATIONS:  # pragma: no cover
+                    violations_a.append(_not_covered(h, word_a, shifted, PrefixClass.W_A_INV))
+                elif shifted[1:] != h and len(violations_a) < MAX_VIOLATIONS:  # pragma: no cover
+                    violations_a.append(f"reassembly failed for {str(_reduced(h))!r}")
+            if first is not B:
+                shifted = inv_b + h
+                if shifted[0] is not B_INV and len(violations_b) < MAX_VIOLATIONS:  # pragma: no cover
+                    violations_b.append(_not_covered(h, word_b, shifted, PrefixClass.W_B_INV))
+                elif shifted[1:] != h and len(violations_b) < MAX_VIOLATIONS:  # pragma: no cover
+                    violations_b.append(f"reassembly failed for {str(_reduced(h))!r}")
     class_counts = {PrefixClass.IDENTITY: counts[4]}
     class_counts.update((_CLASS_OF_LETTER[x], counts[x]) for x in _ALPHABET)
     split_a = SplitCheck(depth, PrefixClass.W_A, PrefixClass.W_A_INV, _reduced(word_a), checked, tuple(violations_a))

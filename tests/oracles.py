@@ -26,10 +26,7 @@ from paradoxlab.words import (
     PrefixClass,
     ReducedWord,
     SplitCheck,
-    _no_value,
     _reduced,
-    _seam,
-    _split_violation,
     reduce,
     walk_ball,
 )
@@ -142,6 +139,16 @@ IDENTITY = ReducedWord()
 _FIRST_LETTER = {c: Letter(i) for i, c in enumerate(_CLASS_OF_LETTER)}
 
 
+def _seam(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """Letters of the product of two reduced letter tuples; cancellation happens only at the seam."""
+    i = len(a)
+    j = 0
+    while i > 0 and j < len(b) and a[i - 1] == _INVERSES[b[j]]:
+        i -= 1
+        j += 1
+    return a[:i] + b[j:]
+
+
 def concat(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
     """Product in the free group."""
     return _reduced(_seam(w1.letters, w2.letters))
@@ -154,6 +161,38 @@ def invert(w: ReducedWord) -> ReducedWord:
 def prefix_class(w: ReducedWord) -> PrefixClass:
     letters = w.letters
     return _CLASS_OF_LETTER[letters[0]] if letters else PrefixClass.IDENTITY
+
+
+def _no_value(value: None, letter: Letter) -> None:
+    return None
+
+
+def _split_violation(
+    h: tuple[Letter, ...],
+    cover: Letter,
+    piece: Letter,
+    mover: tuple[Letter, ...],
+    mover_inv: tuple[Letter, ...],
+) -> str | None:
+    """Why the word with letters h is not in W(cover) u mover.W(piece), or None when it is.
+
+    ``cover`` and ``piece`` are the first letters of the two classes, and the
+    movers come as letter tuples.  A word h outside W(cover) is covered iff
+    mover^-1.h starts with the piece letter and mover.(mover^-1.h) reproduces
+    h.  Both facts are tested directly, so corrupted movers or pieces surface
+    as explicit violations.
+    """
+    if h and h[0] is cover:
+        return None
+    shifted = _seam(mover_inv, h)
+    if not shifted or shifted[0] is not piece:
+        return (
+            f"{str(_reduced(h))!r} not covered: {str(_reduced(mover))!r}^-1 * h = "
+            f"{str(_reduced(shifted))!r} is not in class {_CLASS_OF_LETTER[piece].value}"
+        )
+    if _seam(mover, shifted) != h:  # pragma: no cover - group law, unreachable
+        return f"reassembly failed for {str(_reduced(h))!r}"
+    return None
 
 
 def check_split(

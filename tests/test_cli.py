@@ -367,6 +367,10 @@ EXACT_LAYER_DIGESTS = [
     (("freeness", "exhaustive", "--depth", "9"), "1874183a9905aa10aef4789195fbf0eeb91f740fa67775868276deaa68f704ad"),
     (("freeness", "exhaustive", "--depth", "11"), "84787f8f506f3917f17fc7513f647ed386690cae8faa8995d1f0f3b72174ead7"),
     (("freeness", "exhaustive", "--depth", "12"), "d58707ca440d7f595cdbde403ab3d9e34b68901f872f72ae68fed434239f5c69"),
+    # Recorded at commit ed0b44c, before the ball and the covering check moved
+    # from the per-word walk to level lists.
+    (("words", "verify", "--depth", "10"), "7b46f014f6ffc65e3198fc940049e2fbcc28957e1b4492ec2cbdd7708643b1e4"),
+    (("words", "verify", "--depth", "11"), "6c7773c164b026a664ec896dcfd3915ff33178e375020a8e8813e9504ee1ea5f"),
 ]
 
 

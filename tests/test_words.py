@@ -1,5 +1,7 @@
 """Reduced words, ball enumeration, and the five-class decomposition."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,6 +18,7 @@ from paradoxlab.words import (
     ReducedWord,
     SplitCheck,
     ball,
+    ball_levels,
     ball_size,
     reduce,
     verify_f2_paradox,
@@ -109,9 +112,28 @@ def test_ball_is_length_lex_ordered():
     assert len(set(words)) == len(words)
 
 
+def test_ball_levels_match_the_walk_and_the_brute_force_ball():
+    assert [list(level) for level in ball_levels(0)] == [[()]]
+    for n in range(9):
+        levels = [list(level) for level in ball_levels(n)]
+        assert [len(level) for level in levels] == [1] + [4 * 3 ** (k - 1) for k in range(1, n + 1)]
+        assert all(len(w) == k for k, level in enumerate(levels) for w in level)
+        flat = [w for level in levels for w in level]
+        assert flat == [letters for letters, _ in walk_ball(n, None, lambda value, letter: None)]
+        assert frozenset(map(ReducedWord, flat)) == brute_force_ball(n)
+
+
+def test_ball_words_are_plain_reduced_words():
+    for w in ball(6):
+        rebuilt = ReducedWord(w.letters)
+        assert type(w) is ReducedWord
+        assert w == rebuilt and hash(w) == hash(rebuilt)
+
+
 # Every consumer of the ball walk inherits its one radius cap.
 BALL_CONSUMERS = {
     "ball": ball,
+    "ball_levels": lambda n: next(ball_levels(n)),
     "ball_matrices": lambda n: next(ball_matrices(n)),
     "verify_f2_paradox": verify_f2_paradox,
     "exhaustive_check": exhaustive_check,
@@ -156,6 +178,24 @@ def test_verify_f2_paradox_depth_3():
     assert not report.partition_violations
     assert report.split_a.checked == 53
     assert report.split_b.checked == 53
+
+
+#: Bound on the tracemalloc peak of verify_f2_paradox(9), in bytes per word.
+#: The levels below the last are held as lists and the last is streamed:
+#: about 36 B per word with Python 3.11.  Storing the last level too took
+#: about 113.
+VERIFY_PEAK_BYTES_PER_WORD = 60
+
+
+def test_verify_f2_paradox_peak_memory_per_word():
+    tracemalloc.start()
+    try:
+        report = verify_f2_paradox(9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.split_a.checked == 39_365
+    assert peak / report.split_a.checked < VERIFY_PEAK_BYTES_PER_WORD
 
 
 def test_one_pass_verify_matches_check_split():
