@@ -27,7 +27,7 @@ from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DegenerateInputError, InvariantViolationError
-from .words import Letter, ReducedWord, walk_ball
+from .words import Letter, ReducedWord, ball_levels
 
 
 def _frac(x) -> Fraction:
@@ -78,10 +78,6 @@ DEFAULT_GENERATORS: Mapping[Letter, Mat3] = {
 }
 
 
-def generator_matrix(letter: Letter) -> Mat3:
-    return DEFAULT_GENERATORS[letter]
-
-
 # -- scaled-integer fast path ----------------------------------------------
 
 IntMat = tuple[int, ...]
@@ -122,17 +118,31 @@ _INT_IDENTITY: IntMat = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 def ball_matrices(depth: int) -> Iterator[tuple[tuple[Letter, ...], IntMat, int]]:
     """Yield (letters, d*eval(word) as integers, d) over ball(depth) in length-lex order.
 
-    ``letters`` is the word's raw letter tuple, as :func:`words.walk_ball`
-    yields it.  Each word's matrix is one integer product away from its
-    parent's, so the whole ball costs one 3x3 multiply per word, and
-    d = 7^len(word).
+    ``letters`` is the word's raw letter tuple from :func:`words.ball_levels`.
+    Each word's matrix is its parent's times the scaled generator of its last
+    letter, so the whole ball costs one 3x3 multiply per word, and
+    d = 7^len(word).  The parent of a one-letter word is the identity, and
+    that of word i on a longer level is word i // 3 of the level before, so
+    only the previous level's matrices are held; the last level's are yielded
+    and dropped.
     """
-
-    def step(parent: tuple[IntMat, int], letter: Letter) -> tuple[IntMat, int]:
-        g_ints, g_den = SCALED_GENERATORS[letter]
-        return _matmul_ints(parent[0], g_ints), parent[1] * g_den
-
-    return ((letters, ints, den) for letters, (ints, den) in walk_ball(depth, (_INT_IDENTITY, 1), step))
+    generators = SCALED_GENERATORS
+    levels = ball_levels(depth)
+    (identity,) = next(levels)  # the first next checks the radius
+    yield identity, _INT_IDENTITY, 1
+    parents = [(_INT_IDENTITY, 1)]
+    fan = 4  # the four one-letter words all extend the identity
+    for k, level in enumerate(levels, 1):
+        keep = k < depth
+        mats: list[tuple[IntMat, int]] = []
+        for i, letters in enumerate(level):
+            p_ints, p_den = parents[i // fan]
+            g_ints, g_den = generators[letters[-1]]
+            ints, den = _matmul_ints(p_ints, g_ints), p_den * g_den
+            yield letters, ints, den
+            if keep:
+                mats.append((ints, den))
+        parents, fan = mats, 3
 
 
 def eval_word(w: ReducedWord) -> Mat3:

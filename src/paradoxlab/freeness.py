@@ -43,7 +43,7 @@ from typing import Literal, Mapping
 
 from .errors import InvariantViolationError
 from .words import Letter, ReducedWord, ball_size, check_ball_radius
-from .exactlin import SCALED_GENERATORS, ball_matrices, generator_matrix
+from .exactlin import DEFAULT_GENERATORS, SCALED_GENERATORS, ball_matrices
 
 _MOD = 7
 
@@ -247,7 +247,7 @@ def verify_certificate(cert: FreenessCertificate) -> bool:
         # Mod-7 action of each letter, rebuilt from the rational matrices.
         mats: dict[int, list[list[int]]] = {}
         for letter in Letter:
-            m = generator_matrix(letter)
+            m = DEFAULT_GENERATORS[letter]
             rows = []
             for i in range(3):
                 row = []

@@ -14,15 +14,14 @@ where W(x) is the set of reduced words starting with x.  Every word h outside
 W(a) satisfies h = a.(a^-1 h) with a^-1 h in W(a^-1); the verifier checks that
 identity literally for every ball element, so no boundary fudging is needed.
 
-Two enumerators share one successor table, ``_NEXT``, and both run on raw
-letter tuples:
-
-- :func:`ball_levels` yields the ball one length at a time as lists of
-  letter tuples.  :func:`ball` wraps its words and :func:`verify_f2_paradox`
-  checks them, each in one loop over the levels with no call per word.
-- :func:`walk_ball` streams the words one by one, each with a value carried
-  from its parent; :func:`exactlin.ball_matrices` carries each word's matrix
-  this way.
+One enumerator, :func:`ball_levels`, yields the ball one length at a time
+as lists of raw letter tuples, extending each word by the successor table
+``_NEXT``.  Every word of length >= 1 has exactly three successors, so word
+i of a level of length >= 2 extends word i // 3 of the level before; callers
+that carry a value per word index their parent's value this way.
+:func:`ball` wraps the words and :func:`verify_f2_paradox` checks them, each
+in one loop over the levels with no call per word, and
+:func:`exactlin.ball_matrices` carries each word's matrix from its parent's.
 
 A :class:`ReducedWord` is built only where a caller or a report needs the
 word: the ball itself, violation messages and witnesses.  The group law on
@@ -36,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import chain, repeat
-from typing import Callable, Iterable, Iterator, Mapping, TypeVar
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ResourceLimitError
 
@@ -45,8 +44,6 @@ BALL_CAP = 14
 
 #: Violation messages kept per decomposition check; later ones are dropped.
 MAX_VIOLATIONS = 10
-
-V = TypeVar("V")
 
 
 class Letter(IntEnum):
@@ -173,8 +170,12 @@ def ball_levels(n: int) -> Iterator[Iterable[tuple[Letter, ...]]]:
     after its last letter; length n is streamed from length n - 1 and never
     stored.  The radius is checked by :func:`check_ball_radius` on the first
     ``next``.  A suffix never inverts the last letter, so every tuple is
-    reduced by construction.  :func:`ball` and :func:`verify_f2_paradox`
-    enumerate the ball this way.
+    reduced by construction.
+
+    Parent contract: length 1 is the four one-letter words, each extending
+    the identity, and for k >= 2 word i of length k is word i // 3 of
+    length k - 1 plus one letter.  :func:`exactlin.ball_matrices` relies on
+    it to find each word's parent matrix.
     """
     check_ball_radius(n)
     level: Iterable[tuple[Letter, ...]] = [()]
@@ -183,34 +184,6 @@ def ball_levels(n: int) -> Iterator[Iterable[tuple[Letter, ...]]]:
         yield level
         level = (w + s for w in level for s in _NEXT[w[-1]]) if k else iter(_FIRST)
     yield level
-
-
-def walk_ball(n: int, root: V, step: Callable[[V, Letter], V]) -> Iterator[tuple[tuple[Letter, ...], V]]:
-    """Stream ball(n) in length-lexicographic order: (letters, carried value) per word.
-
-    ``letters`` is the raw letter tuple of the word; the identity is ``()``
-    and carries ``root``, and the word w.x carries ``step(value of w, x)``,
-    so a per-word product costs one step from its parent.  Breadth-first by
-    length, extending by the same ``_NEXT`` suffixes as :func:`ball_levels`,
-    gives length-lex order.  Only the level being extended is held; the last
-    level is yielded and dropped.  The radius is checked by
-    :func:`check_ball_radius` on the first ``next``.  This is the enumerator
-    for callers that carry a value per word, such as
-    :func:`exactlin.ball_matrices`.
-    """
-    check_ball_radius(n)
-    yield (), root
-    level = [((), root)]
-    for k in range(n):
-        keep = k < n - 1
-        nxt: list[tuple[tuple[Letter, ...], V]] = []
-        for letters, value in level:
-            for suffix in _NEXT[letters[-1]] if letters else _FIRST:
-                item = (letters + suffix, step(value, suffix[0]))
-                yield item
-                if keep:
-                    nxt.append(item)
-        level = nxt
 
 
 def ball(n: int) -> tuple[ReducedWord, ...]:

@@ -27,8 +27,8 @@ from paradoxlab.words import (
     ReducedWord,
     SplitCheck,
     _reduced,
+    ball_levels,
     reduce,
-    walk_ball,
 )
 
 # -- rational 3x3 matrices ----------------------------------------------------
@@ -163,10 +163,6 @@ def prefix_class(w: ReducedWord) -> PrefixClass:
     return _CLASS_OF_LETTER[letters[0]] if letters else PrefixClass.IDENTITY
 
 
-def _no_value(value: None, letter: Letter) -> None:
-    return None
-
-
 def _split_violation(
     h: tuple[Letter, ...],
     cover: Letter,
@@ -208,7 +204,7 @@ def check_split(
     mover_letters, inv_letters = mover.letters, invert(mover).letters
     violations: list[str] = []
     checked = 0
-    for h, _ in walk_ball(depth, None, _no_value):
+    for h in itertools.chain.from_iterable(ball_levels(depth)):
         checked += 1
         problem = _split_violation(h, cover_letter, piece_letter, mover_letters, inv_letters)
         if problem is not None and len(violations) < MAX_VIOLATIONS:

@@ -27,7 +27,7 @@ from mpmath.libmp import (
 
 from paradoxlab import paradox
 from paradoxlab.errors import DomainError, ModelError, PreconditionError, ResourceLimitError
-from paradoxlab.exactlin import eval_word, generator_matrix
+from paradoxlab.exactlin import DEFAULT_GENERATORS, eval_word
 from paradoxlab.freeness import build_certificate
 from paradoxlab.paradox import (
     FiniteActionModel,
@@ -643,7 +643,7 @@ def test_orbit_transport_maps_match_rational_application():
             model = orbit_transport(depth, cert).model
             expected = {"e": {p: p for p in model.points}}
             for letter in Letter:
-                m = generator_matrix(letter)
+                m = DEFAULT_GENERATORS[letter]
                 moved = {p: m.apply(p) for p in model.points}
                 expected[letter.symbol] = {p: q for p, q in moved.items() if q in model.points}
             assert model.maps == expected

@@ -22,7 +22,6 @@ from paradoxlab.words import (
     ball_size,
     reduce,
     verify_f2_paradox,
-    walk_ball,
 )
 
 from oracles import IDENTITY, brute_force_ball, check_split, concat, invert, prefix_class
@@ -51,10 +50,10 @@ def test_unreduced_construction_rejected():
 
 
 def test_fast_built_words_pass_public_validation():
-    # walk_ball, concat and invert skip validation; the public constructor must
-    # accept every word they build and rebuild an equal one.
-    walked = [ReducedWord(letters) for letters, _ in walk_ball(6, None, lambda value, letter: None)]
-    assert walked == list(ball(6))
+    # ball_matrices, concat and invert skip validation; the public constructor
+    # must accept every word they build and rebuild an equal one.
+    rebuilt = [ReducedWord(letters) for letters, _, _ in ball_matrices(6)]
+    assert rebuilt == list(ball(6))
     b3 = ball(3)
     for u in b3:
         assert ReducedWord(invert(u).letters) == invert(u)
@@ -118,9 +117,13 @@ def test_ball_levels_match_the_walk_and_the_brute_force_ball():
         levels = [list(level) for level in ball_levels(n)]
         assert [len(level) for level in levels] == [1] + [4 * 3 ** (k - 1) for k in range(1, n + 1)]
         assert all(len(w) == k for k, level in enumerate(levels) for w in level)
-        flat = [w for level in levels for w in level]
-        assert flat == [letters for letters, _ in walk_ball(n, None, lambda value, letter: None)]
-        assert frozenset(map(ReducedWord, flat)) == brute_force_ball(n)
+        # Fan-out contract ball_matrices relies on: the parent of word i is word i // 3.
+        if n:
+            assert levels[1] == [(x,) for x in Letter]
+        for k in range(2, n + 1):
+            assert all(w[:-1] == levels[k - 1][i // 3] for i, w in enumerate(levels[k]))
+        flat = [ReducedWord(w) for level in levels for w in level]
+        assert flat == sorted(brute_force_ball(n), key=lambda w: (len(w), w.letters))
 
 
 def test_ball_words_are_plain_reduced_words():
@@ -196,6 +199,24 @@ def test_verify_f2_paradox_peak_memory_per_word():
         tracemalloc.stop()
     assert report.passed and report.split_a.checked == 39_365
     assert peak / report.split_a.checked < VERIFY_PEAK_BYTES_PER_WORD
+
+
+#: Bound on the tracemalloc peak of draining ball_matrices(9), in bytes per
+#: word.  Only the previous level's matrices are held and the last level's
+#: are dropped: about 160-180 B per word with Python 3.11.  Keeping the last
+#: level's matrices too took about 465.
+BALL_MATRICES_PEAK_BYTES_PER_WORD = 250
+
+
+def test_ball_matrices_peak_memory_per_word():
+    tracemalloc.start()
+    try:
+        words = sum(1 for _ in ball_matrices(9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert words == 39_365
+    assert peak / words < BALL_MATRICES_PEAK_BYTES_PER_WORD
 
 
 def test_one_pass_verify_matches_check_split():
