@@ -18,8 +18,8 @@ from random import Random
 
 from . import cauchy, freeness, measures, paradox, sphere, words
 from .errors import InconclusiveError, ResourceLimitError, VerificationError
-from .exactlin import eval_word
-from .report import Finding, RunReport, jsonable
+from .exactlin import DEFAULT_GENERATORS, scaled_integer_form
+from .report import Finding, RunReport
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -134,9 +134,20 @@ def _run_freeness_certify(args):
 
 def _run_sphere_fixed_points(args):
     found = sphere.fixed_directions(args.depth)
+    # The axes come from ball_matrices' products of SCALED_GENERATORS, so the
+    # recheck shares none of that code: it scales the rational generators
+    # itself and applies them to the direction letter by letter, right to left.
+    scaled = [scaled_integer_form(DEFAULT_GENERATORS[letter]) for letter in words.Letter]
     recheck_bad = []
     for direction, witness in found.witnesses.items():
-        if eval_word(witness).apply(direction.as_tuple()) != direction.as_tuple():
+        v = direction.as_tuple()
+        image, den = v, 1
+        for letter in reversed(witness.letters):
+            m, d = scaled[letter]
+            x, y, z = image
+            image = (m[0] * x + m[1] * y + m[2] * z, m[3] * x + m[4] * y + m[5] * z, m[6] * x + m[7] * y + m[8] * z)
+            den *= d
+        if image != tuple(den * c for c in v):
             recheck_bad.append(str(direction))
     findings = [
         Finding("witnesses_fix_directions", not recheck_bad, ", ".join(recheck_bad)),
@@ -159,6 +170,12 @@ def _run_sphere_absorb(args):
             f"{args.iters + 1} layers over {len(C)} directions make {points} points, "
             f"more than the cap {sphere.ABSORB_POINT_CAP}"
         )
+    pairs = len(C) * (args.iters + 1) ** 2
+    if pairs > sphere.ABSORB_PAIR_CAP:
+        raise ResourceLimitError(
+            f"{len(C)} directions times {args.iters + 1} layers squared make {pairs}, "
+            f"more than the cap {sphere.ABSORB_PAIR_CAP}"
+        )
     g = sphere.find_absorbing_rotation_adaptive(C, args.iters, start_bits=args.bits)
     demo = sphere.absorb_demo(C, g, args.iters)
     findings = [
@@ -176,7 +193,7 @@ def _run_sphere_absorb(args):
             "n_points": demo.n_points,
             "min_separation": demo.min_separation,
             "outcome": demo.outcome,
-            "collision": jsonable(demo.collision),
+            "collision": demo.collision,
         },
     }
     return demo.outcome, details, demo.summary()
@@ -301,7 +318,7 @@ def _run_paradox_contradiction(args):
         raise _UsageError(f"{args.input}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     try:
         model, space, witness, nu, invariant, interior = measures.contradiction_input_from_json(data)
-    except (KeyError, TypeError, ValueError, measures.ModelError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"{args.input}: {exc}") from None
     try:
         report = measures.paradox_contradiction(model, space, witness, nu, invariant, interior=interior)
@@ -342,7 +359,7 @@ def _run_cauchy_demo(args):
     details = {
         "findings": findings,
         "model": f.model.to_json(),
-        "witness": jsonable(witness),
+        "witness": witness,
         "assumptions": list(report.assumptions),
     }
     ok = all(fi.ok for fi in findings)

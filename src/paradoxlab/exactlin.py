@@ -1,22 +1,20 @@
 """Exact rational 3x3 linear algebra and the two rotation generators.
 
 Everything here is arithmetic over arbitrary-precision rationals (stdlib
-``fractions.Fraction``); no floats appear.  A vector is a plain triple of
-ints or Fractions, and :meth:`Mat3.apply` returns a tuple of Fractions,
-which compare and hash like the ints they equal.  The two generators
+``fractions.Fraction``); no floats appear.  The two generators
 
     A = (1/7) [ 6  2  3 ]        B = (1/7) [ 2 -6  3 ]
               [ 2  3 -6 ]                  [ 6  3  2 ]
               [-3  6  2 ]                  [-3  2  6 ]
 
 are special orthogonal with inverse = transpose.  Products of k generators
-have denominator dividing 7^k, which the word-evaluation fast path exploits
-by carrying the integer matrix 7^k * M instead of fractions.  A rotation's
-axis comes from that integer matrix too: the cross product of two
-independent rows of 7^k * (M - I) (:func:`_scaled_axis`).  The reference
-routes these are checked against (the general fraction-free kernel, the
-rational matrix product and the special-orthogonality test) live in the
-tests.
+have denominator dividing 7^k, so :func:`ball_matrices`, the one place a
+word's matrix is multiplied out, carries the integer matrix 7^k * M instead
+of fractions.  A rotation's axis comes from that integer matrix too: the
+cross product of two independent rows of 7^k * (M - I) (:func:`_scaled_axis`).
+The reference routes these are checked against (the general fraction-free
+kernel, the rational word product, matrix-vector application and the
+special-orthogonality test) live in the tests.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ from math import gcd, lcm
 from typing import Iterator, Mapping, Sequence
 
 from .errors import DegenerateInputError, InvariantViolationError
-from .words import Letter, ReducedWord, ball_levels
+from .words import Letter, ball_levels
 
 
 def _frac(x) -> Fraction:
@@ -51,16 +49,6 @@ class Mat3:
 
     def row(self, i: int) -> tuple[Fraction, Fraction, Fraction]:
         return self.entries[3 * i : 3 * i + 3]
-
-    def apply(self, v: Sequence) -> tuple[Fraction, Fraction, Fraction]:
-        """M v for a triple of ints or Fractions, as a tuple of Fractions."""
-        x, y, z = v
-        e = self.entries
-        return (
-            e[0] * x + e[1] * y + e[2] * z,
-            e[3] * x + e[4] * y + e[5] * z,
-            e[6] * x + e[7] * y + e[8] * z,
-        )
 
     def transpose(self) -> "Mat3":
         e = self.entries
@@ -143,16 +131,6 @@ def ball_matrices(depth: int) -> Iterator[tuple[tuple[Letter, ...], IntMat, int]
             if keep:
                 mats.append((ints, den))
         parents, fan = mats, 3
-
-
-def eval_word(w: ReducedWord) -> Mat3:
-    """Exact product of generator matrices in word order; identity for e."""
-    ints, den = _INT_IDENTITY, 1
-    for letter in w.letters:
-        g_ints, g_den = SCALED_GENERATORS[letter]
-        ints = _matmul_ints(ints, g_ints)
-        den *= g_den
-    return Mat3(tuple(Fraction(v, den) for v in ints))
 
 
 @dataclass(frozen=True)

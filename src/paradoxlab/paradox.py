@@ -466,6 +466,8 @@ def _prefix_class_witness(
 #: Hard cap on the planar paradox's (max_coeff+1)^(max_degree+1) points; at the cap, ``smp_verify``
 #: takes 12.7 s and 269 MiB peak RSS at (19, 1), 12.4 s and 243 MiB at (9, 3), 8.8 s and 238 MiB at
 #: (1, 1023) and 7.4 s and 241 MiB at (4, 15), one in-process run each on a 2-vCPU VM: time bounds it.
+#: The cap holds at the default precision; ``smp_verify`` scales it by DEFAULT_PRECISION_BITS / bits,
+#: since at 1024 bits a point needs about 716 B, not the 216 B it needs at 128.
 SMP_POINT_CAP = 2**20
 
 
@@ -761,6 +763,15 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
         raise ValueError("need max_degree >= 1 and max_coeff >= 1")
     if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
         raise ValueError(f"precision_bits must be in {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}")
+    # A point's grid ints grow with the bits, so the cap, set at the default
+    # precision, counts points times bits; the exponent is clamped as in
+    # enumerate_polys.
+    budget = SMP_POINT_CAP * DEFAULT_PRECISION_BITS
+    if (max_coeff + 1) ** min(max_degree + 1, budget.bit_length()) * precision_bits > budget:
+        raise ResourceLimitError(
+            f"{max_coeff + 1}^{max_degree + 1} polynomials exceed the configured cap {SMP_POINT_CAP} "
+            f"at {DEFAULT_PRECISION_BITS} bits, {budget // precision_bits} at {precision_bits} bits"
+        )
     polys = enumerate_polys(max_degree, max_coeff)
     total = len(polys)
     n_a, g_images, h_images = _smp_index_maps(max_degree, max_coeff)

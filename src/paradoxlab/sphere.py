@@ -60,6 +60,15 @@ MIN_PRECISION_BITS = 64
 #: in-process run each.
 ABSORB_POINT_CAP = 3000
 
+#: Most |C| * (iters + 1)**2, about twice the pairs within one direction's
+#: layers, that the CLI's absorb demo may take on: the point cap alone lets
+#: few directions run for minutes.  The largest runs it allows take 4.6 s at
+#: depth 1 (iters 315), 3.8 s at depth 2 (iters 181) and 5.2 s at depth 3
+#: (iters 94); from depth 4 the point cap binds first (iters 44, 12 and 3 at
+#: depths 4, 5 and 6, in 4.2, 2.4 and 1.8 s).  One in-process CLI run each
+#: on a 2-vCPU VM.
+ABSORB_PAIR_CAP = 200_000
+
 #: Working precision of the bad-angle control (corrupted_rotation).
 CONTROL_PRECISION_BITS = 256
 

@@ -1,6 +1,7 @@
 """Reference oracles the tests check the library against.
 
-Nothing in the product runs these: the rational matrix algebra, the
+Nothing in the product runs these: the rational matrix algebra (with the
+word product over the rational generators and matrix-vector application), the
 fraction-free kernel, the group law on reduced words, the one-split check,
 the brute-force ball, the direct product of group tables, and the
 frozenset route of finite action models (validation, images and the derived
@@ -16,7 +17,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from paradoxlab.errors import DegenerateInputError, DomainError, ModelError
-from paradoxlab.exactlin import Mat3, ProjectiveDirection, _scaled_axis, scaled_integer_form
+from paradoxlab.exactlin import DEFAULT_GENERATORS, Mat3, ProjectiveDirection, _scaled_axis, scaled_integer_form
 from paradoxlab.measures import GroupTable
 from paradoxlab.words import (
     _CLASS_OF_LETTER,
@@ -48,6 +49,19 @@ def matmul(m: Mat3, other: Mat3) -> Mat3:
             for j in range(3)
         )
     )
+
+
+def word_matrix(w: ReducedWord) -> Mat3:
+    """The rational product of the generators in word order; identity for e."""
+    product = identity()
+    for letter in w.letters:
+        product = matmul(product, DEFAULT_GENERATORS[letter])
+    return product
+
+
+def apply(m: Mat3, v: Sequence) -> tuple[Fraction, Fraction, Fraction]:
+    """M v for a triple of ints or Fractions, as a tuple of Fractions."""
+    return tuple(sum((e * c for e, c in zip(m.row(i), v)), Fraction(0)) for i in range(3))
 
 
 def sub(m: Mat3, other: Mat3) -> Mat3:

@@ -8,7 +8,7 @@ import sys
 import jsonschema
 import pytest
 
-from paradoxlab import cauchy, cli, measures, paradox, sphere
+from paradoxlab import cauchy, cli, exactlin, measures, paradox, sphere
 from paradoxlab.errors import InconclusiveError, InvariantViolationError
 from paradoxlab.words import Letter, ReducedWord
 
@@ -129,6 +129,32 @@ def test_a_broken_invariant_gives_a_fail_report(monkeypatch, report_schema):
     assert finding["detail"].startswith("a: fixed space is 0-dimensional")
 
 
+def _fixed_points_findings(depth):
+    result = run_cli("sphere", "fixed-points", "--depth", str(depth))
+    [finding] = result.report["details"]["findings"]
+    return result.code, finding
+
+
+def test_fixed_points_recheck_catches_swapped_scaled_generators(monkeypatch):
+    # The ball's products now use b where the word says a, so some axes are
+    # fixed by a different word than their witness.
+    a, b, a_inv, b_inv = exactlin.SCALED_GENERATORS
+    monkeypatch.setattr(exactlin, "SCALED_GENERATORS", (b, a, b_inv, a_inv))
+    code, finding = _fixed_points_findings(2)
+    assert code == 1
+    assert finding["name"] == "witnesses_fix_directions" and finding["ok"] is False
+    assert finding["detail"] == "[0:1:2], [2:1:0], [2:5:2], [4:1:4]"
+
+
+def test_fixed_points_recheck_catches_a_reversed_matrix_product(monkeypatch):
+    # Reversed products give each word the matrix of its reverse.
+    matmul = exactlin._matmul_ints
+    monkeypatch.setattr(exactlin, "_matmul_ints", lambda a, b: matmul(b, a))
+    code, finding = _fixed_points_findings(3)
+    assert code == 1
+    assert finding["ok"] is False
+
+
 def test_a_broken_demo_bound_gives_a_fail_report(monkeypatch, report_schema):
     # The demo leaves the bound to the library, so a broken bound is the library's raise.
     def broken(*args):
@@ -174,6 +200,11 @@ def test_a_broken_demo_bound_gives_a_fail_report(monkeypatch, report_schema):
             id="sphere absorb past the point cap",
         ),
         pytest.param(("sphere", "absorb", "--depth", "6", "--iters", "4"), id="sphere absorb at depth 6 past the point cap"),
+        # 2,000 points, under the point cap, but 2 * 1000^2 is past the pair cap.
+        pytest.param(("sphere", "absorb", "--depth", "1", "--iters", "999"), id="sphere absorb past the pair cap"),
+        pytest.param(
+            ("smp", "verify", "--deg", "8", "--coef", "3", "--bits", "1024"), id="smp verify past the point cap at 1024 bits"
+        ),
     ],
 )
 def test_usage_errors_exit_64(argv):

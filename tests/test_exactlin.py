@@ -14,13 +14,13 @@ from paradoxlab.exactlin import (
     ProjectiveDirection,
     SCALED_GENERATORS,
     ball_matrices,
-    eval_word,
     scaled_integer_form,
     _scaled_axis,
 )
 from paradoxlab.words import Letter, ReducedWord, ball
 
 from oracles import (
+    apply,
     axis,
     det,
     identity,
@@ -30,6 +30,7 @@ from oracles import (
     matmul,
     row_reduce_int,
     sub,
+    word_matrix,
 )
 
 small_ints = st.integers(min_value=-9, max_value=9)
@@ -56,27 +57,18 @@ def test_inverse_generators_are_transposes():
     assert matmul(GEN_B, DEFAULT_GENERATORS[Letter.B_INV]) == identity()
 
 
-# -- word evaluation, two routes ---------------------------------------------
+# -- word matrices, two routes ----------------------------------------------
 
 
-def test_eval_word_identity():
-    assert eval_word(ReducedWord()) == identity()
+def _as_fractions(ints, den) -> Mat3:
+    return Mat3(tuple(Fraction(v, den) for v in ints))
 
 
-def test_eval_word_matches_scaled_integer_route():
-    # The rational product and the integer fast path must agree word by word.
-    for letters, ints, den in ball_matrices(3):
-        assert eval_word(ReducedWord(letters)) == Mat3(tuple(Fraction(v, den) for v in ints))
-
-
-def test_eval_word_matches_the_rational_product():
-    # Independent of the integer multiply both eval_word and ball_matrices use:
-    # multiply the rational generator matrices with the oracle's matmul.
-    for w in ball(4):
-        product = identity()
-        for letter in w.letters:
-            product = matmul(product, DEFAULT_GENERATORS[letter])
-        assert eval_word(w) == product
+def test_ball_matrices_match_the_rational_product():
+    # Independent of the integer table and multiply: the oracle multiplies the
+    # rational generator matrices, the identity word included.
+    for letters, ints, den in ball_matrices(6):
+        assert _as_fractions(ints, den) == word_matrix(ReducedWord(letters)), letters
 
 
 def test_ball_matrices_walk_the_ball_in_order():
@@ -98,8 +90,8 @@ def test_scaled_integer_form():
 
 
 def test_word_products_are_rotations():
-    for w in ball(3):
-        assert is_special_orthogonal(eval_word(w))
+    for _, ints, den in ball_matrices(3):
+        assert is_special_orthogonal(_as_fractions(ints, den))
 
 
 # -- integer linear algebra --------------------------------------------------
@@ -177,7 +169,7 @@ def test_generator_axes():
 def test_axis_fixed_vector():
     for gen in (GEN_A, GEN_B):
         v = axis(gen).as_tuple()
-        assert gen.apply(v) == v
+        assert apply(gen, v) == v
 
 
 def _kernel_axis(ints, den):

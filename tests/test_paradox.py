@@ -27,7 +27,7 @@ from mpmath.libmp import (
 
 from paradoxlab import paradox
 from paradoxlab.errors import DomainError, ModelError, PreconditionError, ResourceLimitError
-from paradoxlab.exactlin import DEFAULT_GENERATORS, eval_word
+from paradoxlab.exactlin import DEFAULT_GENERATORS
 from paradoxlab.freeness import build_certificate
 from paradoxlab.paradox import (
     FiniteActionModel,
@@ -60,7 +60,7 @@ from paradoxlab.paradox import (
 )
 from paradoxlab.words import Letter, ReducedWord, ball, ball_size
 
-from oracles import concat, ref_interior
+from oracles import apply, concat, ref_interior, word_matrix
 
 # -- models and witnesses ----------------------------------------------------
 
@@ -631,12 +631,12 @@ def test_orbit_points_are_scaled_rational_images():
     for base in ((0, 1, 0), (1, 1, 1)):
         cert = build_certificate(base)
         for depth in range(1, 5):
-            expected = {tuple(7**depth * c for c in eval_word(w).apply(base)) for w in ball(depth)}
+            expected = {tuple(7**depth * c for c in apply(word_matrix(w), base)) for w in ball(depth)}
             assert orbit_transport(depth, cert).model.points == expected
 
 
 def test_orbit_transport_maps_match_rational_application():
-    # The model's maps run on scaled integer keys; rebuild them with Mat3.apply.
+    # The model's maps run on scaled integer keys; rebuild them with rational application.
     for base in ((0, 1, 0), (1, 1, 1)):
         cert = build_certificate(base)
         for depth in range(1, 5):
@@ -644,7 +644,7 @@ def test_orbit_transport_maps_match_rational_application():
             expected = {"e": {p: p for p in model.points}}
             for letter in Letter:
                 m = DEFAULT_GENERATORS[letter]
-                moved = {p: m.apply(p) for p in model.points}
+                moved = {p: apply(m, p) for p in model.points}
                 expected[letter.symbol] = {p: q for p, q in moved.items() if q in model.points}
             assert model.maps == expected
 

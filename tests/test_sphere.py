@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from paradoxlab import sphere
 from paradoxlab.errors import DegenerateInputError, DomainError, InconclusiveError, InvariantViolationError
-from paradoxlab.exactlin import ProjectiveDirection, ball_matrices, eval_word
+from paradoxlab.exactlin import ProjectiveDirection, ball_matrices
 from paradoxlab.sphere import (
     ANGLE_CANDIDATES,
     SEPARATION_RESOLUTION,
@@ -33,6 +33,8 @@ from paradoxlab.sphere import (
     _shrink_lower,
 )
 from paradoxlab.words import Letter
+
+from oracles import apply, word_matrix
 
 
 def _triples(C):
@@ -66,7 +68,7 @@ def test_witnesses_fix_their_directions():
     C = fixed_directions(2)
     for direction, word in C.witnesses.items():
         v = direction.as_tuple()
-        assert eval_word(word).apply(v) == v
+        assert apply(word_matrix(word), v) == v
 
 
 def test_fixed_direction_set_helpers():
