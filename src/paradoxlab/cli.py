@@ -163,19 +163,24 @@ def _run_sphere_fixed_points(args):
 
 
 def _run_sphere_absorb(args):
-    C = sphere.fixed_directions(args.depth)
-    points = (args.iters + 1) * len(C)
-    if points > sphere.ABSORB_POINT_CAP:
-        raise ResourceLimitError(
-            f"{args.iters + 1} layers over {len(C)} directions make {points} points, "
-            f"more than the cap {sphere.ABSORB_POINT_CAP}"
-        )
-    pairs = len(C) * (args.iters + 1) ** 2
-    if pairs > sphere.ABSORB_PAIR_CAP:
-        raise ResourceLimitError(
-            f"{len(C)} directions times {args.iters + 1} layers squared make {pairs}, "
-            f"more than the cap {sphere.ABSORB_PAIR_CAP}"
-        )
+    layers = args.iters + 1
+    # ball(k) lies inside ball(k + 1), so the direction count never shrinks
+    # with the depth: walking the depths upward refuses a run at the first
+    # depth past a cap, before the deeper (and far larger) balls are walked.
+    for k in range(1, args.depth + 1):
+        C = sphere.fixed_directions(k)
+        points = layers * len(C)
+        if points > sphere.ABSORB_POINT_CAP:
+            raise ResourceLimitError(
+                f"{layers} layers over the {len(C)} directions of ball({k}) make {points} points, "
+                f"more than the cap {sphere.ABSORB_POINT_CAP}"
+            )
+        pairs = len(C) * layers**2
+        if pairs > sphere.ABSORB_PAIR_CAP:
+            raise ResourceLimitError(
+                f"the {len(C)} directions of ball({k}) times {layers} layers squared make {pairs}, "
+                f"more than the cap {sphere.ABSORB_PAIR_CAP}"
+            )
     g = sphere.find_absorbing_rotation_adaptive(C, args.iters, start_bits=args.bits)
     demo = sphere.absorb_demo(C, g, args.iters)
     findings = [

@@ -21,6 +21,11 @@ Everything here is exact rational arithmetic over finite carriers:
   the forced conclusion nu(X) <= 0 or pinpoints the first link that breaks.
   On truncated models the final covering link is certified set-theoretically
   on an interior rather than numerically; see :func:`paradox_contradiction`.
+
+The hot sums are integer kernels: point masses and ergodic averages add
+integer numerators over one common denominator, derived once per measure or
+per call, and build a Fraction only for a result.  The Fraction routes they
+replaced are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 from operator import or_
 from random import Random
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -83,15 +89,18 @@ class PointMeasure:
     Determined by nonnegative point weights; additivity is then automatic,
     but :func:`audit_point_measure` rechecks it anyway on sampled pairs, as a
     guard on the evaluation code rather than on the mathematics.  The
-    weights are grouped by value once: ``groups`` pairs each distinct weight
+    weights are grouped by value once: ``groups`` pairs each distinct weight,
+    as an integer numerator over the common ``denominator`` of all weights,
     with the points that carry it, so a uniform measure is one group and a
-    Dirac measure one point.
+    Dirac measure one point.  Masses are then integer sums over that one
+    denominator, and a Fraction is built only for the result.
     """
 
     universe: frozenset
     weights: Mapping[Point, Fraction]
 
-    groups: tuple[tuple[Fraction, frozenset], ...] = field(init=False, repr=False)
+    groups: tuple[tuple[int, frozenset], ...] = field(init=False, repr=False)
+    denominator: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         fixed = dict(self.weights)
@@ -103,14 +112,18 @@ class PointMeasure:
                 last = _frac(w)
                 points = by_value.setdefault((last.numerator, last.denominator), (last, []))[1]
             points.append(p)
-        self.groups = tuple((w, frozenset(points)) for w, points in by_value.values())
+        self.denominator = lcm(*(den for _, den in by_value))
+        self.groups = tuple(
+            (numerator * (self.denominator // den), frozenset(points))
+            for (numerator, den), (_, points) in by_value.items()
+        )
         if not all(points <= self.universe for _, points in self.groups):
             p = next(p for p in fixed if p not in self.universe)
             raise ModelError(f"weight on {p!s} outside the universe")
         for (numerator, _), (_, points) in by_value.items():
             if numerator < 0:
                 raise ModelError(f"negative weight on {points[0]!s}")
-        for w, points in self.groups:
+        for w, points in by_value.values():
             fixed.update(dict.fromkeys(points, w))
         self.weights = fixed
 
@@ -133,7 +146,7 @@ class PointMeasure:
         s = frozenset(subset)
         if not s <= self.universe:
             raise DomainError("measure evaluated outside its universe")
-        return sum((w * n for w, points in self.groups if (n := len(s & points))), start=Fraction(0))
+        return Fraction(sum(w * len(s & points) for w, points in self.groups), self.denominator)
 
     def total(self) -> Fraction:
         return self.mu(self.universe)
@@ -145,13 +158,16 @@ class PointMeasure:
 def _indexed_mass(nu: PointMeasure, model: FiniteActionModel) -> Callable[[int], Fraction]:
     """nu on bitsets over the model's index: each group's weight times its bits in the bitset.
 
-    A weighted point the model lacks is in no bitset, so it adds nothing.
+    The weights are ``nu``'s integer numerators over ``nu.denominator``, the
+    ones :meth:`PointMeasure.mu` sums.  A weighted point the model lacks is in
+    no bitset, so it adds nothing.
     """
     index = model._index
     groups = [(w, index.bits(points & index.members, "nu")) for w, points in nu.groups]
+    denominator = nu.denominator
 
     def mass(b: int) -> Fraction:
-        return sum((w * (b & group).bit_count() for w, group in groups), start=Fraction(0))
+        return Fraction(sum(w * (b & group).bit_count() for w, group in groups), denominator)
 
     return mass
 
@@ -531,10 +547,6 @@ class PiecewiseConstant:
         return max(abs(v) for v in self.values)
 
 
-def _mod1(x: Fraction) -> Fraction:
-    return x - (x.numerator // x.denominator)
-
-
 def ergodic_average(alpha, x0, f: PiecewiseConstant, n: int) -> tuple[Fraction, Fraction]:
     """Birkhoff average of f along n steps of the rotation x -> x + alpha mod 1.
 
@@ -542,18 +554,30 @@ def ergodic_average(alpha, x0, f: PiecewiseConstant, n: int) -> tuple[Fraction, 
     |F_n(f o T) - F_n(f)| telescopes to |f(T^n x0) - f(x0)| / n, so it obeys
     2 sup|f| / n; the bound is asserted, and the pair is the finite
     approximant whose limit points would be T-invariant means.
+
+    The kernel runs on integers: with D the lcm of the denominators of alpha,
+    x0 and the breakpoints, orbit point k is (x + k a) mod D, and its sample
+    is looked up among the breakpoints scaled by D.  The values are scaled to
+    their own lcm V, so both averages are integer sums over V n.  The shifted
+    average is summed on its own rather than telescoped, so the bound checks
+    the two sums against each other instead of holding by construction.
     """
     if n < 1:
         raise ValueError("need at least one orbit point")
     alpha, x0 = _frac(alpha), _frac(x0)
-    orbit = [_mod1(x0 + k * alpha) for k in range(n + 1)]
-    samples = [f.value_at(x) for x in orbit]
-    value = sum(samples[:n], start=Fraction(0)) / n
-    shifted = sum(samples[1:], start=Fraction(0)) / n
-    defect = abs(shifted - value)
-    if defect > 2 * f.sup_abs() / n:
+    D = lcm(alpha.denominator, x0.denominator, *(b.denominator for b in f.breaks))
+    V = lcm(*(v.denominator for v in f.values))
+    cuts = [b.numerator * (D // b.denominator) for b in f.breaks]
+    values = [v.numerator * (V // v.denominator) for v in f.values]
+    a = alpha.numerator * (D // alpha.denominator)
+    x = x0.numerator * (D // x0.denominator)
+    samples = [values[bisect_right(cuts, (x + k * a) % D) - 1] for k in range(n + 1)]
+    total, shifted = sum(samples[:n]), sum(samples[1:])
+    defect = Fraction(abs(shifted - total), V * n)
+    # defect > 2 sup|f| / n, multiplied through by V n.
+    if abs(shifted - total) > 2 * max(map(abs, values)):
         raise InvariantViolationError(f"invariance defect {defect} exceeds 2 sup|f| / {n}")
-    return value, defect
+    return Fraction(total, V * n), defect
 
 
 # ---------------------------------------------------------------------------

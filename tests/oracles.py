@@ -3,10 +3,12 @@
 Nothing in the product runs these: the rational matrix algebra (with the
 word product over the rational generators and matrix-vector application), the
 fraction-free kernel, the group law on reduced words, the one-split check,
-the brute-force ball, the direct product of group tables, and the
+the brute-force ball, the direct product of group tables, the
 frozenset route of finite action models (validation, images and the derived
-interior on point objects).  Each is the slow, general route that a fast
-path in ``exactlin``, ``words``, ``measures`` or ``paradox`` must agree with.
+interior on point objects), and the Fraction routes of the integer kernels
+(point-measure mass, the ergodic average and the additive map).  Each is the
+slow, general route that a fast path in ``exactlin``, ``words``,
+``measures``, ``paradox`` or ``cauchy`` must agree with.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from paradoxlab.errors import DegenerateInputError, DomainError, ModelError
+from paradoxlab.cauchy import HamelModel
+from paradoxlab.errors import DegenerateInputError, DomainError, InvariantViolationError, ModelError
 from paradoxlab.exactlin import DEFAULT_GENERATORS, Mat3, ProjectiveDirection, _scaled_axis, scaled_integer_form
-from paradoxlab.measures import GroupTable
+from paradoxlab.measures import GroupTable, PiecewiseConstant, PointMeasure, _frac
 from paradoxlab.words import (
     _CLASS_OF_LETTER,
     _INVERSES,
@@ -292,3 +295,43 @@ def ref_interior(model, witness) -> frozenset:
             raise ModelError(f"unknown group label {label!r}")
         inside = inside.intersection(model.maps[label].values())
     return inside
+
+
+# -- Fraction routes of the integer kernels ------------------------------------
+
+
+def ref_mu(m: PointMeasure, subset) -> Fraction:
+    """``PointMeasure.mu`` in Fractions: each distinct weight times the number of its points in the subset."""
+    s = frozenset(subset)
+    if not s <= m.universe:
+        raise DomainError("measure evaluated outside its universe")
+    groups: dict[Fraction, list] = {}
+    for p, w in m.weights.items():
+        groups.setdefault(w, []).append(p)
+    return sum((w * n for w, points in groups.items() if (n := len(s.intersection(points)))), start=Fraction(0))
+
+
+def _mod1(x: Fraction) -> Fraction:
+    return x - (x.numerator // x.denominator)
+
+
+def ref_ergodic_average(alpha, x0, f: PiecewiseConstant, n: int) -> tuple[Fraction, Fraction]:
+    """``measures.ergodic_average`` in Fractions: the orbit mod 1, ``value_at`` samples and Fraction sums."""
+    if n < 1:
+        raise ValueError("need at least one orbit point")
+    alpha, x0 = _frac(alpha), _frac(x0)
+    orbit = [_mod1(x0 + k * alpha) for k in range(n + 1)]
+    samples = [f.value_at(x) for x in orbit]
+    value = sum(samples[:n], start=Fraction(0)) / n
+    shifted = sum(samples[1:], start=Fraction(0)) / n
+    defect = abs(shifted - value)
+    if defect > 2 * f.sup_abs() / n:
+        raise InvariantViolationError(f"invariance defect {defect} exceeds 2 sup|f| / {n}")
+    return value, defect
+
+
+def ref_additive_eval(model: HamelModel, coords: Sequence) -> Fraction:
+    """``AdditiveMap.eval`` in Fractions: the sum of each coordinate times its basis image."""
+    if len(coords) != model.rank:
+        raise DomainError(f"coordinate vector has length {len(coords)}, the model has rank {model.rank}")
+    return sum((Fraction(c) * y for c, y in zip(coords, model.basis_images)), start=Fraction(0))

@@ -213,6 +213,23 @@ def test_usage_errors_exit_64(argv):
     assert result.stdout == b""
 
 
+def test_sphere_absorb_refuses_before_the_deep_balls(monkeypatch):
+    # With two layers, ball(7)'s 2,106 directions make 4,212 points, past the
+    # point cap, so ball(14) (9,565,937 words) is never walked.
+    depths = []
+    fixed_directions = sphere.fixed_directions
+
+    def recording(depth):
+        depths.append(depth)
+        return fixed_directions(depth)
+
+    monkeypatch.setattr(sphere, "fixed_directions", recording)
+    result = run_cli("sphere", "absorb", "--depth", "14", "--iters", "1")
+    assert (result.code, result.stdout) == (64, b"")
+    assert depths == list(range(1, 8))
+    assert "the 2106 directions of ball(7)" in result.stderr
+
+
 def test_unreadable_input_exits_64(tmp_path):
     result = run_cli("paradox", "contradiction", "--input", str(tmp_path / "absent.json"))
     assert result.code == 64
@@ -408,6 +425,25 @@ EXACT_LAYER_DIGESTS = [
 @pytest.mark.parametrize("argv,digest", EXACT_LAYER_DIGESTS, ids=[" ".join(a) for a, _ in EXACT_LAYER_DIGESTS])
 def test_exact_layer_report_bytes_are_pinned(argv, digest):
     result = run_cli(*argv, "--seed", "1")
+    assert result.code == 0
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+
+# sha256 of the stdout of the Fraction-bound demos at more seeds and ranks,
+# recorded at commit 38e0fa2, before ergodic_average, AdditiveMap.eval and
+# PointMeasure.mu moved to integer numerators over one common denominator.
+# The --seed 1 reports of the two measures demos are pinned above.
+DEMO_DIGESTS = [
+    (("measures", "demo", "--which", "ergodic", "--seed", "7"), "d97f4b8d37576c6533d1ec7e64f72f4bb00576318ec87a6d2ef4311b195c3766"),
+    (("measures", "demo", "--which", "finite-group", "--seed", "7"), "65694604d937de609a37ce71caf216ce0dae8219c5129b3ffcd4f07a92d4cc68"),
+    (("cauchy", "demo", "--rank", "2", "--seed", "7"), "c2cdd44c1f7956c7f2eccd2ffd9b9323256e0c523ead2caba1ffe637c380fef4"),
+    (("cauchy", "demo", "--rank", "50"), "2710357ffb7f857ac35a70c272d23c2ba11feccff9f8a3694f3dbda8d3f8db87"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", DEMO_DIGESTS, ids=[" ".join(a) for a, _ in DEMO_DIGESTS])
+def test_demo_report_bytes_are_pinned(argv, digest):
+    result = run_cli(*argv)
     assert result.code == 0
     assert hashlib.sha256(result.stdout).hexdigest() == digest
 
