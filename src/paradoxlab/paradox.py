@@ -425,7 +425,7 @@ def f2_ball_model(depth: int) -> tuple[FiniteActionModel, frozenset, ParadoxWitn
         for w in space:
             # x.(x^-1 u) = u cancels; any other x.w is x prepended to w.
             letters = w.letters
-            moved = word_of.get(letters[1:] if letters and letters[0] is inverse else (letter,) + letters)
+            moved = word_of.get(letters[1:] if letters and letters[0] == inverse else (letter,) + letters)
             if moved is not None:
                 action[w] = moved
         maps[letter.symbol] = action
@@ -435,7 +435,7 @@ def f2_ball_model(depth: int) -> tuple[FiniteActionModel, frozenset, ParadoxWitn
 
 
 def _prefix_class_witness(
-    points: Iterable[tuple[tuple[Letter, ...], Point]], depth: int
+    points: Iterable[tuple[tuple[int, ...], Point]], depth: int
 ) -> tuple[ParadoxWitness, frozenset]:
     """The four prefix-class pieces with movers e, a, e, b, and the interior ball(depth - 1).
 
@@ -942,7 +942,7 @@ def orbit_transport(depth: int, certificate: FreenessCertificate) -> OrbitTransp
 
     # word_at takes each point to its word; it is also the collision check.
     scale = 7**depth
-    word_at: dict[Point, tuple[Letter, ...]] = {}
+    word_at: dict[Point, tuple[int, ...]] = {}
     for letters, ints, den in ball_matrices(depth):
         factor = scale // den
         p = (

@@ -33,6 +33,7 @@ from .errors import (
     DomainError,
     InconclusiveError,
     InvariantViolationError,
+    ResourceLimitError,
 )
 from .exactlin import ProjectiveDirection, _scaled_axis, ball_matrices
 from .words import ReducedWord
@@ -68,6 +69,11 @@ ABSORB_POINT_CAP = 3000
 #: depths 4, 5 and 6, in 4.2, 2.4 and 1.8 s).  One in-process CLI run each
 #: on a 2-vCPU VM.
 ABSORB_PAIR_CAP = 200_000
+
+#: Deepest ball fixed_directions walks.  Each depth triples the time and the
+#: memory: through cli.main, depth 12 takes 28 s and 666 MiB peak RSS, depth 13
+#: 87 s and 1,841 MiB, one in-process run each on a 2-vCPU, 8 GB VM.
+FIXED_DIRECTIONS_DEPTH_CAP = 12
 
 #: Working precision of the bad-angle control (corrupted_rotation).
 CONTROL_PRECISION_BITS = 256
@@ -117,6 +123,8 @@ def fixed_directions(depth: int) -> FixedDirectionSet:
     Raises InvariantViolationError if any word's fixed space is not a line,
     which for special orthogonal input would mean corrupted generators.
     """
+    if depth > FIXED_DIRECTIONS_DEPTH_CAP:
+        raise ResourceLimitError(f"fixed_directions({depth}) exceeds the configured cap {FIXED_DIRECTIONS_DEPTH_CAP}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
     found: dict[ProjectiveDirection, ReducedWord] = {}

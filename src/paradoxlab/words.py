@@ -3,7 +3,9 @@
 Words live in the free group on {a, b}.  A word is *reduced* when no letter
 stands next to its inverse.  Enumeration is length-lexicographic with letter
 order a < b < a^-1 < b^-1 so that reports and "first counterexample" claims
-are deterministic.
+are deterministic.  A word stores its letters as the plain ints 0-3, which
+:class:`Letter` names; a tuple of ints is left alone by the cyclic garbage
+collector, where one of IntEnum members is tracked and rescanned.
 
 The headline check, :func:`verify_f2_paradox`, confirms at a finite depth the
 two covering identities
@@ -55,7 +57,7 @@ class Letter(IntEnum):
     B_INV = 3
 
     def inverse(self) -> "Letter":
-        return _INVERSES[self]
+        return Letter(_INVERSES[self])
 
     @property
     def symbol(self) -> str:
@@ -70,7 +72,7 @@ class Letter(IntEnum):
 
 
 #: Inverse of each letter, indexed by letter: a <-> a^-1 and b <-> b^-1.
-_INVERSES = (Letter.A_INV, Letter.B_INV, Letter.A, Letter.B)
+_INVERSES = (2, 3, 0, 1)
 
 
 class PrefixClass(Enum):
@@ -91,17 +93,19 @@ _CLASS_OF_LETTER = (PrefixClass.W_A, PrefixClass.W_B, PrefixClass.W_A_INV, Prefi
 class ReducedWord:
     """An immutable reduced word; the empty tuple is the identity.
 
-    Public construction validates.  Code in this module that builds a word
-    reduced by construction uses :func:`_reduced`, which skips the check.
+    Public construction validates and stores the letters as plain ints (a
+    value outside 0-3 raises ValueError).  Code in this module that builds a
+    word reduced by construction uses :func:`_reduced`, which skips the check.
     """
 
-    letters: tuple[Letter, ...] = ()
+    letters: tuple[int, ...] = ()  # plain ints 0-3, named by Letter
 
     def __post_init__(self) -> None:
-        ls = self.letters
+        ls = tuple(map(_ALPHABET.index, self.letters))
+        _set_letters(self, ls)
         for i in range(len(ls) - 1):
-            if ls[i] == ls[i + 1].inverse():
-                raise ValueError(f"word is not reduced at position {i}: {ls[i].symbol}{ls[i + 1].symbol}")
+            if ls[i] == _INVERSES[ls[i + 1]]:
+                raise ValueError(f"word is not reduced at position {i}: {_reduced(ls[i : i + 2])}")
 
     # -- basic structure ----------------------------------------------------
 
@@ -111,7 +115,7 @@ class ReducedWord:
     # -- text form ----------------------------------------------------------
 
     def __str__(self) -> str:
-        return "".join(l.symbol for l in self.letters)
+        return "".join(["abAB"[x] for x in self.letters])
 
     def __repr__(self) -> str:
         return f"ReducedWord({str(self)!r})"
@@ -126,7 +130,7 @@ class ReducedWord:
 _set_letters = ReducedWord.__dict__["letters"].__set__
 
 
-def _reduced(letters: tuple[Letter, ...]) -> ReducedWord:
+def _reduced(letters: tuple[int, ...]) -> ReducedWord:
     """Wrap letters the caller knows are reduced, without re-validating them."""
     w = object.__new__(ReducedWord)
     _set_letters(w, letters)
@@ -135,23 +139,23 @@ def _reduced(letters: tuple[Letter, ...]) -> ReducedWord:
 
 def reduce(letters: Iterable[Letter]) -> ReducedWord:
     """Free reduction: cancel adjacent inverse pairs until none remain."""
-    stack: list[Letter] = []
+    stack: list[int] = []
     for letter in letters:
-        if stack and stack[-1] == letter.inverse():
+        if stack and stack[-1] == _INVERSES[letter]:
             stack.pop()
         else:
             stack.append(letter)
     return ReducedWord(tuple(stack))
 
 
-_ALPHABET = tuple(Letter)
+_ALPHABET = (0, 1, 2, 3)
 
 #: The one-letter words, in letter order: the successors of the identity.
 _FIRST = tuple((x,) for x in _ALPHABET)
 
 #: Successor suffixes, indexed by a word's last letter: the one-letter tuples
 #: of every letter but its inverse, in letter order.
-_NEXT = tuple(tuple((y,) for y in _ALPHABET if y is not _INVERSES[x]) for x in _ALPHABET)
+_NEXT = tuple(tuple((y,) for y in _ALPHABET if y != _INVERSES[x]) for x in _ALPHABET)
 
 
 def check_ball_radius(n: int) -> None:
@@ -162,7 +166,7 @@ def check_ball_radius(n: int) -> None:
         raise ResourceLimitError(f"ball({n}) exceeds the configured cap {BALL_CAP}")
 
 
-def ball_levels(n: int) -> Iterator[Iterable[tuple[Letter, ...]]]:
+def ball_levels(n: int) -> Iterator[Iterable[tuple[int, ...]]]:
     """Yield ball(n) one length at a time, 0 to n, each in length-lexicographic order.
 
     Every length below n comes as a list of letter tuples, built from the
@@ -178,7 +182,7 @@ def ball_levels(n: int) -> Iterator[Iterable[tuple[Letter, ...]]]:
     it to find each word's parent matrix.
     """
     check_ball_radius(n)
-    level: Iterable[tuple[Letter, ...]] = [()]
+    level: Iterable[tuple[int, ...]] = [()]
     for k in range(n):
         level = list(level)
         yield level
@@ -223,7 +227,7 @@ class SplitCheck:
 
 
 def _not_covered(
-    h: tuple[Letter, ...], mover: tuple[Letter, ...], shifted: tuple[Letter, ...], piece: PrefixClass
+    h: tuple[int, ...], mover: tuple[int, ...], shifted: tuple[int, ...], piece: PrefixClass
 ) -> str:
     """The violation message for a word h whose shift mover^-1.h is not in the piece."""
     return (
@@ -271,21 +275,21 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
             checked += 1
             # Memberships recomputed from raw letters, not trusted from the count index.
             first = h[0] if h else None
-            classes = (first is None) + (first is A) + (first is B) + (first is A_INV) + (first is B_INV)
+            classes = (first is None) + (first == A) + (first == B) + (first == A_INV) + (first == B_INV)
             if classes != 1 and len(partition_violations) < MAX_VIOLATIONS:  # pragma: no cover - unreachable
                 partition_violations.append(f"{str(_reduced(h))!r} lies in {classes} classes")
             counts[4 if first is None else first] += 1
             # a^-1.h: a^-1 would cancel a leading a, which h lacks here.
             # a.(a^-1.h): a cancels the leading a^-1.  Likewise for b.
-            if first is not A:
+            if first != A:
                 shifted = inv_a + h
-                if shifted[0] is not A_INV and len(violations_a) < MAX_VIOLATIONS:  # pragma: no cover
+                if shifted[0] != A_INV and len(violations_a) < MAX_VIOLATIONS:  # pragma: no cover
                     violations_a.append(_not_covered(h, word_a, shifted, PrefixClass.W_A_INV))
                 elif shifted[1:] != h and len(violations_a) < MAX_VIOLATIONS:  # pragma: no cover
                     violations_a.append(f"reassembly failed for {str(_reduced(h))!r}")
-            if first is not B:
+            if first != B:
                 shifted = inv_b + h
-                if shifted[0] is not B_INV and len(violations_b) < MAX_VIOLATIONS:  # pragma: no cover
+                if shifted[0] != B_INV and len(violations_b) < MAX_VIOLATIONS:  # pragma: no cover
                     violations_b.append(_not_covered(h, word_b, shifted, PrefixClass.W_B_INV))
                 elif shifted[1:] != h and len(violations_b) < MAX_VIOLATIONS:  # pragma: no cover
                     violations_b.append(f"reassembly failed for {str(_reduced(h))!r}")

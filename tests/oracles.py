@@ -195,10 +195,10 @@ def _split_violation(
     h.  Both facts are tested directly, so corrupted movers or pieces surface
     as explicit violations.
     """
-    if h and h[0] is cover:
+    if h and h[0] == cover:
         return None
     shifted = _seam(mover_inv, h)
-    if not shifted or shifted[0] is not piece:
+    if not shifted or shifted[0] != piece:
         return (
             f"{str(_reduced(h))!r} not covered: {str(_reduced(mover))!r}^-1 * h = "
             f"{str(_reduced(shifted))!r} is not in class {_CLASS_OF_LETTER[piece].value}"

@@ -205,6 +205,7 @@ def test_a_broken_demo_bound_gives_a_fail_report(monkeypatch, report_schema):
         pytest.param(
             ("smp", "verify", "--deg", "8", "--coef", "3", "--bits", "1024"), id="smp verify past the point cap at 1024 bits"
         ),
+        pytest.param(("sphere", "fixed-points", "--depth", "13"), id="sphere fixed-points past the depth cap"),
     ],
 )
 def test_usage_errors_exit_64(argv):
@@ -228,6 +229,15 @@ def test_sphere_absorb_refuses_before_the_deep_balls(monkeypatch):
     assert (result.code, result.stdout) == (64, b"")
     assert depths == list(range(1, 8))
     assert "the 2106 directions of ball(7)" in result.stderr
+
+
+def test_sphere_fixed_points_refuses_before_walking_the_ball(monkeypatch):
+    walked = []
+    monkeypatch.setattr(sphere, "ball_matrices", lambda depth: walked.append(depth) or iter(()))
+    result = run_cli("sphere", "fixed-points", "--depth", str(sphere.FIXED_DIRECTIONS_DEPTH_CAP + 1))
+    assert (result.code, result.stdout) == (64, b"")
+    assert walked == []
+    assert "exceeds the configured cap 12" in result.stderr
 
 
 def test_unreadable_input_exits_64(tmp_path):

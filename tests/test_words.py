@@ -1,5 +1,6 @@
 """Reduced words, ball enumeration, and the five-class decomposition."""
 
+import gc
 import tracemalloc
 
 import pytest
@@ -73,7 +74,7 @@ def test_string_roundtrip():
 def test_reduce_output_is_reduced(letters):
     w = reduce(letters)
     for x, y in zip(w.letters, w.letters[1:]):
-        assert x != y.inverse()
+        assert x != Letter(y).inverse()
 
 
 @given(letter_lists, letter_lists)
@@ -131,6 +132,42 @@ def test_ball_words_are_plain_reduced_words():
         rebuilt = ReducedWord(w.letters)
         assert type(w) is ReducedWord
         assert w == rebuilt and hash(w) == hash(rebuilt)
+
+
+# -- plain-int letters ---------------------------------------------------------
+
+
+def test_stored_letters_are_plain_ints():
+    # Letter members compare and hash as their ints, so a word means the same
+    # either way; plain ints are what the words store.
+    tuples = [w for level in ball_levels(6) for w in level]
+    tuples += [w.letters for w in ball(6)]
+    tuples += [letters for letters, _, _ in ball_matrices(5)]
+    assert all(type(x) is int for letters in tuples for x in letters)
+
+
+def test_ball_letter_tuples_are_untracked_by_the_collector():
+    # CPython-specific: the collector untracks a tuple of atomic members such
+    # as ints, but never one holding IntEnum members.
+    words = ball(6)
+    gc.collect()
+    assert not any(gc.is_tracked(w.letters) for w in words)
+
+
+def test_public_construction_normalises_to_plain_ints():
+    for w in (ReducedWord((Letter.A, Letter.B)), ReducedWord.from_string("abAB"), reduce([Letter.B, Letter.A_INV])):
+        assert w.letters and all(type(x) is int for x in w.letters)
+    assert ReducedWord((Letter.A, Letter.B)) == ReducedWord((0, 1))
+    assert str(ReducedWord((0, 1, 2, 3))) == "abAB"
+
+
+def test_unreduced_construction_message_is_the_same_for_letters_and_ints():
+    messages = []
+    for letters in ((Letter.A, Letter.A_INV), (0, 2)):
+        with pytest.raises(ValueError) as exc:
+            ReducedWord(letters)
+        messages.append(str(exc.value))
+    assert messages == ["word is not reduced at position 0: aA"] * 2
 
 
 # Every consumer of the ball walk inherits its one radius cap.
