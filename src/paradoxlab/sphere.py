@@ -36,7 +36,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .exactlin import ProjectiveDirection, _scaled_axis, ball_matrices
-from .words import ReducedWord
+from .words import ReducedWord, _reduced
 
 # Points closer than this count as coinciding: a collision in absorb_demo, a
 # failed separation in paradox.smp_verify.  Honest geometry at this scale
@@ -136,7 +136,7 @@ def fixed_directions(depth: int) -> FixedDirectionSet:
         except InvariantViolationError as exc:
             raise InvariantViolationError(f"{ReducedWord(letters)}: {exc}") from None
         if direction not in found:
-            found[direction] = ReducedWord(letters)
+            found[direction] = _reduced(letters)
     return FixedDirectionSet(depth, frozenset(found), found)
 
 

@@ -94,8 +94,9 @@ class ReducedWord:
     """An immutable reduced word; the empty tuple is the identity.
 
     Public construction validates and stores the letters as plain ints (a
-    value outside 0-3 raises ValueError).  Code in this module that builds a
-    word reduced by construction uses :func:`_reduced`, which skips the check.
+    value outside 0-3 raises ValueError).  Code that builds a word reduced by
+    construction, from the letters of :func:`ball_levels`, uses
+    :func:`_reduced`, which skips the check.
     """
 
     letters: tuple[int, ...] = ()  # plain ints 0-3, named by Letter
@@ -137,7 +138,7 @@ def _reduced(letters: tuple[int, ...]) -> ReducedWord:
     return w
 
 
-def reduce(letters: Iterable[Letter]) -> ReducedWord:
+def reduce(letters: Iterable[int]) -> ReducedWord:
     """Free reduction: cancel adjacent inverse pairs until none remain."""
     stack: list[int] = []
     for letter in letters:
