@@ -159,6 +159,9 @@ def test_public_construction_normalises_to_plain_ints():
         assert w.letters and all(type(x) is int for x in w.letters)
     assert ReducedWord((Letter.A, Letter.B)) == ReducedWord((0, 1))
     assert str(ReducedWord((0, 1, 2, 3))) == "abAB"
+    for bad in ((4,), (0, -1)):
+        with pytest.raises(ValueError):
+            ReducedWord(bad)
 
 
 def test_unreduced_construction_message_is_the_same_for_letters_and_ints():
