@@ -17,9 +17,9 @@ from fractions import Fraction
 from random import Random
 
 from . import cauchy, freeness, measures, paradox, sphere, words
-from .errors import InconclusiveError, ResourceLimitError, VerificationError
+from .errors import InconclusiveError, ModelError, ResourceLimitError, VerificationError
 from .exactlin import DEFAULT_GENERATORS, scaled_integer_form
-from .report import Finding, RunReport
+from .report import Finding, report
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -327,7 +327,7 @@ def _run_paradox_contradiction(args):
         raise _UsageError(f"{args.input}: {exc}") from None
     try:
         report = measures.paradox_contradiction(model, space, witness, nu, invariant, interior=interior)
-    except measures.ModelError as exc:
+    except ModelError as exc:
         # the input parsed but describes a broken model or witness
         raise _UsageError(f"{args.input}: {exc}") from None
     findings = [
@@ -376,6 +376,62 @@ def _run_cauchy_demo(args):
 # ---------------------------------------------------------------------------
 
 
+_REQUIRED_POSITIVE = {"type": _positive_int, "required": True}
+_DEPTH = ("--depth", _REQUIRED_POSITIVE)
+_BITS = ("--bits", {"type": _precision_bits, "default": sphere.DEFAULT_PRECISION_BITS})
+
+#: One row per subcommand: (group, group help, action, handler, argument
+#: specs), each spec a flag and its add_argument keywords.  Groups appear in
+#: the order of their first row, and each takes its help from that row.
+COMMANDS = (
+    ("words", "reduced-word decomposition checks", "verify", _run_words_verify, [_DEPTH]),
+    ("freeness", "freeness of the rotation pair", "exhaustive", _run_freeness_exhaustive, [_DEPTH]),
+    (
+        "freeness",
+        "freeness of the rotation pair",
+        "certify",
+        _run_freeness_certify,
+        [("--base", {"type": _int_triple, "default": None, "help": "base vector, like 0,1,0"})],
+    ),
+    ("sphere", "fixed directions and absorbing rotations", "fixed-points", _run_sphere_fixed_points, [_DEPTH]),
+    (
+        "sphere",
+        "fixed directions and absorbing rotations",
+        "absorb",
+        _run_sphere_absorb,
+        [_DEPTH, ("--iters", _REQUIRED_POSITIVE), _BITS],
+    ),
+    (
+        "smp",
+        "planar two-piece paradox",
+        "verify",
+        _run_smp_verify,
+        [("--deg", _REQUIRED_POSITIVE), ("--coef", _REQUIRED_POSITIVE), _BITS],
+    ),
+    (
+        "measures",
+        "finitely additive measure demos",
+        "demo",
+        _run_measures_demo,
+        [("--which", {"choices": sorted(_MEASURE_DEMOS), "required": True})],
+    ),
+    (
+        "paradox",
+        "contradiction chain on a finite witness",
+        "contradiction",
+        _run_paradox_contradiction,
+        [("--input", {"required": True, "help": "JSON file with model, witness, and measure"})],
+    ),
+    (
+        "cauchy",
+        "additive non-linear maps",
+        "demo",
+        _run_cauchy_demo,
+        [("--rank", {"type": _int_in(1, cauchy.MAX_RANK), "required": True})],
+    ),
+)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="paradoxlab", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
@@ -383,65 +439,16 @@ def build_parser() -> _Parser:
     common.add_argument("--timing", action="store_true", help="fill timing_ms in the report")
 
     top = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
-
-    words_p = top.add_parser("words", help="reduced-word decomposition checks")
-    words_sub = words_p.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = words_sub.add_parser("verify", parents=[common])
-    p.add_argument("--depth", type=_positive_int, required=True)
-    p.set_defaults(handler=_run_words_verify, command="words verify")
-
-    free_p = top.add_parser("freeness", help="freeness of the rotation pair")
-    free_sub = free_p.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = free_sub.add_parser("exhaustive", parents=[common])
-    p.add_argument("--depth", type=_positive_int, required=True)
-    p.set_defaults(handler=_run_freeness_exhaustive, command="freeness exhaustive")
-    p = free_sub.add_parser("certify", parents=[common])
-    p.add_argument("--base", type=_int_triple, default=None, help="base vector, like 0,1,0")
-    p.set_defaults(handler=_run_freeness_certify, command="freeness certify")
-
-    sphere_p = top.add_parser("sphere", help="fixed directions and absorbing rotations")
-    sphere_sub = sphere_p.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = sphere_sub.add_parser("fixed-points", parents=[common])
-    p.add_argument("--depth", type=_positive_int, required=True)
-    p.set_defaults(handler=_run_sphere_fixed_points, command="sphere fixed-points")
-    p = sphere_sub.add_parser("absorb", parents=[common])
-    p.add_argument("--depth", type=_positive_int, required=True)
-    p.add_argument("--iters", type=_positive_int, required=True)
-    p.add_argument("--bits", type=_precision_bits, default=sphere.DEFAULT_PRECISION_BITS)
-    p.set_defaults(handler=_run_sphere_absorb, command="sphere absorb")
-
-    smp_p = top.add_parser("smp", help="planar two-piece paradox")
-    smp_sub = smp_p.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = smp_sub.add_parser("verify", parents=[common])
-    p.add_argument("--deg", type=_positive_int, required=True)
-    p.add_argument("--coef", type=_positive_int, required=True)
-    p.add_argument("--bits", type=_precision_bits, default=sphere.DEFAULT_PRECISION_BITS)
-    p.set_defaults(handler=_run_smp_verify, command="smp verify")
-
-    meas_p = top.add_parser("measures", help="finitely additive measure demos")
-    meas_sub = meas_p.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = meas_sub.add_parser("demo", parents=[common])
-    p.add_argument("--which", choices=sorted(_MEASURE_DEMOS), required=True)
-    p.set_defaults(handler=_run_measures_demo, command="measures demo")
-
-    par_p = top.add_parser("paradox", help="contradiction chain on a finite witness")
-    par_sub = par_p.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = par_sub.add_parser("contradiction", parents=[common])
-    p.add_argument("--input", required=True, help="JSON file with model, witness, and measure")
-    p.set_defaults(handler=_run_paradox_contradiction, command="paradox contradiction")
-
-    cauchy_p = top.add_parser("cauchy", help="additive non-linear maps")
-    cauchy_sub = cauchy_p.add_subparsers(dest="action", required=True, parser_class=_Parser)
-    p = cauchy_sub.add_parser("demo", parents=[common])
-    p.add_argument("--rank", type=_int_in(1, cauchy.MAX_RANK), required=True)
-    p.set_defaults(handler=_run_cauchy_demo, command="cauchy demo")
-
+    groups = {}
+    for group, group_help, action, handler, specs in COMMANDS:
+        if group not in groups:
+            group_parser = top.add_parser(group, help=group_help)
+            groups[group] = group_parser.add_subparsers(dest="action", required=True, parser_class=_Parser)
+        p = groups[group].add_parser(action, parents=[common])
+        for flag, options in specs:
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=handler, command=f"{group} {action}")
     return parser
-
-
-def _parameters(args) -> dict:
-    skip = {"handler", "command", "group", "action", "timing"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def main(argv=None) -> int:
@@ -450,26 +457,18 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         outcome, details, summary = args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, ResourceLimitError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InconclusiveError as exc:
         outcome, details, summary = "inconclusive", {"findings": [], "error": str(exc)}, str(exc)
-    except ResourceLimitError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except VerificationError as exc:
         finding = Finding(type(exc).__name__, False, str(exc))
         outcome, details, summary = "fail", {"findings": [finding], "error": str(exc)}, str(exc)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
 
-    report = RunReport(
-        command=args.command,
-        parameters=_parameters(args),
-        outcome=outcome,
-        details=details,
-        timing_ms=elapsed_ms if args.timing else None,
-    )
-    sys.stdout.buffer.write(report.to_json_bytes())
+    skip = {"handler", "command", "group", "action", "timing"}
+    parameters = {k: v for k, v in vars(args).items() if k not in skip}
+    sys.stdout.buffer.write(report(args.command, parameters, outcome, details, elapsed_ms if args.timing else None))
     print(f"{args.command}: {outcome} ({summary})", file=sys.stderr)
     return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "inconclusive": EXIT_INCONCLUSIVE}[outcome]

@@ -119,10 +119,10 @@ class PointMeasure:
         )
         if not all(points <= self.universe for _, points in self.groups):
             p = next(p for p in fixed if p not in self.universe)
-            raise ModelError(f"weight on {p!s} outside the universe")
+            raise ModelError(f"weight on {p!r} outside the universe")
         for (numerator, _), (_, points) in by_value.items():
             if numerator < 0:
-                raise ModelError(f"negative weight on {points[0]!s}")
+                raise ModelError(f"negative weight on {points[0]!r}")
         for w, points in by_value.values():
             fixed.update(dict.fromkeys(points, w))
         self.weights = fixed
@@ -138,7 +138,7 @@ class PointMeasure:
     def dirac(cls, universe: Iterable, at) -> "PointMeasure":
         pts = frozenset(universe)
         if at not in pts:
-            raise ModelError(f"dirac point {at!s} outside the universe")
+            raise ModelError(f"dirac point {at!r} outside the universe")
         return cls(pts, {at: Fraction(1)})
 
     def mu(self, subset: Iterable) -> Fraction:
@@ -536,15 +536,6 @@ class PiecewiseConstant:
             breaks.append(hi)
             values.append(Fraction(0))
         return cls(tuple(breaks), tuple(values))
-
-    def value_at(self, x) -> Fraction:
-        x = _frac(x)
-        if not 0 <= x < 1:
-            raise DomainError("the function lives on [0, 1)")
-        return self.values[bisect_right(self.breaks, x) - 1]
-
-    def sup_abs(self) -> Fraction:
-        return max(abs(v) for v in self.values)
 
 
 def ergodic_average(alpha, x0, f: PiecewiseConstant, n: int) -> tuple[Fraction, Fraction]:

@@ -26,26 +26,17 @@ class Finding:
     detail: str = ""
 
 
-@dataclass
-class RunReport:
-    """Envelope the CLI prints as JSON; see schema/report-v1."""
-
-    command: str
-    parameters: dict
-    outcome: str  # "pass" | "fail" | "inconclusive"
-    details: dict
-    timing_ms: int | None = None
-
-    def to_json_bytes(self) -> bytes:
-        payload = {
-            "schema": SCHEMA_NAME,
-            "command": self.command,
-            "parameters": jsonable(self.parameters),
-            "outcome": self.outcome,
-            "details": jsonable(self.details),
-            "timing_ms": self.timing_ms,
-        }
-        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+def report(command: str, parameters: dict, outcome: str, details: dict, timing_ms: int | None) -> bytes:
+    """The JSON bytes the CLI prints, see schema/report-v1; ``outcome`` is "pass", "fail" or "inconclusive"."""
+    payload = {
+        "schema": SCHEMA_NAME,
+        "command": command,
+        "parameters": jsonable(parameters),
+        "outcome": outcome,
+        "details": jsonable(details),
+        "timing_ms": timing_ms,
+    }
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
 def jsonable(value: Any) -> Any:

@@ -6,14 +6,16 @@ fraction-free kernel, the group law on reduced words, the one-split check,
 the brute-force ball, the direct product of group tables, the
 frozenset route of finite action models (validation, images and the derived
 interior on point objects), and the Fraction routes of the integer kernels
-(point-measure mass, the ergodic average and the additive map).  Each is the
-slow, general route that a fast path in ``exactlin``, ``words``,
-``measures``, ``paradox`` or ``cauchy`` must agree with.
+(point-measure mass, the ergodic average with its piecewise-constant
+samples, and the additive map).  Each is the slow, general route that a fast
+path in ``exactlin``, ``words``, ``measures``, ``paradox`` or ``cauchy`` must
+agree with.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -315,17 +317,29 @@ def _mod1(x: Fraction) -> Fraction:
     return x - (x.numerator // x.denominator)
 
 
+def value_at(f: PiecewiseConstant, x) -> Fraction:
+    """The value of ``f`` at ``x`` in [0, 1): the value of the last piece starting at or before ``x``."""
+    x = _frac(x)
+    if not 0 <= x < 1:
+        raise DomainError("the function lives on [0, 1)")
+    return f.values[bisect_right(f.breaks, x) - 1]
+
+
+def sup_abs(f: PiecewiseConstant) -> Fraction:
+    return max(abs(v) for v in f.values)
+
+
 def ref_ergodic_average(alpha, x0, f: PiecewiseConstant, n: int) -> tuple[Fraction, Fraction]:
     """``measures.ergodic_average`` in Fractions: the orbit mod 1, ``value_at`` samples and Fraction sums."""
     if n < 1:
         raise ValueError("need at least one orbit point")
     alpha, x0 = _frac(alpha), _frac(x0)
     orbit = [_mod1(x0 + k * alpha) for k in range(n + 1)]
-    samples = [f.value_at(x) for x in orbit]
+    samples = [value_at(f, x) for x in orbit]
     value = sum(samples[:n], start=Fraction(0)) / n
     shifted = sum(samples[1:], start=Fraction(0)) / n
     defect = abs(shifted - value)
-    if defect > 2 * f.sup_abs() / n:
+    if defect > 2 * sup_abs(f) / n:
         raise InvariantViolationError(f"invariance defect {defect} exceeds 2 sup|f| / {n}")
     return value, defect
 

@@ -1,5 +1,6 @@
 """The command-line interface: report shape, exit codes, and determinism."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -214,6 +215,91 @@ def test_usage_errors_exit_64(argv):
     assert result.stdout == b""
 
 
+# -- parser shape -------------------------------------------------------------
+
+# The argparse tree as data, recorded before the parser was built from a
+# command table: each argument as (flags, dest, default, required, choices,
+# help).  Structure, not rendered --help text, which varies across Pythons.
+HELP = (["-h", "--help"], "help", argparse.SUPPRESS, False, None, "show this help message and exit")
+COMMON = [
+    HELP,
+    (["--seed"], "seed", 0, False, None, "seed for randomized audits (default 0)"),
+    (["--timing"], "timing", False, False, None, "fill timing_ms in the report"),
+]
+DEPTH = (["--depth"], "depth", None, True, None, None)
+BITS = (["--bits"], "bits", 128, False, None, None)
+GROUPS = [
+    ("words", "reduced-word decomposition checks"),
+    ("freeness", "freeness of the rotation pair"),
+    ("sphere", "fixed directions and absorbing rotations"),
+    ("smp", "planar two-piece paradox"),
+    ("measures", "finitely additive measure demos"),
+    ("paradox", "contradiction chain on a finite witness"),
+    ("cauchy", "additive non-linear maps"),
+]
+SUBCOMMANDS = [
+    ("words", "verify", "_run_words_verify", [DEPTH]),
+    ("freeness", "exhaustive", "_run_freeness_exhaustive", [DEPTH]),
+    ("freeness", "certify", "_run_freeness_certify", [(["--base"], "base", None, False, None, "base vector, like 0,1,0")]),
+    ("sphere", "fixed-points", "_run_sphere_fixed_points", [DEPTH]),
+    ("sphere", "absorb", "_run_sphere_absorb", [DEPTH, (["--iters"], "iters", None, True, None, None), BITS]),
+    (
+        "smp",
+        "verify",
+        "_run_smp_verify",
+        [(["--deg"], "deg", None, True, None, None), (["--coef"], "coef", None, True, None, None), BITS],
+    ),
+    (
+        "measures",
+        "demo",
+        "_run_measures_demo",
+        [(["--which"], "which", None, True, ["density", "ergodic", "finite-group", "induced-measure"], None)],
+    ),
+    (
+        "paradox",
+        "contradiction",
+        "_run_paradox_contradiction",
+        [(["--input"], "input", None, True, None, "JSON file with model, witness, and measure")],
+    ),
+    ("cauchy", "demo", "_run_cauchy_demo", [(["--rank"], "rank", None, True, None, None)]),
+]
+
+
+def _arguments(parser):
+    return [
+        (a.option_strings, a.dest, a.default, a.required, a.choices, a.help)
+        for a in parser._actions
+        if not isinstance(a, argparse._SubParsersAction)
+    ]
+
+
+def _subparsers(parser):
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = [(a.dest, a.help) for a in action._choices_actions]
+    return action.dest, action.required, helps, action.choices
+
+
+def test_parser_shape_is_pinned():
+    parser = cli.build_parser()
+    assert parser.prog == "paradoxlab"
+    assert parser.description == "Command-line front door: each subcommand runs one verification and emits one JSON report."
+    assert (_arguments(parser), parser._defaults) == ([HELP], {})
+    dest, required, helps, groups = _subparsers(parser)
+    assert (dest, required, helps) == ("group", True, GROUPS)
+    assert list(groups) == [group for group, _ in GROUPS]
+    found = []
+    for group, group_parser in groups.items():
+        assert (_arguments(group_parser), group_parser._defaults) == ([HELP], {})
+        dest, required, helps, actions = _subparsers(group_parser)
+        assert (dest, required, helps) == ("action", True, [])
+        for action, sub in actions.items():
+            assert _arguments(sub)[:3] == COMMON
+            assert sub._defaults.keys() == {"handler", "command"}
+            assert sub._defaults["command"] == f"{group} {action}"
+            found.append((group, action, sub._defaults["handler"].__name__, _arguments(sub)[3:]))
+    assert found == SUBCOMMANDS
+
+
 def test_sphere_absorb_refuses_before_the_deep_balls(monkeypatch):
     # With two layers, ball(7)'s 2,106 directions make 4,212 points, past the
     # point cap, so ball(14) (9,565,937 words) is never walked.
@@ -339,6 +425,17 @@ def test_unreadable_input_exits_64(tmp_path):
         result = run_cli("paradox", "contradiction", "--input", str(path))
         assert (result.code, result.stdout) == (64, b""), corrupt.__name__
         assert path.name in result.stderr and field in result.stderr, corrupt.__name__
+
+
+def test_an_empty_string_point_is_named_in_usage_errors(tmp_path):
+    # The shift toy's root is the empty string: it reads as '', not as nothing.
+    data = json.loads(_shift_input(tmp_path).read_text())
+    data["space"] = ["0", "1"]
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(data))
+    result = run_cli("paradox", "contradiction", "--input", str(path))
+    assert (result.code, result.stdout) == (64, b"")
+    assert "weight on '' outside the universe" in result.stderr
 
 
 # -- determinism and timing --------------------------------------------------
