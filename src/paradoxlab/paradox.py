@@ -464,10 +464,11 @@ def _prefix_class_witness(
 # ---------------------------------------------------------------------------
 
 #: Hard cap on the planar paradox's (max_coeff+1)^(max_degree+1) points; at the cap, ``smp_verify``
-#: takes 12.7 s and 269 MiB peak RSS at (19, 1), 12.4 s and 243 MiB at (9, 3), 8.8 s and 238 MiB at
-#: (1, 1023) and 7.4 s and 241 MiB at (4, 15), one in-process run each on a 2-vCPU VM: time bounds it.
-#: The cap holds at the default precision; ``smp_verify`` scales it by DEFAULT_PRECISION_BITS / bits,
-#: since at 1024 bits a point needs about 716 B, not the 216 B it needs at 128.
+#: takes 10.0 s and 268 MiB peak RSS at (19, 1), 8.1 s and 214 MiB at (9, 3), 9.1 s and 181 MiB at
+#: (1, 1023) and 6.4 s and 185 MiB at (4, 15), one run each in a fresh process on a 2-vCPU VM: time
+#: bounds it.  The cap holds at and below the default precision; above it, ``smp_verify`` scales it by
+#: DEFAULT_PRECISION_BITS / bits, since at 1024 bits a point adds about 670 B to the peak RSS, not the
+#: 185 B it adds at 128 (at (7, 3), same VM).
 SMP_POINT_CAP = 2**20
 
 
@@ -577,8 +578,8 @@ def _to_mpc(z: tuple[int, int], grid: int) -> tuple:
     return from_man_exp(z[0], -grid), from_man_exp(z[1], -grid)
 
 
-def _to_floats(points: list[tuple[int, int]], grid: int) -> tuple[array, array]:
-    """Grid points as two float arrays, x and y: each coordinate v becomes v * 2^-grid rounded to nearest, ties to even.
+def _to_floats(re: list[int], im: list[int], grid: int) -> tuple[array, array]:
+    """Grid columns as two float arrays, x and y: each coordinate v becomes v * 2^-grid rounded to nearest, ties to even.
 
     ``ldexp`` rounds the int v to a float once, to nearest with ties to
     even, and then scales by 2^-grid, which is exact while the result stays
@@ -589,39 +590,53 @@ def _to_floats(points: list[tuple[int, int]], grid: int) -> tuple[array, array]:
     division.
     """
     if grid <= 1022:
+        scale = itertools.repeat(-grid)
         try:
-            xs = array("d", (math.ldexp(x, -grid) for x, _ in points))
-            return xs, array("d", (math.ldexp(y, -grid) for _, y in points))
+            return array("d", map(math.ldexp, re, scale)), array("d", map(math.ldexp, im, scale))
         except OverflowError:
             pass
     one = 1 << grid
-    return array("d", (x / one for x, _ in points)), array("d", (y / one for _, y in points))
+    return array("d", (v / one for v in re)), array("d", (v / one for v in im))
 
 
-def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[tuple[int, int], list[tuple[int, int]]]:
-    """t = e^i and P(t) for every P of ``enumerate_polys``, on the grid of :func:`_grid_bits`.
+def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[tuple[int, int], list[int], list[int]]:
+    """t = e^i and P(t) for every P of ``enumerate_polys``, on the grid of :func:`_grid_bits`: (t, re, im).
 
-    The sum over c0..ck is shared by every polynomial with that prefix, so
-    the sums are built one power of t at a time.  Each term c*t^k is rounded
-    once, and each nonzero coefficient adds one rounded sum: the operations
-    of summing each polynomial on its own, in the same order, so every value
-    is bit-identical to that route.  Rounding is to nearest, as in mpmath's
-    default context; only t itself comes from libmp.
+    The real and imaginary parts are two int columns, indexed as the
+    enumeration.  The sum over c0..ck is shared by every polynomial with that
+    prefix, so the sums are built one power of t at a time.  Each term c*t^k
+    is rounded once, and each nonzero coefficient adds one rounded sum: the
+    operations of summing each polynomial on its own, in the same order, so
+    every value is bit-identical to that route.  The two parts of a sum
+    round independently, so each column is built on its own.  Rounding is to
+    nearest, as in mpmath's default context; only t itself comes from libmp.
     """
     prec, grid = precision_bits, _grid_bits(precision_bits)
+    base = max_coeff + 1
     t = tuple(_from_mpf(x, grid) for x in mpc_exp((fzero, fone), prec, round_nearest))
+
+    def plus(column: list[int], term: int) -> list[int]:
+        # _round(z + term, prec) for each z, written out
+        return [
+            v if s <= 0 else (v + (1 << (s - 1)) - 1 + ((v >> s) & 1)) >> s << s
+            for z in column
+            for v in (z + term,)
+            for s in (v.bit_length() - prec,)
+        ]
+
     power = (1 << grid, 0)
-    sums = [(0, 0)]
+    re, im = [0], [0]
     for k in range(max_degree + 1):
         if k:
             power = _mul(power, t, prec, grid)
-        terms = [(_round(c * power[0], prec), _round(c * power[1], prec)) for c in range(1, max_coeff + 1)]
-        sums = [
-            z if term is None else (_round(z[0] + term[0], prec), _round(z[1] + term[1], prec))
-            for z in sums
-            for term in (None, *terms)
-        ]
-    return t, sums
+        # the polynomial of index i with coefficient c appended has index base*i + c
+        next_re, next_im = [0] * (base * len(re)), [0] * (base * len(im))
+        next_re[::base], next_im[::base] = re, im
+        for c in range(1, base):
+            next_re[c::base] = plus(re, _round(c * power[0], prec))
+            next_im[c::base] = plus(im, _round(c * power[1], prec))
+        re, im = next_re, next_im
+    return t, re, im
 
 
 def _embed_poly(p: tuple[int, ...], t: tuple[int, int], precision_bits: int) -> tuple[int, int]:
@@ -763,14 +778,13 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
         raise ValueError("need max_degree >= 1 and max_coeff >= 1")
     if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
         raise ValueError(f"precision_bits must be in {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}")
-    # A point's grid ints grow with the bits, so the cap, set at the default
-    # precision, counts points times bits; the exponent is clamped as in
-    # enumerate_polys.
-    budget = SMP_POINT_CAP * DEFAULT_PRECISION_BITS
-    if (max_coeff + 1) ** min(max_degree + 1, budget.bit_length()) * precision_bits > budget:
+    # A point's grid ints grow with the bits, so above the default precision
+    # the cap shrinks in proportion; below it, enumerate_polys's cap holds.
+    # The exponent is clamped as in enumerate_polys.
+    cap = SMP_POINT_CAP * DEFAULT_PRECISION_BITS // max(precision_bits, DEFAULT_PRECISION_BITS)
+    if (max_coeff + 1) ** min(max_degree + 1, cap.bit_length()) > cap:
         raise ResourceLimitError(
-            f"{max_coeff + 1}^{max_degree + 1} polynomials exceed the configured cap {SMP_POINT_CAP} "
-            f"at {DEFAULT_PRECISION_BITS} bits, {budget // precision_bits} at {precision_bits} bits"
+            f"{max_coeff + 1}^{max_degree + 1} polynomials exceed the configured cap {cap} at {precision_bits} bits"
         )
     polys = enumerate_polys(max_degree, max_coeff)
     total = len(polys)
@@ -838,12 +852,12 @@ def _smp_numeric(g_pairs, h_pairs, max_degree, max_coeff, precision_bits):
     arrays; the closest pair's two points are summed again on their own.
     """
     prec, rnd, grid = precision_bits, round_nearest, _grid_bits(precision_bits)
-    t, embeds = _embed_polys(max_degree, max_coeff, prec)
+    t, re, im = _embed_polys(max_degree, max_coeff, prec)
 
     def dist(z, w):
         return mpc_abs(mpc_sub(z, w, prec, rnd), prec, rnd)
 
-    defects = [_gh_defect(t, embeds, g_pairs, h_pairs, prec)]
+    defects = [_gh_defect(t, re, im, g_pairs, h_pairs, prec)]
 
     # rotation preserves sampled pairwise distances
     lib_t_inv = _to_mpc((t[0], -t[1]), grid)
@@ -851,7 +865,8 @@ def _smp_numeric(g_pairs, h_pairs, max_degree, max_coeff, precision_bits):
     def rotate(z):
         return mpc_mul(lib_t_inv, z, prec, rnd)
 
-    sample = [_to_mpc(z, grid) for z in embeds[:: max(1, len(embeds) // 257)]]
+    step = max(1, len(re) // 257)
+    sample = [_to_mpc(z, grid) for z in zip(re[::step], im[::step])]
     defects += [
         mpf_abs(mpf_sub(dist(rotate(u), rotate(v)), dist(u, v), prec, rnd), prec, rnd) for u, v in zip(sample, sample[1:])
     ]
@@ -860,8 +875,8 @@ def _smp_numeric(g_pairs, h_pairs, max_degree, max_coeff, precision_bits):
     isometry_ok = mpf_cmp(defect, tol) <= 0
     isometries = Finding("isometries", isometry_ok, f"max defect {to_str(defect, 6)} vs tolerance {to_str(tol, 6)}")
 
-    xs, ys = _to_floats(embeds, grid)
-    del embeds
+    xs, ys = _to_floats(re, im, grid)
+    del re, im
     best_sq, (i, j) = _closest_pair_sq(xs, ys)
     p, q = _smp_poly(i, max_degree, max_coeff), _smp_poly(j, max_degree, max_coeff)
     z, w = _embed_poly(p, t, prec), _embed_poly(q, t, prec)
@@ -875,29 +890,53 @@ def _smp_numeric(g_pairs, h_pairs, max_degree, max_coeff, precision_bits):
     return [separation, isometries], min_distance, pair, to_float(defect, rnd=rnd)
 
 
-def _gh_defect(t, embeds, g_pairs, h_pairs, precision_bits: int) -> tuple:
+def _gh_defect(t, re: list[int], im: list[int], g_pairs, h_pairs, precision_bits: int) -> tuple:
     """max |z_j - moved z_i| over the index pairs (i, j) of g and h, as libmp's mpc_abs of mpc_sub would give it.
 
-    g rotates by t^-1 = conj(t), h translates by -1, both on the grid.  The
-    difference is rounded per component as mpc_sub rounds it, and mpf_hypot
-    is monotone in the exact squared modulus, so one mpc_abs of the
-    difference with the largest dx^2 + dy^2 is the largest defect.
+    g rotates by t^-1 = conj(t), as :func:`_mul` multiplies, and h
+    translates by -1, both on the grid.  The difference is rounded per
+    component as mpc_sub rounds it, and mpf_hypot is monotone in the exact
+    squared modulus, so one mpc_abs of the difference with the largest
+    dx^2 + dy^2 is the largest defect.  Every rounding is :func:`_round`
+    written out.
     """
     prec, grid = precision_bits, _grid_bits(precision_bits)
-    t_inv = (t[0], -t[1])
-    one = 1 << grid
-
-    def moved():
-        for i, j in g_pairs:
-            yield j, _mul(t_inv, embeds[i], prec, grid)
-        for i, j in h_pairs:
-            zr, zi = embeds[i]
-            yield j, (_round(zr - one, prec), zi)
-
+    a, b = t[0], -t[1]
+    one, low = 1 << grid, (1 << grid) - 1
     worst_sq, worst = -1, (0, 0)
-    for j, (zr, zi) in moved():
-        wr, wi = embeds[j]
-        dx, dy = _round(wr - zr, prec), _round(wi - zi, prec)
+    for i, j in g_pairs:
+        c, d = re[i], im[i]
+        zr, zi = a * c - b * d, a * d + b * c
+        s = zr.bit_length() - prec
+        if s > 0:
+            zr = (zr + (1 << (s - 1)) - 1 + ((zr >> s) & 1)) >> s << s
+        s = zi.bit_length() - prec
+        if s > 0:
+            zi = (zi + (1 << (s - 1)) - 1 + ((zi >> s) & 1)) >> s << s
+        if zr & low or zi & low:
+            raise _OffGrid(f"a {prec}-bit product has bits below the fixed-point grid 2^-{grid}; it is not rounded again")
+        dx, dy = re[j] - (zr >> grid), im[j] - (zi >> grid)
+        s = dx.bit_length() - prec
+        if s > 0:
+            dx = (dx + (1 << (s - 1)) - 1 + ((dx >> s) & 1)) >> s << s
+        s = dy.bit_length() - prec
+        if s > 0:
+            dy = (dy + (1 << (s - 1)) - 1 + ((dy >> s) & 1)) >> s << s
+        sq = dx * dx + dy * dy
+        if sq > worst_sq:
+            worst_sq, worst = sq, (dx, dy)
+    for i, j in h_pairs:
+        zr = re[i] - one
+        s = zr.bit_length() - prec
+        if s > 0:
+            zr = (zr + (1 << (s - 1)) - 1 + ((zr >> s) & 1)) >> s << s
+        dx, dy = re[j] - zr, im[j] - im[i]
+        s = dx.bit_length() - prec
+        if s > 0:
+            dx = (dx + (1 << (s - 1)) - 1 + ((dx >> s) & 1)) >> s << s
+        s = dy.bit_length() - prec
+        if s > 0:
+            dy = (dy + (1 << (s - 1)) - 1 + ((dy >> s) & 1)) >> s << s
         sq = dx * dx + dy * dy
         if sq > worst_sq:
             worst_sq, worst = sq, (dx, dy)

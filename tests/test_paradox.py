@@ -274,9 +274,15 @@ def test_smp_verify_guards():
 
 
 def test_smp_point_cap_is_checked_before_enumerating(monkeypatch):
+    # Below the default precision the cap does not grow past enumerate_polys's;
+    # above it, it shrinks in proportion to the bits.
+    with pytest.raises(ResourceLimitError, match=r"^2\^21 polynomials exceed the configured cap 1048576 at 64 bits$"):
+        smp_verify(20, 1, 64)
+    with pytest.raises(ResourceLimitError, match=r"^4\^9 polynomials exceed the configured cap 131072 at 1024 bits$"):
+        smp_verify(8, 3, 1024)
     monkeypatch.setattr(paradox, "SMP_POINT_CAP", 3**5)
     assert smp_verify(4, 2, 128).total == 3**5
-    with pytest.raises(ResourceLimitError, match=r"3\^6 polynomials exceed the configured cap 243"):
+    with pytest.raises(ResourceLimitError, match=r"3\^6 polynomials exceed the configured cap 243 at 128 bits$"):
         smp_verify(5, 2, 128)
     with pytest.raises(ResourceLimitError):
         smp_verify(4, 3, 128)
@@ -285,11 +291,13 @@ def test_smp_point_cap_is_checked_before_enumerating(monkeypatch):
         enumerate_polys(10**9, 1)
 
 
-#: Bound on the tracemalloc peak of smp_verify(6, 3), in bytes per point.  At
-#: its peak the run holds the grid points and their two float arrays, about
-#: 240 B per point with Python 3.11; holding the enumeration, the grid points,
-#: float pairs and sorted sweep tuples at once took about 520.
-SMP_PEAK_BYTES_PER_POINT = 300
+#: Bound on the tracemalloc peak of smp_verify(6, 3), in bytes per point.  The
+#: grid embedding is two int columns, re and im, and at the run's peak they
+#: are held with their two float arrays: about 185 B per point with Python
+#: 3.11.  Grid points as (re, im) tuples took about 223, and holding the
+#: enumeration, the grid points, float pairs and sorted sweep tuples at once
+#: about 520.
+SMP_PEAK_BYTES_PER_POINT = 210
 
 
 def test_smp_verify_peak_memory_per_point():
@@ -395,11 +403,14 @@ def _per_polynomial_embedding(max_degree, max_coeff, bits):
 def _kernel_embedding(max_degree, max_coeff, bits):
     # the kernel's grid values, converted exactly to raw libmp tuples
     grid = _grid_bits(bits)
-    t, embeds = _embed_polys(max_degree, max_coeff, bits)
-    return _to_mpc(t, grid), [_to_mpc(z, grid) for z in embeds]
+    t, re, im = _embed_polys(max_degree, max_coeff, bits)
+    return _to_mpc(t, grid), [_to_mpc(z, grid) for z in zip(re, im)]
 
 
-@pytest.mark.parametrize("max_degree,max_coeff,bits", [(3, 2, 64), (4, 4, 128), (5, 2, 256), (1, 200, 128)])
+# (4, 3, 1024) runs on grid 2048, past a float's exponent range; (2, 15, 128) has wide coefficients
+@pytest.mark.parametrize(
+    "max_degree,max_coeff,bits", [(3, 2, 64), (4, 4, 128), (5, 2, 256), (1, 200, 128), (4, 3, 1024), (2, 15, 128)]
+)
 def test_shared_prefix_embedding_matches_per_polynomial_sums(max_degree, max_coeff, bits):
     assert _kernel_embedding(max_degree, max_coeff, bits) == _per_polynomial_embedding(max_degree, max_coeff, bits)
 
@@ -407,8 +418,8 @@ def test_shared_prefix_embedding_matches_per_polynomial_sums(max_degree, max_coe
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(3, 2, 64), (4, 4, 128), (5, 2, 256), (1, 200, 128), (4, 3, 1024)])
 def test_one_polynomial_embeds_as_in_the_shared_prefix_sums(max_degree, max_coeff, bits):
     # smp_verify sums its closest pair's two points again after freeing the grid points
-    t, embeds = _embed_polys(max_degree, max_coeff, bits)
-    assert [_embed_poly(p, t, bits) for p in enumerate_polys(max_degree, max_coeff)] == embeds
+    t, re, im = _embed_polys(max_degree, max_coeff, bits)
+    assert [_embed_poly(p, t, bits) for p in enumerate_polys(max_degree, max_coeff)] == list(zip(re, im))
 
 
 def _ties(prec):
@@ -453,8 +464,8 @@ def test_float_conversion_matches_to_float(case):
 
 
 def _float_pairs(points, grid):
-    # _to_floats's two arrays read back as (x, y) pairs
-    return list(zip(*_to_floats(points, grid)))
+    # (re, im) points split into _to_floats's two columns, its two arrays read back as (x, y) pairs
+    return list(zip(*_to_floats([x for x, _ in points], [y for _, y in points], grid)))
 
 
 def _to_floats_by_division(points, grid):
@@ -466,7 +477,8 @@ def _to_floats_by_division(points, grid):
 def test_float_conversion_by_ldexp_equals_the_int_division():
     bits = 128
     grid = _grid_bits(bits)
-    _, embeds = _embed_polys(6, 3, bits)
+    _, re, im = _embed_polys(6, 3, bits)
+    embeds = list(zip(re, im))
     assert _float_pairs(embeds, grid) == _to_floats_by_division(embeds, grid)
     # ties and near-ties of rounding to 53 bits, in odd values wider than 53 bits, at several scales
     ties = [(1 << 53) + 1, (1 << 53) + 3, (1 << 54) + 2, (1 << 70) + (1 << 17), (1 << 70) + (1 << 17) + 1, (1 << 70) + 1]
@@ -486,16 +498,18 @@ def test_float_conversion_by_ldexp_equals_the_int_division():
 
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(4, 3, 128), (1, 200, 128), (3, 2, 64)])
 def test_float_conversion_of_the_embedding_matches_to_float(max_degree, max_coeff, bits):
-    _, embeds = _embed_polys(max_degree, max_coeff, bits)
+    _, re, im = _embed_polys(max_degree, max_coeff, bits)
     _, reference = _per_polynomial_embedding(max_degree, max_coeff, bits)
-    assert _float_pairs(embeds, _grid_bits(bits)) == [
+    assert list(zip(*_to_floats(re, im, _grid_bits(bits)))) == [
         (to_float(re, rnd=round_nearest), to_float(im, rnd=round_nearest)) for re, im in reference
     ]
 
 
 @pytest.mark.parametrize("sides", ["g", "h", "gh"])
 # at (3, 4, 64) the h side's largest defect needs the rounded translation
-@pytest.mark.parametrize("max_degree,max_coeff,bits", [(4, 3, 128), (1, 200, 128), (3, 4, 64)])
+@pytest.mark.parametrize(
+    "max_degree,max_coeff,bits", [(4, 3, 128), (1, 200, 128), (3, 4, 64), (4, 3, 1024), (2, 15, 128)]
+)
 def test_gh_defect_argmax_matches_the_max_over_pairs(max_degree, max_coeff, bits, sides):
     # the old route: one rounded multiply (or subtract), mpc_sub and mpc_abs per pair
     prec, rnd = bits, round_nearest
@@ -515,11 +529,12 @@ def test_gh_defect_argmax_matches_the_max_over_pairs(max_degree, max_coeff, bits
     ]
     expected = max(defects, key=cmp_to_key(mpf_cmp))
     assert mpf_cmp(expected, from_man_exp(0, 0)) > 0
-    kernel_t, embeds = _embed_polys(max_degree, max_coeff, bits)
+    kernel_t, re, im = _embed_polys(max_degree, max_coeff, bits)
     assert (
         _gh_defect(
             kernel_t,
-            embeds,
+            re,
+            im,
             [(index[p], index[q]) for p, q in g_pairs],
             [(index[p], index[q]) for p, q in h_pairs],
             bits,
@@ -558,8 +573,8 @@ def _reference_closest_pair_sq(points):
 
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(3, 2, 128), (6, 3, 64), (7, 3, 128), (1, 200, 128), (3, 4, 64)])
 def test_closest_pair_matches_the_reference_sweep_on_the_embedding(max_degree, max_coeff, bits):
-    _, embeds = _embed_polys(max_degree, max_coeff, bits)
-    xs, ys = _to_floats(embeds, _grid_bits(bits))
+    _, re, im = _embed_polys(max_degree, max_coeff, bits)
+    xs, ys = _to_floats(re, im, _grid_bits(bits))
     assert _closest_pair_sq(xs, ys) == _reference_closest_pair_sq(list(zip(xs, ys)))
 
 
@@ -580,6 +595,25 @@ def test_rescale_with_low_bits_fails_closed():
     # (2^-128 i) * (1 + 3*2^-128 i) has real part -3*2^-256
     with pytest.raises(_OffGrid):
         _mul((0, 1), (one, 3), 64, grid)
+
+
+def test_gh_defect_with_low_bits_fails_closed():
+    # _gh_defect rotates by conj(t) with _mul's check written out; point 0 moves onto point 1
+    grid = _grid_bits(64)
+    one = 1 << grid
+    # conj(2^-64) * 2^-64 lies on the grid 2^-128, and the defect is |0 - 2^-128|
+    t, re, im = (1 << (grid - 64), 0), [1 << (grid - 64), 0], [0, 0]
+    assert _gh_defect(t, re, im, [(0, 1)], [], 64) == mpc_abs(_to_mpc((1, 0), grid), 64, round_nearest)
+    # conj(2^-65) * 2^-65 = 2^-130 does not, on either component
+    with pytest.raises(_OffGrid, match=r"below the fixed-point grid 2\^-128"):
+        _gh_defect((1 << (grid - 65), 0), [1 << (grid - 65), 0], [0, 0], [(0, 1)], [], 64)
+    with pytest.raises(_OffGrid, match=r"below the fixed-point grid 2\^-128"):
+        _gh_defect((1 << (grid - 65), 0), [0, 0], [1 << (grid - 65), 0], [(0, 1)], [], 64)
+    # conj(1 + 3*2^-128 i) * (2^-128 i) has real part 3*2^-256
+    with pytest.raises(_OffGrid):
+        _gh_defect((one, 3), [0, 0], [1, 0], [(0, 1)], [], 64)
+    # the h side only translates by -1, which stays on the grid
+    assert _gh_defect((one, 3), [0, -one], [1, 1], [], [(0, 1)], 64) == mpc_abs(_to_mpc((0, 0), grid), 64, round_nearest)
 
 
 def test_smp_verify_fails_closed_off_the_grid(monkeypatch):
