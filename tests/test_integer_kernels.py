@@ -93,7 +93,7 @@ def test_mu_matches_the_fraction_route_on_many_distinct_weights(data):
     universe = frozenset(range(40))
     # every fraction in [0, 5] with reduced denominator at most 60, as p/q for
     # q <= 60; st.fractions with max_denominator=60 draws the same values, at
-    # about twice this test's run time
+    # nearly three times this test's run time
     weight = st.integers(1, 60).flatmap(lambda q: st.integers(0, 5 * q).map(lambda p: Fraction(p, q)))
     m = PointMeasure(universe, {p: data.draw(weight) for p in universe})
     drawn = data.draw(st.sets(st.sampled_from(sorted(universe))))

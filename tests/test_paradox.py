@@ -293,10 +293,10 @@ def test_smp_point_cap_is_checked_before_enumerating(monkeypatch):
 
 #: Bound on the tracemalloc peak of smp_verify(6, 3), in bytes per point.  The
 #: grid embedding is two int columns, re and im, and at the run's peak they
-#: are held with their two float arrays: about 185 B per point with Python
-#: 3.11.  Grid points as (re, im) tuples took about 223, and holding the
-#: enumeration, the grid points, float pairs and sorted sweep tuples at once
-#: about 520.
+#: are held with their two float arrays: 181-193 B per point with Python 3.11,
+#: the first call in a process reading highest.  Grid points as (re, im)
+#: tuples took 223-241, and holding the enumeration, the grid points, float
+#: pairs and sorted sweep tuples at once about 520.
 SMP_PEAK_BYTES_PER_POINT = 210
 
 
@@ -407,7 +407,7 @@ def _kernel_embedding(max_degree, max_coeff, bits):
     return _to_mpc(t, grid), [_to_mpc(z, grid) for z in zip(re, im)]
 
 
-# (4, 3, 1024) runs on grid 2048, past a float's exponent range; (2, 15, 128) has wide coefficients
+# (4, 3, 1024) runs on grid 2048; (2, 15, 128) has wide coefficients
 @pytest.mark.parametrize(
     "max_degree,max_coeff,bits", [(3, 2, 64), (4, 4, 128), (5, 2, 256), (1, 200, 128), (4, 3, 1024), (2, 15, 128)]
 )
@@ -501,7 +501,7 @@ def test_float_conversion_of_the_embedding_matches_to_float(max_degree, max_coef
     _, re, im = _embed_polys(max_degree, max_coeff, bits)
     _, reference = _per_polynomial_embedding(max_degree, max_coeff, bits)
     assert list(zip(*_to_floats(re, im, _grid_bits(bits)))) == [
-        (to_float(re, rnd=round_nearest), to_float(im, rnd=round_nearest)) for re, im in reference
+        (to_float(x, rnd=round_nearest), to_float(y, rnd=round_nearest)) for x, y in reference
     ]
 
 
