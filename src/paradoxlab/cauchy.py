@@ -32,6 +32,7 @@ from random import Random
 from typing import Sequence
 
 from .errors import DomainError
+from .measures import _frac
 from .report import Finding
 
 #: Largest rank `cauchy demo` accepts; at the cap it takes 2.2-2.8 s on a 2-vCPU
@@ -71,7 +72,7 @@ class HamelModel:
 
     @classmethod
     def of(cls, labels: Sequence[str], images: Sequence) -> "HamelModel":
-        return cls(tuple(labels), tuple(Fraction(x) for x in images))
+        return cls(tuple(labels), tuple(_frac(x) for x in images))
 
     @property
     def rank(self) -> int:
@@ -109,7 +110,7 @@ class AdditiveMap:
         num, den = 0, 1
         for c, y in zip(coords, self.model.scaled_images):
             if not isinstance(c, (int, Fraction)):
-                c = Fraction(c)
+                c = _frac(c)
             q = c.denominator
             if den % q:
                 num *= q

@@ -326,6 +326,8 @@ def certify_margin(
     walk stops at the first q whose certified height gap already keeps it,
     and every q beyond, above the smallest distance found so far.
     """
+    if powers < 1:
+        raise ValueError("need at least one power to check")
     if not directions:
         raise DegenerateInputError("no directions to separate")
     axis_triple = axis.as_tuple()

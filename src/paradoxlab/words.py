@@ -12,9 +12,9 @@ two covering identities
 
     F2 = W(a) u a.W(a^-1)        F2 = W(b) u b.W(b^-1)
 
-where W(x) is the set of reduced words starting with x.  Every word h outside
-W(a) satisfies h = a.(a^-1 h) with a^-1 h in W(a^-1); the verifier checks that
-identity literally for every ball element, so no boundary fudging is needed.
+where W(x) is the set of reduced words starting with x.  A reduced h outside
+W(a) is a.(a^-1 h), where a^-1 h is h with a^-1 prepended, in W(a^-1); so the
+verifier proves, by induction on the parent contract, that every word is reduced.
 
 One enumerator, :func:`ball_levels`, yields the ball one length at a time
 as lists of raw letter tuples, extending each word by the successor table
@@ -26,7 +26,7 @@ in one loop over the levels with no call per word, and
 :func:`exactlin.ball_matrices` carries each word's matrix from its parent's.
 
 A :class:`ReducedWord` is built only where a caller or a report needs the
-word: the ball itself, violation messages and witnesses.  The group law on
+word: the ball itself, the split movers and witnesses.  The group law on
 words (product and inverse), the one-split check and the brute-force ball
 are reference oracles and live in the tests.
 """
@@ -227,14 +227,16 @@ class SplitCheck:
         return not self.violations
 
 
-def _not_covered(
-    h: tuple[int, ...], mover: tuple[int, ...], shifted: tuple[int, ...], piece: PrefixClass
-) -> str:
-    """The violation message for a word h whose shift mover^-1.h is not in the piece."""
-    return (
-        f"{str(_reduced(h))!r} not covered: {str(_reduced(mover))!r}^-1 * h = "
-        f"{str(_reduced(shifted))!r} is not in class {piece.value}"
-    )
+#: The two-letter endings whose last letter cancels the one before.  Built from
+#: the inverses alone, so that it checks the successor table ``_NEXT``.
+_CANCELLING = frozenset((x, _INVERSES[x]) for x in _ALPHABET)
+
+
+def _show(letters: tuple[int, ...] | None) -> str:
+    """Quote a word for a message in the symbols a, b, A, B; anything else is shown raw."""
+    if letters is None or any(x not in _ALPHABET for x in letters):
+        return repr(letters)
+    return repr("".join(["abAB"[x] for x in letters]))
 
 
 @dataclass(frozen=True)
@@ -253,49 +255,46 @@ class F2ParadoxReport:
 def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     """Verify the prefix-class partition and both covering identities on ball(depth).
 
-    One pass over the levels of :func:`ball_levels`: each word is counted by
-    its first letter and its class memberships are recomputed from raw
-    letters.  Against each split F2 = W(x) u x.W(x^-1), a word h outside W(x)
-    is covered iff x^-1.h starts with x^-1 and x.(x^-1.h) reproduces h; both
-    products are written out as one-letter seams (the letter cancels h's
-    first letter when that is its inverse, else it is prepended), and both
-    facts are tested directly.
+    Both rest on every word being reduced: then its first letter puts it in
+    one class, and for h outside W(x), x^-1.h is x^-1 prepended to h, in
+    W(x^-1).  One pass proves it by induction on the parent contract of
+    :func:`ball_levels` and counts the words that pass by class.  A word's
+    last letter must be one of 0-3 (else a partition violation); a word whose
+    last letter cancels the one before, or which does not extend word i // 3
+    of the level before, violates each split whose cover does not hold it.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    A, B, A_INV, B_INV = _ALPHABET
-    word_a, word_b = (A,), (B,)
-    inv_a, inv_b = (A_INV,), (B_INV,)
+    A, B = _ALPHABET[:2]
     counts = [0, 0, 0, 0, 0]  # by first letter; the identity at index 4
     partition_violations: list[str] = []
     violations_a: list[str] = []
     violations_b: list[str] = []
-    checked = 0
-    for level in ball_levels(depth):
-        for h in level:
+    levels = ball_levels(depth)
+    counts[4] = checked = len(next(levels))  # the identity, the one word of length 0
+    parents = repeat(())
+    for level in levels:
+        for h, parent in zip(level, parents):
             checked += 1
-            # Memberships recomputed from raw letters, not trusted from the count index.
-            first = h[0] if h else None
-            classes = (first is None) + (first == A) + (first == B) + (first == A_INV) + (first == B_INV)
-            if classes != 1 and len(partition_violations) < MAX_VIOLATIONS:  # pragma: no cover - unreachable
-                partition_violations.append(f"{str(_reduced(h))!r} lies in {classes} classes")
-            counts[4 if first is None else first] += 1
-            # a^-1.h: a^-1 would cancel a leading a, which h lacks here.
-            # a.(a^-1.h): a cancels the leading a^-1.  Likewise for b.
-            if first != A:
-                shifted = inv_a + h
-                if shifted[0] != A_INV and len(violations_a) < MAX_VIOLATIONS:  # pragma: no cover
-                    violations_a.append(_not_covered(h, word_a, shifted, PrefixClass.W_A_INV))
-                elif shifted[1:] != h and len(violations_a) < MAX_VIOLATIONS:  # pragma: no cover
-                    violations_a.append(f"reassembly failed for {str(_reduced(h))!r}")
-            if first != B:
-                shifted = inv_b + h
-                if shifted[0] != B_INV and len(violations_b) < MAX_VIOLATIONS:  # pragma: no cover
-                    violations_b.append(_not_covered(h, word_b, shifted, PrefixClass.W_B_INV))
-                elif shifted[1:] != h and len(violations_b) < MAX_VIOLATIONS:  # pragma: no cover
-                    violations_b.append(f"reassembly failed for {str(_reduced(h))!r}")
+            if h[-1] not in _ALPHABET:
+                if len(partition_violations) < MAX_VIOLATIONS:
+                    partition_violations.append(f"{_show(h)} does not end in one of the letters 0-3")
+                continue
+            if h[-2:] in _CANCELLING:
+                fault = f"{_show(h)} is not reduced at its last letter"
+            elif h[:-1] != parent:
+                fault = f"{_show(h)} does not extend its parent {_show(parent)}"
+            else:
+                counts[h[0]] += 1
+                continue
+            if h[0] != A and len(violations_a) < MAX_VIOLATIONS:
+                violations_a.append(fault)
+            if h[0] != B and len(violations_b) < MAX_VIOLATIONS:
+                violations_b.append(fault)
+        # Word i of the next level extends word i // 3 of this one, if there is one.
+        parents = chain(chain.from_iterable(zip(level, level, level)), repeat(None))
     class_counts = {PrefixClass.IDENTITY: counts[4]}
     class_counts.update((_CLASS_OF_LETTER[x], counts[x]) for x in _ALPHABET)
-    split_a = SplitCheck(depth, PrefixClass.W_A, PrefixClass.W_A_INV, _reduced(word_a), checked, tuple(violations_a))
-    split_b = SplitCheck(depth, PrefixClass.W_B, PrefixClass.W_B_INV, _reduced(word_b), checked, tuple(violations_b))
+    split_a = SplitCheck(depth, PrefixClass.W_A, PrefixClass.W_A_INV, _reduced((A,)), checked, tuple(violations_a))
+    split_b = SplitCheck(depth, PrefixClass.W_B, PrefixClass.W_B_INV, _reduced((B,)), checked, tuple(violations_b))
     return F2ParadoxReport(depth, class_counts, tuple(partition_violations), split_a, split_b)

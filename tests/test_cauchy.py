@@ -38,6 +38,18 @@ def test_eval_rejects_wrong_rank():
         AdditiveMap(TWO).eval((1, 2, 3))
 
 
+def test_model_refuses_float_images():
+    with pytest.raises(DomainError, match="floats are not exact"):
+        HamelModel.of(("1", "sqrt2"), (0.1, 2))
+    assert HamelModel.of(("1", "sqrt2"), ("1/10", 2)).basis_images == (Fraction(1, 10), Fraction(2))
+
+
+def test_eval_refuses_float_coordinates():
+    with pytest.raises(DomainError, match="floats are not exact"):
+        AdditiveMap(TWO).eval((0.5, 1))
+    assert AdditiveMap(TWO).eval(("1/2", Fraction(1, 3))) == Fraction(1, 3)
+
+
 rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 

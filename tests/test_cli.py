@@ -526,6 +526,10 @@ EXACT_LAYER_DIGESTS = [
     # from the per-word walk to level lists.
     (("words", "verify", "--depth", "10"), "7b46f014f6ffc65e3198fc940049e2fbcc28957e1b4492ec2cbdd7708643b1e4"),
     (("words", "verify", "--depth", "11"), "6c7773c164b026a664ec896dcfd3915ff33178e375020a8e8813e9504ee1ea5f"),
+    # The base cases of the verifier's induction, recorded at commit 0baadb7,
+    # before it checked reducedness in place of the covering identities.
+    (("words", "verify", "--depth", "1"), "b568cdebe95b7f27a1f3e669ebb5a15a46f5a975578b97de5996f5a6aa639988"),
+    (("words", "verify", "--depth", "2"), "f318bbce39087ff94048ca049948e9ced872fbf231661ff328504cbc32aa8a1f"),
 ]
 
 

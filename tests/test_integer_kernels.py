@@ -7,6 +7,7 @@ returns, on hypothesis data and on the inputs the CLI demos feed them.
 """
 
 from fractions import Fraction
+from math import ceil, floor
 
 from hypothesis import given, settings, strategies as st
 
@@ -24,21 +25,32 @@ def _same(got, want):
     assert all(type(g) is Fraction for g in (got if isinstance(got, tuple) else (got,)))
 
 
+def p_over_q(lo, hi, max_denominator):
+    """Every fraction in [lo, hi] with reduced denominator at most max_denominator, drawn as p/q.
+
+    st.fractions draws the same values, at two to three times the run time of
+    the tests below.
+    """
+    return st.integers(1, max_denominator).flatmap(
+        lambda q: st.integers(ceil(lo * q), floor(hi * q)).map(lambda p: Fraction(p, q))
+    )
+
+
 # -- ergodic averages ----------------------------------------------------------
 
 
 @st.composite
 def piecewise(draw):
     """Breakpoints and values with mixed denominators."""
-    cuts = draw(st.sets(st.fractions(min_value=0, max_value=Fraction(29, 30), max_denominator=30), max_size=6))
+    cuts = draw(st.sets(p_over_q(0, Fraction(29, 30), 30), max_size=6))
     breaks = sorted(cuts | {Fraction(0)})
-    value = st.fractions(min_value=-9, max_value=9, max_denominator=20)
+    value = p_over_q(-9, 9, 20)
     return PiecewiseConstant.of(breaks, [draw(value) for _ in breaks])
 
 
 @given(
-    st.fractions(min_value=-5, max_value=5, max_denominator=40),
-    st.one_of(st.integers(min_value=-3, max_value=3), st.fractions(min_value=-2, max_value=2, max_denominator=24)),
+    p_over_q(-5, 5, 40),
+    st.one_of(st.integers(min_value=-3, max_value=3), p_over_q(-2, 2, 24)),
     piecewise(),
     st.integers(min_value=1, max_value=60),
 )
@@ -56,7 +68,7 @@ def test_ergodic_average_at_a_negative_alpha_and_an_int_x0():
 
 # -- additive maps ---------------------------------------------------------------
 
-rational = st.fractions(min_value=-30, max_value=30, max_denominator=15)
+rational = p_over_q(-30, 30, 15)
 
 
 @st.composite
@@ -91,10 +103,7 @@ def test_additive_eval_at_rank_one_and_on_the_zero_map():
 @settings(max_examples=200)
 def test_mu_matches_the_fraction_route_on_many_distinct_weights(data):
     universe = frozenset(range(40))
-    # every fraction in [0, 5] with reduced denominator at most 60, as p/q for
-    # q <= 60; st.fractions with max_denominator=60 draws the same values, at
-    # nearly three times this test's run time
-    weight = st.integers(1, 60).flatmap(lambda q: st.integers(0, 5 * q).map(lambda p: Fraction(p, q)))
+    weight = p_over_q(0, 5, 60)
     m = PointMeasure(universe, {p: data.draw(weight) for p in universe})
     drawn = data.draw(st.sets(st.sampled_from(sorted(universe))))
     for subset in (drawn, universe - drawn, universe, frozenset()):

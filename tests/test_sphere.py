@@ -216,6 +216,12 @@ def test_certify_margin_tightens_with_precision():
     assert hi >= lo - 1e-15  # a sound lower bound never shrinks as bits grow
 
 
+def test_certify_margin_needs_a_power():
+    C = fixed_directions(2)
+    with pytest.raises(ValueError, match="need at least one power to check"):
+        certify_margin(ProjectiveDirection.canonical(0, 0, 1), Fraction(1), C.directions, 0, 128)
+
+
 def test_precision_ladder_doubles_until_certified(monkeypatch):
     # At 2 bits no candidate certifies; one doubling to 4 bits does.
     monkeypatch.setattr(sphere, "MAX_PRECISION_BITS", 128)

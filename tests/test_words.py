@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
+from paradoxlab import words
 from paradoxlab.errors import ResourceLimitError
 from paradoxlab.exactlin import ball_matrices
 from paradoxlab.freeness import build_certificate, exhaustive_check
@@ -25,6 +26,7 @@ from paradoxlab.words import (
     verify_f2_paradox,
 )
 
+from conftest import run_cli
 from oracles import IDENTITY, brute_force_ball, check_split, concat, invert, prefix_class
 
 letter_lists = st.lists(st.sampled_from(list(Letter)), max_size=12)
@@ -326,6 +328,52 @@ def test_corrupted_splits_match_the_word_object_route(cover, piece, mover):
         bad = check_split(d, cover, piece, mover)
         assert bad.violations
         assert bad == _check_split_by_words(d, cover, piece, mover)
+
+
+# Fault demos: each corrupts the enumeration the verifier walks, in a way
+# that checking the covering identities word by word, by prepending the
+# mover's inverse, does not see.
+
+
+def test_verify_catches_a_successor_table_that_lets_a_letter_meet_its_inverse(monkeypatch):
+    # a may be followed by a^-1 in place of b^-1: three successors, as before.
+    monkeypatch.setattr(words, "_NEXT", (((0,), (1,), (2,)),) + words._NEXT[1:])
+    report = verify_f2_paradox(3)
+    assert not report.passed and not report.partition_violations
+    assert report.split_b.violations[:2] == ("'aA' is not reduced at its last letter", "'aaA' is not reduced at its last letter")
+    assert report.split_a.violations[0] == "'baA' is not reduced at its last letter"
+    assert run_cli("words", "verify", "--depth", "3").code == 1
+
+
+# A letter outside 0-3, at the depth where it first appears.
+BAD_LETTERS = [
+    ("_FIRST", ((0,), (1,), (2,), (4,)), 1, "(4,)"),
+    ("_NEXT", (((0,), (1,), (4,)),) + words._NEXT[1:], 2, "(0, 4)"),
+    ("_NEXT", (((0,), (1,), (-1,)),) + words._NEXT[1:], 2, "(0, -1)"),
+]
+
+
+@pytest.mark.parametrize("table,value,depth,word", BAD_LETTERS, ids=[w for *_, w in BAD_LETTERS])
+def test_verify_reports_a_letter_outside_0_to_3_as_a_partition_violation(monkeypatch, table, value, depth, word):
+    monkeypatch.setattr(words, table, value)
+    report = verify_f2_paradox(depth)
+    assert report.partition_violations == (f"{word} does not end in one of the letters 0-3",)
+    assert report.split_a.passed and report.split_b.passed and not report.passed
+
+
+def test_verify_fails_closed_on_a_reordered_level(monkeypatch):
+    # Level 2 comes reversed: every word is still reduced, but word i no
+    # longer extends word i // 3 of level 1.
+    ball_levels = words.ball_levels
+
+    def reordered(n):
+        for k, level in enumerate(ball_levels(n)):
+            yield list(reversed(list(level))) if k == 2 else level
+
+    monkeypatch.setattr(words, "ball_levels", reordered)
+    report = verify_f2_paradox(3)
+    assert not report.passed and not report.partition_violations
+    assert report.split_a.violations[0] == report.split_b.violations[0] == "'BB' does not extend its parent 'a'"
 
 
 def test_verify_f2_paradox_rejects_bad_depth():
