@@ -12,21 +12,42 @@ sphere minus C.
 Exact data (integer axes, rational or exact-binary angles) stays exact for
 as long as possible.  Unit vectors and trigonometry appear only inside
 interval computations, so every reported margin is a true lower bound for
-the rotation by the exact stored angle.
+the rotation by the exact stored angle.  An interval is a raw libmpi
+endpoint pair (lo, hi) at a precision passed explicitly; the kernel makes
+the libmpi calls mpmath's ``iv`` context would make, so its endpoints are
+the ones ``iv`` gives, and the ``iv`` forms are now the tests' reference.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _cartesian
 from math import gcd
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import mpmath
-from mpmath import iv
+from mpmath.libmp import (
+    from_float,
+    from_int,
+    fzero,
+    mpf_gt,
+    mpf_le,
+    mpf_lt,
+    mpf_sub,
+    mpi_add,
+    mpi_cos_sin,
+    mpi_div,
+    mpi_mul,
+    mpi_pow_int,
+    mpi_sqrt,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+    round_up,
+)
+from mpmath.libmp.libmpi import mpi_square
 
 from .errors import (
     DegenerateInputError,
@@ -141,61 +162,76 @@ def fixed_directions(depth: int) -> FixedDirectionSet:
 
 
 # -- interval geometry ------------------------------------------------------
+#
+# An interval is a raw libmpi endpoint pair (lo, hi) of libmp mpf tuples, and
+# every function takes its precision explicitly.  Each makes the libmpi calls,
+# in the operand order, that mpmath's ``iv`` context makes for the same
+# expression at that precision, so every endpoint is the one ``iv`` gives;
+# tests/oracles.py keeps the ``iv`` forms as the reference.
 
 
-@contextmanager
-def interval_precision(bits: int) -> Iterator[None]:
-    saved = iv.prec
-    iv.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = saved
+def _int(n: int, prec: int):
+    """The interval ``iv`` converts an int to: n rounded down and up to ``prec`` bits."""
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
 
-def _iv_number(x):
-    """Embed an int, exact binary float, or Fraction as a (near-)point interval."""
-    if isinstance(x, Fraction):
-        return iv.mpf(x.numerator) / iv.mpf(x.denominator)
-    return iv.mpf(x)
+def _number(x, prec: int):
+    """Embed an angle as a (near-)point interval: an mpf unrounded, as ``iv`` keeps it, any other exact number by its Fraction."""
+    if hasattr(x, "_mpf_"):
+        return x._mpf_, x._mpf_
+    x = Fraction(x)
+    return mpi_div(_int(x.numerator, prec), _int(x.denominator, prec), prec)
 
 
-def _iv_unit(triple: tuple[int, int, int]):
-    n2 = sum(c * c for c in triple)
-    norm = iv.sqrt(iv.mpf(n2))
-    return tuple(iv.mpf(c) / norm for c in triple)
+def _unit(triple: tuple[int, int, int], prec: int):
+    norm = mpi_sqrt(_int(sum(c * c for c in triple), prec), prec)
+    return tuple(mpi_div(_int(c, prec), norm, prec) for c in triple)
 
 
-def _iv_rotate(axis_unit, cos_t, sin_t, v):
-    """Rodrigues rotation of an interval vector around an interval unit axis."""
+def _rotate(axis_unit, cos_t, sin_t, one_minus_cos, v, prec: int):
+    """Rodrigues rotation of an interval vector around an interval unit axis; ``one_minus_cos`` is 1 - cos_t."""
     kx, ky, kz = axis_unit
     vx, vy, vz = v
-    cx = ky * vz - kz * vy
-    cy = kz * vx - kx * vz
-    cz = kx * vy - ky * vx
-    dot = kx * vx + ky * vy + kz * vz
-    w = dot * (iv.mpf(1) - cos_t)
+    cx = mpi_sub(mpi_mul(ky, vz, prec), mpi_mul(kz, vy, prec), prec)
+    cy = mpi_sub(mpi_mul(kz, vx, prec), mpi_mul(kx, vz, prec), prec)
+    cz = mpi_sub(mpi_mul(kx, vy, prec), mpi_mul(ky, vx, prec), prec)
+    dot = mpi_add(mpi_add(mpi_mul(kx, vx, prec), mpi_mul(ky, vy, prec), prec), mpi_mul(kz, vz, prec), prec)
+    w = mpi_mul(dot, one_minus_cos, prec)
     return (
-        vx * cos_t + cx * sin_t + kx * w,
-        vy * cos_t + cy * sin_t + ky * w,
-        vz * cos_t + cz * sin_t + kz * w,
+        mpi_add(mpi_add(mpi_mul(vx, cos_t, prec), mpi_mul(cx, sin_t, prec), prec), mpi_mul(kx, w, prec), prec),
+        mpi_add(mpi_add(mpi_mul(vy, cos_t, prec), mpi_mul(cy, sin_t, prec), prec), mpi_mul(ky, w, prec), prec),
+        mpi_add(mpi_add(mpi_mul(vz, cos_t, prec), mpi_mul(cz, sin_t, prec), prec), mpi_mul(kz, w, prec), prec),
     )
 
 
-#: The exponent of every interval square, converted once: ``x ** 2`` would
-#: convert the int to an interval on each call before the same squaring.
-_TWO = iv.mpf(2)
+def _dist2(p, q, prec: int):
+    # mpi_square keeps each square nonnegative; mpi_mul(x, x) would not,
+    # because the interval product forgets the two factors are the same number.
+    return mpi_add(
+        mpi_add(mpi_square(mpi_sub(p[0], q[0], prec), prec), mpi_square(mpi_sub(p[1], q[1], prec), prec), prec),
+        mpi_square(mpi_sub(p[2], q[2], prec), prec),
+        prec,
+    )
 
 
-def _iv_dist2(p, q):
-    # ``** _TWO`` keeps each square nonnegative; ``x * x`` would not, because
-    # the interval product forgets the two factors are the same number.
-    return (p[0] - q[0]) ** _TWO + (p[1] - q[1]) ** _TWO + (p[2] - q[2]) ** _TWO
-
-
-def _iv_height(axis_unit, v):
+def _height(axis_unit, v, prec: int):
     """<v, unit axis>: a rotation about the axis keeps it."""
-    return axis_unit[0] * v[0] + axis_unit[1] * v[1] + axis_unit[2] * v[2]
+    return mpi_add(
+        mpi_add(mpi_mul(axis_unit[0], v[0], prec), mpi_mul(axis_unit[1], v[1], prec), prec),
+        mpi_mul(axis_unit[2], v[2], prec),
+        prec,
+    )
+
+
+def _gap_low(h1, h2, slack, prec: int):
+    """Lower end of (h1 - h2)^2 - slack: no pair at these heights is closer, squared, than this."""
+    return mpi_sub(mpi_square(mpi_sub(h1, h2, prec), prec), slack, prec)[0]
+
+
+def _cos_sin_layer(theta, i: int, prec: int):
+    """cos, sin and 1 - cos of the interval i * theta."""
+    cos_t, sin_t = mpi_cos_sin(mpi_mul(theta, _int(i, prec), prec), prec)
+    return cos_t, sin_t, mpi_sub(_int(1, prec), cos_t, prec)
 
 
 def _latitude_key(triple: tuple[int, int, int], axis: tuple[int, int, int]) -> Fraction:
@@ -204,24 +240,33 @@ def _latitude_key(triple: tuple[int, int, int], axis: tuple[int, int, int]) -> F
     return Fraction(dot * abs(dot), sum(c * c for c in triple) * sum(c * c for c in axis))
 
 
-def _distance_slack(points, precision_bits: int):
-    """Upper bound on (true squared distance) - _iv_dist2(p, q).a for any two of ``points``.
+def _distance_slack(points, prec: int):
+    """Upper bound on (true squared distance) - _dist2(p, q, prec)[0] for any two of ``points``.
 
     The points are interval enclosures of unit vectors, so each true
     coordinate difference x_k has |x_k| <= 2.  With W the widest coordinate
-    interval and u = 2^(1 - precision_bits) (one directed rounding moves a
-    value by less than u times its magnitude), the interval difference
-    D_k has width w <= 2W + 2u(2 + 2W).  Its square's lower end is at least
+    interval and u = 2^(1 - prec) (one directed rounding moves a value by
+    less than u times its magnitude), the interval difference D_k has width
+    w <= 2W + 2u(2 + 2W).  Its square's lower end is at least
     (|x_k| - w)^2 (1 - u), so it falls short of x_k^2 by at most
     2|x_k| w + u x_k^2; the two roundings of the sum lose at most u d^2
     each.  Summed, with sum |x_k| <= 2 sqrt(3) < 3.5 and d^2 <= 4, the
     shortfall is at most 7w + 12u.  Evaluated in interval arithmetic and
     returned as the point interval of the upper end.
     """
-    width = iv.mpf(max(c.delta.b for p in points for c in p))
-    u = iv.mpf(2) ** (1 - precision_bits)
-    w = 2 * width + 2 * u * (2 + 2 * width)
-    return iv.mpf((7 * w + 12 * u).b)
+    widest = fzero
+    for p in points:
+        for lo, hi in p:
+            delta = mpf_sub(hi, lo, prec, round_up)
+            if mpf_gt(delta, widest):
+                widest = delta
+    width = (widest, widest)
+    two = _int(2, prec)
+    u = mpi_pow_int(two, 1 - prec, prec)
+    two_width = mpi_mul(two, width, prec)
+    w = mpi_add(two_width, mpi_mul(mpi_mul(two, u, prec), mpi_add(two, two_width, prec), prec), prec)
+    bound = mpi_add(mpi_mul(_int(7, prec), w, prec), mpi_mul(_int(12, prec), u, prec), prec)[1]
+    return bound, bound
 
 
 def _shrink_lower(value: float) -> float:
@@ -333,40 +378,38 @@ def certify_margin(
     axis_triple = axis.as_tuple()
     triples = sorted((d.as_tuple() for d in directions), key=lambda t: (_latitude_key(t, axis_triple), t))
     n = len(triples)
-    with interval_precision(precision_bits):
-        axis_unit = _iv_unit(axis_triple)
-        points = [_iv_unit(t) for t in triples]
-        heights = [_iv_height(axis_unit, p) for p in points]
-        theta = _iv_number(angle)
-        min_low = None
-        for i in range(1, powers + 1):
-            ti = theta * i
-            cos_t, sin_t = iv.cos(ti), iv.sin(ti)
-            # Each point first meets its own base direction, a pair no gap can
-            # rule out; a failure there returns before the rest of the layer.
-            layer = []
-            for p in points:
-                gp = _iv_rotate(axis_unit, cos_t, sin_t, p)
-                low = _iv_dist2(gp, p).a
-                if not low > 0:
-                    return None
-                if min_low is None or low < min_low:
-                    min_low = low
-                layer.append(gp)
-            slack = _distance_slack(points + layer, precision_bits)
-            for a, gp in enumerate(layer):
-                for b, step in ((a + 1, 1), (a - 1, -1)):
-                    while 0 <= b < n:
-                        if ((heights[b] - heights[a]) ** _TWO - slack).a >= min_low:
-                            break
-                        low = _iv_dist2(gp, points[b]).a
-                        if not low > 0:
-                            return None
-                        if low < min_low:
-                            min_low = low
-                        b += step
-        bound = math.sqrt(float(mpmath.mpf(min_low.a)))
-    return _shrink_lower(bound)
+    prec = precision_bits
+    axis_unit = _unit(axis_triple, prec)
+    points = [_unit(t, prec) for t in triples]
+    heights = [_height(axis_unit, p, prec) for p in points]
+    theta = _number(angle, prec)
+    min_low = None
+    for i in range(1, powers + 1):
+        cos_t, sin_t, one_minus_cos = _cos_sin_layer(theta, i, prec)
+        # Each point first meets its own base direction, a pair no gap can
+        # rule out; a failure there returns before the rest of the layer.
+        layer = []
+        for p in points:
+            gp = _rotate(axis_unit, cos_t, sin_t, one_minus_cos, p, prec)
+            low = _dist2(gp, p, prec)[0]
+            if not mpf_lt(fzero, low):
+                return None
+            if min_low is None or mpf_lt(low, min_low):
+                min_low = low
+            layer.append(gp)
+        slack = _distance_slack(points + layer, prec)
+        for a, gp in enumerate(layer):
+            for b, step in ((a + 1, 1), (a - 1, -1)):
+                while 0 <= b < n:
+                    if mpf_le(min_low, _gap_low(heights[b], heights[a], slack, prec)):
+                        break
+                    low = _dist2(gp, points[b], prec)[0]
+                    if not mpf_lt(fzero, low):
+                        return None
+                    if mpf_lt(low, min_low):
+                        min_low = low
+                    b += step
+    return _shrink_lower(math.sqrt(float(mpmath.mpf(min_low))))
 
 
 def find_absorbing_rotation(
@@ -485,75 +528,73 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
     axis_triple = g.axis.as_tuple()
     by_latitude = sorted(range(len(triples)), key=lambda k: _latitude_key(triples[k], axis_triple))
     rank = {k: r for r, k in enumerate(by_latitude)}
-    resolution_sq = SEPARATION_RESOLUTION**2
 
     collision = None
     unresolved = None
     min_low = None
     pairs_checked = 0
-    with interval_precision(g.precision_bits):
-        axis_unit = _iv_unit(axis_triple)
-        theta = _iv_number(g.angle)
-        base = [_iv_unit(t) for t in triples]
-        layers = [base]
-        for i in range(1, M + 1):
-            ti = theta * i
-            cos_t, sin_t = iv.cos(ti), iv.sin(ti)
-            layers.append([_iv_rotate(axis_unit, cos_t, sin_t, p) for p in base])
-        points = [p for layer in layers for p in layer]
-        heights = [_iv_height(axis_unit, p) for p in base]
-        slack = _distance_slack(points, g.precision_bits)
-        n = len(triples)
+    prec = g.precision_bits
+    # A collision's upper end lies below the float converted at prec bits,
+    # rounded down: the comparison iv makes.
+    resolution_sq = from_float(SEPARATION_RESOLUTION**2, prec, round_floor)
+    axis_unit = _unit(axis_triple, prec)
+    theta = _number(g.angle, prec)
+    base = [_unit(t, prec) for t in triples]
+    layers = [base]
+    for i in range(1, M + 1):
+        cos_t, sin_t, one_minus_cos = _cos_sin_layer(theta, i, prec)
+        layers.append([_rotate(axis_unit, cos_t, sin_t, one_minus_cos, p, prec) for p in base])
+    points = [p for layer in layers for p in layer]
+    heights = [_height(axis_unit, p, prec) for p in base]
+    slack = _distance_slack(points, prec)
+    n = len(triples)
 
-        def row(ia, min_low, end):
-            """The pairs (ia, ib), ia < ib < end, that a latitude walk from point ia cannot rule out.
+    def row(ia, min_low, end):
+        """The pairs (ia, ib), ia < ib < end, that a latitude walk from point ia cannot rule out.
 
-            Point ia lies on direction ia % n.  The walk goes outward from
-            it in latitude order, each way up to the first direction whose
-            certified height gap keeps its points, and every point beyond,
-            above ``min_low`` (the smallest positive lower bound so far).
-            Returns the new smallest lower bound, the number of interval
-            distances computed, and the ib whose interval reaches zero, each
-            with its squared-distance interval.
-            """
-            k = ia % n
-            checked = 0
-            touching = {}
-            for r, step in ((rank[k], 1), (rank[k] - 1, -1)):
-                while 0 <= r < n:
-                    kb = by_latitude[r]
-                    if min_low is not None and ((heights[kb] - heights[k]) ** _TWO - slack).a >= min_low:
-                        break
-                    # the points of direction kb past ia: layers j with j*n + kb > ia
-                    for ib in range(kb + n * ((ia - kb) // n + 1), end, n):
-                        d2 = _iv_dist2(points[ia], points[ib])
-                        checked += 1
-                        low = d2.a
-                        if not low > 0:
-                            touching[ib] = d2
-                        elif min_low is None or low < min_low:
-                            min_low = low
-                    r += step
-            return min_low, checked, touching
+        Point ia lies on direction ia % n.  The walk goes outward from
+        it in latitude order, each way up to the first direction whose
+        certified height gap keeps its points, and every point beyond,
+        above ``min_low`` (the smallest positive lower bound so far).
+        Returns the new smallest lower bound, the number of interval
+        distances computed, and the ib whose interval reaches zero, each
+        with its squared-distance interval.
+        """
+        k = ia % n
+        checked = 0
+        touching = {}
+        for r, step in ((rank[k], 1), (rank[k] - 1, -1)):
+            while 0 <= r < n:
+                kb = by_latitude[r]
+                if min_low is not None and mpf_le(min_low, _gap_low(heights[kb], heights[k], slack, prec)):
+                    break
+                # the points of direction kb past ia: layers j with j*n + kb > ia
+                for ib in range(kb + n * ((ia - kb) // n + 1), end, n):
+                    d2 = _dist2(points[ia], points[ib], prec)
+                    checked += 1
+                    low = d2[0]
+                    if not mpf_lt(fzero, low):
+                        touching[ib] = d2
+                    elif min_low is None or mpf_lt(low, min_low):
+                        min_low = low
+                r += step
+        return min_low, checked, touching
 
-        for ia in range(len(points)):
-            row_low, checked, touching = row(ia, min_low, len(points))
+    for ia in range(len(points)):
+        row_low, checked, touching = row(ia, min_low, len(points))
+        pairs_checked += checked
+        hits = [ib for ib, d2 in touching.items() if mpf_lt(d2[1], resolution_sq)]
+        if hits:
+            collision = (labels[ia], labels[min(hits)])
+            # Walk the row again, counting only the pairs before the collision.
+            row_low, checked, touching = row(ia, min_low, min(hits))
             pairs_checked += checked
-            hits = [ib for ib, d2 in touching.items() if d2.b < resolution_sq]
-            if hits:
-                collision = (labels[ia], labels[min(hits)])
-                # Walk the row again, counting only the pairs before the collision.
-                row_low, checked, touching = row(ia, min_low, min(hits))
-                pairs_checked += checked
-            min_low = row_low
-            if touching:
-                unresolved = (labels[ia], labels[max(touching)])
-            if collision is not None:
-                break
-        if min_low is not None:
-            separation = _shrink_lower(math.sqrt(float(mpmath.mpf(min_low.a))))
-        else:
-            separation = 0.0
+        min_low = row_low
+        if touching:
+            unresolved = (labels[ia], labels[max(touching)])
+        if collision is not None:
+            break
+    separation = 0.0 if min_low is None else _shrink_lower(math.sqrt(float(mpmath.mpf(min_low))))
 
     if collision is not None:
         outcome = "fail"

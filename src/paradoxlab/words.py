@@ -262,6 +262,7 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     last letter must be one of 0-3 (else a partition violation); a word whose
     last letter cancels the one before, or which does not extend word i // 3
     of the level before, violates each split whose cover does not hold it.
+    A level k >= 1 short of (or past) its 4 * 3^(k-1) words violates both.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -273,7 +274,8 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     levels = ball_levels(depth)
     counts[4] = checked = len(next(levels))  # the identity, the one word of length 0
     parents = repeat(())
-    for level in levels:
+    for k, level in enumerate(levels, 1):
+        before = checked
         for h, parent in zip(level, parents):
             checked += 1
             if h[-1] not in _ALPHABET:
@@ -291,6 +293,11 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
                 violations_a.append(fault)
             if h[0] != B and len(violations_b) < MAX_VIOLATIONS:
                 violations_b.append(fault)
+        if checked - before != 4 * 3 ** (k - 1):
+            fault = f"level {k} has {checked - before} words, expected {4 * 3 ** (k - 1)}"
+            for violations in (violations_a, violations_b):
+                if len(violations) < MAX_VIOLATIONS:
+                    violations.append(fault)
         # Word i of the next level extends word i // 3 of this one, if there is one.
         parents = chain(chain.from_iterable(zip(level, level, level)), repeat(None))
     class_counts = {PrefixClass.IDENTITY: counts[4]}

@@ -5,20 +5,24 @@ word product over the rational generators and matrix-vector application), the
 fraction-free kernel, the group law on reduced words, the one-split check,
 the brute-force ball, the direct product of group tables, the
 frozenset route of finite action models (validation, images and the derived
-interior on point objects), and the Fraction routes of the integer kernels
+interior on point objects), the Fraction routes of the integer kernels
 (point-measure mass, the ergodic average with its piecewise-constant
-samples, and the additive map).  Each is the slow, general route that a fast
-path in ``exactlin``, ``words``, ``measures``, ``paradox`` or ``cauchy`` must
-agree with.
+samples, and the additive map), and the sphere's interval geometry in
+mpmath's ``iv`` context.  Each is the slow, general route that a fast path
+in ``exactlin``, ``words``, ``measures``, ``paradox``, ``cauchy`` or
+``sphere`` must agree with.
 """
 
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterator, Sequence
+
+from mpmath import iv
 
 from paradoxlab.cauchy import HamelModel
 from paradoxlab.errors import DegenerateInputError, DomainError, InvariantViolationError, ModelError
@@ -349,3 +353,66 @@ def ref_additive_eval(model: HamelModel, coords: Sequence) -> Fraction:
     if len(coords) != model.rank:
         raise DomainError(f"coordinate vector has length {len(coords)}, the model has rank {model.rank}")
     return sum((Fraction(c) * y for c, y in zip(coords, model.basis_images)), start=Fraction(0))
+
+
+# -- interval geometry in mpmath's iv context -----------------------------------
+#
+# sphere's kernel runs on raw libmpi endpoint pairs at an explicit precision;
+# these are the iv forms it replaced, evaluated at the global iv.prec.
+
+
+@contextmanager
+def interval_precision(bits: int) -> Iterator[None]:
+    saved = iv.prec
+    iv.prec = bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
+
+
+def _iv_number(x):
+    """Embed an int, exact binary float, or Fraction as a (near-)point interval."""
+    if isinstance(x, Fraction):
+        return iv.mpf(x.numerator) / iv.mpf(x.denominator)
+    return iv.mpf(x)
+
+
+def _iv_unit(triple: tuple[int, int, int]):
+    n2 = sum(c * c for c in triple)
+    norm = iv.sqrt(iv.mpf(n2))
+    return tuple(iv.mpf(c) / norm for c in triple)
+
+
+def _iv_rotate(axis_unit, cos_t, sin_t, v):
+    """Rodrigues rotation of an interval vector around an interval unit axis."""
+    kx, ky, kz = axis_unit
+    vx, vy, vz = v
+    cx = ky * vz - kz * vy
+    cy = kz * vx - kx * vz
+    cz = kx * vy - ky * vx
+    dot = kx * vx + ky * vy + kz * vz
+    w = dot * (iv.mpf(1) - cos_t)
+    return (
+        vx * cos_t + cx * sin_t + kx * w,
+        vy * cos_t + cy * sin_t + ky * w,
+        vz * cos_t + cz * sin_t + kz * w,
+    )
+
+
+def _iv_dist2(p, q):
+    # ``** 2`` keeps each square nonnegative; ``x * x`` would not.
+    return (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 + (p[2] - q[2]) ** 2
+
+
+def _iv_height(axis_unit, v):
+    """<v, unit axis>: a rotation about the axis keeps it."""
+    return axis_unit[0] * v[0] + axis_unit[1] * v[1] + axis_unit[2] * v[2]
+
+
+def _iv_distance_slack(points, precision_bits: int):
+    """sphere._distance_slack's bound 7w + 12u, as the point interval of its upper end."""
+    width = iv.mpf(max(c.delta.b for p in points for c in p))
+    u = iv.mpf(2) ** (1 - precision_bits)
+    w = 2 * width + 2 * u * (2 + 2 * width)
+    return iv.mpf((7 * w + 12 * u).b)

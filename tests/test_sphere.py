@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paradoxlab import sphere
 from paradoxlab.errors import DegenerateInputError, DomainError, InconclusiveError, InvariantViolationError
@@ -22,19 +22,22 @@ from paradoxlab.sphere import (
     find_absorbing_rotation,
     find_absorbing_rotation_adaptive,
     fixed_directions,
-    interval_precision,
-    _distance_slack,
-    _iv_dist2,
-    _iv_height,
-    _iv_number,
-    _iv_rotate,
-    _iv_unit,
     _latitude_key,
     _shrink_lower,
 )
 from paradoxlab.words import Letter
 
-from oracles import apply, word_matrix
+from oracles import (
+    _iv_dist2,
+    _iv_distance_slack,
+    _iv_height,
+    _iv_number,
+    _iv_rotate,
+    _iv_unit,
+    apply,
+    interval_precision,
+    word_matrix,
+)
 
 
 def _triples(C):
@@ -181,6 +184,78 @@ def test_interval_distance_of_identical_points_contains_zero():
         p = _iv_unit((1, 1, 1))
         d2 = _iv_dist2(p, p)
         assert d2.a <= 0 <= d2.b
+
+
+# -- the interval kernel against the iv context --------------------------------
+#
+# sphere's kernel runs on raw libmpi endpoint pairs; each function must give
+# the endpoints the iv form in oracles gives.  Components up to 2^34 make the
+# squared norms, and the Fractions' numerators and denominators, too wide
+# for 64 bits, so the conversions round.
+
+WIDE = 2**34
+_triples_st = st.tuples(*[st.integers(-WIDE, WIDE)] * 3).filter(any)
+_angles_st = st.one_of(
+    st.integers(-8, 8),
+    st.sampled_from(ANGLE_CANDIDATES),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**80)),
+    st.just(corrupted_rotation((2, 1, 0), (0, 1, 2)).angle),  # the control's mpf pi
+)
+
+
+def _ends(x):
+    """The libmpi endpoint pairs of an iv interval or a tuple of them."""
+    return x._mpi_ if hasattr(x, "_mpi_") else tuple(_ends(c) for c in x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bits=st.sampled_from([64, 128, 256, 1024]),
+    axis=_triples_st,
+    p=_triples_st,
+    q=_triples_st,
+    angle=_angles_st,
+    power=st.integers(1, 6),
+)
+@example(bits=64, axis=(1, 0, 0), p=(WIDE - 1, -3, 5), q=(WIDE - 1, -3, 5), angle=Fraction(2**70 + 1, 3**40), power=1)
+def test_interval_kernel_matches_the_iv_context_endpoint_for_endpoint(bits, axis, p, q, angle, power):
+    axis_u, pu, qu = sphere._unit(axis, bits), sphere._unit(p, bits), sphere._unit(q, bits)
+    theta = sphere._number(angle, bits)
+    cos_t, sin_t, one_minus_cos = sphere._cos_sin_layer(theta, power, bits)
+    gp = sphere._rotate(axis_u, cos_t, sin_t, one_minus_cos, pu, bits)
+    slack = sphere._distance_slack([pu, qu, gp], bits)
+    hp, hq = sphere._height(axis_u, gp, bits), sphere._height(axis_u, qu, bits)
+    gap_low = sphere._gap_low(hp, hq, slack, bits)
+    kernel = {
+        "unit": (axis_u, pu, qu),
+        "number": theta,
+        "cos_sin_layer": (cos_t, sin_t, one_minus_cos),
+        "rotate": gp,
+        # a point against itself: every difference straddles zero
+        "dist2": (sphere._dist2(pu, pu, bits), sphere._dist2(gp, pu, bits), sphere._dist2(gp, qu, bits)),
+        "height": (hp, hq),
+        "distance_slack": slack,
+        "gap_low": (gap_low, gap_low),
+    }
+    with interval_precision(bits):
+        iv_axis, iv_p, iv_q = _iv_unit(axis), _iv_unit(p), _iv_unit(q)
+        iv_theta = _iv_number(angle)
+        iv_cos, iv_sin = mpmath.iv.cos(iv_theta * power), mpmath.iv.sin(iv_theta * power)
+        iv_gp = _iv_rotate(iv_axis, iv_cos, iv_sin, iv_p)
+        iv_slack = _iv_distance_slack([iv_p, iv_q, iv_gp], bits)
+        iv_hp, iv_hq = _iv_height(iv_axis, iv_gp), _iv_height(iv_axis, iv_q)
+        oracle = {
+            "unit": (iv_axis, iv_p, iv_q),
+            "number": iv_theta,
+            "cos_sin_layer": (iv_cos, iv_sin, mpmath.iv.mpf(1) - iv_cos),
+            "rotate": iv_gp,
+            "dist2": (_iv_dist2(iv_p, iv_p), _iv_dist2(iv_gp, iv_p), _iv_dist2(iv_gp, iv_q)),
+            "height": (iv_hp, iv_hq),
+            "distance_slack": iv_slack,
+            "gap_low": ((iv_hp - iv_hq) ** 2 - iv_slack).a,
+        }
+    for name, value in kernel.items():
+        assert value == _ends(oracle[name]), name
 
 
 # -- absorbing rotations -----------------------------------------------------
@@ -505,7 +580,7 @@ def test_skip_rule_lower_bound_holds_for_every_pair(depth):
             labels, points = _demo_points(C, g, 2)
             axis_unit = _iv_unit(g.axis.as_tuple())
             heights = [_iv_height(axis_unit, points[k]) for k in range(n)]
-            slack = _distance_slack(points, g.precision_bits)
+            slack = _iv_distance_slack(points, g.precision_bits)
             for ia in range(len(points)):
                 for ib in range(ia + 1, len(points)):
                     gap2 = (heights[ia % n] - heights[ib % n]) ** 2
@@ -530,14 +605,14 @@ def test_distance_slack_is_derived_from_widths_and_precision():
     # left, 7*(2u*2) + 12u = 40u with u = 2^(1 - bits).
     exact = [(mpmath.iv.mpf(1), mpmath.iv.mpf(0), mpmath.iv.mpf(0))]
     with interval_precision(128):
-        assert float(_distance_slack(exact, 128)) == 80 * 2.0**-128
+        assert float(_iv_distance_slack(exact, 128)) == 80 * 2.0**-128
     # The demo's points at depth 2, M=3: pinned, and above the observed
     # shortfall of each 128-bit lower bound below a 512-bit enclosure.
     C = fixed_directions(2)
     g = find_absorbing_rotation_adaptive(C, 3)
     with interval_precision(128):
         _, points = _demo_points(C, g, 3)
-        slack = _distance_slack(points, 128)
+        slack = _iv_distance_slack(points, 128)
         lows = [_iv_dist2(points[a], points[b]).a for a in range(len(points)) for b in range(a + 1, len(points))]
     assert float(slack) == pytest.approx(7.2880649750981825e-37, rel=1e-12, abs=0)
     with interval_precision(512):

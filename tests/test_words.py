@@ -376,6 +376,24 @@ def test_verify_fails_closed_on_a_reordered_level(monkeypatch):
     assert report.split_a.violations[0] == report.split_b.violations[0] == "'BB' does not extend its parent 'a'"
 
 
+@pytest.mark.parametrize("depth", [2, 3])
+def test_verify_fails_closed_on_a_level_short_of_its_last_word(monkeypatch, depth):
+    # Level 2 loses its last word: the streamed last level at depth 2, a
+    # stored level at depth 3.  Every word left is reduced and extends its
+    # parent, so only the level's count shows the loss.
+    ball_levels = words.ball_levels
+
+    def short(n):
+        for k, level in enumerate(ball_levels(n)):
+            yield list(level)[:-1] if k == 2 else level
+
+    monkeypatch.setattr(words, "ball_levels", short)
+    report = verify_f2_paradox(depth)
+    assert not report.passed and not report.partition_violations
+    assert report.split_a.violations[0] == report.split_b.violations[0] == "level 2 has 11 words, expected 12"
+    assert run_cli("words", "verify", "--depth", str(depth)).code == 1
+
+
 def test_verify_f2_paradox_rejects_bad_depth():
     with pytest.raises(ValueError):
         verify_f2_paradox(0)
