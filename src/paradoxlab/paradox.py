@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, reduce
 from operator import or_
@@ -681,40 +682,31 @@ def _separation_slack(max_degree: int, max_coeff: int, precision_bits: int, dist
 
 
 def _closest_pair_sq(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, tuple[int, int]]:
-    """Closest pair of the points (xs[i], ys[i]) by an x-strip scan; returns (squared distance, indices).
+    """Plane sweep for the closest pair of the points (xs[i], ys[i]); returns (squared distance, indices).
 
     Points are visited in (x, y, index) order, built as two stable sorts of
-    the indices (by y, then by x).  With d = sqrt(best) fixed for each
-    point, the points before it whose x is at least x - d form the strip,
-    whose left edge only moves right; of these, the ones with y - d <= cy
-    < y + d are candidates.  The least candidate in (squared distance, y,
-    x, index) order is taken if it is closer than best, so of several
-    pairs at the least distance the one a (y, x, index)-ordered active
-    list meets first wins.  The scan reads the two float arrays by index.
+    the indices (by y, then by x), and the active strip is kept in
+    (y, x, index) order, so of several pairs at the least distance the first
+    one met wins.  The strip's width sqrt(best) changes only with best.
     """
     order = sorted(range(len(xs)), key=ys.__getitem__)
     order.sort(key=xs.__getitem__)
     best = d = math.inf
     pair = (-1, -1)
+    active: list[tuple[float, float, int]] = []  # (y, x, index), sorted
     left = 0
-    for pos, idx in enumerate(order):
+    for idx in order:
         x, y = xs[idx], ys[idx]
         while xs[order[left]] < x - d:
+            old = order[left]
+            del active[bisect_left(active, (ys[old], xs[old], old))]
             left += 1
-        low, high = y - d, y + d
-        near, first = best, None
-        for cidx in order[left:pos]:
-            cy = ys[cidx]
-            if low <= cy < high:
-                cx = xs[cidx]
-                dsq = (x - cx) ** 2 + (y - cy) ** 2
-                if dsq < near:
-                    near, first = dsq, (cy, cx, cidx)
-                elif dsq == near and first is not None and (cy, cx, cidx) < first:
-                    first = (cy, cx, cidx)
-        if first is not None:
-            best, d = near, math.sqrt(near)
-            pair = (first[2], idx)
+        for cy, cx, cidx in active[bisect_left(active, (y - d,)) : bisect_right(active, (y + d,))]:
+            dsq = (x - cx) ** 2 + (y - cy) ** 2
+            if dsq < best:
+                best, d = dsq, math.sqrt(dsq)
+                pair = (cidx, idx)
+        insort(active, (y, x, idx))
     return best, pair
 
 

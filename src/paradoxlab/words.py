@@ -262,7 +262,9 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     last letter must be one of 0-3 (else a partition violation); a word whose
     last letter cancels the one before, or which does not extend word i // 3
     of the level before, violates each split whose cover does not hold it.
-    A level k >= 1 short of (or past) its 4 * 3^(k-1) words violates both.
+    A level other than the one word of length 0 and 4 * 3^(k-1) words at
+    each length k from 1 to depth, a level missing or one past depth
+    included, violates both.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -271,9 +273,19 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     partition_violations: list[str] = []
     violations_a: list[str] = []
     violations_b: list[str] = []
+
+    def check_size(k: int, size: int) -> None:
+        expected = 0 if k > depth else 4 * 3 ** (k - 1) if k else 1
+        if size != expected:
+            for violations in (violations_a, violations_b):
+                if len(violations) < MAX_VIOLATIONS:
+                    violations.append(f"level {k} has {size} words, expected {expected}")
+
     levels = ball_levels(depth)
     counts[4] = checked = len(next(levels))  # the identity, the one word of length 0
+    check_size(0, checked)
     parents = repeat(())
+    k = 0
     for k, level in enumerate(levels, 1):
         before = checked
         for h, parent in zip(level, parents):
@@ -293,13 +305,11 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
                 violations_a.append(fault)
             if h[0] != B and len(violations_b) < MAX_VIOLATIONS:
                 violations_b.append(fault)
-        if checked - before != 4 * 3 ** (k - 1):
-            fault = f"level {k} has {checked - before} words, expected {4 * 3 ** (k - 1)}"
-            for violations in (violations_a, violations_b):
-                if len(violations) < MAX_VIOLATIONS:
-                    violations.append(fault)
+        check_size(k, checked - before)
         # Word i of the next level extends word i // 3 of this one, if there is one.
         parents = chain(chain.from_iterable(zip(level, level, level)), repeat(None))
+    for k in range(k + 1, depth + 1):  # levels ball_levels never yielded
+        check_size(k, 0)
     class_counts = {PrefixClass.IDENTITY: counts[4]}
     class_counts.update((_CLASS_OF_LETTER[x], counts[x]) for x in _ALPHABET)
     split_a = SplitCheck(depth, PrefixClass.W_A, PrefixClass.W_A_INV, _reduced((A,)), checked, tuple(violations_a))

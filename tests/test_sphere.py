@@ -580,7 +580,7 @@ def test_skip_rule_lower_bound_holds_for_every_pair(depth):
             labels, points = _demo_points(C, g, 2)
             axis_unit = _iv_unit(g.axis.as_tuple())
             heights = [_iv_height(axis_unit, points[k]) for k in range(n)]
-            slack = _iv_distance_slack(points, g.precision_bits)
+            slack = mpmath.iv.make_mpf(sphere._distance_slack(_ends(points), g.precision_bits))
             for ia in range(len(points)):
                 for ib in range(ia + 1, len(points)):
                     gap2 = (heights[ia % n] - heights[ib % n]) ** 2
@@ -605,14 +605,14 @@ def test_distance_slack_is_derived_from_widths_and_precision():
     # left, 7*(2u*2) + 12u = 40u with u = 2^(1 - bits).
     exact = [(mpmath.iv.mpf(1), mpmath.iv.mpf(0), mpmath.iv.mpf(0))]
     with interval_precision(128):
-        assert float(_iv_distance_slack(exact, 128)) == 80 * 2.0**-128
+        assert float(mpmath.iv.make_mpf(sphere._distance_slack(_ends(exact), 128))) == 80 * 2.0**-128
     # The demo's points at depth 2, M=3: pinned, and above the observed
     # shortfall of each 128-bit lower bound below a 512-bit enclosure.
     C = fixed_directions(2)
     g = find_absorbing_rotation_adaptive(C, 3)
     with interval_precision(128):
         _, points = _demo_points(C, g, 3)
-        slack = _iv_distance_slack(points, 128)
+        slack = mpmath.iv.make_mpf(sphere._distance_slack(_ends(points), 128))
         lows = [_iv_dist2(points[a], points[b]).a for a in range(len(points)) for b in range(a + 1, len(points))]
     assert float(slack) == pytest.approx(7.2880649750981825e-37, rel=1e-12, abs=0)
     with interval_precision(512):

@@ -394,6 +394,38 @@ def test_verify_fails_closed_on_a_level_short_of_its_last_word(monkeypatch, dept
     assert run_cli("words", "verify", "--depth", str(depth)).code == 1
 
 
+@pytest.mark.parametrize("depth", [1, 3])
+def test_verify_fails_closed_on_a_missing_last_level(monkeypatch, depth):
+    # ball_levels stops one level early: every word it yields passes, so
+    # only the level it never yields shows the loss.
+    ball_levels = words.ball_levels
+
+    def early(n):
+        for k, level in enumerate(ball_levels(n)):
+            if k < n:
+                yield level
+
+    monkeypatch.setattr(words, "ball_levels", early)
+    report = verify_f2_paradox(depth)
+    expected = f"level {depth} has 0 words, expected {4 * 3 ** (depth - 1)}"
+    assert not report.passed and not report.partition_violations
+    assert report.split_a.violations == report.split_b.violations == (expected,)
+    assert run_cli("words", "verify", "--depth", str(depth)).code == 1
+
+
+def test_verify_fails_closed_on_a_doubled_identity(monkeypatch):
+    ball_levels = words.ball_levels
+
+    def doubled(n):
+        for k, level in enumerate(ball_levels(n)):
+            yield level * 2 if k == 0 else level
+
+    monkeypatch.setattr(words, "ball_levels", doubled)
+    report = verify_f2_paradox(2)
+    assert not report.passed and not report.partition_violations
+    assert report.split_a.violations == report.split_b.violations == ("level 0 has 2 words, expected 1",)
+
+
 def test_verify_f2_paradox_rejects_bad_depth():
     with pytest.raises(ValueError):
         verify_f2_paradox(0)
