@@ -10,6 +10,7 @@ cost of byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -451,8 +452,18 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of :func:`main`, built on its first call; parse_args leaves it as it was.
+
+    The handlers look up their modules' functions when they run, so a
+    patched module function is still the one called.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:

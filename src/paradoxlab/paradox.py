@@ -30,10 +30,10 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key, reduce
-from operator import or_
+from operator import eq, ne, or_, sub
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -553,6 +553,31 @@ def _round(v: int, prec: int) -> int:
     return (v + (1 << (s - 1)) - 1 + ((v >> s) & 1)) >> s << s
 
 
+#: The rounding tables cover values of modulus 2^-32 up to 2^32 on their scale.
+ROUNDING_TABLE_BITS = 32
+
+
+def _rounding_tables(prec: int, scale: int) -> tuple[int, list[int], list[int], list[int]]:
+    """:func:`_round`'s constants at prec bits, by bit length, for v = x * 2^scale with 2^-32 <= |x| < 2^32.
+
+    Returns (lo, half, odd, keep), indexed by n - lo for the bit lengths
+    n = v.bit_length() from lo = scale - 31 up to scale + 32.  With
+    s = n - prec > 0, half = 2^(s-1) - 1, odd = 2^s and keep = -2^s, so
+    ``(v + half + ((v & odd) != 0)) & keep`` is ``_round(v, prec)``: v & 2^s
+    tests q's low bit as (v >> s) & 1 does, and & -2^s clears the s low bits
+    as >> s << s does, both in two's complement.  For n <= prec the entries
+    are 0, 0 and -1, which leave v unchanged.  A value outside the tables
+    rounds by :func:`_round` itself.  Entries for every bit length up to a
+    product's 2*grid bits would hold about 2 MB of constants at 1024 bits.
+    """
+    lo = scale - ROUNDING_TABLE_BITS + 1
+    shifts = range(lo - prec, scale + ROUNDING_TABLE_BITS + 1 - prec)
+    half = [(1 << (s - 1)) - 1 if s > 0 else 0 for s in shifts]
+    odd = [1 << s if s > 0 else 0 for s in shifts]
+    keep = [-(1 << s) if s > 0 else -1 for s in shifts]
+    return lo, half, odd, keep
+
+
 def _mul(z: tuple[int, int], w: tuple[int, int], prec: int, grid: int) -> tuple[int, int]:
     """Complex product as libmp's mpc_mul: exact, one rounding per component, then back from 2^-2F to 2^-F."""
     a, b = z
@@ -610,18 +635,23 @@ def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[
     every value is bit-identical to that route.  The two parts of a sum
     round independently, so each column is built on its own.  Rounding is to
     nearest, as in mpmath's default context; only t itself comes from libmp.
+    Each sum rounds by the tables of :func:`_rounding_tables` at the grid's
+    scale, two constants per bit length in place of _round's shifts; a sum
+    outside the tables rounds by :func:`_round` itself.
     """
     prec, grid = precision_bits, _grid_bits(precision_bits)
     base = max_coeff + 1
     t = tuple(_from_mpf(x, grid) for x in mpc_exp((fzero, fone), prec, round_nearest))
+    lo, half, odd, keep = _rounding_tables(prec, grid)
+    span = len(half)
 
     def plus(column: list[int], term: int) -> list[int]:
-        # _round(z + term, prec) for each z, written out
+        # _round(z + term, prec) for each z, by the tables
         return [
-            v if s <= 0 else (v + (1 << (s - 1)) - 1 + ((v >> s) & 1)) >> s << s
+            (v + half[n] + ((v & odd[n]) != 0)) & keep[n] if 0 <= n < span else _round(v, prec)
             for z in column
             for v in (z + term,)
-            for s in (v.bit_length() - prec,)
+            for n in (v.bit_length() - lo,)
         ]
 
     power = (1 << grid, 0)
@@ -684,29 +714,52 @@ def _separation_slack(max_degree: int, max_coeff: int, precision_bits: int, dist
 def _closest_pair_sq(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, tuple[int, int]]:
     """Plane sweep for the closest pair of the points (xs[i], ys[i]); returns (squared distance, indices).
 
-    Points are visited in (x, y, index) order, built as two stable sorts of
-    the indices (by y, then by x), and the active strip is kept in
-    (y, x, index) order, so of several pairs at the least distance the first
-    one met wins.  The strip's width sqrt(best) changes only with best.
+    Points are visited in (x, y, index) order: the indices are sorted once
+    by x, and each run of equal x is sorted again by y; both sorts are
+    stable, so index order holds among equal (x, y).  The active strip is
+    kept in (y, x, index) order as two parallel lists, its y values and its
+    indices.  A new point goes after every active point of equal y, since
+    it comes after them in (x, index); a leaving point is found by
+    bisecting to its y and stepping through that run to its index.  The
+    window is the active points with y - d <= cy < y + d for d = sqrt(best)
+    at the point's visit, walked in strip order, so of several pairs at the
+    least distance the first one met wins.
     """
-    order = sorted(range(len(xs)), key=ys.__getitem__)
-    order.sort(key=xs.__getitem__)
+    order = sorted(range(len(xs)), key=xs.__getitem__)
+    # positions k where order[k - 1] and order[k] share their x, in one streaming pass
+    same_x = itertools.starmap(eq, itertools.pairwise(map(xs.__getitem__, order)))
+    ties = list(itertools.compress(itertools.count(1), same_x))
+    runs: list[list[int]] = []  # [start, stop) of each run of equal x
+    for k in ties:
+        if runs and runs[-1][1] == k:
+            runs[-1][1] = k + 1
+        else:
+            runs.append([k - 1, k + 1])
+    for start, stop in runs:
+        order[start:stop] = sorted(order[start:stop], key=ys.__getitem__)
     best = d = math.inf
     pair = (-1, -1)
-    active: list[tuple[float, float, int]] = []  # (y, x, index), sorted
+    active_y: list[float] = []
+    active: list[int] = []
     left = 0
     for idx in order:
         x, y = xs[idx], ys[idx]
         while xs[order[left]] < x - d:
             old = order[left]
-            del active[bisect_left(active, (ys[old], xs[old], old))]
+            k = bisect_left(active_y, ys[old])
+            while active[k] != old:
+                k += 1
+            del active_y[k], active[k]
             left += 1
-        for cy, cx, cidx in active[bisect_left(active, (y - d,)) : bisect_right(active, (y + d,))]:
-            dsq = (x - cx) ** 2 + (y - cy) ** 2
+        for k in range(bisect_left(active_y, y - d), bisect_left(active_y, y + d)):
+            cidx = active[k]
+            dsq = (x - xs[cidx]) ** 2 + (y - active_y[k]) ** 2
             if dsq < best:
                 best, d = dsq, math.sqrt(dsq)
                 pair = (cidx, idx)
-        insort(active, (y, x, idx))
+        k = bisect_right(active_y, y)
+        active_y.insert(k, y)
+        active.insert(k, idx)
     return best, pair
 
 
@@ -813,7 +866,7 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
 
     try:
         numeric, min_distance, min_pair, defect = _smp_numeric(
-            zip(part_a, g_images), zip(part_b, h_images), max_degree, max_coeff, precision_bits
+            (part_a, g_images), (part_b, h_images), max_degree, max_coeff, precision_bits
         )
     except _OffGrid as exc:
         numeric = [Finding("fixed_point_grid", False, str(exc))]
@@ -842,7 +895,7 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
     )
 
 
-def _smp_numeric(g_pairs, h_pairs, max_degree, max_coeff, precision_bits):
+def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
     """The separation and isometries findings, the min distance and its pair, and the max isometry defect.
 
     The embedding, the float conversion and the g/h defects run on the
@@ -857,7 +910,7 @@ def _smp_numeric(g_pairs, h_pairs, max_degree, max_coeff, precision_bits):
     def dist(z, w):
         return mpc_abs(mpc_sub(z, w, prec, rnd), prec, rnd)
 
-    defects = [_gh_defect(t, re, im, g_pairs, h_pairs, prec)]
+    defects = [_gh_defect(t, re, im, g_map, h_map, prec)]
 
     # rotation preserves sampled pairwise distances
     lib_t_inv = _to_mpc((t[0], -t[1]), grid)
@@ -890,29 +943,45 @@ def _smp_numeric(g_pairs, h_pairs, max_degree, max_coeff, precision_bits):
     return [separation, isometries], min_distance, pair, to_float(defect, rnd=rnd)
 
 
-def _gh_defect(t, re: list[int], im: list[int], g_pairs, h_pairs, precision_bits: int) -> tuple:
+def _gh_defect(t, re: list[int], im: list[int], g_map, h_map, precision_bits: int) -> tuple:
     """max |z_j - moved z_i| over the index pairs (i, j) of g and h, as libmp's mpc_abs of mpc_sub would give it.
 
-    g rotates by t^-1 = conj(t), as :func:`_mul` multiplies, and h
+    g_map and h_map are each (domain, images), two index sequences paired in
+    order.  g rotates by t^-1 = conj(t), as :func:`_mul` multiplies, and h
     translates by -1, both on the grid.  The difference is rounded per
     component as mpc_sub rounds it, and mpf_hypot is monotone in the exact
     squared modulus, so one mpc_abs of the difference with the largest
-    dx^2 + dy^2 is the largest defect.  Every rounding is :func:`_round`
-    written out.
+    dx^2 + dy^2 is the largest defect.  The products and the translation
+    round by the tables of :func:`_rounding_tables`; the differences, nearly
+    always shorter than prec bits, keep :func:`_round`'s early exit written
+    out.
+
+    An h pair whose move is exact has defect 0, so it is skipped.  Every
+    column value is a sum rounded to prec bits, as :func:`_embed_polys`
+    builds it, which :func:`_round` leaves as it is.  So where re[i] - re[j]
+    is exactly 2^grid (one) and im[i] == im[j], the rounded translation
+    _round(re[i] - one) is re[j], and dx = dy = 0.  The imaginary parts agree
+    on every h pair of the embedding, since the constant term adds to the
+    real part only; one streaming pass over the columns selects the pairs
+    where either equality fails, and only those run the per-pair code.
+    Columns without that structure only select more pairs.  The largest
+    squared modulus starts at 0 with the difference (0, 0), the defect of a
+    skipped pair or of no pair at all.
     """
     prec, grid = precision_bits, _grid_bits(precision_bits)
     a, b = t[0], -t[1]
     one, low = 1 << grid, (1 << grid) - 1
-    worst_sq, worst = -1, (0, 0)
-    for i, j in g_pairs:
+    worst_sq, worst = 0, (0, 0)
+    # a product of two grid values is on the scale 2^-2F
+    lo, half, odd, keep = _rounding_tables(prec, 2 * grid)
+    span = len(half)
+    for i, j in zip(*g_map):
         c, d = re[i], im[i]
         zr, zi = a * c - b * d, a * d + b * c
-        s = zr.bit_length() - prec
-        if s > 0:
-            zr = (zr + (1 << (s - 1)) - 1 + ((zr >> s) & 1)) >> s << s
-        s = zi.bit_length() - prec
-        if s > 0:
-            zi = (zi + (1 << (s - 1)) - 1 + ((zi >> s) & 1)) >> s << s
+        n = zr.bit_length() - lo
+        zr = (zr + half[n] + ((zr & odd[n]) != 0)) & keep[n] if 0 <= n < span else _round(zr, prec)
+        n = zi.bit_length() - lo
+        zi = (zi + half[n] + ((zi & odd[n]) != 0)) & keep[n] if 0 <= n < span else _round(zi, prec)
         if zr & low or zi & low:
             raise _OffGrid(f"a {prec}-bit product has bits below the fixed-point grid 2^-{grid}; it is not rounded again")
         dx, dy = re[j] - (zr >> grid), im[j] - (zi >> grid)
@@ -925,11 +994,20 @@ def _gh_defect(t, re: list[int], im: list[int], g_pairs, h_pairs, precision_bits
         sq = dx * dx + dy * dy
         if sq > worst_sq:
             worst_sq, worst = sq, (dx, dy)
-    for i, j in h_pairs:
+    h_domain, h_images = h_map
+    at_re, at_im = re.__getitem__, im.__getitem__
+    # the h pairs whose move is not exact: real parts not exactly one apart, or imaginary parts apart
+    inexact = map(
+        or_,
+        map(one.__ne__, map(sub, map(at_re, h_domain), map(at_re, h_images))),
+        map(ne, map(at_im, h_domain), map(at_im, h_images)),
+    )
+    # a translated value is on the grid's scale; the tables have the same span
+    lo, half, odd, keep = _rounding_tables(prec, grid)
+    for i, j in itertools.compress(zip(h_domain, h_images), inexact):
         zr = re[i] - one
-        s = zr.bit_length() - prec
-        if s > 0:
-            zr = (zr + (1 << (s - 1)) - 1 + ((zr >> s) & 1)) >> s << s
+        n = zr.bit_length() - lo
+        zr = (zr + half[n] + ((zr & odd[n]) != 0)) & keep[n] if 0 <= n < span else _round(zr, prec)
         dx, dy = re[j] - zr, im[j] - im[i]
         s = dx.bit_length() - prec
         if s > 0:

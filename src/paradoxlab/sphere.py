@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product as _cartesian
 from math import gcd
 from typing import Mapping
@@ -549,6 +550,11 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
     slack = _distance_slack(points, prec)
     n = len(triples)
 
+    @cache
+    def gap_low(kb, k):
+        # slack is fixed for the call, so each pair of directions needs its gap once
+        return _gap_low(heights[kb], heights[k], slack, prec)
+
     def row(ia, min_low, end):
         """The pairs (ia, ib), ia < ib < end, that a latitude walk from point ia cannot rule out.
 
@@ -566,7 +572,7 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
         for r, step in ((rank[k], 1), (rank[k] - 1, -1)):
             while 0 <= r < n:
                 kb = by_latitude[r]
-                if min_low is not None and mpf_le(min_low, _gap_low(heights[kb], heights[k], slack, prec)):
+                if min_low is not None and mpf_le(min_low, gap_low(kb, k)):
                     break
                 # the points of direction kb past ia: layers j with j*n + kb > ia
                 for ib in range(kb + n * ((ia - kb) // n + 1), end, n):

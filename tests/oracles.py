@@ -7,10 +7,11 @@ the brute-force ball, the direct product of group tables, the
 frozenset route of finite action models (validation, images and the derived
 interior on point objects), the Fraction routes of the integer kernels
 (point-measure mass, the ergodic average with its piecewise-constant
-samples, and the additive map), and the sphere's interval geometry in
-mpmath's ``iv`` context.  Each is the slow, general route that a fast path
-in ``exactlin``, ``words``, ``measures``, ``paradox``, ``cauchy`` or
-``sphere`` must agree with.
+samples, and the additive map), the planar paradox's g/h isometry defect
+over every pair, and the sphere's interval geometry in mpmath's ``iv``
+context.  Each is the slow, general route that a fast path in ``exactlin``,
+``words``, ``measures``, ``paradox``, ``cauchy`` or ``sphere`` must agree
+with.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from mpmath import iv
+from mpmath.libmp import mpc_abs, round_nearest
 
 from paradoxlab.cauchy import HamelModel
 from paradoxlab.errors import DegenerateInputError, DomainError, InvariantViolationError, ModelError
 from paradoxlab.exactlin import DEFAULT_GENERATORS, Mat3, ProjectiveDirection, _scaled_axis, scaled_integer_form
 from paradoxlab.measures import GroupTable, PiecewiseConstant, PointMeasure, _frac
+from paradoxlab.paradox import _grid_bits, _OffGrid, _to_mpc
 from paradoxlab.words import (
     _CLASS_OF_LETTER,
     _INVERSES,
@@ -353,6 +356,59 @@ def ref_additive_eval(model: HamelModel, coords: Sequence) -> Fraction:
     if len(coords) != model.rank:
         raise DomainError(f"coordinate vector has length {len(coords)}, the model has rank {model.rank}")
     return sum((Fraction(c) * y for c, y in zip(coords, model.basis_images)), start=Fraction(0))
+
+
+# -- the planar paradox's isometry defect ---------------------------------------
+
+
+def gh_defect_all_pairs(t, re: list[int], im: list[int], g_pairs, h_pairs, precision_bits: int) -> tuple:
+    """paradox._gh_defect's value from every (i, j) pair of g and of h, each moved and compared in full.
+
+    g rotates by conj(t) with ``_mul``'s rounding and grid check written out,
+    h translates by -1, and each difference is rounded per component; the
+    pair with the largest dx^2 + dy^2 gives the defect.
+    """
+    prec, grid = precision_bits, _grid_bits(precision_bits)
+    a, b = t[0], -t[1]
+    one, low = 1 << grid, (1 << grid) - 1
+    worst_sq, worst = -1, (0, 0)
+    for i, j in g_pairs:
+        c, d = re[i], im[i]
+        zr, zi = a * c - b * d, a * d + b * c
+        s = zr.bit_length() - prec
+        if s > 0:
+            zr = (zr + (1 << (s - 1)) - 1 + ((zr >> s) & 1)) >> s << s
+        s = zi.bit_length() - prec
+        if s > 0:
+            zi = (zi + (1 << (s - 1)) - 1 + ((zi >> s) & 1)) >> s << s
+        if zr & low or zi & low:
+            raise _OffGrid(f"a {prec}-bit product has bits below the fixed-point grid 2^-{grid}; it is not rounded again")
+        dx, dy = re[j] - (zr >> grid), im[j] - (zi >> grid)
+        s = dx.bit_length() - prec
+        if s > 0:
+            dx = (dx + (1 << (s - 1)) - 1 + ((dx >> s) & 1)) >> s << s
+        s = dy.bit_length() - prec
+        if s > 0:
+            dy = (dy + (1 << (s - 1)) - 1 + ((dy >> s) & 1)) >> s << s
+        sq = dx * dx + dy * dy
+        if sq > worst_sq:
+            worst_sq, worst = sq, (dx, dy)
+    for i, j in h_pairs:
+        zr = re[i] - one
+        s = zr.bit_length() - prec
+        if s > 0:
+            zr = (zr + (1 << (s - 1)) - 1 + ((zr >> s) & 1)) >> s << s
+        dx, dy = re[j] - zr, im[j] - im[i]
+        s = dx.bit_length() - prec
+        if s > 0:
+            dx = (dx + (1 << (s - 1)) - 1 + ((dx >> s) & 1)) >> s << s
+        s = dy.bit_length() - prec
+        if s > 0:
+            dy = (dy + (1 << (s - 1)) - 1 + ((dy >> s) & 1)) >> s << s
+        sq = dx * dx + dy * dy
+        if sq > worst_sq:
+            worst_sq, worst = sq, (dx, dy)
+    return mpc_abs(_to_mpc(worst, grid), prec, round_nearest)
 
 
 # -- interval geometry in mpmath's iv context -----------------------------------

@@ -52,6 +52,7 @@ from paradoxlab.paradox import (
     _grid_bits,
     _mul,
     _round,
+    _rounding_tables,
     _separation_slack,
     _smp_index_maps,
     _smp_poly,
@@ -60,7 +61,7 @@ from paradoxlab.paradox import (
 )
 from paradoxlab.words import Letter, ReducedWord, ball, ball_size
 
-from oracles import apply, concat, ref_interior, word_matrix
+from oracles import apply, concat, gh_defect_all_pairs, ref_interior, word_matrix
 
 # -- models and witnesses ----------------------------------------------------
 
@@ -448,6 +449,37 @@ def test_round_breaks_ties_to_even():
     assert [_round(v, 3) for v in (18, 22, -18, -22, 19, -19, 17)] == [16, 24, -16, -24, 20, -20, 16]
 
 
+@st.composite
+def _in_the_tables(draw):
+    # (prec, scale, v) with v's bit length inside _rounding_tables(prec, scale): any such value, one of
+    # exactly prec bits (at scale prec, whose tables reach it), or a tie with an odd or even kept part
+    prec = draw(st.sampled_from([64, 128, 1024]))
+    kind = draw(st.sampled_from(["any", "prec bits", "tie"]))
+    scale = prec if kind == "prec bits" else draw(st.sampled_from([prec, 2 * prec, 4 * prec]))
+    lo, half, _, _ = _rounding_tables(prec, scale)
+    if kind == "prec bits":
+        n = prec
+    else:
+        n = draw(st.integers(min_value=max(lo, prec + 1) if kind == "tie" else lo, max_value=lo + len(half) - 1))
+    if kind == "tie":
+        s = n - prec
+        kept = 2 * draw(st.integers(min_value=0, max_value=(1 << (prec - 2)) - 1)) + draw(st.sampled_from([0, 1]))
+        magnitude = (((1 << (prec - 1)) | kept) << s) | (1 << (s - 1))
+    else:
+        magnitude = (1 << (n - 1)) | draw(st.integers(min_value=0, max_value=(1 << (n - 1)) - 1))
+    return prec, scale, -magnitude if draw(st.booleans()) else magnitude
+
+
+@given(_in_the_tables())
+def test_rounding_tables_round_as_round_does(case):
+    # the rounding plus and _gh_defect's loops write out, on the table entries
+    prec, scale, v = case
+    lo, half, odd, keep = _rounding_tables(prec, scale)
+    n = v.bit_length() - lo
+    assert 0 <= n < len(half)
+    assert (v + half[n] + ((v & odd[n]) != 0)) & keep[n] == _round(v, prec)
+
+
 def _normal_results(grid):
     # grid values whose floats are zero or normal (at least 2^-1000, below 2^20); 2048 is the grid of 1024 bits
     return st.integers(min_value=-(1 << (grid + 20)), max_value=1 << (grid + 20)).filter(
@@ -535,12 +567,46 @@ def test_gh_defect_argmax_matches_the_max_over_pairs(max_degree, max_coeff, bits
             kernel_t,
             re,
             im,
-            [(index[p], index[q]) for p, q in g_pairs],
-            [(index[p], index[q]) for p, q in h_pairs],
+            ([index[p] for p, _ in g_pairs], [index[q] for _, q in g_pairs]),
+            ([index[p] for p, _ in h_pairs], [index[q] for _, q in h_pairs]),
             bits,
         )
         == expected
     )
+
+
+@pytest.mark.parametrize("column", ["re", "im"])
+def test_gh_defect_sees_a_fault_on_an_exact_h_pair(column):
+    # Moving the image of an exactly translated h pair by one grid unit, on
+    # either part, makes that pair's defect 2^-grid; the exactness filter must
+    # still select it.
+    bits = 128
+    grid = _grid_bits(bits)
+    t, re, im = _embed_polys(4, 3, bits)
+    n_a, g_images, h_images = _smp_index_maps(4, 3)
+    h_domain = range(n_a, len(re))
+    exact = [(i, j) for i, j in zip(h_domain, h_images) if re[i] - re[j] == 1 << grid and im[i] == im[j]]
+    assert 0 < len(exact) < len(h_domain)
+    exact_map = ([i for i, _ in exact], [j for _, j in exact])
+    no_pairs = ([], [])
+    zero, unit = (mpc_abs(_to_mpc(z, grid), bits, round_nearest) for z in ((0, 0), (1, 0)))
+    assert _gh_defect(t, re, im, no_pairs, exact_map, bits) == gh_defect_all_pairs(t, re, im, [], exact, bits) == zero
+    _, j = exact[len(exact) // 2]
+    (re if column == "re" else im)[j] += 1
+    assert gh_defect_all_pairs(t, re, im, [], exact, bits) == unit
+    assert _gh_defect(t, re, im, no_pairs, exact_map, bits) == unit
+    # over both maps, the faulted columns give the oracle's defect
+    g_map, h_map = (range(n_a), g_images), (h_domain, h_images)
+    assert _gh_defect(t, re, im, g_map, h_map, bits) == gh_defect_all_pairs(t, re, im, zip(*g_map), zip(*h_map), bits)
+
+
+@pytest.mark.parametrize("max_degree,max_coeff,bits", [(4, 3, 128), (1, 200, 128), (3, 4, 64), (2, 15, 128)])
+def test_gh_defect_matches_the_all_pairs_oracle(max_degree, max_coeff, bits):
+    t, re, im = _embed_polys(max_degree, max_coeff, bits)
+    n_a, g_images, h_images = _smp_index_maps(max_degree, max_coeff)
+    g_map, h_map = (range(n_a), g_images), (range(n_a, len(re)), h_images)
+    for g, h in ((g_map, h_map), (g_map, ([], [])), (([], []), h_map)):
+        assert _gh_defect(t, re, im, g, h, bits) == gh_defect_all_pairs(t, re, im, zip(*g), zip(*h), bits)
 
 
 def _reference_closest_pair_sq(points):
@@ -585,6 +651,39 @@ def test_closest_pair_matches_the_reference_sweep_on_lattice_points(points):
     assert _closest_pair_sq(xs, ys) == _reference_closest_pair_sq(list(zip(xs, ys)))
 
 
+@pytest.mark.parametrize("max_degree,max_coeff,bits", [(1, 40, 128), (2, 15, 128), (1, 1, 64)])
+def test_closest_pair_matches_the_reference_sweep_on_lattice_shapes(max_degree, max_coeff, bits):
+    # few powers and many coefficients: the points form a skewed lattice with many near-equal distances
+    _, re, im = _embed_polys(max_degree, max_coeff, bits)
+    xs, ys = _to_floats(re, im, _grid_bits(bits))
+    assert _closest_pair_sq(xs, ys) == _reference_closest_pair_sq(list(zip(xs, ys)))
+
+
+def test_closest_pair_matches_the_reference_sweep_on_a_long_vertical_run():
+    # 200 points on x = 0.5 at y a permuted multiple of 1/4, so every neighbour on the line is 1/4
+    # away, with points off the line at 1/4 from two of them: the run must be visited by y, since
+    # visiting its first index (y = 12.5) first would meet (0.25, 12.5) before (0.25, 0)
+    line = [(0.5, ((k * 97 + 50) % 200) * 0.25) for k in range(200)]
+    points = [(0.0, 3.0), (0.25, 12.5), (1.0, 7.25)] + line + [(0.75, 20.0), (0.25, 0.0)]
+    xs, ys = array("d", [x for x, _ in points]), array("d", [y for _, y in points])
+    found = _closest_pair_sq(xs, ys)
+    assert found == _reference_closest_pair_sq(points) == (0.0625, (len(points) - 1, 3 + line.index((0.5, 0.0))))
+    # every fifth point of the line again: the first repeat met gives distance 0
+    points += [(0.5, k * 0.25) for k in range(0, 200, 5)]
+    xs, ys = array("d", [x for x, _ in points]), array("d", [y for _, y in points])
+    found = _closest_pair_sq(xs, ys)
+    assert found == _reference_closest_pair_sq(points) and found[0] == 0.0
+
+
+def test_closest_pair_matches_the_reference_sweep_with_duplicated_points():
+    # every point three times, in three orders: the distance is 0 and the first pair met names it
+    grid = [(x, y) for x in (0.0, 1.0, 2.5) for y in (-1.0, 0.75, 3.0)]
+    for points in (grid * 3, grid[::-1] + grid + grid[::2] + grid[1::2], sorted(grid * 3, key=lambda p: -p[1])):
+        xs, ys = array("d", [x for x, _ in points]), array("d", [y for _, y in points])
+        found = _closest_pair_sq(xs, ys)
+        assert found == _reference_closest_pair_sq(points) and found[0] == 0.0
+
+
 def test_rescale_with_low_bits_fails_closed():
     grid = _grid_bits(64)
     one = 1 << grid
@@ -603,17 +702,18 @@ def test_gh_defect_with_low_bits_fails_closed():
     one = 1 << grid
     # conj(2^-64) * 2^-64 lies on the grid 2^-128, and the defect is |0 - 2^-128|
     t, re, im = (1 << (grid - 64), 0), [1 << (grid - 64), 0], [0, 0]
-    assert _gh_defect(t, re, im, [(0, 1)], [], 64) == mpc_abs(_to_mpc((1, 0), grid), 64, round_nearest)
+    pair, none = ([0], [1]), ([], [])
+    assert _gh_defect(t, re, im, pair, none, 64) == mpc_abs(_to_mpc((1, 0), grid), 64, round_nearest)
     # conj(2^-65) * 2^-65 = 2^-130 does not, on either component
     with pytest.raises(_OffGrid, match=r"below the fixed-point grid 2\^-128"):
-        _gh_defect((1 << (grid - 65), 0), [1 << (grid - 65), 0], [0, 0], [(0, 1)], [], 64)
+        _gh_defect((1 << (grid - 65), 0), [1 << (grid - 65), 0], [0, 0], pair, none, 64)
     with pytest.raises(_OffGrid, match=r"below the fixed-point grid 2\^-128"):
-        _gh_defect((1 << (grid - 65), 0), [0, 0], [1 << (grid - 65), 0], [(0, 1)], [], 64)
+        _gh_defect((1 << (grid - 65), 0), [0, 0], [1 << (grid - 65), 0], pair, none, 64)
     # conj(1 + 3*2^-128 i) * (2^-128 i) has real part 3*2^-256
     with pytest.raises(_OffGrid):
-        _gh_defect((one, 3), [0, 0], [1, 0], [(0, 1)], [], 64)
+        _gh_defect((one, 3), [0, 0], [1, 0], pair, none, 64)
     # the h side only translates by -1, which stays on the grid
-    assert _gh_defect((one, 3), [0, -one], [1, 1], [], [(0, 1)], 64) == mpc_abs(_to_mpc((0, 0), grid), 64, round_nearest)
+    assert _gh_defect((one, 3), [0, -one], [1, 1], none, pair, 64) == mpc_abs(_to_mpc((0, 0), grid), 64, round_nearest)
 
 
 def test_smp_verify_fails_closed_off_the_grid(monkeypatch):
