@@ -464,9 +464,9 @@ def _prefix_class_witness(
 # ---------------------------------------------------------------------------
 
 #: Hard cap on the planar paradox's (max_coeff+1)^(max_degree+1) points; at the cap, ``smp_verify``
-#: takes 10.0 s and 268 MiB peak RSS at (19, 1), 8.1 s and 214 MiB at (9, 3), 9.1 s and 181 MiB at
-#: (1, 1023) and 6.4 s and 185 MiB at (4, 15), one run each in a fresh process on a 2-vCPU VM: time
-#: bounds it.  The cap holds at and below the default precision; above it, ``smp_verify`` scales it by
+#: takes 8.7-10.5 s and 268 MiB peak RSS at (19, 1), 8.9-9.8 s and 214 MiB at (9, 3), 8.3-8.8 s and
+#: 181 MiB at (1, 1023) and 7.0-8.1 s and 185 MiB at (4, 15), two runs each in a fresh process on a
+#: 2-vCPU VM: time bounds it.  The cap holds at and below the default precision; above it, ``smp_verify`` scales it by
 #: DEFAULT_PRECISION_BITS / bits, since at 1024 bits a point adds about 670 B to the peak RSS, not the
 #: 185 B it adds at 128 (at (7, 3), same VM).
 SMP_POINT_CAP = 2**20
@@ -636,7 +636,7 @@ def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[
     round independently, so each column is built on its own.  Rounding is to
     nearest, as in mpmath's default context; only t itself comes from libmp.
     Each sum rounds by the tables of :func:`_rounding_tables` at the grid's
-    scale, two constants per bit length in place of _round's shifts; a sum
+    scale, constants per bit length in place of _round's shifts; a sum
     outside the tables rounds by :func:`_round` itself.
     """
     prec, grid = precision_bits, _grid_bits(precision_bits)

@@ -677,8 +677,9 @@ def test_closest_pair_matches_the_reference_sweep_on_a_long_vertical_run():
 
 def test_closest_pair_matches_the_reference_sweep_with_duplicated_points():
     # every point three times, in three orders: the distance is 0 and the first pair met names it
-    grid = [(x, y) for x in (0.0, 1.0, 2.5) for y in (-1.0, 0.75, 3.0)]
-    for points in (grid * 3, grid[::-1] + grid + grid[::2] + grid[1::2], sorted(grid * 3, key=lambda p: -p[1])):
+    lattice = [(x, y) for x in (0.0, 1.0, 2.5) for y in (-1.0, 0.75, 3.0)]
+    orders = (lattice * 3, lattice[::-1] + lattice + lattice[::2] + lattice[1::2], sorted(lattice * 3, key=lambda p: -p[1]))
+    for points in orders:
         xs, ys = array("d", [x for x, _ in points]), array("d", [y for _, y in points])
         found = _closest_pair_sq(xs, ys)
         assert found == _reference_closest_pair_sq(points) and found[0] == 0.0
