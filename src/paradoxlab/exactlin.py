@@ -103,11 +103,12 @@ def _matmul_ints(a: IntMat, b: IntMat) -> IntMat:
 _INT_IDENTITY: IntMat = (1, 0, 0, 0, 1, 0, 0, 0, 1)
 
 
-def ball_matrices(depth: int) -> Iterator[tuple[tuple[int, ...], IntMat, int]]:
+def ball_matrices(depth: int) -> Iterator[tuple[bytes, IntMat, int]]:
     """Yield (letters, d*eval(word) as integers, d) over ball(depth) in length-lex order.
 
-    ``letters`` is the word's raw letter tuple from :func:`words.ball_levels`:
-    plain ints 0-3, which :class:`words.Letter` names.
+    ``letters`` is the word's raw letter string from :func:`words.ball_levels`:
+    ``bytes`` of the ints 0-3, which :class:`words.Letter` names; indexing
+    and iteration give plain ints.
     Each word's matrix is its parent's times the scaled generator of its last
     letter, so the whole ball costs one 3x3 multiply per word, and
     d = 7^len(word).  The parent of a one-letter word is the identity, and

@@ -32,10 +32,10 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key, reduce
+from functools import cached_property, reduce
 from operator import eq, ne, or_, sub
 from types import MappingProxyType
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from mpmath.libmp import (
     fone,
@@ -57,7 +57,7 @@ from .errors import DomainError, InvariantViolationError, ModelError, Preconditi
 from .freeness import FreenessCertificate, verify_certificate
 from .report import Finding
 from .sphere import DEFAULT_PRECISION_BITS, MAX_PRECISION_BITS, MIN_PRECISION_BITS, SEPARATION_RESOLUTION
-from .words import Letter, ReducedWord, ball, ball_size
+from .words import _FIRST, Letter, ReducedWord, ball, ball_size
 from .exactlin import SCALED_GENERATORS, ball_matrices
 
 Point = Hashable
@@ -425,7 +425,7 @@ def f2_ball_model(depth: int) -> tuple[FiniteActionModel, frozenset, ParadoxWitn
         for w in space:
             # x.(x^-1 u) = u cancels; any other x.w is x prepended to w.
             letters = w.letters
-            moved = word_of.get(letters[1:] if letters and letters[0] == inverse else (letter,) + letters)
+            moved = word_of.get(letters[1:] if letters and letters[0] == inverse else _FIRST[letter] + letters)
             if moved is not None:
                 action[w] = moved
         maps[letter.symbol] = action
@@ -435,7 +435,7 @@ def f2_ball_model(depth: int) -> tuple[FiniteActionModel, frozenset, ParadoxWitn
 
 
 def _prefix_class_witness(
-    points: Iterable[tuple[tuple[int, ...], Point]], depth: int
+    points: Iterable[tuple[bytes, Point]], depth: int
 ) -> tuple[ParadoxWitness, frozenset]:
     """The four prefix-class pieces with movers e, a, e, b, and the interior ball(depth - 1).
 
@@ -910,20 +910,18 @@ def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
     def dist(z, w):
         return mpc_abs(mpc_sub(z, w, prec, rnd), prec, rnd)
 
-    defects = [_gh_defect(t, re, im, g_map, h_map, prec)]
+    defect = _gh_defect(t, re, im, g_map, h_map, prec)
 
-    # rotation preserves sampled pairwise distances
+    # rotation preserves sampled pairwise distances: each sampled point is
+    # converted and rotated once, and consecutive points are compared
     lib_t_inv = _to_mpc((t[0], -t[1]), grid)
-
-    def rotate(z):
-        return mpc_mul(lib_t_inv, z, prec, rnd)
-
     step = max(1, len(re) // 257)
-    sample = [_to_mpc(z, grid) for z in zip(re[::step], im[::step])]
-    defects += [
-        mpf_abs(mpf_sub(dist(rotate(u), rotate(v)), dist(u, v), prec, rnd), prec, rnd) for u, v in zip(sample, sample[1:])
-    ]
-    defect = max(defects, key=cmp_to_key(mpf_cmp))
+    sample = (_to_mpc(z, grid) for z in zip(itertools.islice(re, 0, None, step), itertools.islice(im, 0, None, step)))
+    turned = ((z, mpc_mul(lib_t_inv, z, prec, rnd)) for z in sample)
+    for (u, ru), (v, rv) in itertools.pairwise(turned):
+        d = mpf_abs(mpf_sub(dist(ru, rv), dist(u, v), prec, rnd), prec, rnd)
+        if mpf_cmp(d, defect) > 0:
+            defect = d
     tol = from_man_exp(1, 24 - precision_bits)
     isometry_ok = mpf_cmp(defect, tol) <= 0
     isometries = Finding("isometries", isometry_ok, f"max defect {to_str(defect, 6)} vs tolerance {to_str(tol, 6)}")
@@ -941,6 +939,18 @@ def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
         "separation", separated, f"min pairwise distance {min_distance:.6g} between {pair[0]} and {pair[1]}"
     )
     return [separation, isometries], min_distance, pair, to_float(defect, rnd=rnd)
+
+
+def _entries(column: list[int], indices: Sequence[int]) -> Iterator[int]:
+    """column[i] for each i of ``indices``, in order.
+
+    A range inside the column is read by one ``islice``, which neither copies
+    the column nor boxes an index per entry; any other sequence is indexed
+    entry by entry.
+    """
+    if type(indices) is range and indices.step > 0 and 0 <= indices.start and indices.stop <= len(column):
+        return itertools.islice(column, indices.start, indices.stop, indices.step)
+    return map(column.__getitem__, indices)
 
 
 def _gh_defect(t, re: list[int], im: list[int], g_map, h_map, precision_bits: int) -> tuple:
@@ -995,12 +1005,11 @@ def _gh_defect(t, re: list[int], im: list[int], g_map, h_map, precision_bits: in
         if sq > worst_sq:
             worst_sq, worst = sq, (dx, dy)
     h_domain, h_images = h_map
-    at_re, at_im = re.__getitem__, im.__getitem__
     # the h pairs whose move is not exact: real parts not exactly one apart, or imaginary parts apart
     inexact = map(
         or_,
-        map(one.__ne__, map(sub, map(at_re, h_domain), map(at_re, h_images))),
-        map(ne, map(at_im, h_domain), map(at_im, h_images)),
+        map(one.__ne__, map(sub, _entries(re, h_domain), _entries(re, h_images))),
+        map(ne, _entries(im, h_domain), _entries(im, h_images)),
     )
     # a translated value is on the grid's scale; the tables have the same span
     lo, half, odd, keep = _rounding_tables(prec, grid)
@@ -1059,7 +1068,7 @@ def orbit_transport(depth: int, certificate: FreenessCertificate) -> OrbitTransp
 
     # word_at takes each point to its word; it is also the collision check.
     scale = 7**depth
-    word_at: dict[Point, tuple[int, ...]] = {}
+    word_at: dict[Point, bytes] = {}
     for letters, ints, den in ball_matrices(depth):
         factor = scale // den
         p = (

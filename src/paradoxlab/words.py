@@ -3,9 +3,10 @@
 Words live in the free group on {a, b}.  A word is *reduced* when no letter
 stands next to its inverse.  Enumeration is length-lexicographic with letter
 order a < b < a^-1 < b^-1 so that reports and "first counterexample" claims
-are deterministic.  A word stores its letters as the plain ints 0-3, which
-:class:`Letter` names; a tuple of ints is left alone by the cyclic garbage
-collector, where one of IntEnum members is tracked and rescanned.
+are deterministic.  A word stores its letters as a ``bytes`` object of the
+ints 0-3, which :class:`Letter` names: indexing and iteration give plain
+ints, the cyclic garbage collector never tracks a ``bytes`` object, and a
+word of length 10 takes 43 bytes where a tuple of ints takes 120.
 
 The headline check, :func:`verify_f2_paradox`, confirms at a finite depth the
 two covering identities
@@ -17,10 +18,11 @@ W(a) is a.(a^-1 h), where a^-1 h is h with a^-1 prepended, in W(a^-1); so the
 verifier proves, by induction on the parent contract, that every word is reduced.
 
 One enumerator, :func:`ball_levels`, yields the ball one length at a time
-as lists of raw letter tuples, extending each word by the successor table
-``_NEXT``.  Every word of length >= 1 has exactly three successors, so word
-i of a level of length >= 2 extends word i // 3 of the level before; callers
-that carry a value per word index their parent's value this way.
+as lists of raw letter strings (``bytes``), extending each word by the
+successor table ``_NEXT``.  Every word of length >= 1 has exactly three
+successors, so word i of a level of length >= 2 extends word i // 3 of the
+level before; callers that carry a value per word index their parent's
+value this way.
 :func:`ball` wraps the words and :func:`verify_f2_paradox` checks them, each
 in one loop over the levels with no call per word, and
 :func:`exactlin.ball_matrices` carries each word's matrix from its parent's.
@@ -91,18 +93,19 @@ _CLASS_OF_LETTER = (PrefixClass.W_A, PrefixClass.W_B, PrefixClass.W_A_INV, Prefi
 
 @dataclass(frozen=True, slots=True)
 class ReducedWord:
-    """An immutable reduced word; the empty tuple is the identity.
+    """An immutable reduced word; the empty string of letters is the identity.
 
-    Public construction validates and stores the letters as plain ints (a
-    value outside 0-3 raises ValueError).  Code that builds a word reduced by
+    Public construction takes any iterable of the ints 0-3 (:class:`Letter`
+    members included), validates it and stores it as ``bytes`` (a value
+    outside 0-3 raises ValueError).  Code that builds a word reduced by
     construction, from the letters of :func:`ball_levels`, uses
     :func:`_reduced`, which skips the check.
     """
 
-    letters: tuple[int, ...] = ()  # plain ints 0-3, named by Letter
+    letters: bytes = b""  # the ints 0-3, named by Letter
 
     def __post_init__(self) -> None:
-        ls = tuple(map(_ALPHABET.index, self.letters))
+        ls = bytes(map(_ALPHABET.index, self.letters))
         _set_letters(self, ls)
         for i in range(len(ls) - 1):
             if ls[i] == _INVERSES[ls[i + 1]]:
@@ -131,10 +134,10 @@ class ReducedWord:
 _set_letters = ReducedWord.__dict__["letters"].__set__
 
 
-def _reduced(letters: tuple[int, ...]) -> ReducedWord:
-    """Wrap letters the caller knows are reduced, without re-validating them."""
+def _reduced(letters: Iterable[int]) -> ReducedWord:
+    """Wrap letters the caller knows are reduced, without re-validating them; ``bytes`` is stored as it is."""
     w = object.__new__(ReducedWord)
-    _set_letters(w, letters)
+    _set_letters(w, bytes(letters))
     return w
 
 
@@ -146,17 +149,17 @@ def reduce(letters: Iterable[int]) -> ReducedWord:
             stack.pop()
         else:
             stack.append(letter)
-    return ReducedWord(tuple(stack))
+    return ReducedWord(stack)
 
 
 _ALPHABET = (0, 1, 2, 3)
 
 #: The one-letter words, in letter order: the successors of the identity.
-_FIRST = tuple((x,) for x in _ALPHABET)
+_FIRST = tuple(bytes((x,)) for x in _ALPHABET)
 
-#: Successor suffixes, indexed by a word's last letter: the one-letter tuples
+#: Successor suffixes, indexed by a word's last letter: the one-letter words
 #: of every letter but its inverse, in letter order.
-_NEXT = tuple(tuple((y,) for y in _ALPHABET if y != _INVERSES[x]) for x in _ALPHABET)
+_NEXT = tuple(tuple(bytes((y,)) for y in _ALPHABET if y != _INVERSES[x]) for x in _ALPHABET)
 
 
 def check_ball_radius(n: int) -> None:
@@ -167,15 +170,16 @@ def check_ball_radius(n: int) -> None:
         raise ResourceLimitError(f"ball({n}) exceeds the configured cap {BALL_CAP}")
 
 
-def ball_levels(n: int) -> Iterator[Iterable[tuple[int, ...]]]:
+def ball_levels(n: int) -> Iterator[Iterable[bytes]]:
     """Yield ball(n) one length at a time, 0 to n, each in length-lexicographic order.
 
-    Every length below n comes as a list of letter tuples, built from the
+    Every length below n comes as a list of letter strings, built from the
     one before by extending each word with the suffixes ``_NEXT`` allows
     after its last letter; length n is streamed from length n - 1 and never
     stored.  The radius is checked by :func:`check_ball_radius` on the first
-    ``next``.  A suffix never inverts the last letter, so every tuple is
-    reduced by construction.
+    ``next``.  A suffix never inverts the last letter, so every word is
+    reduced by construction.  A word is ``bytes`` of the ints 0-3: indexing
+    and iteration give plain ints, and the collector never tracks it.
 
     Parent contract: length 1 is the four one-letter words, each extending
     the identity, and for k >= 2 word i of length k is word i // 3 of
@@ -183,7 +187,7 @@ def ball_levels(n: int) -> Iterator[Iterable[tuple[int, ...]]]:
     it to find each word's parent matrix.
     """
     check_ball_radius(n)
-    level: Iterable[tuple[int, ...]] = [()]
+    level: Iterable[bytes] = [b""]
     for k in range(n):
         level = list(level)
         yield level
@@ -194,7 +198,7 @@ def ball_levels(n: int) -> Iterator[Iterable[tuple[int, ...]]]:
 def ball(n: int) -> tuple[ReducedWord, ...]:
     """All reduced words of length <= n, in length-lexicographic order.
 
-    The letter tuples come from :func:`ball_levels`; the words are allocated
+    The letter strings come from :func:`ball_levels`; the words are allocated
     and their slots filled by two C-level maps, with no Python call per word.
     """
     letters = list(chain.from_iterable(ball_levels(n)))
@@ -229,13 +233,15 @@ class SplitCheck:
 
 #: The two-letter endings whose last letter cancels the one before.  Built from
 #: the inverses alone, so that it checks the successor table ``_NEXT``.
-_CANCELLING = frozenset((x, _INVERSES[x]) for x in _ALPHABET)
+_CANCELLING = frozenset(bytes((x, _INVERSES[x])) for x in _ALPHABET)
 
 
-def _show(letters: tuple[int, ...] | None) -> str:
-    """Quote a word for a message in the symbols a, b, A, B; anything else is shown raw."""
-    if letters is None or any(x not in _ALPHABET for x in letters):
-        return repr(letters)
+def _show(letters: bytes | None) -> str:
+    """Quote a word for a message in the symbols a, b, A, B; anything else is shown as a tuple of ints."""
+    if letters is None:
+        return "None"
+    if any(x not in _ALPHABET for x in letters):
+        return repr(tuple(letters))
     return repr("".join(["abAB"[x] for x in letters]))
 
 
@@ -284,7 +290,7 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     levels = ball_levels(depth)
     counts[4] = checked = len(next(levels))  # the identity, the one word of length 0
     check_size(0, checked)
-    parents = repeat(())
+    parents = repeat(b"")
     k = 0
     for k, level in enumerate(levels, 1):
         before = checked

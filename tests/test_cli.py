@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ from paradoxlab import cauchy, cli, exactlin, measures, paradox, sphere
 from paradoxlab.errors import InconclusiveError, InvariantViolationError
 from paradoxlab.words import Letter, ReducedWord
 
-from conftest import run_cli
+from conftest import REPO_ROOT, run_cli
 
 
 def _shift_input(tmp_path, max_len=4):
@@ -559,14 +560,17 @@ def test_demo_report_bytes_are_pinned(argv, digest):
     assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
+# Recorded with the other exact-layer pins.
+SHIFT_CONTRADICTION_DIGEST = "8d7c9e2bafbc752507dcba94f881814426182c71cee0a8efbfdb91512bc6b685"
+
+
 def test_paradox_contradiction_report_bytes_are_pinned(tmp_path, monkeypatch):
-    # Recorded with the other exact-layer pins.  The input path is a report
-    # parameter, so run from its directory.
+    # The input path is a report parameter, so run from its directory.
     path = _shift_input(tmp_path)
     monkeypatch.chdir(tmp_path)
     result = run_cli("paradox", "contradiction", "--input", path.name, "--seed", "1")
     assert result.code == 0
-    assert hashlib.sha256(result.stdout).hexdigest() == "8d7c9e2bafbc752507dcba94f881814426182c71cee0a8efbfdb91512bc6b685"
+    assert hashlib.sha256(result.stdout).hexdigest() == SHIFT_CONTRADICTION_DIGEST
 
 
 
@@ -615,6 +619,62 @@ def test_seeded_demo_is_deterministic():
     first = run_cli("measures", "demo", "--which", "induced-measure", "--seed", "9")
     second = run_cli("measures", "demo", "--which", "induced-measure", "--seed", "9")
     assert first.stdout == second.stdout
+
+
+# -- the same bytes under every hash seed ----------------------------------------
+#
+# A word's letters are bytes, whose hash is salted per process where a tuple
+# of ints hashes the same everywhere, so a set of words iterates in another
+# order under each PYTHONHASHSEED.  No report may depend on that order.
+
+#: The pinned sha256 of each run's report, from the pins above.
+HASH_SEED_DIGESTS = {
+    **dict(EXACT_LAYER_DIGESTS),
+    **{("sphere", "absorb", *args): digest for args, digest in SPHERE_ABSORB_DIGESTS},
+    ("paradox", "contradiction", "--input", "shift.json"): SHIFT_CONTRADICTION_DIGEST,
+}
+
+
+def _run_under_hash_seed(args, hash_seed, cwd):
+    pythonpath = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": str(hash_seed)}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, cwd=cwd, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+HASH_SEED_ARGVS = [
+    ("words", "verify", "--depth", "8"),
+    ("freeness", "exhaustive", "--depth", "8"),
+    ("freeness", "certify"),
+    ("sphere", "fixed-points", "--depth", "5"),
+    ("sphere", "absorb", "--depth", "2", "--iters", "5"),
+    ("paradox", "contradiction", "--input", "shift.json"),
+]
+
+
+@pytest.mark.parametrize("argv", HASH_SEED_ARGVS, ids=[" ".join(a[:2]) for a in HASH_SEED_ARGVS])
+def test_reports_are_the_same_under_every_hash_seed(tmp_path, argv):
+    _shift_input(tmp_path)  # shift.json, read by the contradiction run
+    args = ("-m", "paradoxlab", *argv, "--seed", "1")
+    outputs = {_run_under_hash_seed(args, hash_seed, tmp_path) for hash_seed in (1, 2)}
+    assert len(outputs) == 1
+    assert hashlib.sha256(outputs.pop()).hexdigest() == HASH_SEED_DIGESTS[argv]
+
+
+def test_the_chain_on_the_depth_5_ball_is_the_same_under_every_hash_seed(tmp_path):
+    # f2_ball_model's point set is a frozenset of words, which numbers the
+    # chain's bitsets; the report must not show that numbering.
+    script = (
+        "from paradoxlab import measures, paradox\n"
+        "model, space, witness, interior = paradox.f2_ball_model(5)\n"
+        "nu = measures.PointMeasure.uniform(space)\n"
+        "print(repr(measures.paradox_contradiction(model, space, witness, nu, False, interior=interior)), end='')\n"
+    )
+    outputs = {_run_under_hash_seed(("-c", script), hash_seed, tmp_path) for hash_seed in (1, 2)}
+    assert len(outputs) == 1
+    uniform_not_invariant = next(d for at, invariant, d in CHAIN_REPORT_DIGESTS if at is None and not invariant)
+    assert hashlib.sha256(outputs.pop()).hexdigest() == uniform_not_invariant
 
 
 def test_timing_flag_fills_timing_ms(report_schema):

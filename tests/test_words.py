@@ -115,14 +115,14 @@ def test_ball_is_length_lex_ordered():
 
 
 def test_ball_levels_match_the_walk_and_the_brute_force_ball():
-    assert [list(level) for level in ball_levels(0)] == [[()]]
+    assert [list(level) for level in ball_levels(0)] == [[b""]]
     for n in range(9):
         levels = [list(level) for level in ball_levels(n)]
         assert [len(level) for level in levels] == [1] + [4 * 3 ** (k - 1) for k in range(1, n + 1)]
         assert all(len(w) == k for k, level in enumerate(levels) for w in level)
         # Fan-out contract ball_matrices relies on: the parent of word i is word i // 3.
         if n:
-            assert levels[1] == [(x,) for x in Letter]
+            assert levels[1] == [bytes((x,)) for x in Letter]
         for k in range(2, n + 1):
             assert all(w[:-1] == levels[k - 1][i // 3] for i, w in enumerate(levels[k]))
         flat = [ReducedWord(w) for level in levels for w in level]
@@ -136,21 +136,21 @@ def test_ball_words_are_plain_reduced_words():
         assert w == rebuilt and hash(w) == hash(rebuilt)
 
 
-# -- plain-int letters ---------------------------------------------------------
+# -- letters as bytes ----------------------------------------------------------
 
 
 def test_stored_letters_are_plain_ints():
     # Letter members compare and hash as their ints, so a word means the same
-    # either way; plain ints are what the words store.
-    tuples = [w for level in ball_levels(6) for w in level]
-    tuples += [w.letters for w in ball(6)]
-    tuples += [letters for letters, _, _ in ball_matrices(5)]
-    assert all(type(x) is int for letters in tuples for x in letters)
+    # either way; bytes of plain ints are what the words store.
+    strings = [w for level in ball_levels(6) for w in level]
+    strings += [w.letters for w in ball(6)]
+    strings += [letters for letters, _, _ in ball_matrices(5)]
+    assert all(type(letters) is bytes for letters in strings)
+    assert all(type(x) is int for letters in strings for x in letters)
 
 
-def test_ball_letter_tuples_are_untracked_by_the_collector():
-    # CPython-specific: the collector untracks a tuple of atomic members such
-    # as ints, but never one holding IntEnum members.
+def test_ball_letters_are_untracked_by_the_collector():
+    # CPython-specific: the collector never tracks a bytes object.
     words = ball(6)
     gc.collect()
     assert not any(gc.is_tracked(w.letters) for w in words)
@@ -158,7 +158,7 @@ def test_ball_letter_tuples_are_untracked_by_the_collector():
 
 def test_public_construction_normalises_to_plain_ints():
     for w in (ReducedWord((Letter.A, Letter.B)), ReducedWord.from_string("abAB"), reduce([Letter.B, Letter.A_INV])):
-        assert w.letters and all(type(x) is int for x in w.letters)
+        assert type(w.letters) is bytes and w.letters and all(type(x) is int for x in w.letters)
     assert ReducedWord((Letter.A, Letter.B)) == ReducedWord((0, 1))
     assert str(ReducedWord((0, 1, 2, 3))) == "abAB"
     for bad in ((4,), (0, -1)):
@@ -223,6 +223,23 @@ def test_verify_f2_paradox_depth_3():
     assert not report.partition_violations
     assert report.split_a.checked == 53
     assert report.split_b.checked == 53
+
+
+#: Bound on the tracemalloc peak of ball(9), in bytes per word: the words
+#: and their letters.  With the letters as bytes it is about 100 B per word
+#: with Python 3.11; as tuples of ints it was about 166.
+BALL_PEAK_BYTES_PER_WORD = 120
+
+
+def test_ball_peak_memory_per_word():
+    tracemalloc.start()
+    try:
+        words = ball(9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 39_365
+    assert peak / len(words) < BALL_PEAK_BYTES_PER_WORD
 
 
 #: Bound on the tracemalloc peak of verify_f2_paradox(9), in bytes per word.
@@ -337,7 +354,7 @@ def test_corrupted_splits_match_the_word_object_route(cover, piece, mover):
 
 def test_verify_catches_a_successor_table_that_lets_a_letter_meet_its_inverse(monkeypatch):
     # a may be followed by a^-1 in place of b^-1: three successors, as before.
-    monkeypatch.setattr(words, "_NEXT", (((0,), (1,), (2,)),) + words._NEXT[1:])
+    monkeypatch.setattr(words, "_NEXT", ((b"\x00", b"\x01", b"\x02"),) + words._NEXT[1:])
     report = verify_f2_paradox(3)
     assert not report.passed and not report.partition_violations
     assert report.split_b.violations[:2] == ("'aA' is not reduced at its last letter", "'aaA' is not reduced at its last letter")
@@ -347,9 +364,9 @@ def test_verify_catches_a_successor_table_that_lets_a_letter_meet_its_inverse(mo
 
 # A letter outside 0-3, at the depth where it first appears.
 BAD_LETTERS = [
-    ("_FIRST", ((0,), (1,), (2,), (4,)), 1, "(4,)"),
-    ("_NEXT", (((0,), (1,), (4,)),) + words._NEXT[1:], 2, "(0, 4)"),
-    ("_NEXT", (((0,), (1,), (-1,)),) + words._NEXT[1:], 2, "(0, -1)"),
+    ("_FIRST", (b"\x00", b"\x01", b"\x02", b"\x04"), 1, "(4,)"),
+    ("_NEXT", ((b"\x00", b"\x01", b"\x04"),) + words._NEXT[1:], 2, "(0, 4)"),
+    ("_NEXT", ((b"\x00", b"\x01", b"\xff"),) + words._NEXT[1:], 2, "(0, 255)"),
 ]
 
 
