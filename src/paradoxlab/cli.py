@@ -248,8 +248,7 @@ def _demo_density(seed: int):
         pts = frozenset(rng.randrange(-5, n + 5) for _ in range(rng.randrange(0, 2 * n + 1)))
         w = measures.DensityWindow(n, pts)
         worst = max(worst, measures.shift_defect(w) * n)
-    # shift_defect raises on a defect above 2/n, so n*defect <= 2 holds here.
-    findings.append(Finding("defect_bound", True, f"max n*defect = {worst}"))
+    findings.append(Finding("defect_bound", worst <= 2, f"max n*defect = {worst}"))
     details = {
         "evens": str(measures.density_measure(evens)),
         "block_defect": str(measures.shift_defect(block)),
@@ -286,14 +285,16 @@ def _demo_ergodic(seed: int):
     findings.append(Finding("constant_function", one == (Fraction(1), Fraction(0))))
 
     rng = Random(seed)
+    bounded = True
     for _ in range(200):
         alpha = Fraction(rng.randrange(-30, 31), rng.randrange(1, 12))
         x0 = Fraction(rng.randrange(0, 12), 12)
         cuts = sorted({Fraction(rng.randrange(0, 24), 24) for _ in range(rng.randrange(1, 4))} | {Fraction(0)})
         f = measures.PiecewiseConstant.of(cuts, [Fraction(rng.randrange(-5, 6)) for _ in cuts])
-        measures.ergodic_average(alpha, x0, f, rng.randrange(1, 50))
-    # ergodic_average raises on a defect above 2 sup|f| / n.
-    findings.append(Finding("defect_bound", True, "200 random runs"))
+        n = rng.randrange(1, 50)
+        _, run_defect = measures.ergodic_average(alpha, x0, f, n)
+        bounded = bounded and run_defect * n <= 2 * max(abs(v) for v in f.values)
+    findings.append(Finding("defect_bound", bounded, "200 random runs"))
     details = {"third_orbit": [str(value), str(defect)]}
     return findings, details
 

@@ -553,25 +553,25 @@ def _round(v: int, prec: int) -> int:
     return (v + (1 << (s - 1)) - 1 + ((v >> s) & 1)) >> s << s
 
 
-#: The rounding tables cover values of modulus 2^-32 up to 2^32 on their scale.
+#: The rounding tables cover grid values of modulus 2^-32 up to 2^32.
 ROUNDING_TABLE_BITS = 32
 
 
-def _rounding_tables(prec: int, scale: int) -> tuple[int, list[int], list[int], list[int]]:
-    """:func:`_round`'s constants at prec bits, by bit length, for v = x * 2^scale with 2^-32 <= |x| < 2^32.
+def _rounding_tables(prec: int) -> tuple[int, list[int], list[int], list[int]]:
+    """:func:`_round`'s constants at prec bits, by bit length, for grid values v = x * 2^F with 2^-32 <= |x| < 2^32.
 
-    Returns (lo, half, odd, keep), indexed by n - lo for the bit lengths
-    n = v.bit_length() from lo = scale - 31 up to scale + 32.  With
-    s = n - prec > 0, half = 2^(s-1) - 1, odd = 2^s and keep = -2^s, so
-    ``(v + half + ((v & odd) != 0)) & keep`` is ``_round(v, prec)``: v & 2^s
-    tests q's low bit as (v >> s) & 1 does, and & -2^s clears the s low bits
-    as >> s << s does, both in two's complement.  For n <= prec the entries
-    are 0, 0 and -1, which leave v unchanged.  A value outside the tables
-    rounds by :func:`_round` itself.  Entries for every bit length up to a
-    product's 2*grid bits would hold about 2 MB of constants at 1024 bits.
+    F is :func:`_grid_bits`'s.  Returns (lo, half, odd, keep), indexed by
+    n - lo for the bit lengths n = v.bit_length() from lo = F - 31 up to
+    F + 32.  With s = n - prec > 0, half = 2^(s-1) - 1, odd = 2^s and
+    keep = -2^s, so ``(v + half + ((v & odd) != 0)) & keep`` is
+    ``_round(v, prec)``: v & 2^s tests q's low bit as (v >> s) & 1 does, and
+    & -2^s clears the s low bits as _round's two shifts do, both in two's
+    complement.  For n <= prec the entries are 0, 0 and -1, which leave v
+    unchanged.  A value outside the tables rounds by :func:`_round` itself.
     """
-    lo = scale - ROUNDING_TABLE_BITS + 1
-    shifts = range(lo - prec, scale + ROUNDING_TABLE_BITS + 1 - prec)
+    grid = _grid_bits(prec)
+    lo = grid - ROUNDING_TABLE_BITS + 1
+    shifts = range(lo - prec, grid + ROUNDING_TABLE_BITS + 1 - prec)
     half = [(1 << (s - 1)) - 1 if s > 0 else 0 for s in shifts]
     odd = [1 << s if s > 0 else 0 for s in shifts]
     keep = [-(1 << s) if s > 0 else -1 for s in shifts]
@@ -635,14 +635,14 @@ def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[
     every value is bit-identical to that route.  The two parts of a sum
     round independently, so each column is built on its own.  Rounding is to
     nearest, as in mpmath's default context; only t itself comes from libmp.
-    Each sum rounds by the tables of :func:`_rounding_tables` at the grid's
-    scale, constants per bit length in place of _round's shifts; a sum
-    outside the tables rounds by :func:`_round` itself.
+    Each sum rounds by the tables of :func:`_rounding_tables`, constants per
+    bit length in place of _round's shifts, which this column of many sums
+    repays; a sum outside the tables rounds by :func:`_round` itself.
     """
     prec, grid = precision_bits, _grid_bits(precision_bits)
     base = max_coeff + 1
     t = tuple(_from_mpf(x, grid) for x in mpc_exp((fzero, fone), prec, round_nearest))
-    lo, half, odd, keep = _rounding_tables(prec, grid)
+    lo, half, odd, keep = _rounding_tables(prec)
     span = len(half)
 
     def plus(column: list[int], term: int) -> list[int]:
@@ -957,14 +957,12 @@ def _gh_defect(t, re: list[int], im: list[int], g_map, h_map, precision_bits: in
     """max |z_j - moved z_i| over the index pairs (i, j) of g and h, as libmp's mpc_abs of mpc_sub would give it.
 
     g_map and h_map are each (domain, images), two index sequences paired in
-    order.  g rotates by t^-1 = conj(t), as :func:`_mul` multiplies, and h
-    translates by -1, both on the grid.  The difference is rounded per
-    component as mpc_sub rounds it, and mpf_hypot is monotone in the exact
-    squared modulus, so one mpc_abs of the difference with the largest
-    dx^2 + dy^2 is the largest defect.  The products and the translation
-    round by the tables of :func:`_rounding_tables`; the differences, nearly
-    always shorter than prec bits, keep :func:`_round`'s early exit written
-    out.
+    order.  g rotates by t^-1 = conj(t) through :func:`_mul`, which fails
+    closed on a product off the grid, and h translates by -1.  The
+    translation and each component of the difference round by
+    :func:`_round`, as mpc_sub_mpf and mpc_sub round them, and mpf_hypot is
+    monotone in the exact squared modulus, so one mpc_abs of the difference
+    with the largest dx^2 + dy^2 is the largest defect.
 
     An h pair whose move is exact has defect 0, so it is skipped.  Every
     column value is a sum rounded to prec bits, as :func:`_embed_polys`
@@ -979,28 +977,11 @@ def _gh_defect(t, re: list[int], im: list[int], g_map, h_map, precision_bits: in
     skipped pair or of no pair at all.
     """
     prec, grid = precision_bits, _grid_bits(precision_bits)
-    a, b = t[0], -t[1]
-    one, low = 1 << grid, (1 << grid) - 1
+    t_inv, one = (t[0], -t[1]), 1 << grid
     worst_sq, worst = 0, (0, 0)
-    # a product of two grid values is on the scale 2^-2F
-    lo, half, odd, keep = _rounding_tables(prec, 2 * grid)
-    span = len(half)
     for i, j in zip(*g_map):
-        c, d = re[i], im[i]
-        zr, zi = a * c - b * d, a * d + b * c
-        n = zr.bit_length() - lo
-        zr = (zr + half[n] + ((zr & odd[n]) != 0)) & keep[n] if 0 <= n < span else _round(zr, prec)
-        n = zi.bit_length() - lo
-        zi = (zi + half[n] + ((zi & odd[n]) != 0)) & keep[n] if 0 <= n < span else _round(zi, prec)
-        if zr & low or zi & low:
-            raise _OffGrid(f"a {prec}-bit product has bits below the fixed-point grid 2^-{grid}; it is not rounded again")
-        dx, dy = re[j] - (zr >> grid), im[j] - (zi >> grid)
-        s = dx.bit_length() - prec
-        if s > 0:
-            dx = (dx + (1 << (s - 1)) - 1 + ((dx >> s) & 1)) >> s << s
-        s = dy.bit_length() - prec
-        if s > 0:
-            dy = (dy + (1 << (s - 1)) - 1 + ((dy >> s) & 1)) >> s << s
+        zr, zi = _mul(t_inv, (re[i], im[i]), prec, grid)
+        dx, dy = _round(re[j] - zr, prec), _round(im[j] - zi, prec)
         sq = dx * dx + dy * dy
         if sq > worst_sq:
             worst_sq, worst = sq, (dx, dy)
@@ -1011,19 +992,8 @@ def _gh_defect(t, re: list[int], im: list[int], g_map, h_map, precision_bits: in
         map(one.__ne__, map(sub, _entries(re, h_domain), _entries(re, h_images))),
         map(ne, _entries(im, h_domain), _entries(im, h_images)),
     )
-    # a translated value is on the grid's scale; the tables have the same span
-    lo, half, odd, keep = _rounding_tables(prec, grid)
     for i, j in itertools.compress(zip(h_domain, h_images), inexact):
-        zr = re[i] - one
-        n = zr.bit_length() - lo
-        zr = (zr + half[n] + ((zr & odd[n]) != 0)) & keep[n] if 0 <= n < span else _round(zr, prec)
-        dx, dy = re[j] - zr, im[j] - im[i]
-        s = dx.bit_length() - prec
-        if s > 0:
-            dx = (dx + (1 << (s - 1)) - 1 + ((dx >> s) & 1)) >> s << s
-        s = dy.bit_length() - prec
-        if s > 0:
-            dy = (dy + (1 << (s - 1)) - 1 + ((dy >> s) & 1)) >> s << s
+        dx, dy = _round(re[j] - _round(re[i] - one, prec), prec), _round(im[j] - im[i], prec)
         sq = dx * dx + dy * dy
         if sq > worst_sq:
             worst_sq, worst = sq, (dx, dy)

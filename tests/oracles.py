@@ -24,13 +24,13 @@ from math import gcd, lcm
 from typing import Iterator, Sequence
 
 from mpmath import iv
-from mpmath.libmp import mpc_abs, round_nearest
+from mpmath.libmp import fone, fzero, mpc_abs, mpc_mul, mpc_sub, mpc_sub_mpf, mpf_cmp, round_nearest
 
 from paradoxlab.cauchy import HamelModel
 from paradoxlab.errors import DegenerateInputError, DomainError, InvariantViolationError, ModelError
 from paradoxlab.exactlin import DEFAULT_GENERATORS, Mat3, ProjectiveDirection, _scaled_axis, scaled_integer_form
 from paradoxlab.measures import GroupTable, PiecewiseConstant, PointMeasure, _frac
-from paradoxlab.paradox import _grid_bits, _OffGrid, _to_mpc
+from paradoxlab.paradox import _grid_bits, _to_mpc
 from paradoxlab.words import (
     _CLASS_OF_LETTER,
     _INVERSES,
@@ -362,53 +362,27 @@ def ref_additive_eval(model: HamelModel, coords: Sequence) -> Fraction:
 
 
 def gh_defect_all_pairs(t, re: list[int], im: list[int], g_pairs, h_pairs, precision_bits: int) -> tuple:
-    """paradox._gh_defect's value from every (i, j) pair of g and of h, each moved and compared in full.
+    """paradox._gh_defect's value from every (i, j) pair of g and of h, each moved and compared on libmp.
 
-    g rotates by conj(t) with ``_mul``'s rounding and grid check written out,
-    h translates by -1, and each difference is rounded per component; the
-    pair with the largest dx^2 + dy^2 gives the defect.
+    Each grid point is converted exactly by ``_to_mpc``.  g multiplies by
+    conj(t) with mpc_mul, h subtracts one with mpc_sub_mpf, and each pair's
+    defect is mpc_abs of mpc_sub, all at prec bits with round_nearest; the
+    largest defect by mpf_cmp is the value.  No pair gives 0.
     """
-    prec, grid = precision_bits, _grid_bits(precision_bits)
-    a, b = t[0], -t[1]
-    one, low = 1 << grid, (1 << grid) - 1
-    worst_sq, worst = -1, (0, 0)
-    for i, j in g_pairs:
-        c, d = re[i], im[i]
-        zr, zi = a * c - b * d, a * d + b * c
-        s = zr.bit_length() - prec
-        if s > 0:
-            zr = (zr + (1 << (s - 1)) - 1 + ((zr >> s) & 1)) >> s << s
-        s = zi.bit_length() - prec
-        if s > 0:
-            zi = (zi + (1 << (s - 1)) - 1 + ((zi >> s) & 1)) >> s << s
-        if zr & low or zi & low:
-            raise _OffGrid(f"a {prec}-bit product has bits below the fixed-point grid 2^-{grid}; it is not rounded again")
-        dx, dy = re[j] - (zr >> grid), im[j] - (zi >> grid)
-        s = dx.bit_length() - prec
-        if s > 0:
-            dx = (dx + (1 << (s - 1)) - 1 + ((dx >> s) & 1)) >> s << s
-        s = dy.bit_length() - prec
-        if s > 0:
-            dy = (dy + (1 << (s - 1)) - 1 + ((dy >> s) & 1)) >> s << s
-        sq = dx * dx + dy * dy
-        if sq > worst_sq:
-            worst_sq, worst = sq, (dx, dy)
-    for i, j in h_pairs:
-        zr = re[i] - one
-        s = zr.bit_length() - prec
-        if s > 0:
-            zr = (zr + (1 << (s - 1)) - 1 + ((zr >> s) & 1)) >> s << s
-        dx, dy = re[j] - zr, im[j] - im[i]
-        s = dx.bit_length() - prec
-        if s > 0:
-            dx = (dx + (1 << (s - 1)) - 1 + ((dx >> s) & 1)) >> s << s
-        s = dy.bit_length() - prec
-        if s > 0:
-            dy = (dy + (1 << (s - 1)) - 1 + ((dy >> s) & 1)) >> s << s
-        sq = dx * dx + dy * dy
-        if sq > worst_sq:
-            worst_sq, worst = sq, (dx, dy)
-    return mpc_abs(_to_mpc(worst, grid), prec, round_nearest)
+    prec, rnd, grid = precision_bits, round_nearest, _grid_bits(precision_bits)
+
+    def point(i):
+        return _to_mpc((re[i], im[i]), grid)
+
+    t_inv = _to_mpc((t[0], -t[1]), grid)
+    moved = [(mpc_mul(point(i), t_inv, prec, rnd), point(j)) for i, j in g_pairs]
+    moved += [(mpc_sub_mpf(point(i), fone, prec, rnd), point(j)) for i, j in h_pairs]
+    worst = fzero
+    for z, w in moved:
+        d = mpc_abs(mpc_sub(w, z, prec, rnd), prec, rnd)
+        if mpf_cmp(d, worst) > 0:
+            worst = d
+    return worst
 
 
 # -- interval geometry in mpmath's iv context -----------------------------------

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -158,7 +159,7 @@ def test_fixed_points_recheck_catches_a_reversed_matrix_product(monkeypatch):
 
 
 def test_a_broken_demo_bound_gives_a_fail_report(monkeypatch, report_schema):
-    # The demo leaves the bound to the library, so a broken bound is the library's raise.
+    # ergodic_average raises on a defect above its bound, and the report names the raise.
     def broken(*args):
         raise InvariantViolationError("invariance defect 1 exceeds 2 sup|f| / 3")
 
@@ -171,6 +172,33 @@ def test_a_broken_demo_bound_gives_a_fail_report(monkeypatch, report_schema):
     assert report["details"]["findings"] == [
         {"name": "InvariantViolationError", "ok": False, "detail": "invariance defect 1 exceeds 2 sup|f| / 3"}
     ]
+
+
+def _defect_bound(result):
+    [finding] = [f for f in result.report["details"]["findings"] if f["name"] == "defect_bound"]
+    return finding["ok"]
+
+
+def test_density_defect_bound_fails_on_a_defect_above_it(monkeypatch):
+    # A shift defect of 3/n returned without a raise is above the 2/n bound.
+    monkeypatch.setattr(measures, "shift_defect", lambda w: Fraction(3, w.n))
+    result = run_cli("measures", "demo", "--which", "density")
+    assert result.code == 1
+    assert _defect_bound(result) is False
+
+
+def test_ergodic_defect_bound_fails_on_a_defect_above_it(monkeypatch):
+    # An invariance defect of (2 sup|f| + 1) / n returned without a raise is above the 2 sup|f| / n bound.
+    real = measures.ergodic_average
+
+    def unbounded(alpha, x0, f, n):
+        value, _ = real(alpha, x0, f, n)
+        return value, (2 * max(abs(v) for v in f.values) + 1) / n
+
+    monkeypatch.setattr(measures, "ergodic_average", unbounded)
+    result = run_cli("measures", "demo", "--which", "ergodic")
+    assert result.code == 1
+    assert _defect_bound(result) is False
 
 
 # -- usage errors ------------------------------------------------------------

@@ -451,32 +451,28 @@ def test_round_breaks_ties_to_even():
 
 @st.composite
 def _in_the_tables(draw):
-    # (prec, scale, v) with v's bit length inside _rounding_tables(prec, scale): any such value, one of
-    # exactly prec bits (at scale prec, whose tables reach it), or a tie with an odd or even kept part
+    # (prec, v) with v's bit length inside _rounding_tables(prec), which spans grid values: any such
+    # value, or a tie with an odd or even kept part.  At the grid of 2*prec bits every entry is longer
+    # than prec bits.
     prec = draw(st.sampled_from([64, 128, 1024]))
-    kind = draw(st.sampled_from(["any", "prec bits", "tie"]))
-    scale = prec if kind == "prec bits" else draw(st.sampled_from([prec, 2 * prec, 4 * prec]))
-    lo, half, _, _ = _rounding_tables(prec, scale)
-    if kind == "prec bits":
-        n = prec
-    else:
-        n = draw(st.integers(min_value=max(lo, prec + 1) if kind == "tie" else lo, max_value=lo + len(half) - 1))
-    if kind == "tie":
+    lo, half, _, _ = _rounding_tables(prec)
+    n = draw(st.integers(min_value=lo, max_value=lo + len(half) - 1))
+    if draw(st.booleans()):
         s = n - prec
         kept = 2 * draw(st.integers(min_value=0, max_value=(1 << (prec - 2)) - 1)) + draw(st.sampled_from([0, 1]))
         magnitude = (((1 << (prec - 1)) | kept) << s) | (1 << (s - 1))
     else:
         magnitude = (1 << (n - 1)) | draw(st.integers(min_value=0, max_value=(1 << (n - 1)) - 1))
-    return prec, scale, -magnitude if draw(st.booleans()) else magnitude
+    return prec, -magnitude if draw(st.booleans()) else magnitude
 
 
 @given(_in_the_tables())
 def test_rounding_tables_round_as_round_does(case):
-    # the rounding plus and _gh_defect's loops write out, on the table entries
-    prec, scale, v = case
-    lo, half, odd, keep = _rounding_tables(prec, scale)
+    # the rounding _embed_polys's plus writes out, on the table entries
+    prec, v = case
+    lo, half, odd, keep = _rounding_tables(prec)
     n = v.bit_length() - lo
-    assert 0 <= n < len(half)
+    assert prec < lo and 0 <= n < len(half)
     assert (v + half[n] + ((v & odd[n]) != 0)) & keep[n] == _round(v, prec)
 
 
@@ -609,6 +605,27 @@ def test_gh_defect_matches_the_all_pairs_oracle(max_degree, max_coeff, bits):
         assert _gh_defect(t, re, im, g, h, bits) == gh_defect_all_pairs(t, re, im, zip(*g), zip(*h), bits)
 
 
+def test_gh_defect_rounds_a_difference_wider_than_prec_bits():
+    # With t = 1 at 64 bits, g leaves point 0 where it is and h moves it by -1; point 1 then lies
+    # (dx, dy) grid units away, 70 bits each.  Rounded to 64 bits, dx rises to 2^69 + 64 and dy, a
+    # tie with an odd kept part, to 2^69 + 512.  Leaving either part unrounded changes the defect.
+    bits = 64
+    grid = _grid_bits(bits)
+    one = 1 << grid
+    dx, dy = (1 << 69) + 33, (1 << 69) + 480
+    rounded = (_round(dx, bits), _round(dy, bits))
+    assert rounded == ((1 << 69) + 64, (1 << 69) + 512)
+    expected, *unrounded = (
+        mpc_abs(_to_mpc(z, grid), bits, round_nearest) for z in (rounded, (dx, rounded[1]), (rounded[0], dy))
+    )
+    assert expected not in unrounded
+    pair, none = (range(0, 1), range(1, 2)), ([], [])
+    for g, h, re in ((pair, none, [0, dx]), (none, pair, [one, dx])):
+        im = [0, dy]
+        defect = _gh_defect((one, 0), re, im, g, h, bits)
+        assert defect == gh_defect_all_pairs((one, 0), re, im, zip(*g), zip(*h), bits) == expected
+
+
 def _reference_closest_pair_sq(points):
     # the sweep as it was before it sorted (x, y, i) tuples once and kept sqrt(best)
     order = sorted(range(len(points)), key=lambda i: points[i])
@@ -698,7 +715,7 @@ def test_rescale_with_low_bits_fails_closed():
 
 
 def test_gh_defect_with_low_bits_fails_closed():
-    # _gh_defect rotates by conj(t) with _mul's check written out; point 0 moves onto point 1
+    # _gh_defect rotates by conj(t) through _mul, which checks the grid; point 0 moves onto point 1
     grid = _grid_bits(64)
     one = 1 << grid
     # conj(2^-64) * 2^-64 lies on the grid 2^-128, and the defect is |0 - 2^-128|
