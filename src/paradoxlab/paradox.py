@@ -508,15 +508,8 @@ def enumerate_polys(max_degree: int, max_coeff: int) -> tuple[tuple[int, ...], .
     Padded coefficient tuples map one-to-one onto stripped polynomials, so
     this yields (max_coeff+1)^(max_degree+1) distinct elements, in
     ``itertools.product`` order with the constant term most significant.
-    Past :data:`SMP_POINT_CAP` points it raises ResourceLimitError before
-    enumerating anything.
+    It checks no size: :func:`smp_verify` checks its point cap first.
     """
-    # Any base >= 2 overshoots the cap at an exponent of its bit length, so
-    # clamping the exponent there keeps the verdict and skips a huge power.
-    if (max_coeff + 1) ** min(max_degree + 1, SMP_POINT_CAP.bit_length()) > SMP_POINT_CAP:
-        raise ResourceLimitError(
-            f"{max_coeff + 1}^{max_degree + 1} polynomials exceed the configured cap {SMP_POINT_CAP}"
-        )
     polys = []
     for t in itertools.product(range(max_coeff + 1), repeat=max_degree + 1):
         n = len(t)
@@ -553,29 +546,22 @@ def _round(v: int, prec: int) -> int:
     return (v + (1 << (s - 1)) - 1 + ((v >> s) & 1)) >> s << s
 
 
-#: The rounding tables cover grid values of modulus 2^-32 up to 2^32.
-ROUNDING_TABLE_BITS = 32
+def _rounding_tables(prec: int, top: int) -> tuple[list[int], list[int], list[int]]:
+    """:func:`_round`'s constants at prec bits, by bit length, for every int of bit length 0 to ``top``.
 
-
-def _rounding_tables(prec: int) -> tuple[int, list[int], list[int], list[int]]:
-    """:func:`_round`'s constants at prec bits, by bit length, for grid values v = x * 2^F with 2^-32 <= |x| < 2^32.
-
-    F is :func:`_grid_bits`'s.  Returns (lo, half, odd, keep), indexed by
-    n - lo for the bit lengths n = v.bit_length() from lo = F - 31 up to
-    F + 32.  With s = n - prec > 0, half = 2^(s-1) - 1, odd = 2^s and
-    keep = -2^s, so ``(v + half + ((v & odd) != 0)) & keep`` is
-    ``_round(v, prec)``: v & 2^s tests q's low bit as (v >> s) & 1 does, and
-    & -2^s clears the s low bits as _round's two shifts do, both in two's
-    complement.  For n <= prec the entries are 0, 0 and -1, which leave v
-    unchanged.  A value outside the tables rounds by :func:`_round` itself.
+    Returns (half, odd, keep), indexed by n = v.bit_length().  With
+    s = n - prec > 0, half = 2^(s-1) - 1, odd = 2^s and keep = -2^s, so
+    ``(v + half[n] + ((v & odd[n]) != 0)) & keep[n]`` is ``_round(v, prec)``:
+    v & 2^s tests q's low bit as (v >> s) & 1 does, and & -2^s clears the s
+    low bits as _round's two shifts do, both in two's complement.  For
+    n <= prec the entries are 0, 0 and -1, which leave v unchanged.  A value
+    longer than ``top`` bits has no entry and raises IndexError.
     """
-    grid = _grid_bits(prec)
-    lo = grid - ROUNDING_TABLE_BITS + 1
-    shifts = range(lo - prec, grid + ROUNDING_TABLE_BITS + 1 - prec)
+    shifts = range(-prec, top + 1 - prec)
     half = [(1 << (s - 1)) - 1 if s > 0 else 0 for s in shifts]
     odd = [1 << s if s > 0 else 0 for s in shifts]
     keep = [-(1 << s) if s > 0 else -1 for s in shifts]
-    return lo, half, odd, keep
+    return half, odd, keep
 
 
 def _mul(z: tuple[int, int], w: tuple[int, int], prec: int, grid: int) -> tuple[int, int]:
@@ -637,21 +623,22 @@ def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[
     nearest, as in mpmath's default context; only t itself comes from libmp.
     Each sum rounds by the tables of :func:`_rounding_tables`, constants per
     bit length in place of _round's shifts, which this column of many sums
-    repays; a sum outside the tables rounds by :func:`_round` itself.
+    repays.  |t^k| = 1, so every sum has modulus at most
+    m = max_coeff*(max_degree+1) up to its roundings, below (m+1) * 2^F on
+    the grid: the tables span every bit length up to that bound.
     """
     prec, grid = precision_bits, _grid_bits(precision_bits)
     base = max_coeff + 1
     t = tuple(_from_mpf(x, grid) for x in mpc_exp((fzero, fone), prec, round_nearest))
-    lo, half, odd, keep = _rounding_tables(prec)
-    span = len(half)
+    half, odd, keep = _rounding_tables(prec, grid + (max_coeff * (max_degree + 1) + 1).bit_length())
 
     def plus(column: list[int], term: int) -> list[int]:
         # _round(z + term, prec) for each z, by the tables
         return [
-            (v + half[n] + ((v & odd[n]) != 0)) & keep[n] if 0 <= n < span else _round(v, prec)
+            (v + half[n] + ((v & odd[n]) != 0)) & keep[n]
             for z in column
             for v in (z + term,)
-            for n in (v.bit_length() - lo,)
+            for n in (v.bit_length(),)
         ]
 
     power = (1 << grid, 0)
@@ -832,8 +819,9 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
     if not MIN_PRECISION_BITS <= precision_bits <= MAX_PRECISION_BITS:
         raise ValueError(f"precision_bits must be in {MIN_PRECISION_BITS}..{MAX_PRECISION_BITS}")
     # A point's grid ints grow with the bits, so above the default precision
-    # the cap shrinks in proportion; below it, enumerate_polys's cap holds.
-    # The exponent is clamped as in enumerate_polys.
+    # the cap shrinks in proportion; below it, SMP_POINT_CAP holds.  Any base
+    # >= 2 overshoots the cap at an exponent of its bit length, so clamping
+    # the exponent there keeps the verdict and skips a huge power.
     cap = SMP_POINT_CAP * DEFAULT_PRECISION_BITS // max(precision_bits, DEFAULT_PRECISION_BITS)
     if (max_coeff + 1) ** min(max_degree + 1, cap.bit_length()) > cap:
         raise ResourceLimitError(

@@ -9,10 +9,10 @@ off itself: the iterates g(C), g^2(C), ... stay disjoint from C, which is the
 finite shadow of the absorption argument that trades the sphere for the
 sphere minus C.
 
-Exact data (integer axes, rational or exact-binary angles) stays exact for
-as long as possible.  Unit vectors and trigonometry appear only inside
-interval computations, so every reported margin is a true lower bound for
-the rotation by the exact stored angle.  An interval is a raw libmpi
+Exact data (integer axes, rational angles) stays exact for as long as
+possible.  Unit vectors and trigonometry appear only inside interval
+computations, so every reported margin is a true lower bound for the
+rotation by the exact stored angle.  An interval is a raw libmpi
 endpoint pair (lo, hi) at a precision passed explicitly; the kernel makes
 the libmpi calls mpmath's ``iv`` context would make, so its endpoints are
 the ones ``iv`` gives, and the ``iv`` forms are now the tests' reference.
@@ -28,14 +28,15 @@ from itertools import product as _cartesian
 from math import gcd
 from typing import Mapping
 
-import mpmath
 from mpmath.libmp import (
     from_float,
     from_int,
     fzero,
+    mpf_div,
     mpf_gt,
     mpf_le,
     mpf_lt,
+    mpf_pi,
     mpf_sub,
     mpi_add,
     mpi_cos_sin,
@@ -46,7 +47,10 @@ from mpmath.libmp import (
     mpi_sub,
     round_ceiling,
     round_floor,
+    round_nearest,
     round_up,
+    to_float,
+    to_str,
 )
 from mpmath.libmp.libmpi import mpi_square
 
@@ -177,9 +181,7 @@ def _int(n: int, prec: int):
 
 
 def _number(x, prec: int):
-    """Embed an angle as a (near-)point interval: an mpf unrounded, as ``iv`` keeps it, any other exact number by its Fraction."""
-    if hasattr(x, "_mpf_"):
-        return x._mpf_, x._mpf_
+    """Embed an exact angle as a (near-)point interval: numerator over denominator, each rounded outward."""
     x = Fraction(x)
     return mpi_div(_int(x.numerator, prec), _int(x.denominator, prec), prec)
 
@@ -284,18 +286,18 @@ def _shrink_lower(value: float) -> float:
 class AbsorbingRotation:
     """A rotation certified to keep iterates of a finite direction set apart.
 
-    ``angle`` is an exact value in radians: a Fraction from the search, or an
-    mpf when constructed deliberately (e.g. a bad angle for the control
-    experiment).  The certificate applies to the stored value itself, not to
-    a nearby ideal angle.  ``margin`` is a certified lower bound on every
-    distance inspected up to ``depth_checked`` powers, rounded down.
-    find_absorbing_rotation only returns instances with margin > 0; the
-    constructor tolerates margin 0 so corrupted rotations can be fed back
-    into absorb_demo.
+    ``angle`` is an exact value in radians: a Fraction from the search, or a
+    dyadic Fraction when constructed deliberately (the control's pi, see
+    corrupted_rotation).  The certificate applies to the stored value
+    itself, not to a nearby ideal angle.  ``margin`` is a certified lower
+    bound on every distance inspected up to ``depth_checked`` powers,
+    rounded down.  find_absorbing_rotation only returns instances with
+    margin > 0; the constructor tolerates margin 0 so corrupted rotations
+    can be fed back into absorb_demo.
     """
 
     axis: ProjectiveDirection
-    angle: Fraction | mpmath.mpf
+    angle: Fraction
     depth_checked: int
     margin: float
     precision_bits: int
@@ -307,19 +309,17 @@ class AbsorbingRotation:
             raise ValueError("precision_bits must be positive")
 
     def angle_decimal(self) -> str:
+        """The angle in decimal, divided out at max(precision_bits, 53) bits, to nearest."""
         digits = max(17, int(self.precision_bits * 0.302) + 1)
-        with mpmath.workprec(max(self.precision_bits, 53)):
-            if isinstance(self.angle, Fraction):
-                x = mpmath.mpf(self.angle.numerator) / self.angle.denominator
-            else:
-                x = mpmath.mpf(self.angle)
-            return mpmath.nstr(x, digits)
+        prec = max(self.precision_bits, 53)
+        numerator = from_int(self.angle.numerator, prec, round_nearest)
+        return to_str(mpf_div(numerator, from_int(self.angle.denominator), prec, round_nearest), digits)
 
     def to_json(self) -> dict:
         return {
             "axis": list(self.axis.as_tuple()),
             "angle": self.angle_decimal(),
-            "angle_exact": str(self.angle) if isinstance(self.angle, Fraction) else None,
+            "angle_exact": str(self.angle),
             "depth_checked": self.depth_checked,
             "margin": self.margin,
             "precision_bits": self.precision_bits,
@@ -410,7 +410,7 @@ def certify_margin(
                     if mpf_lt(low, min_low):
                         min_low = low
                     b += step
-    return _shrink_lower(math.sqrt(float(mpmath.mpf(min_low))))
+    return _shrink_lower(math.sqrt(to_float(min_low, rnd=round_nearest)))
 
 
 def find_absorbing_rotation(
@@ -600,7 +600,7 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
             unresolved = (labels[ia], labels[max(touching)])
         if collision is not None:
             break
-    separation = 0.0 if min_low is None else _shrink_lower(math.sqrt(float(mpmath.mpf(min_low))))
+    separation = 0.0 if min_low is None else _shrink_lower(math.sqrt(to_float(min_low, rnd=round_nearest)))
 
     if collision is not None:
         outcome = "fail"
@@ -631,7 +631,8 @@ def corrupted_rotation(p, q) -> AbsorbingRotation:
     The half turn about the bisector swaps the two unit vectors whenever the
     integer representatives have equal length and are not parallel.  Feed the
     result to absorb_demo and the first two layers must collide; the demo
-    catching it is the control.  The angle is pi at CONTROL_PRECISION_BITS.
+    catching it is the control.  The angle is pi rounded to nearest at
+    CONTROL_PRECISION_BITS, held exactly as a dyadic Fraction.
     """
     tp, tq = tuple(int(c) for c in p), tuple(int(c) for c in q)
     bisector = tuple(a + b for a, b in zip(tp, tq))
@@ -646,11 +647,10 @@ def corrupted_rotation(p, q) -> AbsorbingRotation:
         raise DegenerateInputError("parallel pair: both points lie on the bisector axis")
     if sum(a * a for a in tp) != sum(a * a for a in tq):
         raise DomainError("integer representatives must have equal length")
-    with mpmath.workprec(CONTROL_PRECISION_BITS):
-        theta = +mpmath.pi
+    _, man, exp, _ = mpf_pi(CONTROL_PRECISION_BITS, round_nearest)
     return AbsorbingRotation(
         axis=ProjectiveDirection.canonical(*bisector),
-        angle=theta,
+        angle=Fraction(man, 1 << -exp),
         depth_checked=0,
         margin=0.0,
         precision_bits=CONTROL_PRECISION_BITS,

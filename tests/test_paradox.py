@@ -287,9 +287,9 @@ def test_smp_point_cap_is_checked_before_enumerating(monkeypatch):
         smp_verify(5, 2, 128)
     with pytest.raises(ResourceLimitError):
         smp_verify(4, 3, 128)
-    # The exponent alone rules this out; 2^(10^9) is never computed.
+    # The clamped exponent alone rules this out; 2^(10^9) is never computed.
     with pytest.raises(ResourceLimitError):
-        enumerate_polys(10**9, 1)
+        smp_verify(10**9, 1, 128)
 
 
 #: Bound on the tracemalloc peak of smp_verify(6, 3), in bytes per point.  The
@@ -408,7 +408,8 @@ def _kernel_embedding(max_degree, max_coeff, bits):
     return _to_mpc(t, grid), [_to_mpc(z, grid) for z in zip(re, im)]
 
 
-# (4, 3, 1024) runs on grid 2048; (2, 15, 128) has wide coefficients
+# (4, 3, 1024) runs on grid 2048; (2, 15, 128) has wide coefficients; (1, 200, 128)'s widest
+# column value is as long as _embed_polys's rounding tables reach, 265 bits
 @pytest.mark.parametrize(
     "max_degree,max_coeff,bits", [(3, 2, 64), (4, 4, 128), (5, 2, 256), (1, 200, 128), (4, 3, 1024), (2, 15, 128)]
 )
@@ -451,28 +452,29 @@ def test_round_breaks_ties_to_even():
 
 @st.composite
 def _in_the_tables(draw):
-    # (prec, v) with v's bit length inside _rounding_tables(prec), which spans grid values: any such
-    # value, or a tie with an odd or even kept part.  At the grid of 2*prec bits every entry is longer
-    # than prec bits.
+    # (prec, top, v) with v of any bit length from 0 to top, tops past the grid of 2*prec bits as
+    # _embed_polys's are: any such value, or, past prec bits, a tie with an odd or even kept part.
     prec = draw(st.sampled_from([64, 128, 1024]))
-    lo, half, _, _ = _rounding_tables(prec)
-    n = draw(st.integers(min_value=lo, max_value=lo + len(half) - 1))
-    if draw(st.booleans()):
+    top = 2 * prec + draw(st.integers(min_value=1, max_value=40))
+    n = draw(st.integers(min_value=0, max_value=top))
+    if n > prec and draw(st.booleans()):
         s = n - prec
         kept = 2 * draw(st.integers(min_value=0, max_value=(1 << (prec - 2)) - 1)) + draw(st.sampled_from([0, 1]))
         magnitude = (((1 << (prec - 1)) | kept) << s) | (1 << (s - 1))
-    else:
+    elif n:
         magnitude = (1 << (n - 1)) | draw(st.integers(min_value=0, max_value=(1 << (n - 1)) - 1))
-    return prec, -magnitude if draw(st.booleans()) else magnitude
+    else:
+        magnitude = 0
+    return prec, top, -magnitude if draw(st.booleans()) else magnitude
 
 
 @given(_in_the_tables())
 def test_rounding_tables_round_as_round_does(case):
-    # the rounding _embed_polys's plus writes out, on the table entries
-    prec, v = case
-    lo, half, odd, keep = _rounding_tables(prec)
-    n = v.bit_length() - lo
-    assert prec < lo and 0 <= n < len(half)
+    # the rounding _embed_polys's plus writes out, on every table entry
+    prec, top, v = case
+    half, odd, keep = _rounding_tables(prec, top)
+    assert len(half) == len(odd) == len(keep) == top + 1
+    n = v.bit_length()
     assert (v + half[n] + ((v & odd[n]) != 0)) & keep[n] == _round(v, prec)
 
 

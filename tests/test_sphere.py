@@ -199,7 +199,7 @@ _angles_st = st.one_of(
     st.integers(-8, 8),
     st.sampled_from(ANGLE_CANDIDATES),
     st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**80)),
-    st.just(corrupted_rotation((2, 1, 0), (0, 1, 2)).angle),  # the control's mpf pi
+    st.just(corrupted_rotation((2, 1, 0), (0, 1, 2)).angle),  # the control's dyadic pi
 )
 
 
@@ -342,8 +342,9 @@ def test_absorb_demo_reports_an_unresolved_pair():
 def test_bad_angle_for_generator_axes_is_pi():
     # The control transports about P + Q, so it is a half turn.
     theta = corrupted_rotation((2, 1, 0), (0, 1, 2)).angle
+    assert type(theta) is Fraction and theta.denominator & (theta.denominator - 1) == 0
     with mpmath.workprec(256):
-        assert abs(theta - mpmath.pi) < mpmath.mpf(2) ** -250
+        assert abs(mpmath.mpf(theta.numerator) / theta.denominator - mpmath.pi) < mpmath.mpf(2) ** -250
 
 
 def test_bad_angle_rejects_degenerate_pairs():
@@ -373,7 +374,22 @@ def test_corrupted_rotation_axis_and_bookkeeping():
         corrupted_rotation((2, 1, 0), (-2, -1, 0))
     data = bad.to_json()
     assert data["angle"].startswith("3.14159265358979323846")
-    assert data["angle_exact"] is None
+    assert data["angle_exact"] == str(bad.angle)
+
+
+def test_absorbing_rotations_never_enter_an_mpmath_context(monkeypatch):
+    # Every angle is an exact Fraction, so nothing sets mpmath's global precision.
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath.workprec was entered")
+
+    monkeypatch.setattr(mpmath, "workprec", refuse)
+    C = fixed_directions(2)
+    g = find_absorbing_rotation(C, 3, 128)
+    assert g.to_json()["angle_exact"] == "1"
+    assert absorb_demo(C, g, 3).outcome == "pass"
+    bad = corrupted_rotation((2, 1, 0), (0, 1, 2))
+    assert bad.to_json()["angle"].startswith("3.14159265358979323846")
+    assert absorb_demo(C, bad, 2).outcome == "fail"
 
 
 # -- the latitude sweep against the all-pairs route ---------------------------
