@@ -143,7 +143,7 @@ def _run_sphere_fixed_points(args):
     for direction, witness in found.witnesses.items():
         v = direction.as_tuple()
         image, den = v, 1
-        for letter in reversed(witness.letters):
+        for letter in reversed(witness):
             m, d = scaled[letter]
             x, y, z = image
             image = (m[0] * x + m[1] * y + m[2] * z, m[3] * x + m[4] * y + m[5] * z, m[6] * x + m[7] * y + m[8] * z)

@@ -415,22 +415,20 @@ def f2_ball_model(depth: int) -> tuple[FiniteActionModel, frozenset, ParadoxWitn
     """
     if depth < 2:
         raise ValueError("depth must be at least 2 so the interior is nontrivial")
-    words = ball(depth)
-    word_of = {w.letters: w for w in words}
-    space = frozenset(words)
+    space = frozenset(ball(depth))
     maps: dict[str, dict] = {"e": {w: w for w in space}}
+    find = maps["e"].get  # a word equals its letters, so the identity map finds the word they spell
     for letter in Letter:
-        inverse = letter.inverse()
+        inverse, prepend = letter.inverse(), _FIRST[letter].__add__  # bytes' own +: a word has none
         action = {}
         for w in space:
             # x.(x^-1 u) = u cancels; any other x.w is x prepended to w.
-            letters = w.letters
-            moved = word_of.get(letters[1:] if letters and letters[0] == inverse else _FIRST[letter] + letters)
+            moved = find(w[1:] if w and w[0] == inverse else prepend(w))
             if moved is not None:
                 action[w] = moved
         maps[letter.symbol] = action
     model = FiniteActionModel(points=space, maps=maps, partial=True)
-    witness, interior = _prefix_class_witness(((w.letters, w) for w in space), depth)
+    witness, interior = _prefix_class_witness(zip(space, space), depth)
     return model, space, witness, interior
 
 

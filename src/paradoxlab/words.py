@@ -3,10 +3,12 @@
 Words live in the free group on {a, b}.  A word is *reduced* when no letter
 stands next to its inverse.  Enumeration is length-lexicographic with letter
 order a < b < a^-1 < b^-1 so that reports and "first counterexample" claims
-are deterministic.  A word stores its letters as a ``bytes`` object of the
-ints 0-3, which :class:`Letter` names: indexing and iteration give plain
-ints, the cyclic garbage collector never tracks a ``bytes`` object, and a
-word of length 10 takes 43 bytes where a tuple of ints takes 120.
+are deterministic.  A word is one ``bytes`` object whose bytes are its
+letters, the ints 0-3 that :class:`Letter` names: indexing and iteration
+give plain ints, and sets and dicts of words hash and compare them in C.
+The cyclic garbage collector tracks a word, as it does every instance of a
+class written in Python; a word of length 10 takes 64 bytes, where a
+wrapper around separate ``bytes`` letters took 96.
 
 The headline check, :func:`verify_f2_paradox`, confirms at a finite depth the
 two covering identities
@@ -23,7 +25,7 @@ successor table ``_NEXT``.  Every word of length >= 1 has exactly three
 successors, so word i of a level of length >= 2 extends word i // 3 of the
 level before; callers that carry a value per word index their parent's
 value this way.
-:func:`ball` wraps the words and :func:`verify_f2_paradox` checks them, each
+:func:`ball` makes them words and :func:`verify_f2_paradox` checks them, each
 in one loop over the levels with no call per word, and
 :func:`exactlin.ball_matrices` carries each word's matrix from its parent's.
 
@@ -35,7 +37,6 @@ are reference oracles and live in the tests.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import chain, repeat
@@ -91,35 +92,44 @@ class PrefixClass(Enum):
 _CLASS_OF_LETTER = (PrefixClass.W_A, PrefixClass.W_B, PrefixClass.W_A_INV, PrefixClass.W_B_INV)
 
 
-@dataclass(frozen=True, slots=True)
-class ReducedWord:
-    """An immutable reduced word; the empty string of letters is the identity.
+class ReducedWord(bytes):
+    """An immutable reduced word: its own bytes are its letters, and the empty word is the identity.
 
     Public construction takes any iterable of the ints 0-3 (:class:`Letter`
-    members included), validates it and stores it as ``bytes`` (a value
-    outside 0-3 raises ValueError).  Code that builds a word reduced by
-    construction, from the letters of :func:`ball_levels`, uses
-    :func:`_reduced`, which skips the check.
+    members included) and validates it (a value outside 0-3 raises
+    ValueError).  Code that builds a word reduced by construction, from the
+    letters of :func:`ball_levels`, uses :func:`_reduced`, which skips the
+    check.  A word equals, and hashes as, the ``bytes`` of its letters, but
+    has no order and no ``+`` or ``*``: bytes order is not length-lex order,
+    and concatenation is not the group product.
     """
 
-    letters: bytes = b""  # the ints 0-3, named by Letter
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ls = bytes(map(_ALPHABET.index, self.letters))
-        _set_letters(self, ls)
+    def __new__(cls, letters: Iterable[int] = b"") -> "ReducedWord":
+        ls = bytes(map(_ALPHABET.index, letters))
         for i in range(len(ls) - 1):
             if ls[i] == _INVERSES[ls[i + 1]]:
                 raise ValueError(f"word is not reduced at position {i}: {_reduced(ls[i : i + 2])}")
+        return bytes.__new__(cls, ls)
 
-    # -- basic structure ----------------------------------------------------
+    def __reduce__(self):
+        return ReducedWord, (bytes(self),)  # every pickle protocol, and copy, rebuild through __new__
 
-    def __len__(self) -> int:
-        return len(self.letters)
+    def _unsupported(self, other):
+        raise TypeError("a reduced word has no order, no + and no *")
+
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = __mul__ = __rmul__ = _unsupported
+
+    @property
+    def letters(self) -> bytes:
+        """The letters as a plain ``bytes`` copy, for callers that join them."""
+        return bytes(self)
 
     # -- text form ----------------------------------------------------------
 
     def __str__(self) -> str:
-        return "".join(["abAB"[x] for x in self.letters])
+        return "".join(["abAB"[x] for x in self])
 
     def __repr__(self) -> str:
         return f"ReducedWord({str(self)!r})"
@@ -130,15 +140,9 @@ class ReducedWord:
         return reduce(Letter.from_symbol(ch) for ch in text)
 
 
-#: The slot's own setter, which skips the frozen dataclass's __setattr__.
-_set_letters = ReducedWord.__dict__["letters"].__set__
-
-
 def _reduced(letters: Iterable[int]) -> ReducedWord:
-    """Wrap letters the caller knows are reduced, without re-validating them; ``bytes`` is stored as it is."""
-    w = object.__new__(ReducedWord)
-    _set_letters(w, bytes(letters))
-    return w
+    """A word of letters the caller knows are reduced, built without re-validating them."""
+    return bytes.__new__(ReducedWord, letters)
 
 
 def reduce(letters: Iterable[int]) -> ReducedWord:
@@ -198,13 +202,10 @@ def ball_levels(n: int) -> Iterator[Iterable[bytes]]:
 def ball(n: int) -> tuple[ReducedWord, ...]:
     """All reduced words of length <= n, in length-lexicographic order.
 
-    The letter strings come from :func:`ball_levels`; the words are allocated
-    and their slots filled by two C-level maps, with no Python call per word.
+    Each letter string from :func:`ball_levels` is copied into its word by
+    one C-level map, with no Python call per word.
     """
-    letters = list(chain.from_iterable(ball_levels(n)))
-    words = tuple(map(object.__new__, repeat(ReducedWord, len(letters))))
-    deque(map(_set_letters, words, letters), maxlen=0)
-    return words
+    return tuple(map(bytes.__new__, repeat(ReducedWord), chain.from_iterable(ball_levels(n))))
 
 
 def ball_size(n: int) -> int:

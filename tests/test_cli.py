@@ -69,6 +69,32 @@ def test_failing_command_exits_one(report_schema):
     assert any(not f["ok"] for f in report["details"]["findings"])
 
 
+def _finding(report, name):
+    [finding] = [f for f in report["details"]["findings"] if f["name"] == name]
+    return finding
+
+
+def test_exhaustive_freeness_reports_its_witness_word(monkeypatch, report_schema):
+    # b acts as a, so a.b^-1 is the first word that multiplies out to the identity.
+    a, _, a_inv, _ = exactlin.SCALED_GENERATORS
+    monkeypatch.setattr(exactlin, "SCALED_GENERATORS", (a, a, a_inv, a_inv))
+    result = run_cli("freeness", "exhaustive", "--depth", "3")
+    assert result.code == 1
+    jsonschema.validate(result.report, report_schema)
+    finding = _finding(result.report, "no_identity_word")
+    assert finding["ok"] is False and finding["detail"] == "witness aB"
+    assert result.report["details"]["witness"] == "aB"
+
+
+def test_certify_reports_the_path_to_a_zero_residue(report_schema):
+    # 7b(-1, -1, 1) = (7, -7, 7), zero mod 7 after the one letter b.
+    result = run_cli("freeness", "certify", "--base=-1,-1,1")
+    assert result.code == 1
+    jsonschema.validate(result.report, report_schema)
+    assert _finding(result.report, "certificate_built")["ok"] is False
+    assert result.report["details"]["failure"]["path"] == "b"
+
+
 def test_paradox_contradiction_end_to_end(tmp_path, report_schema):
     path = _shift_input(tmp_path)
     result = run_cli("paradox", "contradiction", "--input", str(path))
