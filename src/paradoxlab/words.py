@@ -5,10 +5,10 @@ stands next to its inverse.  Enumeration is length-lexicographic with letter
 order a < b < a^-1 < b^-1 so that reports and "first counterexample" claims
 are deterministic.  A word is one ``bytes`` object whose bytes are its
 letters, the ints 0-3 that :class:`Letter` names: indexing and iteration
-give plain ints, and sets and dicts of words hash and compare them in C.
-The cyclic garbage collector tracks a word, as it does every instance of a
-class written in Python; a word of length 10 takes 64 bytes, where a
-wrapper around separate ``bytes`` letters took 96.
+give plain ints, and sets and dicts hash and compare words by ``bytes``'
+own code.  The cyclic garbage collector tracks a word, as it does every
+instance of a class written in Python; a word of length 10 takes 64
+bytes, where a wrapper around separate ``bytes`` letters took 96.
 
 The headline check, :func:`verify_f2_paradox`, confirms at a finite depth the
 two covering identities
