@@ -587,7 +587,9 @@ def _to_mpc(z: tuple[int, int], grid: int) -> tuple:
     return from_man_exp(z[0], -grid), from_man_exp(z[1], -grid)
 
 
-def _to_floats(re: list[int], im: list[int], grid: int) -> tuple[array, array]:
+def _to_floats(
+    re: Sequence[int], im: Sequence[int], grid: int, keep: bytes | None = None
+) -> tuple[array, array]:
     """Grid columns as two float arrays, x and y: each coordinate v becomes v * 2^-grid rounded to nearest, ties to even.
 
     ``ldexp`` rounds the int v to a float once, to nearest with ties to
@@ -596,16 +598,36 @@ def _to_floats(re: list[int], im: list[int], grid: int) -> tuple[array, array]:
     it is normal and the float is the correctly rounded value: the same as
     the exact int division v / 2^grid, which to_float(..., rnd=round_nearest)
     also gives.  Finer grids, and ints too wide for a float, take that
-    division.
+    division.  With ``keep``, a byte per entry, only the entries where it is
+    nonzero are converted, read through ``itertools.compress`` so that no
+    copy of the columns is made.
     """
+
+    def kept(column: Sequence[int]) -> Iterable[int]:
+        return column if keep is None else itertools.compress(column, keep)
+
     if grid <= 1022:
         scale = itertools.repeat(-grid)
         try:
-            return array("d", map(math.ldexp, re, scale)), array("d", map(math.ldexp, im, scale))
+            return array("d", map(math.ldexp, kept(re), scale)), array("d", map(math.ldexp, kept(im), scale))
         except OverflowError:
             pass
     one = 1 << grid
-    return array("d", (v / one for v in re)), array("d", (v / one for v in im))
+    return array("d", (v / one for v in kept(re))), array("d", (v / one for v in kept(im)))
+
+
+def _powers(max_degree: int, precision_bits: int) -> list[tuple[int, int]]:
+    """t^0, ..., t^max_degree for t = e^i on the grid of :func:`_grid_bits`.
+
+    t is libmp's mpc_exp, and each power is the one before times t by
+    :func:`_mul`, so t^1 is t itself.
+    """
+    prec, grid = precision_bits, _grid_bits(precision_bits)
+    t = tuple(_from_mpf(x, grid) for x in mpc_exp((fzero, fone), prec, round_nearest))
+    powers = [(1 << grid, 0)]
+    for _ in range(max_degree):
+        powers.append(_mul(powers[-1], t, prec, grid))
+    return powers
 
 
 def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[tuple[int, int], list[int], list[int]]:
@@ -613,8 +635,9 @@ def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[
 
     The real and imaginary parts are two int columns, indexed as the
     enumeration.  The sum over c0..ck is shared by every polynomial with that
-    prefix, so the sums are built one power of t at a time.  Each term c*t^k
-    is rounded once, and each nonzero coefficient adds one rounded sum: the
+    prefix, so the sums are built one power of t (:func:`_powers`) at a time.
+    Each term c*t^k is rounded once, and each nonzero coefficient adds one
+    rounded sum: the
     operations of summing each polynomial on its own, in the same order, so
     every value is bit-identical to that route.  The two parts of a sum
     round independently, so each column is built on its own.  Rounding is to
@@ -627,7 +650,7 @@ def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[
     """
     prec, grid = precision_bits, _grid_bits(precision_bits)
     base = max_coeff + 1
-    t = tuple(_from_mpf(x, grid) for x in mpc_exp((fzero, fone), prec, round_nearest))
+    powers = _powers(max_degree, prec)
     half, odd, keep = _rounding_tables(prec, grid + (max_coeff * (max_degree + 1) + 1).bit_length())
 
     def plus(column: list[int], term: int) -> list[int]:
@@ -639,11 +662,8 @@ def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[
             for n in (v.bit_length(),)
         ]
 
-    power = (1 << grid, 0)
     re, im = [0], [0]
-    for k in range(max_degree + 1):
-        if k:
-            power = _mul(power, t, prec, grid)
+    for power in powers:
         # the polynomial of index i with coefficient c appended has index base*i + c
         next_re, next_im = [0] * (base * len(re)), [0] * (base * len(im))
         next_re[::base], next_im[::base] = re, im
@@ -651,7 +671,7 @@ def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[
             next_re[c::base] = plus(re, _round(c * power[0], prec))
             next_im[c::base] = plus(im, _round(c * power[1], prec))
         re, im = next_re, next_im
-    return t, re, im
+    return powers[1], re, im
 
 
 def _embed_poly(p: tuple[int, ...], t: tuple[int, int], precision_bits: int) -> tuple[int, int]:
@@ -694,6 +714,29 @@ def _separation_slack(max_degree: int, max_coeff: int, precision_bits: int, dist
     a square root) is within 4*FLOAT_UNIT of its value relative to it.
     """
     return 2 * math.sqrt(2) * _coordinate_error(max_degree, max_coeff, precision_bits) + 4 * FLOAT_UNIT * distance
+
+
+def _difference_slack(max_degree: int, max_coeff: int, precision_bits: int) -> float:
+    """Bound on |search distance of D - sweep distance of a pair realising D|, for every D.
+
+    Each is within its own error of |D(e^i)| <= m = max_coeff*(max_degree+1),
+    so neither exceeds 2m, where both errors are taken.  The sweep's is
+    :func:`_separation_slack`.  The search (:func:`_least_differences`) sums
+    at most n = max_degree+1 terms d*t^k per point, |d| <= max_coeff, over
+    the powers of :func:`_powers` (each within 8n*2^-precision_bits of e^ik
+    per component, as in _coordinate_error) rounded to floats (FLOAT_UNIT
+    more).  Each product and each sum rounds once to nearest, at a modulus of
+    at most m, so a coordinate is within m*(8n*2^-precision_bits +
+    FLOAT_UNIT) + 2n*m*FLOAT_UNIT, and one more m*FLOAT_UNIT covers the
+    second-order terms.  Both points of a distance move by at most sqrt(2)
+    times that, and the float distance rounds within 4*FLOAT_UNIT of its
+    value relative to it.
+    """
+    n = max_degree + 1
+    m = max_coeff * n
+    coordinate = m * (8 * n * 2.0**-precision_bits + (2 * n + 2) * FLOAT_UNIT)
+    search = 2 * math.sqrt(2) * coordinate + 4 * FLOAT_UNIT * 2 * m
+    return search + _separation_slack(max_degree, max_coeff, precision_bits, 2 * m)
 
 
 def _closest_pair_sq(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, tuple[int, int]]:
@@ -746,6 +789,120 @@ def _closest_pair_sq(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, t
         active_y.insert(k, y)
         active.insert(k, idx)
     return best, pair
+
+
+def _least_differences(powers: Sequence[complex], max_coeff: int, window: float) -> tuple[float, list[tuple[int, ...]]]:
+    """The least |D(t)| over nonzero D with coefficients in [-max_coeff, max_coeff], and each D within ``window`` of it.
+
+    ``powers`` holds t^0..t^max_degree as floats.  Meet in the middle: D(t) =
+    L(t) + t^h*H(t) for the low h = len(powers)//2 coefficients L and the
+    high ones H, so |D(t)| is the distance from L(t) to -t^h*H(t).  Each side
+    is summed in floats over every digit vector, and a plane sweep in x order
+    keeps one active strip per side, in y order: a point is compared with the
+    other side's strip only, so the many points of its own side never enter
+    its window, and L = H = 0 is skipped.  The window reaches the least
+    distance so far plus twice ``window``, so every pair within ``window`` of
+    the least is compared.  It starts at the least modulus of a nonzero sum,
+    the distance from that sum to the other side's zero, so from the first
+    point on, each strip holds only points within that reach in x; started
+    at infinity, it would take every point visited before the two sides
+    first meet.  Each kept D is a coefficient tuple, constant first, with its
+    first nonzero coefficient positive: -D is realised by the same pairs,
+    swapped.
+    """
+    digits = range(-max_coeff, max_coeff + 1)
+    h = len(powers) // 2
+
+    def sums(side: Sequence[complex], sign: int) -> list[complex]:
+        # the sum at index i has the digits of i in base 2*max_coeff + 1, less max_coeff, lowest power first
+        zs = [0j]
+        for p in side:
+            terms = [sign * d * p for d in digits]
+            zs = [z + w for z in zs for w in terms]
+        return zs
+
+    low, high = sums(powers[:h], 1), sums(powers[h:], -1)
+    points = low + high
+    n_low = len(low)
+    zeros = {n_low // 2, n_low + len(high) // 2}
+    xs, ys = [z.real for z in points], [z.imag for z in points]
+    order = sorted(range(len(points)), key=xs.__getitem__)
+    strips: tuple[tuple[list[float], list[int]], ...] = (([], []), ([], []))  # per side: y values and indices
+    # a nonzero sum and the other side's zero are a cross pair, so the window starts at the least of those
+    best = min(abs(z) for z in points if z)
+    reach = best + 2 * window
+    near: list[tuple[float, int, int]] = []
+    left = 0
+    for idx in order:
+        x, y, z = xs[idx], ys[idx], points[idx]
+        while xs[order[left]] < x - reach:
+            old = order[left]
+            strip_y, strip = strips[old >= n_low]
+            k = bisect_left(strip_y, ys[old])
+            while strip[k] != old:
+                k += 1
+            del strip_y[k], strip[k]
+            left += 1
+        other_y, other = strips[idx < n_low]
+        for k in range(bisect_left(other_y, y - reach), bisect_right(other_y, y + reach)):
+            j = other[k]
+            dist = abs(z - points[j])
+            if dist <= reach and not (idx in zeros and j in zeros):
+                near.append((dist, j, idx))
+                if dist < best:
+                    best, reach = dist, dist + 2 * window
+        strip_y, strip = strips[idx >= n_low]
+        k = bisect_right(strip_y, y)
+        strip_y.insert(k, y)
+        strip.insert(k, idx)
+
+    def digit_vector(i: int, length: int) -> list[int]:
+        out = [0] * length
+        for k in range(length - 1, -1, -1):
+            i, out[k] = divmod(i, len(digits))
+        return [c - max_coeff for c in out]
+
+    kept = set()
+    for dist, a, b in near:
+        if dist <= best + window:
+            a, b = min(a, b), max(a, b)
+            d = digit_vector(a, h) + digit_vector(b - n_low, len(powers) - h)
+            sign = 1 if next(c for c in d if c) > 0 else -1
+            kept.add(tuple(sign * c for c in d))
+    return best, sorted(kept)
+
+
+def _difference_offset(d: Sequence[int], base: int) -> int:
+    """i - j for each pair of indices of ``enumerate_polys`` with P_i - P_j = D: D's coefficients as signed digits.
+
+    The constant is the most significant digit, in base max_coeff + 1.  Each
+    |d_k| < base, so the sign of the offset is that of D's first nonzero
+    coefficient.
+    """
+    return reduce(lambda i, c: i * base + c, d, 0)
+
+
+def _realising_points(differences: Iterable[Sequence[int]], max_degree: int, max_coeff: int) -> bytes:
+    """A byte per index of ``enumerate_polys``: 1 at both ends of each pair (i, j) with P_i - P_j in ``differences``.
+
+    Each D has its first nonzero coefficient positive.  P_i - P_j = D exactly
+    when every coefficient p_k of P_i lies in [max(0, d_k), max_coeff +
+    min(0, d_k)] and j = i - _difference_offset(D), which is then positive.
+    The i form a box of digits.  Its mask is built from the least
+    significant digit (the highest power) up, each digit making base copies
+    of the mask so far, blank outside the box; the j's mask is that mask
+    moved down by the offset.  The rest is 0.
+    """
+    base = max_coeff + 1
+    union = 0
+    for d in differences:
+        box = b"\x01"
+        for c in reversed(d):
+            blank = bytes(len(box))
+            box = b"".join(box if max(0, c) <= p <= max_coeff + min(0, c) else blank for p in range(base))
+        offset = _difference_offset(d, base)
+        union |= int.from_bytes(box, "big") | int.from_bytes(box[offset:] + bytes(offset), "big")
+    return union.to_bytes(base ** (max_degree + 1), "big")
 
 
 @dataclass(frozen=True)
@@ -887,10 +1044,29 @@ def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
     The embedding, the float conversion and the g/h defects run on the
     fixed-point kernel; the closest pair's distance and the sampled
     rotation-invariance pairs run on libmp, on exactly converted points.
-    The grid points are freed before the sweep, which runs on two float
-    arrays; the closest pair's two points are summed again on their own.
+    A pair's distance is |D(t)| for its difference D = P - Q.
+    :func:`_least_differences` finds the least |D(t)| by meet in the middle
+    and keeps each D within twice :func:`_difference_slack` of it, so every
+    closest pair of the sweep over all points realises a kept D.  Only the
+    points of those realisations (:func:`_realising_points`) are converted
+    to floats and swept.  The sweep visits and walks them in the order it
+    would among all points, so it meets the same pair first.  Its distance
+    must lie within the slack of the search's least, or the run raises
+    InvariantViolationError naming both: so it does when the swept points
+    are fewer than two, or hold no realisation of a least D.  Swept points
+    that keep only some of those realisations still give a pair at the
+    least distance, but perhaps not the first one.  The grid points are
+    freed before the sweep; the closest pair's two points are summed again
+    on their own.
     """
     prec, rnd, grid = precision_bits, round_nearest, _grid_bits(precision_bits)
+    # the least difference, and each within twice the slack of it, from the powers of t as floats; this
+    # runs before the embedding, so its sums are freed before the grid points are made
+    powers = list(map(complex, *_to_floats(*zip(*_powers(max_degree, prec)), grid)))
+    slack = _difference_slack(max_degree, max_coeff, prec)
+    least, differences = _least_differences(powers, max_coeff, 2 * slack)
+    swept = _realising_points(differences, max_degree, max_coeff)
+
     t, re, im = _embed_polys(max_degree, max_coeff, prec)
 
     def dist(z, w):
@@ -912,13 +1088,20 @@ def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
     isometry_ok = mpf_cmp(defect, tol) <= 0
     isometries = Finding("isometries", isometry_ok, f"max defect {to_str(defect, 6)} vs tolerance {to_str(tol, 6)}")
 
-    xs, ys = _to_floats(re, im, grid)
+    # the sweep, over the points that realise those differences only
+    xs, ys = _to_floats(re, im, grid, swept)
     del re, im
-    best_sq, (i, j) = _closest_pair_sq(xs, ys)
+    best_sq, ends = _closest_pair_sq(xs, ys)
+    distance = math.sqrt(best_sq)
+    if not abs(distance - least) <= slack:
+        raise InvariantViolationError(
+            f"the closest-pair sweep's distance {distance!r} and the least difference {least!r} "
+            f"differ by more than their slack {slack:.3g}"
+        )
+    i, j = (next(itertools.islice(itertools.compress(itertools.count(), swept), k, None)) for k in ends)
     p, q = _smp_poly(i, max_degree, max_coeff), _smp_poly(j, max_degree, max_coeff)
     z, w = _embed_poly(p, t, prec), _embed_poly(q, t, prec)
     min_distance = to_float(dist(_to_mpc(z, grid), _to_mpc(w, grid)), rnd=rnd)
-    distance = math.sqrt(best_sq)
     separated = distance - _separation_slack(max_degree, max_coeff, prec, distance) > SEPARATION_RESOLUTION
     pair = (poly_str(p), poly_str(q))
     separation = Finding(

@@ -8,19 +8,20 @@ frozenset route of finite action models (validation, images and the derived
 interior on point objects), the Fraction routes of the integer kernels
 (point-measure mass, the ergodic average with its piecewise-constant
 samples, and the additive map), the planar paradox's g/h isometry defect
-over every pair, and the sphere's interval geometry in mpmath's ``iv``
-context.  Each is the slow, general route that a fast path in ``exactlin``,
-``words``, ``measures``, ``paradox``, ``cauchy`` or ``sphere`` must agree
-with.
+over every pair and its least difference over every difference vector, and
+the sphere's interval geometry in mpmath's ``iv`` context.  Each is the
+slow, general route that a fast path in ``exactlin``, ``words``,
+``measures``, ``paradox``, ``cauchy`` or ``sphere`` must agree with.
 """
 
 from __future__ import annotations
 
+import cmath
 import itertools
 from bisect import bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Iterator, Sequence
 
 from mpmath import iv
@@ -383,6 +384,30 @@ def gh_defect_all_pairs(t, re: list[int], im: list[int], g_pairs, h_pairs, preci
         if mpf_cmp(d, worst) > 0:
             worst = d
     return worst
+
+
+def least_differences_all_vectors(max_degree: int, max_coeff: int, window: float) -> tuple[float, list[tuple[int, ...]]]:
+    """paradox._least_differences's result from every nonzero difference vector D at once.
+
+    |D(e^i)| is summed in floats over cmath's e^ik for every D with
+    coefficients in [-max_coeff, max_coeff], constant first, with no split
+    into halves and no sweep.  Returns the least, and each D within
+    ``window`` of it with its first nonzero coefficient positive, sorted.
+    """
+    digits = range(-max_coeff, max_coeff + 1)
+    values = [0j]
+    for k in range(max_degree + 1):
+        power = cmath.exp(1j * k)
+        values = [v + d * power for v in values for d in digits]
+    moduli = list(map(abs, values))
+    moduli[len(moduli) // 2] = inf  # D = 0
+    least = min(moduli)
+    kept = set()
+    for d, modulus in zip(itertools.product(digits, repeat=max_degree + 1), moduli):
+        if modulus <= least + window:
+            sign = 1 if next(c for c in d if c) > 0 else -1
+            kept.add(tuple(sign * c for c in d))
+    return least, sorted(kept)
 
 
 # -- interval geometry in mpmath's iv context -----------------------------------

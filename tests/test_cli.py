@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -198,6 +199,51 @@ def test_a_broken_demo_bound_gives_a_fail_report(monkeypatch, report_schema):
     assert report["details"]["findings"] == [
         {"name": "InvariantViolationError", "ok": False, "detail": "invariance defect 1 exceeds 2 sup|f| / 3"}
     ]
+
+
+def _smp_verify_invariant_failure(report_schema, *args):
+    result = run_cli("smp", "verify", *args)
+    assert result.code == 1
+    report = result.report
+    jsonschema.validate(report, report_schema)
+    assert report["outcome"] == "fail"
+    [finding] = report["details"]["findings"]
+    assert finding["name"] == "InvariantViolationError" and finding["ok"] is False
+    return finding["detail"]
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_smp_verify_fails_closed_on_a_shifted_realisation_offset(monkeypatch, report_schema, shift):
+    # At deg 12 coef 1 the least difference's last coefficient is 1 = coef, so every point realising it
+    # has its last digit fixed, and an offset moved by one pairs none of them: the sweep meets a pair
+    # far from the least difference.
+    offset = paradox._difference_offset
+    monkeypatch.setattr(paradox, "_difference_offset", lambda d, base: offset(d, base) + shift)
+    detail = _smp_verify_invariant_failure(report_schema, "--deg", "12", "--coef", "1")
+    assert re.fullmatch(
+        r"the closest-pair sweep's distance 0\.4826\d* and the least difference 0\.0006681\d* "
+        r"differ by more than their slack \S+",
+        detail,
+    )
+
+
+@pytest.mark.parametrize("kept", [0, 1])
+def test_smp_verify_fails_closed_with_fewer_than_two_swept_points(monkeypatch, report_schema, kept):
+    # the sweep of fewer than two points returns inf and no pair (-1, -1), which is never decoded
+    realising = paradox._realising_points
+
+    def fewer(differences, max_degree, max_coeff):
+        swept = realising(differences, max_degree, max_coeff)
+        first = swept.index(1)
+        return bytes(first) + b"\x01" * kept + bytes(len(swept) - first - kept)
+
+    monkeypatch.setattr(paradox, "_realising_points", fewer)
+    detail = _smp_verify_invariant_failure(report_schema, "--deg", "3", "--coef", "2")
+    assert re.fullmatch(
+        r"the closest-pair sweep's distance inf and the least difference 0\.07728\d* "
+        r"differ by more than their slack \S+",
+        detail,
+    )
 
 
 def _defect_bound(result):

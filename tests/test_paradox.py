@@ -46,11 +46,14 @@ from paradoxlab.paradox import (
     _OffGrid,
     _closest_pair_sq,
     _coordinate_error,
+    _difference_slack,
     _embed_poly,
     _embed_polys,
     _gh_defect,
     _grid_bits,
+    _least_differences,
     _mul,
+    _powers,
     _round,
     _rounding_tables,
     _separation_slack,
@@ -59,9 +62,10 @@ from paradoxlab.paradox import (
     _to_floats,
     _to_mpc,
 )
+from paradoxlab.sphere import SEPARATION_RESOLUTION
 from paradoxlab.words import Letter, ReducedWord, ball, ball_size
 
-from oracles import apply, concat, gh_defect_all_pairs, ref_interior, word_matrix
+from oracles import apply, concat, gh_defect_all_pairs, least_differences_all_vectors, ref_interior, word_matrix
 
 # -- models and witnesses ----------------------------------------------------
 
@@ -293,12 +297,14 @@ def test_smp_point_cap_is_checked_before_enumerating(monkeypatch):
 
 
 #: Bound on the tracemalloc peak of smp_verify(6, 3), in bytes per point.  The
-#: grid embedding is two int columns, re and im, and at the run's peak they
-#: are held with their two float arrays: 181-193 B per point with Python 3.11,
-#: the first call in a process reading highest.  Grid points as (re, im)
-#: tuples took 223-241, and holding the enumeration, the grid points, float
-#: pairs and sorted sweep tuples at once about 520.
-SMP_PEAK_BYTES_PER_POINT = 210
+#: grid embedding is two int columns, re and im, and the run peaks while it
+#: builds them: 167-177 B per point with Python 3.11, the first call in a
+#: process reading highest.  Only the 2,808 points that realise the least
+#: difference are converted to floats; holding float arrays of every point
+#: with the columns took 173-183, grid points as (re, im) tuples 223-241, and
+#: holding the enumeration, the grid points, float pairs and sorted sweep
+#: tuples at once about 520.  The bound keeps the 27 B margin it had over 183.
+SMP_PEAK_BYTES_PER_POINT = 204
 
 
 def test_smp_verify_peak_memory_per_point():
@@ -524,6 +530,15 @@ def test_float_conversion_by_ldexp_equals_the_int_division():
     assert math.ldexp(subnormal_tie, -1100) != subnormal_tie / (1 << 1100)
     for grid, v in ((1022, 1), (1022, 3), (1024, 1), (1100, subnormal_tie), (1100, 3 << 1099), (1000, (1 << 1030) + 1)):
         assert _float_pairs([(v, -v)], grid) == _to_floats_by_division([(v, -v)], grid)
+    # with a mask, only its entries, also where an int too wide for a float sends the conversion to the
+    # division after the ldexp pass has read the kept entries before it
+    for grid, column, keep in (
+        (_grid_bits(bits), re, bytes(i % 3 == 0 for i in range(len(re)))),
+        (1000, [3, 7 << 990, 5, (1 << 1030) + 1, 9], b"\x01\x01\x00\x01\x00"),
+    ):
+        kept = [v for v, k in zip(column, keep) if k]
+        xs, ys = _to_floats(column, [-v for v in column], grid, keep)
+        assert list(zip(xs, ys)) == _to_floats_by_division([(v, -v) for v in kept], grid)
 
 
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(4, 3, 128), (1, 200, 128), (3, 2, 64)])
@@ -702,6 +717,50 @@ def test_closest_pair_matches_the_reference_sweep_with_duplicated_points():
         xs, ys = array("d", [x for x, _ in points]), array("d", [y for _, y in points])
         found = _closest_pair_sq(xs, ys)
         assert found == _reference_closest_pair_sq(points) and found[0] == 0.0
+
+
+#: Every (deg, coef) whose (2*coef+1)^(deg+1) difference vectors number at most 50,000.
+ORACLE_SHAPES = [
+    (d, c) for d in range(1, 10) for c in range(1, 112) if (2 * c + 1) ** (d + 1) <= 50_000
+]
+
+
+@pytest.mark.parametrize("bits", [64, 128])
+@pytest.mark.parametrize("max_degree,max_coeff", ORACLE_SHAPES)
+def test_least_difference_matches_every_difference_vector(max_degree, max_coeff, bits):
+    powers = list(map(complex, *_to_floats(*zip(*_powers(max_degree, bits)), _grid_bits(bits))))
+    slack = _difference_slack(max_degree, max_coeff, bits)
+    least, kept = _least_differences(powers, max_coeff, 2 * slack)
+    expected, expected_kept = least_differences_all_vectors(max_degree, max_coeff, 2 * slack)
+    assert abs(least - expected) <= slack
+    assert kept == expected_kept
+
+
+def _sweep_every_point(max_degree, max_coeff, bits):
+    # smp_verify's min distance, pair and separation finding as they were before the least-difference
+    # search: the closest-pair sweep over every embedded point
+    grid = _grid_bits(bits)
+    t, re, im = _embed_polys(max_degree, max_coeff, bits)
+    best_sq, (i, j) = _closest_pair_sq(*_to_floats(re, im, grid))
+    p, q = _smp_poly(i, max_degree, max_coeff), _smp_poly(j, max_degree, max_coeff)
+    z, w = (_to_mpc(_embed_poly(r, t, bits), grid) for r in (p, q))
+    min_distance = to_float(mpc_abs(mpc_sub(z, w, bits, round_nearest), bits, round_nearest), rnd=round_nearest)
+    distance = math.sqrt(best_sq)
+    separated = distance - _separation_slack(max_degree, max_coeff, bits, distance) > SEPARATION_RESOLUTION
+    pair = (poly_str(p), poly_str(q))
+    return min_distance, pair, (separated, f"min pairwise distance {min_distance:.6g} between {pair[0]} and {pair[1]}")
+
+
+# the shapes pinned by sha256 in test_cli.py, and the lattice shapes of the reference sweep's test
+@pytest.mark.parametrize(
+    "max_degree,max_coeff,bits",
+    [(3, 2, 128), (6, 3, 128), (6, 3, 64), (7, 3, 128), (1, 200, 128), (8, 3, 128), (4, 3, 1024), (12, 1, 128),
+     (2, 15, 128), (1, 40, 128), (1, 1, 64)],
+)
+def test_smp_verify_closest_pair_matches_the_sweep_over_every_point(max_degree, max_coeff, bits):
+    report = smp_verify(max_degree, max_coeff, bits)
+    [separation] = [(f.ok, f.detail) for f in report.findings if f.name == "separation"]
+    assert (report.min_distance, report.min_pair, separation) == _sweep_every_point(max_degree, max_coeff, bits)
 
 
 def test_rescale_with_low_bits_fails_closed():
