@@ -462,9 +462,10 @@ def _prefix_class_witness(
 # ---------------------------------------------------------------------------
 
 #: Hard cap on the planar paradox's (max_coeff+1)^(max_degree+1) points; at the cap, ``smp_verify``
-#: takes 8.7-10.5 s and 268 MiB peak RSS at (19, 1), 8.9-9.8 s and 214 MiB at (9, 3), 8.3-8.8 s and
-#: 181 MiB at (1, 1023) and 7.0-8.1 s and 185 MiB at (4, 15), two runs each in a fresh process on a
-#: 2-vCPU VM: time bounds it.  The cap holds at and below the default precision; above it, ``smp_verify`` scales it by
+#: takes 3.9-4.0 s and 268 MiB peak RSS at (19, 1), 2.8-3.2 s and 213 MiB at (9, 3), 4.7 s and
+#: 183 MiB at (1, 1023) and 3.2-3.5 s and 184 MiB at (4, 15), two runs each in a fresh process on a
+#: 2-vCPU VM, alternated with runs that swept every point (5.1-6.7, 4.7-4.8, 4.6-4.8 and 4.1-4.3 s):
+#: time bounds it.  The cap holds at and below the default precision; above it, ``smp_verify`` scales it by
 #: DEFAULT_PRECISION_BITS / bits, since at 1024 bits a point adds about 670 B to the peak RSS, not the
 #: 185 B it adds at 128 (at (7, 3), same VM).
 SMP_POINT_CAP = 2**20
