@@ -33,7 +33,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from operator import eq, ne, or_, sub
+from operator import ne, or_, sub
 from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -462,7 +462,7 @@ def _prefix_class_witness(
 # ---------------------------------------------------------------------------
 
 #: Hard cap on the planar paradox's (max_coeff+1)^(max_degree+1) points; at the cap, ``smp_verify``
-#: takes 3.9-4.0 s and 268 MiB peak RSS at (19, 1), 2.8-3.2 s and 213 MiB at (9, 3), 4.7 s and
+#: takes 3.9-4.0 s and 268 MiB peak RSS at (19, 1), 2.8-3.2 s and 213 MiB at (9, 3), 4.8-5.0 s and
 #: 183 MiB at (1, 1023) and 3.2-3.5 s and 184 MiB at (4, 15), two runs each in a fresh process on a
 #: 2-vCPU VM, alternated with runs that swept every point (5.1-6.7, 4.7-4.8, 4.6-4.8 and 4.1-4.3 s):
 #: time bounds it.  The cap holds at and below the default precision; above it, ``smp_verify`` scales it by
@@ -588,35 +588,6 @@ def _to_mpc(z: tuple[int, int], grid: int) -> tuple:
     return from_man_exp(z[0], -grid), from_man_exp(z[1], -grid)
 
 
-def _to_floats(
-    re: Sequence[int], im: Sequence[int], grid: int, keep: bytes | None = None
-) -> tuple[array, array]:
-    """Grid columns as two float arrays, x and y: each coordinate v becomes v * 2^-grid rounded to nearest, ties to even.
-
-    ``ldexp`` rounds the int v to a float once, to nearest with ties to
-    even, and then scales by 2^-grid, which is exact while the result stays
-    normal.  A nonzero |v| * 2^-grid is at least 2^-grid, so for grid <= 1022
-    it is normal and the float is the correctly rounded value: the same as
-    the exact int division v / 2^grid, which to_float(..., rnd=round_nearest)
-    also gives.  Finer grids, and ints too wide for a float, take that
-    division.  With ``keep``, a byte per entry, only the entries where it is
-    nonzero are converted, read through ``itertools.compress`` so that no
-    copy of the columns is made.
-    """
-
-    def kept(column: Sequence[int]) -> Iterable[int]:
-        return column if keep is None else itertools.compress(column, keep)
-
-    if grid <= 1022:
-        scale = itertools.repeat(-grid)
-        try:
-            return array("d", map(math.ldexp, kept(re), scale)), array("d", map(math.ldexp, kept(im), scale))
-        except OverflowError:
-            pass
-    one = 1 << grid
-    return array("d", (v / one for v in kept(re))), array("d", (v / one for v in kept(im)))
-
-
 def _powers(max_degree: int, precision_bits: int) -> list[tuple[int, int]]:
     """t^0, ..., t^max_degree for t = e^i on the grid of :func:`_grid_bits`.
 
@@ -699,8 +670,10 @@ def _coordinate_error(max_degree: int, max_coeff: int, precision_bits: int) -> f
     within one ulp (2u) per component, each power, term c*t^k and sum
     rounds once to nearest, so to first order the powers drift by 4ku and
     a point by (max_degree+1)*(5m+1)*u; 8*(max_degree+1)*(m+1)*u also
-    covers the second-order terms.  The float conversion then rounds to
-    nearest, moving a coordinate by at most its magnitude times FLOAT_UNIT.
+    covers the second-order terms.  The float conversion, one exact int
+    division v / 2^grid, then rounds correctly to nearest: it moves a
+    coordinate by at most its magnitude times FLOAT_UNIT, or among
+    subnormals by at most 2^-1075, less than the accumulated term.
     """
     m = max_coeff * (max_degree + 1)
     accumulated = 8 * (max_degree + 1) * (m + 1) * 2.0**-precision_bits
@@ -743,29 +716,19 @@ def _difference_slack(max_degree: int, max_coeff: int, precision_bits: int) -> f
 def _closest_pair_sq(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, tuple[int, int]]:
     """Plane sweep for the closest pair of the points (xs[i], ys[i]); returns (squared distance, indices).
 
-    Points are visited in (x, y, index) order: the indices are sorted once
-    by x, and each run of equal x is sorted again by y; both sorts are
-    stable, so index order holds among equal (x, y).  The active strip is
-    kept in (y, x, index) order as two parallel lists, its y values and its
-    indices.  A new point goes after every active point of equal y, since
-    it comes after them in (x, index); a leaving point is found by
-    bisecting to its y and stepping through that run to its index.  The
-    window is the active points with y - d <= cy < y + d for d = sqrt(best)
-    at the point's visit, walked in strip order, so of several pairs at the
-    least distance the first one met wins.
+    Points are visited in (x, y, index) order: the indices are sorted by y,
+    then again by x.  Both sorts are stable, so the second keeps y order
+    among equal x, and the first keeps index order among equal y.  The
+    active strip is kept in (y, x, index) order as two parallel lists, its y
+    values and its indices.  A new point goes after every active point of
+    equal y, since it comes after them in (x, index); a leaving point is
+    found by bisecting to its y and stepping through that run to its index.
+    The window is the active points with y - d <= cy < y + d for
+    d = sqrt(best) at the point's visit, walked in strip order, so of
+    several pairs at the least distance the first one met wins.
     """
-    order = sorted(range(len(xs)), key=xs.__getitem__)
-    # positions k where order[k - 1] and order[k] share their x, in one streaming pass
-    same_x = itertools.starmap(eq, itertools.pairwise(map(xs.__getitem__, order)))
-    ties = list(itertools.compress(itertools.count(1), same_x))
-    runs: list[list[int]] = []  # [start, stop) of each run of equal x
-    for k in ties:
-        if runs and runs[-1][1] == k:
-            runs[-1][1] = k + 1
-        else:
-            runs.append([k - 1, k + 1])
-    for start, stop in runs:
-        order[start:stop] = sorted(order[start:stop], key=ys.__getitem__)
+    order = sorted(range(len(xs)), key=ys.__getitem__)
+    order.sort(key=xs.__getitem__)
     best = d = math.inf
     pair = (-1, -1)
     active_y: list[float] = []
@@ -873,36 +836,25 @@ def _least_differences(powers: Sequence[complex], max_coeff: int, window: float)
     return best, sorted(kept)
 
 
-def _difference_offset(d: Sequence[int], base: int) -> int:
-    """i - j for each pair of indices of ``enumerate_polys`` with P_i - P_j = D: D's coefficients as signed digits.
-
-    The constant is the most significant digit, in base max_coeff + 1.  Each
-    |d_k| < base, so the sign of the offset is that of D's first nonzero
-    coefficient.
-    """
-    return reduce(lambda i, c: i * base + c, d, 0)
-
-
 def _realising_points(differences: Iterable[Sequence[int]], max_degree: int, max_coeff: int) -> bytes:
     """A byte per index of ``enumerate_polys``: 1 at both ends of each pair (i, j) with P_i - P_j in ``differences``.
 
-    Each D has its first nonzero coefficient positive.  P_i - P_j = D exactly
-    when every coefficient p_k of P_i lies in [max(0, d_k), max_coeff +
-    min(0, d_k)] and j = i - _difference_offset(D), which is then positive.
-    The i form a box of digits.  Its mask is built from the least
-    significant digit (the highest power) up, each digit making base copies
-    of the mask so far, blank outside the box; the j's mask is that mask
-    moved down by the offset.  The rest is 0.
+    P_i - P_j = D exactly when every coefficient p_k of P_i lies in
+    [max(0, d_k), max_coeff + min(0, d_k)]: the i form a box of digits,
+    box(D), and P_j = P_i - D then ranges over box(-D).  So the mask is the
+    union of box(D) and box(-D) over every D.  Each box is built from the
+    least significant digit (the highest power) up, each digit making base
+    copies of the mask so far, blank outside the box.  The rest is 0.
     """
     base = max_coeff + 1
     union = 0
     for d in differences:
-        box = b"\x01"
-        for c in reversed(d):
-            blank = bytes(len(box))
-            box = b"".join(box if max(0, c) <= p <= max_coeff + min(0, c) else blank for p in range(base))
-        offset = _difference_offset(d, base)
-        union |= int.from_bytes(box, "big") | int.from_bytes(box[offset:] + bytes(offset), "big")
+        for e in (d, [-c for c in d]):
+            box = b"\x01"
+            for c in reversed(e):
+                blank = bytes(len(box))
+                box = b"".join(box if max(0, c) <= p <= max_coeff + min(0, c) else blank for p in range(base))
+            union |= int.from_bytes(box, "big")
     return union.to_bytes(base ** (max_degree + 1), "big")
 
 
@@ -1042,15 +994,17 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
 def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
     """The separation and isometries findings, the min distance and its pair, and the max isometry defect.
 
-    The embedding, the float conversion and the g/h defects run on the
-    fixed-point kernel; the closest pair's distance and the sampled
-    rotation-invariance pairs run on libmp, on exactly converted points.
-    A pair's distance is |D(t)| for its difference D = P - Q.
+    The embedding and the g/h defects run on the fixed-point kernel; the
+    closest pair's distance and the sampled rotation-invariance pairs run on
+    libmp, on exactly converted points.  A grid value v becomes a float by
+    one exact int division, v / 2^grid, correctly rounded to nearest with
+    ties to even.  A pair's distance is |D(t)| for its difference D = P - Q.
     :func:`_least_differences` finds the least |D(t)| by meet in the middle
     and keeps each D within twice :func:`_difference_slack` of it, so every
     closest pair of the sweep over all points realises a kept D.  Only the
     points of those realisations (:func:`_realising_points`) are converted
-    to floats and swept.  The sweep visits and walks them in the order it
+    to floats, read through ``itertools.compress`` without a copy of the
+    columns, and swept.  The sweep visits and walks them in the order it
     would among all points, so it meets the same pair first.  Its distance
     must lie within the slack of the search's least, or the run raises
     InvariantViolationError naming both: so it does when the swept points
@@ -1061,9 +1015,10 @@ def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
     on their own.
     """
     prec, rnd, grid = precision_bits, round_nearest, _grid_bits(precision_bits)
+    one = 1 << grid
     # the least difference, and each within twice the slack of it, from the powers of t as floats; this
     # runs before the embedding, so its sums are freed before the grid points are made
-    powers = list(map(complex, *_to_floats(*zip(*_powers(max_degree, prec)), grid)))
+    powers = [complex(x / one, y / one) for x, y in _powers(max_degree, prec)]
     slack = _difference_slack(max_degree, max_coeff, prec)
     least, differences = _least_differences(powers, max_coeff, 2 * slack)
     swept = _realising_points(differences, max_degree, max_coeff)
@@ -1090,7 +1045,8 @@ def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
     isometries = Finding("isometries", isometry_ok, f"max defect {to_str(defect, 6)} vs tolerance {to_str(tol, 6)}")
 
     # the sweep, over the points that realise those differences only
-    xs, ys = _to_floats(re, im, grid, swept)
+    xs = array("d", (v / one for v in itertools.compress(re, swept)))
+    ys = array("d", (v / one for v in itertools.compress(im, swept)))
     del re, im
     best_sq, ends = _closest_pair_sq(xs, ys)
     distance = math.sqrt(best_sq)

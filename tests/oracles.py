@@ -8,8 +8,8 @@ frozenset route of finite action models (validation, images and the derived
 interior on point objects), the Fraction routes of the integer kernels
 (point-measure mass, the ergodic average with its piecewise-constant
 samples, and the additive map), the planar paradox's g/h isometry defect
-over every pair and its least difference over every difference vector, and
-the sphere's interval geometry in mpmath's ``iv`` context.  Each is the
+over every pair, its least difference over every difference vector and the
+points realising a difference, pair by pair, and the sphere's interval geometry in mpmath's ``iv`` context.  Each is the
 slow, general route that a fast path in ``exactlin``, ``words``,
 ``measures``, ``paradox``, ``cauchy`` or ``sphere`` must agree with.
 """
@@ -31,7 +31,7 @@ from paradoxlab.cauchy import HamelModel
 from paradoxlab.errors import DegenerateInputError, DomainError, InvariantViolationError, ModelError
 from paradoxlab.exactlin import DEFAULT_GENERATORS, Mat3, ProjectiveDirection, _scaled_axis, scaled_integer_form
 from paradoxlab.measures import GroupTable, PiecewiseConstant, PointMeasure, _frac
-from paradoxlab.paradox import _grid_bits, _to_mpc
+from paradoxlab.paradox import _grid_bits, _to_mpc, enumerate_polys
 from paradoxlab.words import (
     _CLASS_OF_LETTER,
     _INVERSES,
@@ -408,6 +408,26 @@ def least_differences_all_vectors(max_degree: int, max_coeff: int, window: float
             sign = 1 if next(c for c in d if c) > 0 else -1
             kept.add(tuple(sign * c for c in d))
     return least, sorted(kept)
+
+
+def realising_points_all_pairs(differences: Sequence[Sequence[int]], max_degree: int, max_coeff: int) -> bytes:
+    """paradox._realising_points's mask from every index and every difference, one pair at a time.
+
+    For each index i of ``enumerate_polys`` and each D of ``differences``,
+    and its negation, the j with P_j = P_i - D is looked up among the
+    padded coefficient tuples, constant first; where it is in range, both
+    i and j are marked.  No digit boxes and no index arithmetic.
+    """
+    width = max_degree + 1
+    index = {p + (0,) * (width - len(p)): i for i, p in enumerate(enumerate_polys(max_degree, max_coeff))}
+    signed = [e for d in differences for e in (tuple(d), tuple(-c for c in d))]
+    mask = bytearray(len(index))
+    for p, i in index.items():
+        for e in signed:
+            j = index.get(tuple(a - c for a, c in zip(p, e)))
+            if j is not None:
+                mask[i] = mask[j] = 1
+    return bytes(mask)
 
 
 # -- interval geometry in mpmath's iv context -----------------------------------

@@ -1,6 +1,7 @@
 """The command-line interface: report shape, exit codes, and determinism."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from paradoxlab import cauchy, cli, exactlin, measures, paradox, sphere
+from paradoxlab import cauchy, cli, exactlin, freeness, measures, paradox, sphere
 from paradoxlab.errors import InconclusiveError, InvariantViolationError
 from paradoxlab.words import Letter, ReducedWord
 
@@ -212,16 +213,22 @@ def _smp_verify_invariant_failure(report_schema, *args):
     return finding["detail"]
 
 
-@pytest.mark.parametrize("shift", [1, -1])
-def test_smp_verify_fails_closed_on_a_shifted_realisation_offset(monkeypatch, report_schema, shift):
-    # At deg 12 coef 1 the least difference's last coefficient is 1 = coef, so every point realising it
-    # has its last digit fixed, and an offset moved by one pairs none of them: the sweep meets a pair
-    # far from the least difference.
-    offset = paradox._difference_offset
-    monkeypatch.setattr(paradox, "_difference_offset", lambda d, base: offset(d, base) + shift)
+def test_smp_verify_fails_closed_when_the_mask_drops_the_negated_boxes(monkeypatch, report_schema):
+    # A mask of box(D) alone holds the i ends of D's realisations but not their j ends in box(-D).  At
+    # coef 1 each nonzero coefficient of D fixes that digit of P_i to one value and of P_j to the other,
+    # so at deg 12 no pair realising the least D lies within box(D), and the sweep meets a pair far from
+    # the least difference.
+    def box_only(differences, max_degree, max_coeff):
+        polys = paradox.enumerate_polys(max_degree, max_coeff)
+        padded = [p + (0,) * (max_degree + 1 - len(p)) for p in polys]
+        return bytes(
+            any(all(max(0, c) <= a <= max_coeff + min(0, c) for a, c in zip(p, d)) for d in differences) for p in padded
+        )
+
+    monkeypatch.setattr(paradox, "_realising_points", box_only)
     detail = _smp_verify_invariant_failure(report_schema, "--deg", "12", "--coef", "1")
     assert re.fullmatch(
-        r"the closest-pair sweep's distance 0\.4826\d* and the least difference 0\.0006681\d* "
+        r"the closest-pair sweep's distance 0\.567\d* and the least difference 0\.0006681\d* "
         r"differ by more than their slack \S+",
         detail,
     )
@@ -271,6 +278,61 @@ def test_ergodic_defect_bound_fails_on_a_defect_above_it(monkeypatch):
     result = run_cli("measures", "demo", "--which", "ergodic")
     assert result.code == 1
     assert _defect_bound(result) is False
+
+
+# A one-line fault per finding, each making that finding of a passing command false and no other.
+FALSIFIERS = [
+    pytest.param(
+        ("measures", "demo", "--which", "density"),
+        # a window counted over (0, n] in place of [0, n): the evens in 1..10 are 4 of 10
+        lambda mp: mp.setattr(measures, "density_measure", lambda w: Fraction(sum(0 < a <= w.n for a in w.points), w.n)),
+        "evens_density",
+        id="evens_density",
+    ),
+    pytest.param(
+        ("measures", "demo", "--which", "density"),
+        # a shift that moves no point has no defect, not the block's 1/10
+        lambda mp: mp.setattr(measures, "shift_defect", lambda w: Fraction(0)),
+        "block_defect",
+        id="block_defect",
+    ),
+    pytest.param(
+        ("measures", "demo", "--which", "ergodic"),
+        # one step too many: the orbit 0, 1/3, 2/3, 0 meets [0, 1/3) twice in four
+        lambda mp, real=measures.ergodic_average: mp.setattr(
+            measures, "ergodic_average", lambda alpha, x0, f, n: real(alpha, x0, f, n + 1)
+        ),
+        "third_orbit",
+        id="third_orbit",
+    ),
+    pytest.param(
+        ("measures", "demo", "--which", "ergodic"),
+        # a constant function built at twice its value averages 2, not 1
+        lambda mp: mp.setattr(measures.PiecewiseConstant, "constant", classmethod(lambda cls, v: cls.of([0], [2 * v]))),
+        "constant_function",
+        id="constant_function",
+    ),
+    pytest.param(
+        ("freeness", "certify"),
+        # a certificate without its transitions is not closed, and the independent checker rejects it
+        lambda mp, real=freeness.build_any_certificate: mp.setattr(
+            freeness, "build_any_certificate", lambda: dataclasses.replace(real(), transitions={})
+        ),
+        "certificate_verified",
+        id="certificate_verified",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,fault,name", FALSIFIERS)
+def test_a_one_line_fault_makes_the_finding_false(monkeypatch, report_schema, argv, fault, name):
+    assert run_cli(*argv).code == 0
+    fault(monkeypatch)
+    result = run_cli(*argv)
+    assert result.code == 1
+    jsonschema.validate(result.report, report_schema)
+    assert result.report["outcome"] == "fail"
+    assert [f["name"] for f in result.report["details"]["findings"] if not f["ok"]] == [name]
 
 
 # -- usage errors ------------------------------------------------------------

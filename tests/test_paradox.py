@@ -5,6 +5,7 @@ import tracemalloc
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import replace
+from fractions import Fraction
 from functools import cache, cmp_to_key
 
 import mpmath
@@ -54,18 +55,26 @@ from paradoxlab.paradox import (
     _least_differences,
     _mul,
     _powers,
+    _realising_points,
     _round,
     _rounding_tables,
     _separation_slack,
     _smp_index_maps,
     _smp_poly,
-    _to_floats,
     _to_mpc,
 )
 from paradoxlab.sphere import SEPARATION_RESOLUTION
 from paradoxlab.words import Letter, ReducedWord, ball, ball_size
 
-from oracles import apply, concat, gh_defect_all_pairs, least_differences_all_vectors, ref_interior, word_matrix
+from oracles import (
+    apply,
+    concat,
+    gh_defect_all_pairs,
+    least_differences_all_vectors,
+    realising_points_all_pairs,
+    ref_interior,
+    word_matrix,
+)
 
 # -- models and witnesses ----------------------------------------------------
 
@@ -491,54 +500,57 @@ def _normal_results(grid):
     )
 
 
+def _to_float(v, grid):
+    # libmp's float of the grid value v, v * 2^-grid rounded to nearest with ties to even
+    return to_float(from_man_exp(v, -grid), rnd=round_nearest)
+
+
+def _to_floats(re, im, grid):
+    # grid columns as two float arrays, x and y, by the conversion _smp_numeric makes: one exact int division
+    one = 1 << grid
+    return array("d", (v / one for v in re)), array("d", (v / one for v in im))
+
+
 @given(st.sampled_from([128, 256, 512, 2048]).flatmap(lambda grid: st.tuples(st.just(grid), _normal_results(grid))))
 def test_float_conversion_matches_to_float(case):
     grid, v = case
-    assert _float_pairs([(v, -v)], grid) == [
-        (to_float(from_man_exp(v, -grid), rnd=round_nearest), to_float(from_man_exp(-v, -grid), rnd=round_nearest))
-    ]
+    assert (v / (1 << grid), -v / (1 << grid)) == (_to_float(v, grid), _to_float(-v, grid))
 
 
-def _float_pairs(points, grid):
-    # (re, im) points split into _to_floats's two columns, its two arrays read back as (x, y) pairs
-    return list(zip(*_to_floats([x for x, _ in points], [y for _, y in points], grid)))
+def _nearest_float(v, grid, f):
+    # f is the float nearest v * 2^-grid, by exact Fractions, with an even significand on a tie
+    x = Fraction(v, 1 << grid)
+    error = abs(x - Fraction(f))
+    neighbours = [abs(x - Fraction(math.nextafter(f, side))) for side in (-math.inf, math.inf)]
+    return all(error < e or (error == e and abs(f) / math.ulp(f) % 2 == 0) for e in neighbours)
 
 
-def _to_floats_by_division(points, grid):
-    # the conversion _to_floats replaced: one exact int division per coordinate
-    one = 1 << grid
-    return [(x / one, y / one) for x, y in points]
-
-
-def test_float_conversion_by_ldexp_equals_the_int_division():
+def test_float_conversion_by_int_division_equals_to_float():
     bits = 128
     grid = _grid_bits(bits)
     _, re, im = _embed_polys(6, 3, bits)
-    embeds = list(zip(re, im))
-    assert _float_pairs(embeds, grid) == _to_floats_by_division(embeds, grid)
-    # ties and near-ties of rounding to 53 bits, in odd values wider than 53 bits, at several scales
+    assert [v / (1 << grid) for v in re + im] == [_to_float(v, grid) for v in re + im]
+    cases = []
+    # ties and near-ties of rounding to 53 bits, in odd values wider than 53 bits, at several scales,
+    # on the grids of 128 and 1024 bits
     ties = [(1 << 53) + 1, (1 << 53) + 3, (1 << 54) + 2, (1 << 70) + (1 << 17), (1 << 70) + (1 << 17) + 1, (1 << 70) + 1]
-    values = [v << shift for v in ties for shift in (0, grid - 60, grid - 53, grid)] + [1, 1 << grid, 0]
-    points = [(v, -v) for v in values] + [(-v, v) for v in values]
-    assert _float_pairs(points, grid) == _to_floats_by_division(points, grid)
-    assert _float_pairs([(1 << grid, -(1 << grid)), (0, 0)], grid) == [(1.0, -1.0), (0.0, 0.0)]
-    # 2^-1022 is the smallest normal float; past that grid, and for ints too wide
-    # for a float, the conversion divides exactly.  At grid 1100 the value
-    # 2^55 + 2^25 + 1 lands among subnormals, where rounding v to a float first
-    # and scaling after would round twice, to 2^55 * 2^-1100.
+    for grid in (_grid_bits(bits), 2048):
+        values = [v << shift for v in ties for shift in (0, grid - 60, grid - 53, grid)] + [1, 1 << grid, 0]
+        cases += [(grid, v) for v in values]
+    # 2^-1022 is the smallest normal float; past 2^1024, v is an int too wide for a float
     subnormal_tie = (1 << 55) + (1 << 25) + 1
-    assert math.ldexp(subnormal_tie, -1100) != subnormal_tie / (1 << 1100)
-    for grid, v in ((1022, 1), (1022, 3), (1024, 1), (1100, subnormal_tie), (1100, 3 << 1099), (1000, (1 << 1030) + 1)):
-        assert _float_pairs([(v, -v)], grid) == _to_floats_by_division([(v, -v)], grid)
-    # with a mask, only its entries, also where an int too wide for a float sends the conversion to the
-    # division after the ldexp pass has read the kept entries before it
-    for grid, column, keep in (
-        (_grid_bits(bits), re, bytes(i % 3 == 0 for i in range(len(re)))),
-        (1000, [3, 7 << 990, 5, (1 << 1030) + 1, 9], b"\x01\x01\x00\x01\x00"),
-    ):
-        kept = [v for v, k in zip(column, keep) if k]
-        xs, ys = _to_floats(column, [-v for v in column], grid, keep)
-        assert list(zip(xs, ys)) == _to_floats_by_division([(v, -v) for v in kept], grid)
+    cases += [(1022, 1), (1022, 3), (1024, 1), (1100, subnormal_tie), (1100, 3 << 1099), (1000, (1 << 1030) + 1)]
+    cases += [(1000, v) for v in (3, 7 << 990, 5, 9)]
+    for grid, v in cases:
+        for w in (v, -v):
+            f = w / (1 << grid)
+            assert _nearest_float(w, grid, f)
+            if f == 0 or abs(f) >= 2.0**-1022:
+                assert f == _to_float(w, grid)
+    # Among subnormals, rounding v to 53 bits first and scaling after rounds twice, as
+    # to_float and ldexp do: at grid 1100, 2^55 + 2^25 + 1 lands on 2^55 * 2^-1100.
+    assert _to_float(subnormal_tie, 1100) == math.ldexp(subnormal_tie, -1100) == 2.0**-1045
+    assert subnormal_tie / (1 << 1100) == 2.0**-1045 + 2.0**-1074
 
 
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(4, 3, 128), (1, 200, 128), (3, 2, 64)])
@@ -734,6 +746,29 @@ def test_least_difference_matches_every_difference_vector(max_degree, max_coeff,
     expected, expected_kept = least_differences_all_vectors(max_degree, max_coeff, 2 * slack)
     assert abs(least - expected) <= slack
     assert kept == expected_kept
+
+
+@pytest.mark.parametrize("max_degree,max_coeff", ORACLE_SHAPES)
+def test_realising_points_match_every_pair(max_degree, max_coeff):
+    bits = 128
+    powers = list(map(complex, *_to_floats(*zip(*_powers(max_degree, bits)), _grid_bits(bits))))
+    _, kept = _least_differences(powers, max_coeff, 2 * _difference_slack(max_degree, max_coeff, bits))
+    assert _realising_points(kept, max_degree, max_coeff) == realising_points_all_pairs(kept, max_degree, max_coeff)
+
+
+# any differences, of either sign and as many as three, with ends near the box edges or beyond the range
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 3)).flatmap(
+        lambda shape: st.tuples(
+            st.just(shape),
+            st.lists(st.tuples(*[st.integers(-shape[1], shape[1])] * (shape[0] + 1)), max_size=3),
+        )
+    )
+)
+def test_realising_points_match_every_pair_for_any_differences(case):
+    (max_degree, max_coeff), differences = case
+    expected = realising_points_all_pairs(differences, max_degree, max_coeff)
+    assert _realising_points(differences, max_degree, max_coeff) == expected
 
 
 def _sweep_every_point(max_degree, max_coeff, bits):
