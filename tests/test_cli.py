@@ -213,19 +213,23 @@ def _smp_verify_invariant_failure(report_schema, *args):
     return finding["detail"]
 
 
-def test_smp_verify_fails_closed_when_the_mask_drops_the_negated_boxes(monkeypatch, report_schema):
-    # A mask of box(D) alone holds the i ends of D's realisations but not their j ends in box(-D).  At
-    # coef 1 each nonzero coefficient of D fixes that digit of P_i to one value and of P_j to the other,
-    # so at deg 12 no pair realising the least D lies within box(D), and the sweep meets a pair far from
-    # the least difference.
-    def box_only(differences, max_degree, max_coeff):
+@pytest.mark.parametrize("sign", [1, -1])
+def test_smp_verify_fails_closed_when_the_mask_keeps_the_boxes_of_one_sign(monkeypatch, report_schema, sign):
+    # A mask of box(D) alone (sign 1) holds the i ends of D's realisations but not their j ends in box(-D),
+    # and a mask of box(-D) alone (sign -1) the j ends but not the i ends.  At coef 1 each nonzero
+    # coefficient of D fixes that digit of P_i to one value and of P_j to the other, so at deg 12 no pair
+    # realising the least D lies within either box, and the sweep meets a pair far from the least
+    # difference.  Taking every digit p to coef - p maps box(D) onto box(-D) by a point reflection, so both
+    # signs sweep the same distance.
+    def one_sign(differences, max_degree, max_coeff):
         polys = paradox.enumerate_polys(max_degree, max_coeff)
         padded = [p + (0,) * (max_degree + 1 - len(p)) for p in polys]
+        boxes = [[sign * c for c in d] for d in differences]
         return bytes(
-            any(all(max(0, c) <= a <= max_coeff + min(0, c) for a, c in zip(p, d)) for d in differences) for p in padded
+            any(all(max(0, c) <= a <= max_coeff + min(0, c) for a, c in zip(p, d)) for d in boxes) for p in padded
         )
 
-    monkeypatch.setattr(paradox, "_realising_points", box_only)
+    monkeypatch.setattr(paradox, "_realising_points", one_sign)
     detail = _smp_verify_invariant_failure(report_schema, "--deg", "12", "--coef", "1")
     assert re.fullmatch(
         r"the closest-pair sweep's distance 0\.567\d* and the least difference 0\.0006681\d* "
