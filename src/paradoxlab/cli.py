@@ -202,7 +202,10 @@ def _run_sphere_absorb(args):
             "collision": demo.collision,
         },
     }
-    return demo.outcome, details, demo.summary()
+    # an uncertified rotation fails the run whatever the demo found
+    if findings[0].ok:
+        return demo.outcome, details, demo.summary()
+    return "fail", details, f"rotation not certified (margin {g.margin:.6g}); {demo.summary()}"
 
 
 def _run_smp_verify(args):

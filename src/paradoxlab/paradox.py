@@ -17,7 +17,10 @@ Two concrete decompositions are built here:
   Each P is its coefficient tuple, low degree first, with no trailing zero
   (() is 0), and :func:`poly_str` gives its text form.  Class A, the
   domain of g, has a zero constant term (P = x*Q, so P(t) = t*Q(t)); class
-  B, the domain of h, a positive one;
+  B, the domain of h, a positive one.  On a truncation, g and h are
+  bijections onto their images because the enumeration is distinct, the
+  closed-form index maps are injective onto the image set, and the forward
+  maps agree with them;
 
 * the orbit of an integer base vector under the free rotation group
   (:func:`orbit_transport`), which transports the word-level decomposition
@@ -491,16 +494,6 @@ def smp_h(p: tuple[int, ...]) -> tuple[int, ...]:
     return () if p == (1,) else (p[0] - 1,) + p[1:]
 
 
-def smp_mul_x(p: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse of smp_g on its image."""
-    return (0,) + p if p else p
-
-
-def smp_add_one(p: tuple[int, ...]) -> tuple[int, ...]:
-    """Inverse of smp_h."""
-    return (p[0] + 1,) + p[1:] if p else (1,)
-
-
 def enumerate_polys(max_degree: int, max_coeff: int) -> tuple[tuple[int, ...], ...]:
     """All polynomials with degree <= max_degree and coefficients <= max_coeff.
 
@@ -901,22 +894,22 @@ def _smp_poly(i: int, max_degree: int, max_coeff: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _maps_match(polys: tuple[tuple[int, ...], ...], domain: range, images: range, forward, inverse) -> bool:
-    """forward takes each polys[i] to polys[j] of the index map i -> j, and inverse takes it back."""
-    return len(images) == len(domain) and all(
-        forward(polys[i]) == polys[j] and inverse(polys[j]) == polys[i] for i, j in zip(domain, images)
-    )
+def _maps_match(polys: tuple[tuple[int, ...], ...], domain: range, images: range, forward) -> bool:
+    """forward takes each polys[i] to polys[j] of the index map i -> j."""
+    return len(images) == len(domain) and all(forward(polys[i]) == polys[j] for i, j in zip(domain, images))
 
 
 def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DEFAULT_PRECISION_BITS) -> SMPReport:
     """Verify the two-piece planar paradox on a finite truncation.
 
-    Symbolic side: A/B partition the range; g and h are injective with exact
-    inverses, and their images are exactly the degree- and constant-truncated
-    ranges.  Both are checked on the indices of the enumeration, where the
-    closed-form index maps of :func:`_smp_index_maps` must agree with the
-    polynomial maps.  Numeric side, at ``precision_bits``: all embedded points
-    are pairwise distinct beyond 1e-12, and g/h act as the claimed isometries
+    Symbolic side: A/B partition the range, and g and h are bijections onto
+    the degree- and constant-truncated ranges.  Bijectivity rests on three
+    facts: the enumeration is distinct, each closed-form index map of
+    :func:`_smp_index_maps` is an injective range whose image indices are
+    exactly the truncated image set, and the forward map (:func:`smp_g` or
+    :func:`smp_h`) takes each polynomial to the one at its image index.
+    Numeric side, at ``precision_bits``: all embedded points are pairwise
+    distinct beyond 1e-12, and g/h act as the claimed isometries
     (rotation by e^-i, translation by -1).  Separation below threshold is
     reported as inconclusive, not failure: the embedded points are distinct
     transcendentals, only the precision can fall short.  A value the
@@ -948,13 +941,13 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
     # Each image is compared first, so the maps only ever index the enumeration.
     # g's image: degree <= max_degree - 1
     ok_g = [j for j, p in enumerate(polys) if len(p) <= max_degree] == list(g_images) and _maps_match(
-        polys, part_a, g_images, smp_g, smp_mul_x
+        polys, part_a, g_images, smp_g
     )
     findings.append(Finding("g_bijection", ok_g, "" if ok_g else "shift-down failed an exactness check"))
 
     # h's image: constant <= max_coeff - 1
     ok_h = [j for j, p in enumerate(polys) if not p or p[0] < max_coeff] == list(h_images) and _maps_match(
-        polys, part_b, h_images, smp_h, smp_add_one
+        polys, part_b, h_images, smp_h
     )
     findings.append(Finding("h_bijection", ok_h, "" if ok_h else "decrement failed an exactness check"))
     # The numeric half decodes the two polynomials it names from their indices.

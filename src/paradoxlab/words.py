@@ -121,11 +121,6 @@ class ReducedWord(bytes):
 
     __lt__ = __le__ = __gt__ = __ge__ = __add__ = __radd__ = __mul__ = __rmul__ = _unsupported
 
-    @property
-    def letters(self) -> bytes:
-        """The letters as a plain ``bytes`` copy, for callers that join them."""
-        return bytes(self)
-
     # -- text form ----------------------------------------------------------
 
     def __str__(self) -> str:

@@ -67,7 +67,7 @@ def matmul(m: Mat3, other: Mat3) -> Mat3:
 def word_matrix(w: ReducedWord) -> Mat3:
     """The rational product of the generators in word order; identity for e."""
     product = identity()
-    for letter in w.letters:
+    for letter in bytes(w):
         product = matmul(product, DEFAULT_GENERATORS[letter])
     return product
 
@@ -178,15 +178,15 @@ def _seam(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
 
 def concat(w1: ReducedWord, w2: ReducedWord) -> ReducedWord:
     """Product in the free group."""
-    return _reduced(_seam(w1.letters, w2.letters))
+    return _reduced(_seam(bytes(w1), bytes(w2)))
 
 
 def invert(w: ReducedWord) -> ReducedWord:
-    return _reduced(tuple(_INVERSES[l] for l in reversed(w.letters)))
+    return _reduced(tuple(_INVERSES[l] for l in reversed(bytes(w))))
 
 
 def prefix_class(w: ReducedWord) -> PrefixClass:
-    letters = w.letters
+    letters = bytes(w)
     return _CLASS_OF_LETTER[letters[0]] if letters else PrefixClass.IDENTITY
 
 
@@ -228,7 +228,7 @@ def check_split(
     if cover is PrefixClass.IDENTITY or piece is PrefixClass.IDENTITY:
         raise ValueError("cover and piece must be prefix classes of nonempty words")
     cover_letter, piece_letter = _FIRST_LETTER[cover], _FIRST_LETTER[piece]
-    mover_letters, inv_letters = mover.letters, invert(mover).letters
+    mover_letters, inv_letters = bytes(mover), bytes(invert(mover))
     violations: list[str] = []
     checked = 0
     for h in itertools.chain.from_iterable(ball_levels(depth)):

@@ -52,7 +52,7 @@ def test_criterion_01_group_laws_and_ball_census(capsys):
     # Exhaustive over all ball(4) pairs: seam concatenation vs full re-reduction,
     # and the anti-homomorphism law for inverses.
     pairs_ok = all(
-        concat(u, v) == reduce(u.letters + v.letters) and invert(concat(u, v)) == concat(invert(v), invert(u))
+        concat(u, v) == reduce(bytes(u) + bytes(v)) and invert(concat(u, v)) == concat(invert(v), invert(u))
         for u in b4
         for v in b4
     )

@@ -325,6 +325,35 @@ FALSIFIERS = [
         "certificate_verified",
         id="certificate_verified",
     ),
+    pytest.param(
+        ("sphere", "absorb", "--depth", "2", "--iters", "3"),
+        # the same rotation with no certified margin; the demo alone still passes
+        lambda mp, real=sphere.find_absorbing_rotation_adaptive: mp.setattr(
+            sphere, "find_absorbing_rotation_adaptive", lambda *a, **k: dataclasses.replace(real(*a, **k), margin=0.0)
+        ),
+        "rotation_certified",
+        id="rotation_certified",
+    ),
+    pytest.param(
+        ("cauchy", "demo", "--rank", "2"),
+        # a search that finds no witness at rank 2
+        lambda mp: mp.setattr(cauchy, "nonproportionality_witness", lambda f: None),
+        "nonproportional",
+        id="nonproportional",
+    ),
+    pytest.param(
+        ("measures", "demo", "--which", "finite-group"),
+        # element 0 weighs twice the rest: a probability on the cyclic group that translation moves
+        lambda mp: mp.setattr(
+            measures,
+            "uniform_group_measure",
+            lambda G: measures.PointMeasure(
+                frozenset(G.elements), {e: Fraction(2 if e == 0 else 1, len(G) + 1) for e in G.elements}
+            ),
+        ),
+        "cyclic6_two_sided_invariance",
+        id="cyclic6_two_sided_invariance",
+    ),
 ]
 
 

@@ -37,10 +37,8 @@ from paradoxlab.paradox import (
     f2_ball_model,
     orbit_transport,
     poly_str,
-    smp_add_one,
     smp_g,
     smp_h,
-    smp_mul_x,
     smp_verify,
     two_to_one_shift_model,
     verify_paradox_witness,
@@ -246,17 +244,6 @@ def test_poly_str():
     ]
 
 
-coeff_tuples = st.lists(st.integers(min_value=0, max_value=5), max_size=6).map(_stripped)
-
-
-@given(coeff_tuples)
-def test_smp_maps_invert_exactly(p):
-    if _class_a(p):
-        assert smp_mul_x(smp_g(p)) == p
-    else:
-        assert smp_add_one(smp_h(p)) == p
-
-
 def test_smp_maps_enforce_domains():
     with pytest.raises(DomainError):
         smp_g((1,))
@@ -330,8 +317,6 @@ def test_smp_verify_peak_memory_per_point():
 @pytest.mark.parametrize(
     "name,broken",
     [
-        ("smp_mul_x", lambda q: q),  # no longer undoes g
-        ("smp_add_one", lambda q: smp_add_one(smp_add_one(q))),  # adds 2
         ("smp_g", lambda p: p[2:]),  # one power too many
         ("smp_h", lambda p: _stripped((0,) + p[1:])),  # clears the constant
     ],
@@ -342,7 +327,7 @@ def test_smp_verify_names_a_broken_map(monkeypatch, name, broken):
     failed = [f.name for f in report.findings if not f.ok]
     assert report.outcome == "fail"
     # the first failing check names the map; a broken forward map also moves the isometry defects
-    assert failed[0] == ("g_bijection" if name in ("smp_mul_x", "smp_g") else "h_bijection")
+    assert failed[0] == ("g_bijection" if name == "smp_g" else "h_bijection")
     assert set(failed) <= {failed[0], "isometries"}
 
 
@@ -389,11 +374,9 @@ def test_smp_verify_rejects_an_off_by_one_index_map(monkeypatch, side, shift):
 
 
 def test_polys_are_canonical_coefficient_tuples():
-    # every tuple enumerate_polys and the four smp maps return holds nonnegative ints and has no trailing zero
+    # every tuple enumerate_polys, smp_g and smp_h return holds nonnegative ints and has no trailing zero
     polys = enumerate_polys(4, 3)
-    built = list(polys)
-    for p in polys:
-        built += [smp_g(p) if _class_a(p) else smp_h(p), smp_mul_x(p), smp_add_one(p)]
+    built = list(polys) + [smp_g(p) if _class_a(p) else smp_h(p) for p in polys]
     for p in built:
         assert type(p) is tuple and all(type(c) is int and c >= 0 for c in p) and p == _stripped(p)
 
