@@ -465,12 +465,12 @@ def _prefix_class_witness(
 # ---------------------------------------------------------------------------
 
 #: Hard cap on the planar paradox's (max_coeff+1)^(max_degree+1) points; at the cap, ``smp_verify``
-#: takes 3.9-4.0 s and 268 MiB peak RSS at (19, 1), 2.8-3.2 s and 213 MiB at (9, 3), 4.8-5.0 s and
-#: 183 MiB at (1, 1023) and 3.2-3.5 s and 184 MiB at (4, 15), two runs each in a fresh process on a
-#: 2-vCPU VM, alternated with runs that swept every point (5.1-6.7, 4.7-4.8, 4.6-4.8 and 4.1-4.3 s):
-#: time bounds it.  The cap holds at and below the default precision; above it, ``smp_verify`` scales it by
-#: DEFAULT_PRECISION_BITS / bits, since at 1024 bits a point adds about 670 B to the peak RSS, not the
-#: 185 B it adds at 128 (at (7, 3), same VM).
+#: takes 4.0-4.2 s and 268 MiB peak RSS at (19, 1), 3.1-3.3 s and 214 MiB at (9, 3), 6.9-7.0 s and
+#: 183 MiB at (1, 1023) and 3.5-3.7 s and 184 MiB at (4, 15), two runs each in a fresh process on a
+#: 2-vCPU VM, alternated with runs that rounded the defect by shifts on the unstripped unit (4.5-5.5,
+#: 3.6-3.7, 6.1-7.1 and 3.6-4.3 s): time bounds it.  The cap holds at and below the default precision;
+#: above it, ``smp_verify`` scales it by DEFAULT_PRECISION_BITS / bits, since at 1024 bits a point adds
+#: about 670 B to the peak RSS, not the 185 B it adds at 128 (at (7, 3), same VM).
 SMP_POINT_CAP = 2**20
 
 
@@ -528,26 +528,19 @@ class _OffGrid(ArithmeticError):
     """A value the fixed-point kernel cannot hold exactly."""
 
 
-def _round(v: int, prec: int) -> int:
-    """v rounded to prec significant bits, ties to even (libmp's round_nearest), at the same scale."""
-    s = v.bit_length() - prec
-    if s <= 0:
-        return v
-    # With v = q*2^s + r, q floored, adding 2^(s-1) - 1 and q's low bit
-    # carries into q exactly when r is above one half, or equal to it with q odd.
-    return (v + (1 << (s - 1)) - 1 + ((v >> s) & 1)) >> s << s
-
-
 def _rounding_tables(prec: int, top: int) -> tuple[list[int], list[int], list[int]]:
-    """:func:`_round`'s constants at prec bits, by bit length, for every int of bit length 0 to ``top``.
+    """Ties-to-even rounding to prec bits as constants by bit length, for every int of bit length 0 to ``top``.
 
     Returns (half, odd, keep), indexed by n = v.bit_length().  With
-    s = n - prec > 0, half = 2^(s-1) - 1, odd = 2^s and keep = -2^s, so
-    ``(v + half[n] + ((v & odd[n]) != 0)) & keep[n]`` is ``_round(v, prec)``:
-    v & 2^s tests q's low bit as (v >> s) & 1 does, and & -2^s clears the s
-    low bits as _round's two shifts do, both in two's complement.  For
-    n <= prec the entries are 0, 0 and -1, which leave v unchanged.  A value
-    longer than ``top`` bits has no entry and raises IndexError.
+    s = n - prec > 0 and v = q*2^s + r, q floored: half = 2^(s-1) - 1,
+    odd = 2^s and keep = -2^s, so ``(v + half[n] + ((v & odd[n]) != 0)) & keep[n]``
+    carries into q exactly when r is above one half, or equal to it with q
+    odd (v & 2^s is q's low bit), and clears the s low bits, both in two's
+    complement: libmp's round_nearest at the same scale.  For n <= prec the
+    entries are 0, 0 and -1, which leave v unchanged.  A value longer than
+    ``top`` bits has no entry and raises IndexError.  :class:`_Kernel`
+    builds them once per smp_verify call; its rounder and the column sums of
+    :func:`_embed_polys` read them.
     """
     shifts = range(-prec, top + 1 - prec)
     half = [(1 << (s - 1)) - 1 if s > 0 else 0 for s in shifts]
@@ -556,16 +549,61 @@ def _rounding_tables(prec: int, top: int) -> tuple[list[int], list[int], list[in
     return half, odd, keep
 
 
-def _mul(z: tuple[int, int], w: tuple[int, int], prec: int, grid: int) -> tuple[int, int]:
-    """Complex product as libmp's mpc_mul: exact, one rounding per component, then back from 2^-2F to 2^-F."""
+class _Kernel:
+    """The planar fixed-point kernel at prec bits: one rounder, and products by a unit t stripped of zero low bits.
+
+    Built for a unit t on the grid of :func:`_grid_bits` and a bound m on
+    the column values: each has modulus below (m + 1) * 2^F, so below 2^top
+    with top = F + (m + 1).bit_length().  ``unit`` is t with the ``strip``
+    zero low bits its two components share taken off, F at most, so a
+    product by it (:func:`_mul`) multiplies by ints of at most prec bits in
+    place of 2F.  Rounding to prec significant bits commutes with scaling by
+    2^strip, so the off-grid mask ``low`` and the shift back ``shift`` move
+    by strip and every result is that of the unstripped product.
+
+    ``round`` is ties to even by the tables of :func:`_rounding_tables`,
+    which span every bit length the kernel reaches.  With the unit's
+    components below 2^U, a product by it is below 2^(top+U+1), and rounded
+    and shifted back at most that; the difference of such a product and a
+    column value, or of a column value and one translated by -1, is below
+    2^(top+U+2).
+    """
+
+    __slots__ = ("prec", "grid", "t", "unit", "shift", "low", "tables", "round")
+
+    def __init__(self, t: tuple[int, int], precision_bits: int, max_sum: int):
+        prec, grid = precision_bits, _grid_bits(precision_bits)
+        strip = min([grid] + [(c & -c).bit_length() - 1 for c in t if c])
+        self.prec, self.grid, self.t = prec, grid, t
+        self.unit = (t[0] >> strip, t[1] >> strip)
+        self.shift = grid - strip
+        self.low = (1 << self.shift) - 1
+        top = grid + (max_sum + 1).bit_length() + max(c.bit_length() for c in self.unit) + 2
+        half, odd, keep = self.tables = _rounding_tables(prec, top)
+
+        def round_(v: int) -> int:
+            n = v.bit_length()
+            return (v + half[n] + ((v & odd[n]) != 0)) & keep[n]
+
+        self.round = round_
+
+
+def _mul(z: tuple[int, int], w: tuple[int, int], kernel: _Kernel) -> tuple[int, int]:
+    """A grid point z times the kernel's unit w, or its conjugate, as libmp's mpc_mul of z and w * 2^strip.
+
+    The product is exact and each component rounds once, by the kernel's
+    rounder, on 2^-(2F - strip); a shift of F - strip bits brings it back to
+    the grid, and a product with bits below the grid fails closed.
+    """
     a, b = z
     c, d = w
-    re = _round(a * c - b * d, prec)
-    im = _round(a * d + b * c, prec)
-    low = (1 << grid) - 1
-    if re & low or im & low:
-        raise _OffGrid(f"a {prec}-bit product has bits below the fixed-point grid 2^-{grid}; it is not rounded again")
-    return re >> grid, im >> grid
+    rnd = kernel.round
+    re, im = rnd(a * c - b * d), rnd(a * d + b * c)
+    if re & kernel.low or im & kernel.low:
+        raise _OffGrid(
+            f"a {kernel.prec}-bit product has bits below the fixed-point grid 2^-{kernel.grid}; it is not rounded again"
+        )
+    return re >> kernel.shift, im >> kernel.shift
 
 
 def _from_mpf(x: tuple, grid: int) -> int:
@@ -581,45 +619,45 @@ def _to_mpc(z: tuple[int, int], grid: int) -> tuple:
     return from_man_exp(z[0], -grid), from_man_exp(z[1], -grid)
 
 
-def _powers(max_degree: int, precision_bits: int) -> list[tuple[int, int]]:
-    """t^0, ..., t^max_degree for t = e^i on the grid of :func:`_grid_bits`.
+def _planar_kernel(max_degree: int, max_coeff: int, precision_bits: int) -> _Kernel:
+    """The kernel of one smp_verify call: t = e^i, libmp's mpc_exp on the grid, and the bound max_coeff*(max_degree+1).
 
-    t is libmp's mpc_exp, and each power is the one before times t by
-    :func:`_mul`, so t^1 is t itself.
+    |t^k| = 1, so every sum of :func:`_embed_polys` has modulus at most
+    m = max_coeff*(max_degree+1) up to its roundings, below (m+1) * 2^F.
     """
-    prec, grid = precision_bits, _grid_bits(precision_bits)
-    t = tuple(_from_mpf(x, grid) for x in mpc_exp((fzero, fone), prec, round_nearest))
-    powers = [(1 << grid, 0)]
+    grid = _grid_bits(precision_bits)
+    t = tuple(_from_mpf(x, grid) for x in mpc_exp((fzero, fone), precision_bits, round_nearest))
+    return _Kernel(t, precision_bits, max_coeff * (max_degree + 1))
+
+
+def _powers(kernel: _Kernel, max_degree: int) -> list[tuple[int, int]]:
+    """t^0, ..., t^max_degree for the kernel's t: each power is the one before times t by :func:`_mul`, so t^1 is t."""
+    powers = [(1 << kernel.grid, 0)]
     for _ in range(max_degree):
-        powers.append(_mul(powers[-1], t, prec, grid))
+        powers.append(_mul(powers[-1], kernel.unit, kernel))
     return powers
 
 
-def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[tuple[int, int], list[int], list[int]]:
-    """t = e^i and P(t) for every P of ``enumerate_polys``, on the grid of :func:`_grid_bits`: (t, re, im).
+def _embed_polys(kernel: _Kernel, max_degree: int, max_coeff: int) -> tuple[list[int], list[int]]:
+    """P(t) for every P of ``enumerate_polys``, for the kernel's t, on its grid: (re, im).
 
     The real and imaginary parts are two int columns, indexed as the
     enumeration.  The sum over c0..ck is shared by every polynomial with that
     prefix, so the sums are built one power of t (:func:`_powers`) at a time.
     Each term c*t^k is rounded once, and each nonzero coefficient adds one
-    rounded sum: the
-    operations of summing each polynomial on its own, in the same order, so
-    every value is bit-identical to that route.  The two parts of a sum
-    round independently, so each column is built on its own.  Rounding is to
-    nearest, as in mpmath's default context; only t itself comes from libmp.
-    Each sum rounds by the tables of :func:`_rounding_tables`, constants per
-    bit length in place of _round's shifts, which this column of many sums
-    repays.  |t^k| = 1, so every sum has modulus at most
-    m = max_coeff*(max_degree+1) up to its roundings, below (m+1) * 2^F on
-    the grid: the tables span every bit length up to that bound.
+    rounded sum: the operations of summing each polynomial on its own, in the
+    same order, so every value is bit-identical to that route.  The two
+    parts of a sum round independently, so each column is built on its own.
+    Rounding is to nearest, as in mpmath's default context; only t itself
+    comes from libmp.  Each sum rounds by the kernel's tables written out
+    over the column, which its many sums repay.
     """
-    prec, grid = precision_bits, _grid_bits(precision_bits)
     base = max_coeff + 1
-    powers = _powers(max_degree, prec)
-    half, odd, keep = _rounding_tables(prec, grid + (max_coeff * (max_degree + 1) + 1).bit_length())
+    rnd = kernel.round
+    half, odd, keep = kernel.tables
 
     def plus(column: list[int], term: int) -> list[int]:
-        # _round(z + term, prec) for each z, by the tables
+        # kernel.round(z + term) for each z, by the tables
         return [
             (v + half[n] + ((v & odd[n]) != 0)) & keep[n]
             for z in column
@@ -627,27 +665,31 @@ def _embed_polys(max_degree: int, max_coeff: int, precision_bits: int) -> tuple[
             for n in (v.bit_length(),)
         ]
 
-    re, im = [0], [0]
-    for power in powers:
-        # the polynomial of index i with coefficient c appended has index base*i + c
-        next_re, next_im = [0] * (base * len(re)), [0] * (base * len(im))
-        next_re[::base], next_im[::base] = re, im
-        for c in range(1, base):
-            next_re[c::base] = plus(re, _round(c * power[0], prec))
-            next_im[c::base] = plus(im, _round(c * power[1], prec))
-        re, im = next_re, next_im
-    return powers[1], re, im
+    powers = _powers(kernel, max_degree)
+
+    def column(part: int) -> list[int]:
+        values = [0]
+        for power in powers:
+            # the polynomial of index i with coefficient c appended has index base*i + c
+            extended = [0] * (base * len(values))
+            extended[::base] = values
+            for c in range(1, base):
+                extended[c::base] = plus(values, rnd(c * power[part]))
+            values = extended
+        return values
+
+    return column(0), column(1)
 
 
-def _embed_poly(p: tuple[int, ...], t: tuple[int, int], precision_bits: int) -> tuple[int, int]:
+def _embed_poly(p: tuple[int, ...], kernel: _Kernel) -> tuple[int, int]:
     """P(t) for one polynomial, summed on its own in the order :func:`_embed_polys` documents, so bit-identical."""
-    prec, grid = precision_bits, _grid_bits(precision_bits)
-    power, z = (1 << grid, 0), (0, 0)
+    rnd = kernel.round
+    power, z = (1 << kernel.grid, 0), (0, 0)
     for k, c in enumerate(p):
         if k:
-            power = _mul(power, t, prec, grid)
+            power = _mul(power, kernel.unit, kernel)
         if c:
-            z = (_round(z[0] + _round(c * power[0], prec), prec), _round(z[1] + _round(c * power[1], prec), prec))
+            z = (rnd(z[0] + rnd(c * power[0])), rnd(z[1] + rnd(c * power[1])))
     return z
 
 
@@ -987,9 +1029,12 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
 def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
     """The separation and isometries findings, the min distance and its pair, and the max isometry defect.
 
-    The embedding and the g/h defects run on the fixed-point kernel; the
-    closest pair's distance and the sampled rotation-invariance pairs run on
-    libmp, on exactly converted points.  A grid value v becomes a float by
+    The powers of t, the embedding, the g/h defects and the closest pair's
+    two points run on one fixed-point kernel, built once here
+    (:func:`_planar_kernel`): its rounding tables and its t with the shared
+    zero low bits stripped serve every stage.  The closest pair's distance
+    and the sampled rotation-invariance pairs run on libmp, on exactly
+    converted points.  A grid value v becomes a float by
     one exact int division, v / 2^grid, correctly rounded to nearest with
     ties to even.  A pair's distance is |D(t)| for its difference D = P - Q.
     :func:`_least_differences` finds the least |D(t)| by meet in the middle
@@ -1007,21 +1052,23 @@ def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
     freed before the sweep; the closest pair's two points are summed again
     on their own.
     """
-    prec, rnd, grid = precision_bits, round_nearest, _grid_bits(precision_bits)
+    prec, rnd = precision_bits, round_nearest
+    kernel = _planar_kernel(max_degree, max_coeff, prec)
+    grid, t = kernel.grid, kernel.t
     one = 1 << grid
     # the least difference, and each within twice the slack of it, from the powers of t as floats; this
     # runs before the embedding, so its sums are freed before the grid points are made
-    powers = [complex(x / one, y / one) for x, y in _powers(max_degree, prec)]
+    powers = [complex(x / one, y / one) for x, y in _powers(kernel, max_degree)]
     slack = _difference_slack(max_degree, max_coeff, prec)
     least, differences = _least_differences(powers, max_coeff, 2 * slack)
     swept = _realising_points(differences, max_degree, max_coeff)
 
-    t, re, im = _embed_polys(max_degree, max_coeff, prec)
+    re, im = _embed_polys(kernel, max_degree, max_coeff)
 
     def dist(z, w):
         return mpc_abs(mpc_sub(z, w, prec, rnd), prec, rnd)
 
-    defect = _gh_defect(t, re, im, g_map, h_map, prec)
+    defect = _gh_defect(kernel, re, im, g_map, h_map)
 
     # rotation preserves sampled pairwise distances: each sampled point is
     # converted and rotated once, and consecutive points are compared
@@ -1050,7 +1097,7 @@ def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
         )
     i, j = (next(itertools.islice(itertools.compress(itertools.count(), swept), k, None)) for k in ends)
     p, q = _smp_poly(i, max_degree, max_coeff), _smp_poly(j, max_degree, max_coeff)
-    z, w = _embed_poly(p, t, prec), _embed_poly(q, t, prec)
+    z, w = _embed_poly(p, kernel), _embed_poly(q, kernel)
     min_distance = to_float(dist(_to_mpc(z, grid), _to_mpc(w, grid)), rnd=rnd)
     separated = distance - _separation_slack(max_degree, max_coeff, prec, distance) > SEPARATION_RESOLUTION
     pair = (poly_str(p), poly_str(q))
@@ -1072,35 +1119,38 @@ def _entries(column: list[int], indices: Sequence[int]) -> Iterator[int]:
     return map(column.__getitem__, indices)
 
 
-def _gh_defect(t, re: list[int], im: list[int], g_map, h_map, precision_bits: int) -> tuple:
+def _gh_defect(kernel: _Kernel, re: list[int], im: list[int], g_map, h_map) -> tuple:
     """max |z_j - moved z_i| over the index pairs (i, j) of g and h, as libmp's mpc_abs of mpc_sub would give it.
 
     g_map and h_map are each (domain, images), two index sequences paired in
-    order.  g rotates by t^-1 = conj(t) through :func:`_mul`, which fails
-    closed on a product off the grid, and h translates by -1.  The
-    translation and each component of the difference round by
-    :func:`_round`, as mpc_sub_mpf and mpc_sub round them, and mpf_hypot is
-    monotone in the exact squared modulus, so one mpc_abs of the difference
-    with the largest dx^2 + dy^2 is the largest defect.
+    order, and both loops run on the kernel that built the columns.  g
+    rotates by t^-1 = conj(t) through :func:`_mul`, by the conjugate of the
+    kernel's narrowed unit, and fails closed on a product off the grid; h
+    translates by -1.  The translation and each component of the difference
+    round by the kernel's rounder, as mpc_sub_mpf and mpc_sub round them,
+    and mpf_hypot is monotone in the exact squared modulus, so one mpc_abs
+    of the first difference with the largest dx^2 + dy^2 is the largest
+    defect.
 
     An h pair whose move is exact has defect 0, so it is skipped.  Every
     column value is a sum rounded to prec bits, as :func:`_embed_polys`
-    builds it, which :func:`_round` leaves as it is.  So where re[i] - re[j]
-    is exactly 2^grid (one) and im[i] == im[j], the rounded translation
-    _round(re[i] - one) is re[j], and dx = dy = 0.  The imaginary parts agree
-    on every h pair of the embedding, since the constant term adds to the
-    real part only; one streaming pass over the columns selects the pairs
-    where either equality fails, and only those run the per-pair code.
-    Columns without that structure only select more pairs.  The largest
-    squared modulus starts at 0 with the difference (0, 0), the defect of a
-    skipped pair or of no pair at all.
+    builds it, which the rounder leaves as it is.  So where re[i] - re[j]
+    is exactly 2^grid (one) and im[i] == im[j], the rounded translation of
+    re[i] is re[j], and dx = dy = 0.  The imaginary parts agree on every h
+    pair of the embedding, since the constant term adds to the real part
+    only; one streaming pass over the columns selects the pairs where
+    either equality fails, and only those run the per-pair code.  Columns
+    without that structure only select more pairs.  The largest squared
+    modulus starts at 0 with the difference (0, 0), the defect of a skipped
+    pair or of no pair at all.
     """
-    prec, grid = precision_bits, _grid_bits(precision_bits)
-    t_inv, one = (t[0], -t[1]), 1 << grid
+    rnd, grid = kernel.round, kernel.grid
+    c, d = kernel.unit
+    t_inv, one = (c, -d), 1 << grid
     worst_sq, worst = 0, (0, 0)
     for i, j in zip(*g_map):
-        zr, zi = _mul(t_inv, (re[i], im[i]), prec, grid)
-        dx, dy = _round(re[j] - zr, prec), _round(im[j] - zi, prec)
+        zr, zi = _mul((re[i], im[i]), t_inv, kernel)
+        dx, dy = rnd(re[j] - zr), rnd(im[j] - zi)
         sq = dx * dx + dy * dy
         if sq > worst_sq:
             worst_sq, worst = sq, (dx, dy)
@@ -1112,11 +1162,11 @@ def _gh_defect(t, re: list[int], im: list[int], g_map, h_map, precision_bits: in
         map(ne, _entries(im, h_domain), _entries(im, h_images)),
     )
     for i, j in itertools.compress(zip(h_domain, h_images), inexact):
-        dx, dy = _round(re[j] - _round(re[i] - one, prec), prec), _round(im[j] - im[i], prec)
+        dx, dy = rnd(re[j] - rnd(re[i] - one)), rnd(im[j] - im[i])
         sq = dx * dx + dy * dy
         if sq > worst_sq:
             worst_sq, worst = sq, (dx, dy)
-    return mpc_abs(_to_mpc(worst, grid), prec, round_nearest)
+    return mpc_abs(_to_mpc(worst, grid), kernel.prec, round_nearest)
 
 
 # ---------------------------------------------------------------------------

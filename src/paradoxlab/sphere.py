@@ -191,14 +191,30 @@ def _unit(triple: tuple[int, int, int], prec: int):
     return tuple(mpi_div(_int(c, prec), norm, prec) for c in triple)
 
 
-def _rotate(axis_unit, cos_t, sin_t, one_minus_cos, v, prec: int):
-    """Rodrigues rotation of an interval vector around an interval unit axis; ``one_minus_cos`` is 1 - cos_t."""
+def _axial(axis_unit, v, prec: int):
+    """k x v and <k, v> for an interval unit axis k: the terms of a rotation of v about k that no angle changes.
+
+    <k, v> is v's height, which a rotation about the axis keeps.
+    """
     kx, ky, kz = axis_unit
     vx, vy, vz = v
-    cx = mpi_sub(mpi_mul(ky, vz, prec), mpi_mul(kz, vy, prec), prec)
-    cy = mpi_sub(mpi_mul(kz, vx, prec), mpi_mul(kx, vz, prec), prec)
-    cz = mpi_sub(mpi_mul(kx, vy, prec), mpi_mul(ky, vx, prec), prec)
+    cross = (
+        mpi_sub(mpi_mul(ky, vz, prec), mpi_mul(kz, vy, prec), prec),
+        mpi_sub(mpi_mul(kz, vx, prec), mpi_mul(kx, vz, prec), prec),
+        mpi_sub(mpi_mul(kx, vy, prec), mpi_mul(ky, vx, prec), prec),
+    )
     dot = mpi_add(mpi_add(mpi_mul(kx, vx, prec), mpi_mul(ky, vy, prec), prec), mpi_mul(kz, vz, prec), prec)
+    return cross, dot
+
+
+def _rotate(axis_unit, cos_t, sin_t, one_minus_cos, v, axial, prec: int):
+    """Rodrigues rotation of an interval vector around an interval unit axis.
+
+    ``axial`` is :func:`_axial` of v, so each layer reuses it; ``one_minus_cos`` is 1 - cos_t.
+    """
+    kx, ky, kz = axis_unit
+    vx, vy, vz = v
+    (cx, cy, cz), dot = axial
     w = mpi_mul(dot, one_minus_cos, prec)
     return (
         mpi_add(mpi_add(mpi_mul(vx, cos_t, prec), mpi_mul(cx, sin_t, prec), prec), mpi_mul(kx, w, prec), prec),
@@ -213,15 +229,6 @@ def _dist2(p, q, prec: int):
     return mpi_add(
         mpi_add(mpi_square(mpi_sub(p[0], q[0], prec), prec), mpi_square(mpi_sub(p[1], q[1], prec), prec), prec),
         mpi_square(mpi_sub(p[2], q[2], prec), prec),
-        prec,
-    )
-
-
-def _height(axis_unit, v, prec: int):
-    """<v, unit axis>: a rotation about the axis keeps it."""
-    return mpi_add(
-        mpi_add(mpi_mul(axis_unit[0], v[0], prec), mpi_mul(axis_unit[1], v[1], prec), prec),
-        mpi_mul(axis_unit[2], v[2], prec),
         prec,
     )
 
@@ -382,7 +389,8 @@ def certify_margin(
     prec = precision_bits
     axis_unit = _unit(axis_triple, prec)
     points = [_unit(t, prec) for t in triples]
-    heights = [_height(axis_unit, p, prec) for p in points]
+    axials = [_axial(axis_unit, p, prec) for p in points]
+    heights = [dot for _, dot in axials]
     theta = _number(angle, prec)
     min_low = None
     for i in range(1, powers + 1):
@@ -390,8 +398,8 @@ def certify_margin(
         # Each point first meets its own base direction, a pair no gap can
         # rule out; a failure there returns before the rest of the layer.
         layer = []
-        for p in points:
-            gp = _rotate(axis_unit, cos_t, sin_t, one_minus_cos, p, prec)
+        for p, axial in zip(points, axials):
+            gp = _rotate(axis_unit, cos_t, sin_t, one_minus_cos, p, axial, prec)
             low = _dist2(gp, p, prec)[0]
             if not mpf_lt(fzero, low):
                 return None
@@ -541,12 +549,15 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
     axis_unit = _unit(axis_triple, prec)
     theta = _number(g.angle, prec)
     base = [_unit(t, prec) for t in triples]
+    axials = [_axial(axis_unit, p, prec) for p in base]
     layers = [base]
     for i in range(1, M + 1):
         cos_t, sin_t, one_minus_cos = _cos_sin_layer(theta, i, prec)
-        layers.append([_rotate(axis_unit, cos_t, sin_t, one_minus_cos, p, prec) for p in base])
+        layers.append(
+            [_rotate(axis_unit, cos_t, sin_t, one_minus_cos, p, axial, prec) for p, axial in zip(base, axials)]
+        )
     points = [p for layer in layers for p in layer]
-    heights = [_height(axis_unit, p, prec) for p in base]
+    heights = [dot for _, dot in axials]
     slack = _distance_slack(points, prec)
     n = len(triples)
 

@@ -359,7 +359,21 @@ def ref_additive_eval(model: HamelModel, coords: Sequence) -> Fraction:
     return sum((Fraction(c) * y for c, y in zip(coords, model.basis_images)), start=Fraction(0))
 
 
-# -- the planar paradox's isometry defect ---------------------------------------
+# -- the planar paradox's fixed-point kernel and isometry defect -----------------
+
+
+def _round(v: int, prec: int) -> int:
+    """v rounded to prec significant bits, ties to even (libmp's round_nearest), at the same scale.
+
+    The shift form the per-bit-length tables of paradox._Kernel replaced.
+    """
+    s = v.bit_length() - prec
+    if s <= 0:
+        return v
+    # With v = q*2^s + r, q floored, adding 2^(s-1) - 1 and q's low bit
+    # carries into q exactly when r is above one half, or equal to it with q odd.
+    return (v + (1 << (s - 1)) - 1 + ((v >> s) & 1)) >> s << s
+
 
 
 def gh_defect_all_pairs(t, re: list[int], im: list[int], g_pairs, h_pairs, precision_bits: int) -> tuple:

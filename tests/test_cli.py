@@ -368,6 +368,27 @@ def test_a_one_line_fault_makes_the_finding_false(monkeypatch, report_schema, ar
     assert [f["name"] for f in result.report["details"]["findings"] if not f["ok"]] == [name]
 
 
+def test_an_orbit_map_that_is_not_injective_makes_the_sigma_findings_false(monkeypatch, report_schema):
+    # sigma_additive and sigma_right_invariant have no FALSIFIERS row: no fault makes either false
+    # alone.  The preconditions validate the group and read freeness from the action's table, so
+    # both findings rest on apply's orbit maps g -> g.x being injective.  f over a disjoint union is
+    # the pointwise sum exactly then, which is also what f_G = 1 of sigma_total_mass says, and right
+    # invariance follows from it.  An apply that fixes (2, 1), a point of the three-orbit action
+    # only, breaks that fact at one point and fails the three findings that rest on it.
+    argv = ("measures", "demo", "--which", "induced-measure")
+    assert run_cli(*argv).code == 0
+    real = measures.GroupAction.apply
+    monkeypatch.setattr(measures.GroupAction, "apply", lambda self, g, x: x if x == (2, 1) else real(self, g, x))
+    result = run_cli(*argv)
+    assert result.code == 1
+    jsonschema.validate(result.report, report_schema)
+    assert [f["name"] for f in result.report["details"]["findings"] if not f["ok"]] == [
+        "three_orbit_sigma_additive",
+        "three_orbit_sigma_total_mass",
+        "three_orbit_sigma_right_invariant",
+    ]
+
+
 # -- usage errors ------------------------------------------------------------
 
 

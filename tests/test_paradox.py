@@ -50,11 +50,12 @@ from paradoxlab.paradox import (
     _embed_polys,
     _gh_defect,
     _grid_bits,
+    _Kernel,
     _least_differences,
     _mul,
+    _planar_kernel,
     _powers,
     _realising_points,
-    _round,
     _rounding_tables,
     _separation_slack,
     _smp_index_maps,
@@ -65,6 +66,7 @@ from paradoxlab.sphere import SEPARATION_RESOLUTION
 from paradoxlab.words import Letter, ReducedWord, ball, ball_size
 
 from oracles import (
+    _round,
     apply,
     concat,
     gh_defect_all_pairs,
@@ -314,6 +316,26 @@ def test_smp_verify_peak_memory_per_point():
     assert peak / report.total < SMP_PEAK_BYTES_PER_POINT
 
 
+#: Bound on the tracemalloc peak of smp_verify(6, 3, 1024), in bytes per point.
+#: ``SMP_POINT_CAP`` shrinks in proportion to the bits above the default on the
+#: premise that a point costs about 670 B at 1024 bits; the first call in a
+#: process read 677.  The bound keeps SMP_PEAK_BYTES_PER_POINT's relative
+#: margin, 204 over 177, so a constant of a megabyte or two fits under it and
+#: a rise per point does not.
+SMP_PEAK_BYTES_PER_POINT_1024 = 780
+
+
+def test_smp_verify_peak_memory_per_point_at_1024_bits():
+    tracemalloc.start()
+    try:
+        report = smp_verify(6, 3, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.total == 4**7
+    assert peak / report.total < SMP_PEAK_BYTES_PER_POINT_1024
+
+
 @pytest.mark.parametrize(
     "name,broken",
     [
@@ -399,11 +421,17 @@ def _per_polynomial_embedding(max_degree, max_coeff, bits):
     return t._mpc_, embeds
 
 
+def _embedding(max_degree, max_coeff, bits):
+    # the kernel smp_verify builds for the shape, and the two columns it embeds
+    kernel = _planar_kernel(max_degree, max_coeff, bits)
+    return (kernel, *_embed_polys(kernel, max_degree, max_coeff))
+
+
 def _kernel_embedding(max_degree, max_coeff, bits):
     # the kernel's grid values, converted exactly to raw libmp tuples
     grid = _grid_bits(bits)
-    t, re, im = _embed_polys(max_degree, max_coeff, bits)
-    return _to_mpc(t, grid), [_to_mpc(z, grid) for z in zip(re, im)]
+    kernel, re, im = _embedding(max_degree, max_coeff, bits)
+    return _to_mpc(kernel.t, grid), [_to_mpc(z, grid) for z in zip(re, im)]
 
 
 # (4, 3, 1024) runs on grid 2048; (2, 15, 128) has wide coefficients; (1, 200, 128)'s widest
@@ -418,8 +446,8 @@ def test_shared_prefix_embedding_matches_per_polynomial_sums(max_degree, max_coe
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(3, 2, 64), (4, 4, 128), (5, 2, 256), (1, 200, 128), (4, 3, 1024)])
 def test_one_polynomial_embeds_as_in_the_shared_prefix_sums(max_degree, max_coeff, bits):
     # smp_verify sums its closest pair's two points again after freeing the grid points
-    t, re, im = _embed_polys(max_degree, max_coeff, bits)
-    assert [_embed_poly(p, t, bits) for p in enumerate_polys(max_degree, max_coeff)] == list(zip(re, im))
+    kernel, re, im = _embedding(max_degree, max_coeff, bits)
+    assert [_embed_poly(p, kernel) for p in enumerate_polys(max_degree, max_coeff)] == list(zip(re, im))
 
 
 def _ties(prec):
@@ -476,6 +504,69 @@ def test_rounding_tables_round_as_round_does(case):
     assert (v + half[n] + ((v & odd[n]) != 0)) & keep[n] == _round(v, prec)
 
 
+def _trailing_zeros(c):
+    return (c & -c).bit_length() - 1
+
+
+@pytest.mark.parametrize("max_degree,max_coeff", [(7, 3), (1, 200)])
+@pytest.mark.parametrize("bits", [64, 128, 1024])
+def test_kernel_rounder_matches_round_at_every_bit_length(max_degree, max_coeff, bits):
+    # The tables span a column value's bit length top = F + bitlen(m + 1), plus the narrowed unit's
+    # U bits and two: a product by the unit, and a difference of one and a column value, stay
+    # within.  At each length: the ends, a value between, and ties with an even and an odd kept
+    # part past prec bits, of both signs.
+    kernel = _planar_kernel(max_degree, max_coeff, bits)
+    top = kernel.grid + (max_coeff * (max_degree + 1) + 1).bit_length()
+    assert kernel.shift == kernel.grid - min(map(_trailing_zeros, kernel.t))
+    span = top + max(c.bit_length() for c in kernel.unit) + 2
+    assert all(len(table) == span + 1 for table in kernel.tables)
+    for n in range(1, span + 1):
+        values = [1 << (n - 1), (1 << n) - 1, (1 << (n - 1)) | 0x5A5A5A5A5A5A5A5A5A5A5A5A % (1 << (n - 1))]
+        if n > bits:
+            s = n - bits
+            values += [(((1 << (bits - 1)) | kept) << s) | (1 << (s - 1)) for kept in (2, 3)]
+        for v in values + [-v for v in values]:
+            assert v.bit_length() == n
+            assert kernel.round(v) == _round(v, bits), (n, v)
+    assert kernel.round(0) == 0
+    with pytest.raises(IndexError):
+        kernel.round(1 << (span + 1))
+
+
+@pytest.mark.parametrize("max_degree,max_coeff,bits", [(4, 3, 64), (4, 3, 128), (3, 4, 1024), (1, 200, 128)])
+def test_kernel_rounds_every_value_of_a_run_as_round_does(max_degree, max_coeff, bits):
+    # every value the rounder meets in the powers, one polynomial's sums and both defect loops: the
+    # products by the narrowed unit, the terms, the translations and the differences
+    kernel, re, im = _embedding(max_degree, max_coeff, bits)
+    seen = []
+    rounder = kernel.round
+    kernel.round = lambda v: seen.append(v) or rounder(v)
+    n_a, g_images, h_images = _smp_index_maps(max_degree, max_coeff)
+    _gh_defect(kernel, re, im, (range(n_a), g_images), (range(n_a, len(re)), h_images))
+    _embed_poly((max_coeff,) * (max_degree + 1), kernel)
+    assert max(v.bit_length() for v in seen) > 2 * bits + bits // 2
+    assert [rounder(v) for v in seen] == [_round(v, bits) for v in seen]
+
+
+@pytest.mark.parametrize("unit", ["uneven", "one"])
+@pytest.mark.parametrize("bits", [64, 128, 1024])
+def test_gh_defect_on_a_narrowed_unit_matches_the_all_pairs_oracle(bits, unit):
+    # A unit whose two components have different numbers of zero low bits, so one keeps zero low
+    # bits after the strip, and (one, 0), whose zero component has none to give: t = e^i with the
+    # lowest set bit of its real part cleared, and the identity rotation.
+    kernel, re, im = _embedding(4, 3, bits)
+    t = kernel.t
+    u = (t[0] & (t[0] - 1), t[1]) if unit == "uneven" else (1 << kernel.grid, 0)
+    if unit == "uneven":
+        assert _trailing_zeros(u[0]) != _trailing_zeros(u[1])
+    narrowed = _Kernel(u, bits, 3 * (4 + 1))
+    n_a, g_images, h_images = _smp_index_maps(4, 3)
+    g_map, h_map = (range(n_a), g_images), (range(n_a, len(re)), h_images)
+    expected = gh_defect_all_pairs(u, re, im, zip(*g_map), zip(*h_map), bits)
+    assert _gh_defect(narrowed, re, im, g_map, h_map) == expected
+    assert _gh_defect(narrowed, re, im, g_map, ([], [])) == gh_defect_all_pairs(u, re, im, zip(*g_map), [], bits)
+
+
 def _normal_results(grid):
     # grid values whose floats are zero or normal (at least 2^-1000, below 2^20); 2048 is the grid of 1024 bits
     return st.integers(min_value=-(1 << (grid + 20)), max_value=1 << (grid + 20)).filter(
@@ -511,7 +602,7 @@ def _nearest_float(v, grid, f):
 def test_float_conversion_by_int_division_equals_to_float():
     bits = 128
     grid = _grid_bits(bits)
-    _, re, im = _embed_polys(6, 3, bits)
+    _, re, im = _embedding(6, 3, bits)
     assert [v / (1 << grid) for v in re + im] == [_to_float(v, grid) for v in re + im]
     cases = []
     # ties and near-ties of rounding to 53 bits, in odd values wider than 53 bits, at several scales,
@@ -538,7 +629,7 @@ def test_float_conversion_by_int_division_equals_to_float():
 
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(4, 3, 128), (1, 200, 128), (3, 2, 64)])
 def test_float_conversion_of_the_embedding_matches_to_float(max_degree, max_coeff, bits):
-    _, re, im = _embed_polys(max_degree, max_coeff, bits)
+    _, re, im = _embedding(max_degree, max_coeff, bits)
     _, reference = _per_polynomial_embedding(max_degree, max_coeff, bits)
     assert list(zip(*_to_floats(re, im, _grid_bits(bits)))) == [
         (to_float(x, rnd=round_nearest), to_float(y, rnd=round_nearest)) for x, y in reference
@@ -569,15 +660,14 @@ def test_gh_defect_argmax_matches_the_max_over_pairs(max_degree, max_coeff, bits
     ]
     expected = max(defects, key=cmp_to_key(mpf_cmp))
     assert mpf_cmp(expected, from_man_exp(0, 0)) > 0
-    kernel_t, re, im = _embed_polys(max_degree, max_coeff, bits)
+    kernel, re, im = _embedding(max_degree, max_coeff, bits)
     assert (
         _gh_defect(
-            kernel_t,
+            kernel,
             re,
             im,
             ([index[p] for p, _ in g_pairs], [index[q] for _, q in g_pairs]),
             ([index[p] for p, _ in h_pairs], [index[q] for _, q in h_pairs]),
-            bits,
         )
         == expected
     )
@@ -590,7 +680,8 @@ def test_gh_defect_sees_a_fault_on_an_exact_h_pair(column):
     # still select it.
     bits = 128
     grid = _grid_bits(bits)
-    t, re, im = _embed_polys(4, 3, bits)
+    kernel, re, im = _embedding(4, 3, bits)
+    t = kernel.t
     n_a, g_images, h_images = _smp_index_maps(4, 3)
     h_domain = range(n_a, len(re))
     exact = [(i, j) for i, j in zip(h_domain, h_images) if re[i] - re[j] == 1 << grid and im[i] == im[j]]
@@ -598,23 +689,23 @@ def test_gh_defect_sees_a_fault_on_an_exact_h_pair(column):
     exact_map = ([i for i, _ in exact], [j for _, j in exact])
     no_pairs = ([], [])
     zero, unit = (mpc_abs(_to_mpc(z, grid), bits, round_nearest) for z in ((0, 0), (1, 0)))
-    assert _gh_defect(t, re, im, no_pairs, exact_map, bits) == gh_defect_all_pairs(t, re, im, [], exact, bits) == zero
+    assert _gh_defect(kernel, re, im, no_pairs, exact_map) == gh_defect_all_pairs(t, re, im, [], exact, bits) == zero
     _, j = exact[len(exact) // 2]
     (re if column == "re" else im)[j] += 1
     assert gh_defect_all_pairs(t, re, im, [], exact, bits) == unit
-    assert _gh_defect(t, re, im, no_pairs, exact_map, bits) == unit
+    assert _gh_defect(kernel, re, im, no_pairs, exact_map) == unit
     # over both maps, the faulted columns give the oracle's defect
     g_map, h_map = (range(n_a), g_images), (h_domain, h_images)
-    assert _gh_defect(t, re, im, g_map, h_map, bits) == gh_defect_all_pairs(t, re, im, zip(*g_map), zip(*h_map), bits)
+    assert _gh_defect(kernel, re, im, g_map, h_map) == gh_defect_all_pairs(t, re, im, zip(*g_map), zip(*h_map), bits)
 
 
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(4, 3, 128), (1, 200, 128), (3, 4, 64), (2, 15, 128)])
 def test_gh_defect_matches_the_all_pairs_oracle(max_degree, max_coeff, bits):
-    t, re, im = _embed_polys(max_degree, max_coeff, bits)
+    kernel, re, im = _embedding(max_degree, max_coeff, bits)
     n_a, g_images, h_images = _smp_index_maps(max_degree, max_coeff)
     g_map, h_map = (range(n_a), g_images), (range(n_a, len(re)), h_images)
     for g, h in ((g_map, h_map), (g_map, ([], [])), (([], []), h_map)):
-        assert _gh_defect(t, re, im, g, h, bits) == gh_defect_all_pairs(t, re, im, zip(*g), zip(*h), bits)
+        assert _gh_defect(kernel, re, im, g, h) == gh_defect_all_pairs(kernel.t, re, im, zip(*g), zip(*h), bits)
 
 
 def test_gh_defect_rounds_a_difference_wider_than_prec_bits():
@@ -634,7 +725,7 @@ def test_gh_defect_rounds_a_difference_wider_than_prec_bits():
     pair, none = (range(0, 1), range(1, 2)), ([], [])
     for g, h, re in ((pair, none, [0, dx]), (none, pair, [one, dx])):
         im = [0, dy]
-        defect = _gh_defect((one, 0), re, im, g, h, bits)
+        defect = _gh_defect(_Kernel((one, 0), bits, 1), re, im, g, h)
         assert defect == gh_defect_all_pairs((one, 0), re, im, zip(*g), zip(*h), bits) == expected
 
 
@@ -668,7 +759,7 @@ def _reference_closest_pair_sq(points):
 
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(3, 2, 128), (6, 3, 64), (7, 3, 128), (1, 200, 128), (3, 4, 64)])
 def test_closest_pair_matches_the_reference_sweep_on_the_embedding(max_degree, max_coeff, bits):
-    _, re, im = _embed_polys(max_degree, max_coeff, bits)
+    _, re, im = _embedding(max_degree, max_coeff, bits)
     xs, ys = _to_floats(re, im, _grid_bits(bits))
     assert _closest_pair_sq(xs, ys) == _reference_closest_pair_sq(list(zip(xs, ys)))
 
@@ -683,7 +774,7 @@ def test_closest_pair_matches_the_reference_sweep_on_lattice_points(points):
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(1, 40, 128), (2, 15, 128), (1, 1, 64)])
 def test_closest_pair_matches_the_reference_sweep_on_lattice_shapes(max_degree, max_coeff, bits):
     # few powers and many coefficients: the points form a skewed lattice with many near-equal distances
-    _, re, im = _embed_polys(max_degree, max_coeff, bits)
+    _, re, im = _embedding(max_degree, max_coeff, bits)
     xs, ys = _to_floats(re, im, _grid_bits(bits))
     assert _closest_pair_sq(xs, ys) == _reference_closest_pair_sq(list(zip(xs, ys)))
 
@@ -720,10 +811,16 @@ ORACLE_SHAPES = [
 ]
 
 
+def _float_powers(max_degree, max_coeff, bits):
+    # the powers of t that _smp_numeric searches, as complex floats
+    kernel = _planar_kernel(max_degree, max_coeff, bits)
+    return list(map(complex, *_to_floats(*zip(*_powers(kernel, max_degree)), kernel.grid)))
+
+
 @pytest.mark.parametrize("bits", [64, 128])
 @pytest.mark.parametrize("max_degree,max_coeff", ORACLE_SHAPES)
 def test_least_difference_matches_every_difference_vector(max_degree, max_coeff, bits):
-    powers = list(map(complex, *_to_floats(*zip(*_powers(max_degree, bits)), _grid_bits(bits))))
+    powers = _float_powers(max_degree, max_coeff, bits)
     slack = _difference_slack(max_degree, max_coeff, bits)
     least, kept = _least_differences(powers, max_coeff, 2 * slack)
     expected, expected_kept = least_differences_all_vectors(max_degree, max_coeff, 2 * slack)
@@ -734,7 +831,7 @@ def test_least_difference_matches_every_difference_vector(max_degree, max_coeff,
 @pytest.mark.parametrize("max_degree,max_coeff", ORACLE_SHAPES)
 def test_realising_points_match_every_pair(max_degree, max_coeff):
     bits = 128
-    powers = list(map(complex, *_to_floats(*zip(*_powers(max_degree, bits)), _grid_bits(bits))))
+    powers = _float_powers(max_degree, max_coeff, bits)
     _, kept = _least_differences(powers, max_coeff, 2 * _difference_slack(max_degree, max_coeff, bits))
     assert _realising_points(kept, max_degree, max_coeff) == realising_points_all_pairs(kept, max_degree, max_coeff)
 
@@ -758,10 +855,10 @@ def _sweep_every_point(max_degree, max_coeff, bits):
     # smp_verify's min distance, pair and separation finding as they were before the least-difference
     # search: the closest-pair sweep over every embedded point
     grid = _grid_bits(bits)
-    t, re, im = _embed_polys(max_degree, max_coeff, bits)
+    kernel, re, im = _embedding(max_degree, max_coeff, bits)
     best_sq, (i, j) = _closest_pair_sq(*_to_floats(re, im, grid))
     p, q = _smp_poly(i, max_degree, max_coeff), _smp_poly(j, max_degree, max_coeff)
-    z, w = (_to_mpc(_embed_poly(r, t, bits), grid) for r in (p, q))
+    z, w = (_to_mpc(_embed_poly(r, kernel), grid) for r in (p, q))
     min_distance = to_float(mpc_abs(mpc_sub(z, w, bits, round_nearest), bits, round_nearest), rnd=round_nearest)
     distance = math.sqrt(best_sq)
     separated = distance - _separation_slack(max_degree, max_coeff, bits, distance) > SEPARATION_RESOLUTION
@@ -785,12 +882,14 @@ def test_rescale_with_low_bits_fails_closed():
     grid = _grid_bits(64)
     one = 1 << grid
     # the grid is 2^-128 at 64 bits: 2^-64 squared lies on it, 2^-65 squared does not
-    assert _mul((1 << (grid - 64), 0), (1 << (grid - 64), 0), 64, grid) == (1, 0)
+    kernel, kernel_65 = _Kernel((1 << (grid - 64), 0), 64, 1), _Kernel((1 << (grid - 65), 0), 64, 1)
+    assert _mul((1 << (grid - 64), 0), kernel.unit, kernel) == (1, 0)
     with pytest.raises(_OffGrid, match=r"below the fixed-point grid 2\^-128"):
-        _mul((1 << (grid - 65), 0), (1 << (grid - 65), 0), 64, grid)
+        _mul((1 << (grid - 65), 0), kernel_65.unit, kernel_65)
     # (2^-128 i) * (1 + 3*2^-128 i) has real part -3*2^-256
+    kernel = _Kernel((one, 3), 64, 1)
     with pytest.raises(_OffGrid):
-        _mul((0, 1), (one, 3), 64, grid)
+        _mul((0, 1), kernel.unit, kernel)
 
 
 def test_gh_defect_with_low_bits_fails_closed():
@@ -800,17 +899,17 @@ def test_gh_defect_with_low_bits_fails_closed():
     # conj(2^-64) * 2^-64 lies on the grid 2^-128, and the defect is |0 - 2^-128|
     t, re, im = (1 << (grid - 64), 0), [1 << (grid - 64), 0], [0, 0]
     pair, none = ([0], [1]), ([], [])
-    assert _gh_defect(t, re, im, pair, none, 64) == mpc_abs(_to_mpc((1, 0), grid), 64, round_nearest)
+    assert _gh_defect(_Kernel(t, 64, 1), re, im, pair, none) == mpc_abs(_to_mpc((1, 0), grid), 64, round_nearest)
     # conj(2^-65) * 2^-65 = 2^-130 does not, on either component
     with pytest.raises(_OffGrid, match=r"below the fixed-point grid 2\^-128"):
-        _gh_defect((1 << (grid - 65), 0), [1 << (grid - 65), 0], [0, 0], pair, none, 64)
+        _gh_defect(_Kernel((1 << (grid - 65), 0), 64, 1), [1 << (grid - 65), 0], [0, 0], pair, none)
     with pytest.raises(_OffGrid, match=r"below the fixed-point grid 2\^-128"):
-        _gh_defect((1 << (grid - 65), 0), [0, 0], [1 << (grid - 65), 0], pair, none, 64)
+        _gh_defect(_Kernel((1 << (grid - 65), 0), 64, 1), [0, 0], [1 << (grid - 65), 0], pair, none)
     # conj(1 + 3*2^-128 i) * (2^-128 i) has real part 3*2^-256
     with pytest.raises(_OffGrid):
-        _gh_defect((one, 3), [0, 0], [1, 0], pair, none, 64)
+        _gh_defect(_Kernel((one, 3), 64, 1), [0, 0], [1, 0], pair, none)
     # the h side only translates by -1, which stays on the grid
-    assert _gh_defect((one, 3), [0, -one], [1, 1], none, pair, 64) == mpc_abs(_to_mpc((0, 0), grid), 64, round_nearest)
+    assert _gh_defect(_Kernel((one, 3), 64, 1), [0, -one], [1, 1], none, pair) == mpc_abs(_to_mpc((0, 0), grid), 64, round_nearest)
 
 
 def test_smp_verify_fails_closed_off_the_grid(monkeypatch):

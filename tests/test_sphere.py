@@ -222,9 +222,9 @@ def test_interval_kernel_matches_the_iv_context_endpoint_for_endpoint(bits, axis
     axis_u, pu, qu = sphere._unit(axis, bits), sphere._unit(p, bits), sphere._unit(q, bits)
     theta = sphere._number(angle, bits)
     cos_t, sin_t, one_minus_cos = sphere._cos_sin_layer(theta, power, bits)
-    gp = sphere._rotate(axis_u, cos_t, sin_t, one_minus_cos, pu, bits)
+    gp = sphere._rotate(axis_u, cos_t, sin_t, one_minus_cos, pu, sphere._axial(axis_u, pu, bits), bits)
     slack = sphere._distance_slack([pu, qu, gp], bits)
-    hp, hq = sphere._height(axis_u, gp, bits), sphere._height(axis_u, qu, bits)
+    (_, hp), (_, hq) = sphere._axial(axis_u, gp, bits), sphere._axial(axis_u, qu, bits)
     gap_low = sphere._gap_low(hp, hq, slack, bits)
     kernel = {
         "unit": (axis_u, pu, qu),
