@@ -655,16 +655,6 @@ def _embed_polys(kernel: _Kernel, max_degree: int, max_coeff: int) -> tuple[list
     base = max_coeff + 1
     rnd = kernel.round
     half, odd, keep = kernel.tables
-
-    def plus(column: list[int], term: int) -> list[int]:
-        # kernel.round(z + term) for each z, by the tables
-        return [
-            (v + half[n] + ((v & odd[n]) != 0)) & keep[n]
-            for z in column
-            for v in (z + term,)
-            for n in (v.bit_length(),)
-        ]
-
     powers = _powers(kernel, max_degree)
 
     def column(part: int) -> list[int]:
@@ -674,7 +664,14 @@ def _embed_polys(kernel: _Kernel, max_degree: int, max_coeff: int) -> tuple[list
             extended = [0] * (base * len(values))
             extended[::base] = values
             for c in range(1, base):
-                extended[c::base] = plus(values, rnd(c * power[part]))
+                term = rnd(c * power[part])
+                # kernel.round(z + term) for each z, by the tables
+                extended[c::base] = [
+                    (v + half[n] + ((v & odd[n]) != 0)) & keep[n]
+                    for z in values
+                    for v in (z + term,)
+                    for n in (v.bit_length(),)
+                ]
             values = extended
         return values
 

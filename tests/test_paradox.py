@@ -533,21 +533,6 @@ def test_kernel_rounder_matches_round_at_every_bit_length(max_degree, max_coeff,
         kernel.round(1 << (span + 1))
 
 
-@pytest.mark.parametrize("max_degree,max_coeff,bits", [(4, 3, 64), (4, 3, 128), (3, 4, 1024), (1, 200, 128)])
-def test_kernel_rounds_every_value_of_a_run_as_round_does(max_degree, max_coeff, bits):
-    # every value the rounder meets in the powers, one polynomial's sums and both defect loops: the
-    # products by the narrowed unit, the terms, the translations and the differences
-    kernel, re, im = _embedding(max_degree, max_coeff, bits)
-    seen = []
-    rounder = kernel.round
-    kernel.round = lambda v: seen.append(v) or rounder(v)
-    n_a, g_images, h_images = _smp_index_maps(max_degree, max_coeff)
-    _gh_defect(kernel, re, im, (range(n_a), g_images), (range(n_a, len(re)), h_images))
-    _embed_poly((max_coeff,) * (max_degree + 1), kernel)
-    assert max(v.bit_length() for v in seen) > 2 * bits + bits // 2
-    assert [rounder(v) for v in seen] == [_round(v, bits) for v in seen]
-
-
 @pytest.mark.parametrize("unit", ["uneven", "one"])
 @pytest.mark.parametrize("bits", [64, 128, 1024])
 def test_gh_defect_on_a_narrowed_unit_matches_the_all_pairs_oracle(bits, unit):
