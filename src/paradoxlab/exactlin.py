@@ -178,14 +178,17 @@ class ProjectiveDirection:
         return f"[{self.a}:{self.b}:{self.c}]"
 
 
-def _scaled_axis(ints: IntMat, den: int) -> ProjectiveDirection:
-    """Axis of the rotation whose scaled integer matrix is (ints, den).
+def _scaled_axis(ints: IntMat, den: int) -> tuple[int, int, int]:
+    """Axis of the rotation whose scaled integer matrix is (ints, den), as its canonical primitive triple.
 
     The fixed space is the right kernel of N = ints - den*I.  When N has rank
     2, the cross product of two independent rows spans it.  Some cross
     product of two rows must be nonzero (else rank <= 1) and it must be
     orthogonal to all three rows (else rank 3); otherwise the fixed space is
-    not a line and InvariantViolationError is raised.
+    not a line and InvariantViolationError is raised.  The triple is the
+    components of :class:`ProjectiveDirection` (gcd 1, first nonzero
+    component positive); a caller that keeps one axis per direction builds
+    the direction once per distinct triple.
     """
     r0 = (ints[0] - den, ints[1], ints[2])
     r1 = (ints[3], ints[4] - den, ints[5])
@@ -205,5 +208,5 @@ def _scaled_axis(ints: IntMat, den: int) -> ProjectiveDirection:
     g = gcd(a, b, c)
     if (a or b or c) < 0:
         g = -g
-    return ProjectiveDirection(a // g, b // g, c // g)
+    return (a // g, b // g, c // g)
 

@@ -64,6 +64,13 @@ def _frac(x) -> Fraction:
 #: Largest carrier whose subsets are enumerated exhaustively (2^12 = 4096 subsets).
 MAX_EXHAUSTIVE_ORDER = 12
 
+#: Most disjoint subset pairs, 3^|G|, that induced_group_measure checks
+#: additivity over; it evaluates f at every point for each pair.  Measured in
+#: process on a 2-vCPU VM, cyclic groups on one and two copies of themselves
+#: took 0.19 and 0.36 s at order 7 (2,187 pairs) and 0.82 and 2.05 s at
+#: order 8 (6,561 pairs), about three times more per order.
+INDUCED_PAIR_CAP = 3**8
+
 
 def _subsets(items: Sequence) -> Iterator[frozenset]:
     """Every subset of ``items`` in mask order; the one exhaustive subset loop."""
@@ -371,10 +378,16 @@ def induced_group_measure(action: GroupAction, mu: PointMeasure) -> InducedMeasu
     invariance of mu).
 
     Preconditions are enforced: the action must be free and mu must be an
-    invariant probability measure on the points.
+    invariant probability measure on the points.  A group with more than
+    ``INDUCED_PAIR_CAP`` disjoint subset pairs is refused before any of them.
     """
-    action.validate()
     G = action.group
+    pairs = 3 ** len(G.elements)
+    if pairs > INDUCED_PAIR_CAP:
+        raise ResourceLimitError(
+            f"3^{len(G.elements)} = {pairs} disjoint subset pairs exceed the configured cap {INDUCED_PAIR_CAP}"
+        )
+    action.validate()
     if mu.universe != action.points:
         raise ModelError("measure universe differs from the action's point set")
     if not mu.is_probability():

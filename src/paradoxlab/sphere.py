@@ -146,24 +146,28 @@ def fixed_directions(depth: int) -> FixedDirectionSet:
 
     A word and its inverse share an axis, as do conjugates that happen to fall
     in the same ball, so the set grows far more slowly than the ball itself.
-    Raises InvariantViolationError if any word's fixed space is not a line,
-    which for special orthogonal input would mean corrupted generators.
+    Axes are deduplicated on their integer triple, and each distinct one is
+    made a validated :class:`ProjectiveDirection` once, with the first word
+    that fixes it as its witness.  Raises InvariantViolationError if any
+    word's fixed space is not a line, which for special orthogonal input
+    would mean corrupted generators.
     """
     if depth > FIXED_DIRECTIONS_DEPTH_CAP:
         raise ResourceLimitError(f"fixed_directions({depth}) exceeds the configured cap {FIXED_DIRECTIONS_DEPTH_CAP}")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    found: dict[ProjectiveDirection, ReducedWord] = {}
+    found: dict[tuple[int, int, int], ReducedWord] = {}
     for letters, ints, den in ball_matrices(depth):
         if not letters:
             continue
         try:
-            direction = _scaled_axis(ints, den)
+            triple = _scaled_axis(ints, den)
         except InvariantViolationError as exc:
             raise InvariantViolationError(f"{ReducedWord(letters)}: {exc}") from None
-        if direction not in found:
-            found[direction] = _reduced(letters)
-    return FixedDirectionSet(depth, frozenset(found), found)
+        if triple not in found:
+            found[triple] = _reduced(letters)
+    witnesses = {ProjectiveDirection(*triple): word for triple, word in found.items()}
+    return FixedDirectionSet(depth, frozenset(witnesses), witnesses)
 
 
 # -- interval geometry ------------------------------------------------------

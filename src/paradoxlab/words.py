@@ -7,8 +7,10 @@ are deterministic.  A word is one ``bytes`` object whose bytes are its
 letters, the ints 0-3 that :class:`Letter` names: indexing and iteration
 give plain ints, and sets and dicts hash and compare words by ``bytes``'
 own code.  The cyclic garbage collector tracks a word, as it does every
-instance of a class written in Python; a word of length 10 takes 64
-bytes, where a wrapper around separate ``bytes`` letters took 96.
+instance of a class written in Python, though a word holds no references
+and can be in no cycle; :func:`ball` pauses the collector while it builds
+its words.  A word of length 10 takes 64 bytes, where a wrapper around
+separate ``bytes`` letters took 96.
 
 The headline check, :func:`verify_f2_paradox`, confirms at a finite depth the
 two covering identities
@@ -25,8 +27,10 @@ successor table ``_NEXT``.  Every word of length >= 1 has exactly three
 successors, so word i of a level of length >= 2 extends word i // 3 of the
 level before; callers that carry a value per word index their parent's
 value this way.
-:func:`ball` makes them words and :func:`verify_f2_paradox` checks them, each
-in one loop over the levels with no call per word, and
+:func:`ball` makes them words in one loop over the levels with no call per
+word.  :func:`verify_f2_paradox` checks them a chunk of siblings at a time:
+it compares each chunk's joined letters with those its parents imply, and
+checks word by word only a chunk that differs or whose parents failed.
 :func:`exactlin.ball_matrices` carries each word's matrix from its parent's.
 
 A :class:`ReducedWord` is built only where a caller or a report needs the
@@ -37,14 +41,18 @@ are reference oracles and live in the tests.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from itertools import chain, repeat
-from typing import Iterable, Iterator, Mapping
+from itertools import chain, count, islice, repeat
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ResourceLimitError
 
 #: Hard cap on ball radius; |ball(14)| is ~9.5M words and past the desk scale.
+#: `paradoxlab words verify` took 0.7-1.0 s and peaked at 72.7 MiB RSS at
+#: depth 13, and 2.0 s and 176.6-176.8 MiB at depth 14 (fresh processes on a
+#: 2-vCPU VM with Python 3.11).
 BALL_CAP = 14
 
 #: Violation messages kept per decomposition check; later ones are dropped.
@@ -198,9 +206,18 @@ def ball(n: int) -> tuple[ReducedWord, ...]:
     """All reduced words of length <= n, in length-lexicographic order.
 
     Each letter string from :func:`ball_levels` is copied into its word by
-    one C-level map, with no Python call per word.
+    one C-level map, with no Python call per word.  The cyclic garbage
+    collector is paused while the tuple is built: it tracks every word, but a
+    word holds no references, so no collection could free one.  The caller's
+    collector state is restored on return and on a raise.
     """
-    return tuple(map(bytes.__new__, repeat(ReducedWord), chain.from_iterable(ball_levels(n))))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple(map(bytes.__new__, repeat(ReducedWord), chain.from_iterable(ball_levels(n))))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def ball_size(n: int) -> int:
@@ -227,9 +244,39 @@ class SplitCheck:
         return not self.violations
 
 
-#: The two-letter endings whose last letter cancels the one before.  Built from
-#: the inverses alone, so that it checks the successor table ``_NEXT``.
+#: The two-letter endings whose last letter cancels the one before, and
+#: ``bytes.translate`` tables of the successor rule: table c takes a letter to
+#: the c-th letter, in letter order, that does not cancel it.  Both are built
+#: from the inverses alone, so that they check the successor table ``_NEXT``.
 _CANCELLING = frozenset(bytes((x, _INVERSES[x])) for x in _ALPHABET)
+_SUCCESSOR = tuple(
+    bytes.maketrans(bytes(_ALPHABET), bytes([y for y in _ALPHABET if y != _INVERSES[x]][c] for x in _ALPHABET))
+    for c in range(3)
+)
+
+#: Parent words per chunk that :func:`verify_f2_paradox` compares at once.
+#: Under tracemalloc, verify_f2_paradox(9) peaks at about 17 B per word with
+#: chunks of 256 parents, 23 with 1,024 and 59 with 4,096 (Python 3.11).
+_VERIFY_CHUNK = 256
+
+
+def _children(parents: Sequence[bytes], k: int) -> bytes | bytearray:
+    """The joined letters of the words of length k that extend ``parents``, in order.
+
+    Every parent has length k - 1 and letters 0-3.  At length 1 each parent
+    is the identity, extended by each letter in turn; past it, copy c of
+    each parent is extended by successor c of its last letter.
+    """
+    if k == 1:
+        return bytes(_ALPHABET) * len(parents)
+    joined = b"".join(parents)
+    stride = 3 * k
+    out = bytearray(stride * len(parents))
+    for c, successor in enumerate(_SUCCESSOR):
+        for t in range(k - 1):
+            out[c * k + t :: stride] = joined[t :: k - 1]
+        out[c * k + k - 1 :: stride] = joined[k - 2 :: k - 1].translate(successor)
+    return out
 
 
 def _show(letters: bytes | None) -> str:
@@ -260,13 +307,22 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     Both rest on every word being reduced: then its first letter puts it in
     one class, and for h outside W(x), x^-1.h is x^-1 prepended to h, in
     W(x^-1).  One pass proves it by induction on the parent contract of
-    :func:`ball_levels` and counts the words that pass by class.  A word's
-    last letter must be one of 0-3 (else a partition violation); a word whose
-    last letter cancels the one before, or which does not extend word i // 3
-    of the level before, violates each split whose cover does not hold it.
-    A level other than the one word of length 0 and 4 * 3^(k-1) words at
-    each length k from 1 to depth, a level missing or one past depth
-    included, violates both.
+    :func:`ball_levels` and counts the words that pass by class.
+
+    Each level is read in chunks aligned to the words of the level before:
+    the children of ``_VERIFY_CHUNK`` parents, or at length 1 the four
+    children of the identity.  A chunk passes whole when the level before
+    passed, it holds three words per parent (four at length 1), every word
+    has the level's length, and its joined letters equal those the parents
+    imply under the successor rule (:func:`_children`); its first letters are
+    then counted with ``bytes.count``.  Any other chunk is checked word by
+    word, and only that loop writes a message.  A word's last letter must be
+    one of 0-3 (else a partition violation); a word whose last letter cancels
+    the one before, or which does not extend word i // 3 of the level before,
+    violates each split whose cover does not hold it.  A level other than the
+    one word of length 0 and 4 * 3^(k-1) words at each length k from 1 to
+    depth, a level missing or one past depth included, violates both.  A
+    level passes when it has its size and every word passes.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -276,23 +332,21 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     violations_a: list[str] = []
     violations_b: list[str] = []
 
-    def check_size(k: int, size: int) -> None:
+    def check_size(k: int, size: int) -> bool:
         expected = 0 if k > depth else 4 * 3 ** (k - 1) if k else 1
-        if size != expected:
-            for violations in (violations_a, violations_b):
-                if len(violations) < MAX_VIOLATIONS:
-                    violations.append(f"level {k} has {size} words, expected {expected}")
+        if size == expected:
+            return True
+        for violations in (violations_a, violations_b):
+            if len(violations) < MAX_VIOLATIONS:
+                violations.append(f"level {k} has {size} words, expected {expected}")
+        return False
 
-    levels = ball_levels(depth)
-    counts[4] = checked = len(next(levels))  # the identity, the one word of length 0
-    check_size(0, checked)
-    parents = repeat(b"")
-    k = 0
-    for k, level in enumerate(levels, 1):
-        before = checked
-        for h, parent in zip(level, parents):
-            checked += 1
+    def check_words(chunk: list[bytes], parents: Iterator[bytes | None]) -> bool:
+        """Check each word against its parent; True when every word passes."""
+        passed = True
+        for h, parent in zip(chunk, parents):
             if h[-1] not in _ALPHABET:
+                passed = False
                 if len(partition_violations) < MAX_VIOLATIONS:
                     partition_violations.append(f"{_show(h)} does not end in one of the letters 0-3")
                 continue
@@ -303,13 +357,44 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
             else:
                 counts[h[0]] += 1
                 continue
+            passed = False
             if h[0] != A and len(violations_a) < MAX_VIOLATIONS:
                 violations_a.append(fault)
             if h[0] != B and len(violations_b) < MAX_VIOLATIONS:
                 violations_b.append(fault)
-        check_size(k, checked - before)
-        # Word i of the next level extends word i // 3 of this one, if there is one.
-        parents = chain(chain.from_iterable(zip(level, level, level)), repeat(None))
+        return passed
+
+    levels = ball_levels(depth)
+    counts[4] = checked = len(next(levels))  # the identity, the one word of length 0
+    parents_passed = check_size(0, checked)
+    previous: Sequence[bytes] = (b"",)
+    k = 0
+    for k, level in enumerate(levels, 1):
+        fan = 3 if k > 1 else 4
+        words = iter(level)
+        passed = True
+        size = 0
+        for start in count(0, _VERIFY_CHUNK):
+            chunk = list(islice(words, fan * _VERIFY_CHUNK))
+            if not chunk:
+                break
+            size += len(chunk)
+            parents = previous[start : start + _VERIFY_CHUNK]
+            if parents_passed and len(chunk) == fan * len(parents) and set(map(len, chunk)) == {k}:
+                joined = b"".join(chunk)
+                if joined == _children(parents, k):
+                    first = joined[::k]
+                    for x in _ALPHABET:
+                        counts[x] += first.count(x)
+                    continue
+            if k > 1:
+                # Word i of this level extends word i // 3 of the level before, if there is one.
+                passed &= check_words(chunk, chain(chain.from_iterable(zip(parents, parents, parents)), repeat(None)))
+            else:
+                passed &= check_words(chunk, repeat(b""))
+        checked += size
+        parents_passed = check_size(k, size) and passed
+        previous = level if words is not level else ()  # a level streamed once is spent
     for k in range(k + 1, depth + 1):  # levels ball_levels never yielded
         check_size(k, 0)
     class_counts = {PrefixClass.IDENTITY: counts[4]}

@@ -2,9 +2,9 @@
 
 Nothing in the product runs these: the rational matrix algebra (with the
 word product over the rational generators and matrix-vector application), the
-fraction-free kernel, the group law on reduced words, the one-split check,
-the brute-force ball, the direct product of group tables, the
-frozenset route of finite action models (validation, images and the derived
+fraction-free kernel, the group law on reduced words, the one-split check, the
+word-by-word decomposition verifier, the brute-force ball, the direct
+product of group tables, the frozenset route of finite action models (validation, images and the derived
 interior on point objects), the Fraction routes of the integer kernels
 (point-measure mass, the ergodic average with its piecewise-constant
 samples, and the additive map), the planar paradox's g/h isometry defect
@@ -32,15 +32,20 @@ from paradoxlab.errors import DegenerateInputError, DomainError, InvariantViolat
 from paradoxlab.exactlin import DEFAULT_GENERATORS, Mat3, ProjectiveDirection, _scaled_axis, scaled_integer_form
 from paradoxlab.measures import GroupTable, PiecewiseConstant, PointMeasure, _frac
 from paradoxlab.paradox import _grid_bits, _to_mpc, enumerate_polys
+from paradoxlab import words
 from paradoxlab.words import (
+    _ALPHABET,
+    _CANCELLING,
     _CLASS_OF_LETTER,
     _INVERSES,
     MAX_VIOLATIONS,
+    F2ParadoxReport,
     Letter,
     PrefixClass,
     ReducedWord,
     SplitCheck,
     _reduced,
+    _show,
     ball_levels,
     reduce,
 )
@@ -150,12 +155,17 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]
 
 
 def axis(m: Mat3) -> ProjectiveDirection:
-    """Rotation axis of a special orthogonal matrix, from its scaled integer form."""
+    """Rotation axis of a special orthogonal matrix, from its scaled integer form.
+
+    The direction is built from the kernel's triple by the validating
+    constructor, which refuses a triple that is not primitive with a
+    positive leading component.
+    """
     if not is_special_orthogonal(m):
         raise DomainError("axis is defined for special orthogonal matrices only")
     if m == identity():
         raise DegenerateInputError("the identity rotation fixes every direction")
-    return _scaled_axis(*scaled_integer_form(m))
+    return ProjectiveDirection(*_scaled_axis(*scaled_integer_form(m)))
 
 
 # -- reduced words --------------------------------------------------------------
@@ -237,6 +247,63 @@ def check_split(
         if problem is not None and len(violations) < MAX_VIOLATIONS:
             violations.append(problem)
     return SplitCheck(depth, cover, piece, mover, checked, tuple(violations))
+
+
+def verify_f2_paradox_per_word(depth: int) -> F2ParadoxReport:
+    """The decomposition verifier that checks every word on its own, against its parent.
+
+    It reads the levels through ``words.ball_levels`` at call time, so a test
+    that replaces the enumerator feeds both verifiers the same levels.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    A, B = _ALPHABET[:2]
+    counts = [0, 0, 0, 0, 0]  # by first letter; the identity at index 4
+    partition_violations: list[str] = []
+    violations_a: list[str] = []
+    violations_b: list[str] = []
+
+    def check_size(k: int, size: int) -> None:
+        expected = 0 if k > depth else 4 * 3 ** (k - 1) if k else 1
+        if size != expected:
+            for violations in (violations_a, violations_b):
+                if len(violations) < MAX_VIOLATIONS:
+                    violations.append(f"level {k} has {size} words, expected {expected}")
+
+    levels = words.ball_levels(depth)
+    counts[4] = checked = len(next(levels))  # the identity, the one word of length 0
+    check_size(0, checked)
+    parents = itertools.repeat(b"")
+    k = 0
+    for k, level in enumerate(levels, 1):
+        before = checked
+        for h, parent in zip(level, parents):
+            checked += 1
+            if h[-1] not in _ALPHABET:
+                if len(partition_violations) < MAX_VIOLATIONS:
+                    partition_violations.append(f"{_show(h)} does not end in one of the letters 0-3")
+                continue
+            if h[-2:] in _CANCELLING:
+                fault = f"{_show(h)} is not reduced at its last letter"
+            elif h[:-1] != parent:
+                fault = f"{_show(h)} does not extend its parent {_show(parent)}"
+            else:
+                counts[h[0]] += 1
+                continue
+            if h[0] != A and len(violations_a) < MAX_VIOLATIONS:
+                violations_a.append(fault)
+            if h[0] != B and len(violations_b) < MAX_VIOLATIONS:
+                violations_b.append(fault)
+        check_size(k, checked - before)
+        # Word i of the next level extends word i // 3 of this one, if there is one.
+        parents = itertools.chain(itertools.chain.from_iterable(zip(level, level, level)), itertools.repeat(None))
+    for k in range(k + 1, depth + 1):  # levels ball_levels never yielded
+        check_size(k, 0)
+    class_counts = {PrefixClass.IDENTITY: counts[4]}
+    class_counts.update((_CLASS_OF_LETTER[x], counts[x]) for x in _ALPHABET)
+    split_a = SplitCheck(depth, PrefixClass.W_A, PrefixClass.W_A_INV, _reduced((A,)), checked, tuple(violations_a))
+    split_b = SplitCheck(depth, PrefixClass.W_B, PrefixClass.W_B_INV, _reduced((B,)), checked, tuple(violations_b))
+    return F2ParadoxReport(depth, class_counts, tuple(partition_violations), split_a, split_b)
 
 
 def brute_force_ball(n: int) -> frozenset[ReducedWord]:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paradoxlab import measures
 from paradoxlab.errors import DomainError, ModelError, PreconditionError, ResourceLimitError
 from paradoxlab.measures import (
     DensityWindow,
@@ -163,6 +164,22 @@ def test_induced_measure_resource_cap():
     action = GroupAction.translation(G)
     with pytest.raises(ResourceLimitError):
         induced_group_measure(action, PointMeasure.uniform(action.points))
+
+
+def test_induced_pair_cap_is_checked_before_any_loop(monkeypatch):
+    # Order 9 is under the subset cap but over the pair cap.
+    action = GroupAction.translation(GroupTable.cyclic(9))
+    with pytest.raises(ResourceLimitError, match=r"^3\^9 = 19683 disjoint subset pairs exceed the configured cap 6561$"):
+        induced_group_measure(action, PointMeasure.uniform(action.points))
+    monkeypatch.setattr(measures, "INDUCED_PAIR_CAP", 3**3)
+    action = GroupAction.translation(GroupTable.cyclic(3))
+    assert induced_group_measure(action, PointMeasure.uniform(action.points)).passed
+    # Refused before validation, so the action that is not free is not looked at.
+    G = GroupTable.cyclic(4)
+    pts = frozenset({"x"})
+    trivial = GroupAction(G, pts, {(g, "x"): "x" for g in G.elements})
+    with pytest.raises(ResourceLimitError, match=r"^3\^4 = 81 disjoint subset pairs exceed the configured cap 27$"):
+        induced_group_measure(trivial, PointMeasure.uniform(pts))
 
 
 def test_free_violations_and_orbits():

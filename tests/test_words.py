@@ -1,11 +1,12 @@
 """Reduced words, ball enumeration, and the five-class decomposition."""
 
 import copy
+import gc
 import pickle
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from paradoxlab import words
 from paradoxlab.errors import ResourceLimitError
@@ -14,6 +15,7 @@ from paradoxlab.freeness import build_certificate, exhaustive_check
 from paradoxlab.paradox import f2_ball_model, orbit_transport
 from paradoxlab.sphere import fixed_directions
 from paradoxlab.words import (
+    BALL_CAP,
     MAX_VIOLATIONS,
     F2ParadoxReport,
     Letter,
@@ -28,7 +30,7 @@ from paradoxlab.words import (
 )
 
 from conftest import run_cli
-from oracles import IDENTITY, brute_force_ball, check_split, concat, invert, prefix_class
+from oracles import IDENTITY, brute_force_ball, check_split, concat, invert, prefix_class, verify_f2_paradox_per_word
 
 letter_lists = st.lists(st.sampled_from(list(Letter)), max_size=12)
 
@@ -128,6 +130,43 @@ def test_ball_levels_match_the_walk_and_the_brute_force_ball():
             assert all(w[:-1] == levels[k - 1][i // 3] for i, w in enumerate(levels[k]))
         flat = [ReducedWord(w) for level in levels for w in level]
         assert flat == sorted(brute_force_ball(n), key=lambda w: (len(w), bytes(w)))
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector on", "collector off"])
+def test_ball_restores_the_callers_collector_state(enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        assert len(ball(3)) == ball_size(3)
+        assert gc.isenabled() is enabled
+        for radius, error in ((BALL_CAP + 1, ResourceLimitError), (-1, ValueError)):
+            with pytest.raises(error):
+                ball(radius)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_no_collection_starts_while_the_ball_is_built():
+    # The collector tracks every word, so with it running, building
+    # ball(8)'s 9,841 words starts young collections that can free none.
+    assert gc.isenabled()
+    inside = [False]
+    starts = []
+
+    def record(phase, info):
+        if phase == "start" and inside[0]:
+            starts.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        inside[0] = True
+        built = ball(8)
+        inside[0] = False
+    finally:
+        gc.callbacks.remove(record)
+    assert len(built) == ball_size(8)
+    assert starts == []
 
 
 def test_ball_words_are_plain_reduced_words():
@@ -517,3 +556,120 @@ def test_corrupted_split_wrong_piece():
 def test_corrupted_split_wrong_cover():
     bad = check_split(4, PrefixClass.W_B, PrefixClass.W_A_INV, ReducedWord.from_string("a"))
     assert not bad.passed
+
+
+# -- the level comparison against the word-by-word verifier ------------------
+
+
+def _edit(level, k, kind, i, j, value):
+    """A copy of ``level``, the words of length k, with one edit; None where the edit does not apply."""
+    out = list(level)
+    i, j = i % len(out), j % len(out)
+    if kind == "letter" and k:
+        at = j % k
+        out[i] = out[i][:at] + bytes((value,)) + out[i][at + 1 :]
+    elif kind == "drop":
+        del out[i]
+    elif kind == "duplicate":
+        out.insert(i, out[i])
+    elif kind == "move":
+        out.insert(j, out.pop(i))
+    elif kind == "swap siblings" and k:
+        other = j % 4 if k == 1 else i - i % 3 + j % 3
+        out[i], out[other] = out[other], out[i]
+    elif kind == "lengthen":
+        out[i] += bytes((value,))
+    elif kind == "shorten" and k > 1:
+        out[i] = out[i][:-1]
+    elif kind == "shift a letter" and k > 1:
+        # Words of lengths k - 1 and k + 1 whose joined letters are unchanged.
+        i = min(i, len(out) - 2)
+        out[i], out[i + 1] = out[i][:-1], out[i][-1:] + out[i + 1]
+    elif kind == "extra word" and k == 1:
+        out.append(bytes((value,)))
+    else:
+        return None
+    return out
+
+
+def _one_level_replaced(at, replacement):
+    """A ball_levels that yields ``replacement`` in place of level ``at``, streamed when it is the last."""
+    ball_levels = words.ball_levels
+
+    def replaced(n):
+        for k, level in enumerate(ball_levels(n)):
+            yield (iter(replacement) if k == n else replacement) if k == at else level
+
+    return replaced
+
+
+EDITS = ("letter", "drop", "duplicate", "move", "swap siblings", "lengthen", "shorten", "shift a letter", "extra word")
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    depth=st.integers(1, 5),
+    at=st.integers(0, 5),
+    kind=st.sampled_from(EDITS),
+    i=st.integers(0, 400),
+    j=st.integers(0, 400),
+    value=st.sampled_from([0, 1, 2, 3, 4, 255]),
+    chunk=st.sampled_from([1, 2, 5, words._VERIFY_CHUNK]),
+)
+# Level 1 extends the identity, whatever level 0 holds.
+@example(depth=2, at=0, kind="drop", i=0, j=0, value=0, chunk=words._VERIFY_CHUNK)
+@example(depth=3, at=0, kind="lengthen", i=0, j=0, value=1, chunk=words._VERIFY_CHUNK)
+# Two words of lengths 1 and 3 that join to the letters of two siblings.
+@example(depth=3, at=2, kind="shift a letter", i=4, j=0, value=0, chunk=words._VERIFY_CHUNK)
+@example(depth=4, at=1, kind="extra word", i=0, j=0, value=0, chunk=1)
+def test_level_comparison_matches_the_word_by_word_verifier(depth, at, kind, i, j, value, chunk):
+    at = min(at, depth)
+    levels = [list(level) for level in ball_levels(depth)]
+    edited = _edit(levels[at], at, kind, i, j, value)
+    assume(edited is not None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(words, "_VERIFY_CHUNK", chunk)
+        patch.setattr(words, "ball_levels", _one_level_replaced(at, edited))
+        assert verify_f2_paradox(depth) == verify_f2_paradox_per_word(depth)
+
+
+def test_a_fault_in_a_later_chunk_of_the_streamed_last_level(monkeypatch):
+    # Level 7 has 2,916 words; word 2,000 lies past the first two chunks.
+    assert 2000 >= 2 * 3 * words._VERIFY_CHUNK
+    bad = [list(level) for level in ball_levels(7)][7][2000][:-1] + b"\x04"
+    real = words.ball_levels
+
+    def faulty(n):
+        for k, level in enumerate(real(n)):
+            yield (bad if i == 2000 else w for i, w in enumerate(level)) if k == n else level
+
+    monkeypatch.setattr(words, "ball_levels", faulty)
+    report = verify_f2_paradox(7)
+    assert report == verify_f2_paradox_per_word(7)
+    assert report.partition_violations == (f"{tuple(bad)} does not end in one of the letters 0-3",)
+    assert report.split_a.passed and report.split_b.passed
+    assert report.split_a.checked == ball_size(7)
+
+
+def test_a_level_streamed_below_the_last_leaves_the_next_without_parents(monkeypatch):
+    # Streamed once, level 2 is spent before level 3 is read, so no word of
+    # level 3 has a parent to extend.
+    level = [list(level) for level in ball_levels(3)][2]
+    monkeypatch.setattr(words, "ball_levels", _one_level_replaced(2, iter(level)))
+    report = verify_f2_paradox(3)
+    monkeypatch.setattr(words, "ball_levels", _one_level_replaced(2, iter(level)))
+    assert report == verify_f2_paradox_per_word(3)
+    assert report.split_b.violations[0] == "'aaa' does not extend its parent None"
+
+
+def test_swapped_siblings_pass_and_their_children_do_not(monkeypatch):
+    # Siblings share a parent, so swapped they still each extend it; the
+    # level after then no longer extends them in order.
+    for at, depth in ((3, 3), (2, 3)):
+        level = [list(level) for level in ball_levels(depth)][at]
+        level[0], level[1] = level[1], level[0]
+        with monkeypatch.context() as patch:
+            patch.setattr(words, "ball_levels", _one_level_replaced(at, level))
+            report = verify_f2_paradox(depth)
+            assert report == verify_f2_paradox_per_word(depth)
+        assert report.passed is (at == depth)
