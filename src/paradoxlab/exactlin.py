@@ -47,9 +47,6 @@ class Mat3:
         s = _frac(scale)
         return cls(tuple(_frac(e) * s for row in rows for e in row))
 
-    def row(self, i: int) -> tuple[Fraction, Fraction, Fraction]:
-        return self.entries[3 * i : 3 * i + 3]
-
     def transpose(self) -> "Mat3":
         e = self.entries
         return Mat3((e[0], e[3], e[6], e[1], e[4], e[7], e[2], e[5], e[8]))

@@ -29,6 +29,10 @@ generators evaluates to the identity rotation:
 The prepend restriction is essential: 7*gen(x) times 7*gen(x^-1) is 49 times
 the identity, which vanishes mod 7, so unreduced products do collapse.
 
+:func:`verify_certificate` trusts nothing of the builder: it rebuilds each
+letter's mod-7 action from the rational generators, derives the automaton the
+certificate's states imply, and compares that with the certificate whole.
+
 Both oracles run on the paper's two generators only.  A certificate leaves
 the program as JSON (:func:`certificate_to_json`, in the ``freeness
 certify`` report); nothing reads one back.
@@ -232,71 +236,39 @@ def build_any_certificate() -> FreenessCertificate:
 
 
 def verify_certificate(cert: FreenessCertificate) -> bool:
-    """Re-check a certificate without trusting how it was built.
+    """Rebuild the automaton the certificate's states imply and compare it whole.
 
-    Root states and every transition target are recomputed here from the
-    generator matrices via exact rational arithmetic (not the scaled-integer
-    path used during construction).  Returns False on any defect: a missing
-    or malformed base vector, a zero or out-of-range residue, a missing root,
-    a missing/incorrect/dangling transition, or an oversized state set.
+    The mod-7 action of each letter is recomputed from the rational generator
+    matrices (not the scaled-integer path used during construction).  The
+    states imply one root per letter, its action on the base vector, and for
+    every state and every letter that does not cancel its first letter the
+    state that prepending the letter reaches.  The certificate passes when
+    its base vector has 3 components; it has at most ``MAX_VECTOR_STATES``
+    states, each a letter 0-3 with a nonzero residue of three values in 0-6;
+    the roots and every implied target are states; and its transitions are
+    exactly the implied ones.  Anything else, or any exception, gives False.
     """
     try:
         if len(cert.base_vector) != 3 or len(cert.states) > MAX_VECTOR_STATES:
             return False
-
-        # Mod-7 action of each letter, rebuilt from the rational matrices.
-        mats: dict[int, list[list[int]]] = {}
+        states = frozenset(cert.states)
+        if not all(x in (0, 1, 2, 3) and len(r) == 3 and all(0 <= v < _MOD for v in r) and any(r) for x, r in states):
+            return False
+        mats: dict[int, list[int]] = {}
         for letter in Letter:
-            m = DEFAULT_GENERATORS[letter]
-            rows = []
-            for i in range(3):
-                row = []
-                for e in m.row(i):
-                    scaled = e * _MOD
-                    if scaled.denominator != 1:
-                        return False
-                    row.append(int(scaled) % _MOD)
-                rows.append(row)
-            mats[int(letter)] = rows
-
-        def act(letter_value: int, residue: tuple[int, ...]) -> tuple[int, ...]:
-            m = mats[letter_value]
-            return tuple(sum(m[i][j] * residue[j] for j in range(3)) % _MOD for i in range(3))
-
-        for letter_value, residue in cert.states:
-            if letter_value not in (0, 1, 2, 3):
+            scaled = [e * _MOD for e in DEFAULT_GENERATORS[letter].entries]
+            if any(e.denominator != 1 for e in scaled):
                 return False
-            if len(residue) != 3 or any(not (0 <= v < _MOD) for v in residue):
-                return False
-            if all(v == 0 for v in residue):
-                return False
+            mats[int(letter)] = [int(e) % _MOD for e in scaled]
 
-        # Roots: one state per letter, derived from the base.
+        def prepend(x: int, r: tuple[int, ...]) -> StateKey:
+            m = mats[x]
+            return x, tuple(sum(m[3 * i + j] * r[j] for j in range(3)) % _MOD for i in range(3))
+
         v0 = tuple(v % _MOD for v in cert.base_vector)
-        for letter in Letter:
-            if (int(letter), act(int(letter), v0)) not in cert.states:
-                return False
-
-        # Closure: every legal prepend from every state is present and correct.
-        for state in cert.states:
-            letter_value, residue = state
-            for letter in Letter:
-                if letter == Letter(letter_value).inverse():
-                    continue
-                key = (state, int(letter))
-                if key not in cert.transitions:
-                    return False
-                expected = (int(letter), act(int(letter), residue))
-                if cert.transitions[key] != expected or expected not in cert.states:
-                    return False
-
-        # No dangling transition entries either.
-        for (state, letter_value), target in cert.transitions.items():
-            if state not in cert.states or target not in cert.states:
-                return False
-            if letter_value not in (0, 1, 2, 3) or Letter(letter_value) == Letter(state[0]).inverse():
-                return False
-        return True
+        roots = {prepend(x, v0) for x in mats}
+        implied = {(s, x): prepend(x, s[1]) for s in states for x in mats if Letter(x) != Letter(s[0]).inverse()}
+        return roots | set(implied.values()) <= states and cert.transitions == implied
     except Exception:
         return False
 

@@ -64,12 +64,13 @@ def _frac(x) -> Fraction:
 #: Largest carrier whose subsets are enumerated exhaustively (2^12 = 4096 subsets).
 MAX_EXHAUSTIVE_ORDER = 12
 
-#: Most disjoint subset pairs, 3^|G|, that induced_group_measure checks
-#: additivity over; it evaluates f at every point for each pair.  Measured in
-#: process on a 2-vCPU VM, cyclic groups on one and two copies of themselves
-#: took 0.19 and 0.36 s at order 7 (2,187 pairs) and 0.82 and 2.05 s at
-#: order 8 (6,561 pairs), about three times more per order.
-INDUCED_PAIR_CAP = 3**8
+#: Most evaluations, 3^|G| disjoint subset pairs times |X| points, that
+#: induced_group_measure checks additivity with; each evaluates f at one
+#: point for one pair.  Measured in process on a 2-vCPU VM, cyclic groups on
+#: copies of themselves took 20-31 us per evaluation at orders 1 to 8: order 8
+#: on 1, 2 and 3 copies 1.28, 2.49 and 3.81 s.  Runs at the cap (order 8 on two
+#: copies), from order 1 on 34,992 copies to order 8, took 1.2-3.5 s.
+INDUCED_EVALUATION_CAP = 3**8 * 16
 
 
 def _subsets(items: Sequence) -> Iterator[frozenset]:
@@ -378,14 +379,17 @@ def induced_group_measure(action: GroupAction, mu: PointMeasure) -> InducedMeasu
     invariance of mu).
 
     Preconditions are enforced: the action must be free and mu must be an
-    invariant probability measure on the points.  A group with more than
-    ``INDUCED_PAIR_CAP`` disjoint subset pairs is refused before any of them.
+    invariant probability measure on the points.  An action whose disjoint
+    subset pairs times points exceed ``INDUCED_EVALUATION_CAP`` is refused
+    before any of them.
     """
     G = action.group
     pairs = 3 ** len(G.elements)
-    if pairs > INDUCED_PAIR_CAP:
+    evaluations = pairs * len(action.points)
+    if evaluations > INDUCED_EVALUATION_CAP:
         raise ResourceLimitError(
-            f"3^{len(G.elements)} = {pairs} disjoint subset pairs exceed the configured cap {INDUCED_PAIR_CAP}"
+            f"3^{len(G.elements)} = {pairs} disjoint subset pairs at {len(action.points)} points = {evaluations} "
+            f"evaluations exceed the configured cap {INDUCED_EVALUATION_CAP}"
         )
     action.validate()
     if mu.universe != action.points:

@@ -892,9 +892,6 @@ def _realising_points(differences: Iterable[Sequence[int]], max_degree: int, max
 
 @dataclass(frozen=True)
 class SMPReport:
-    max_degree: int
-    max_coeff: int
-    precision_bits: int
     total: int
     count_a: int
     count_b: int
@@ -1009,9 +1006,6 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
     else:
         outcome = "pass"
     return SMPReport(
-        max_degree=max_degree,
-        max_coeff=max_coeff,
-        precision_bits=precision_bits,
         total=total,
         count_a=len(part_a),
         count_b=len(part_b),

@@ -488,7 +488,6 @@ class AbsorbReport:
     powers: int
     precision_bits: int
     n_points: int
-    certified_depth_ok: bool
     min_separation: float
     collision: tuple | None
     unresolved: tuple | None
@@ -628,7 +627,6 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
         powers=M,
         precision_bits=g.precision_bits,
         n_points=len(labels),
-        certified_depth_ok=g.depth_checked >= M,
         min_separation=separation,
         collision=collision,
         unresolved=unresolved,

@@ -233,9 +233,6 @@ class SplitCheck:
     """Result of checking one covering identity F2 = W(cover) u mover.W(piece)."""
 
     depth: int
-    cover: PrefixClass
-    piece: PrefixClass
-    mover: ReducedWord
     checked: int
     violations: tuple[str, ...]
 
@@ -316,8 +313,9 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
     has the level's length, and its joined letters equal those the parents
     imply under the successor rule (:func:`_children`); its first letters are
     then counted with ``bytes.count``.  Any other chunk is checked word by
-    word, and only that loop writes a message.  A word's last letter must be
-    one of 0-3 (else a partition violation); a word whose last letter cancels
+    word, and only that loop writes a message.  A word must end in one of the
+    letters 0-3 (else a partition violation, also for the empty word, which
+    has no last letter); a word whose last letter cancels
     the one before, or which does not extend word i // 3 of the level before,
     violates each split whose cover does not hold it.  A level other than the
     one word of length 0 and 4 * 3^(k-1) words at each length k from 1 to
@@ -345,7 +343,7 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
         """Check each word against its parent; True when every word passes."""
         passed = True
         for h, parent in zip(chunk, parents):
-            if h[-1] not in _ALPHABET:
+            if not h or h[-1] not in _ALPHABET:
                 passed = False
                 if len(partition_violations) < MAX_VIOLATIONS:
                     partition_violations.append(f"{_show(h)} does not end in one of the letters 0-3")
@@ -399,6 +397,6 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
         check_size(k, 0)
     class_counts = {PrefixClass.IDENTITY: counts[4]}
     class_counts.update((_CLASS_OF_LETTER[x], counts[x]) for x in _ALPHABET)
-    split_a = SplitCheck(depth, PrefixClass.W_A, PrefixClass.W_A_INV, _reduced((A,)), checked, tuple(violations_a))
-    split_b = SplitCheck(depth, PrefixClass.W_B, PrefixClass.W_B_INV, _reduced((B,)), checked, tuple(violations_b))
+    split_a = SplitCheck(depth, checked, tuple(violations_a))
+    split_b = SplitCheck(depth, checked, tuple(violations_b))
     return F2ParadoxReport(depth, class_counts, tuple(partition_violations), split_a, split_b)

@@ -2,7 +2,7 @@
 
 Nothing in the product runs these: the rational matrix algebra (with the
 word product over the rational generators and matrix-vector application), the
-fraction-free kernel, the group law on reduced words, the one-split check, the
+fraction-free kernel, the piecewise freeness-certificate checker, the group law on reduced words, the one-split check, the
 word-by-word decomposition verifier, the brute-force ball, the direct
 product of group tables, the frozenset route of finite action models (validation, images and the derived
 interior on point objects), the Fraction routes of the integer kernels
@@ -11,7 +11,7 @@ samples, and the additive map), the planar paradox's g/h isometry defect
 over every pair, its least difference over every difference vector and the
 points realising a difference, pair by pair, and the sphere's interval geometry in mpmath's ``iv`` context.  Each is the
 slow, general route that a fast path in ``exactlin``, ``words``,
-``measures``, ``paradox``, ``cauchy`` or ``sphere`` must agree with.
+``freeness``, ``measures``, ``paradox``, ``cauchy`` or ``sphere`` must agree with.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from mpmath.libmp import fone, fzero, mpc_abs, mpc_mul, mpc_sub, mpc_sub_mpf, mp
 from paradoxlab.cauchy import HamelModel
 from paradoxlab.errors import DegenerateInputError, DomainError, InvariantViolationError, ModelError
 from paradoxlab.exactlin import DEFAULT_GENERATORS, Mat3, ProjectiveDirection, _scaled_axis, scaled_integer_form
+from paradoxlab.freeness import _MOD, MAX_VECTOR_STATES, FreenessCertificate
 from paradoxlab.measures import GroupTable, PiecewiseConstant, PointMeasure, _frac
 from paradoxlab.paradox import _grid_bits, _to_mpc, enumerate_polys
 from paradoxlab import words
@@ -79,7 +80,7 @@ def word_matrix(w: ReducedWord) -> Mat3:
 
 def apply(m: Mat3, v: Sequence) -> tuple[Fraction, Fraction, Fraction]:
     """M v for a triple of ints or Fractions, as a tuple of Fractions."""
-    return tuple(sum((e * c for e, c in zip(m.row(i), v)), Fraction(0)) for i in range(3))
+    return tuple(sum((e * c for e, c in zip(m.entries[3 * i : 3 * i + 3], v)), Fraction(0)) for i in range(3))
 
 
 def sub(m: Mat3, other: Mat3) -> Mat3:
@@ -168,6 +169,77 @@ def axis(m: Mat3) -> ProjectiveDirection:
     return ProjectiveDirection(*_scaled_axis(*scaled_integer_form(m)))
 
 
+# -- the freeness certificate -----------------------------------------------------
+
+
+def ref_verify_certificate(cert: FreenessCertificate) -> bool:
+    """``freeness.verify_certificate`` as it was checked piece by piece, against its replacement.
+
+    Validity of the states, the roots, closure from both sides (every legal
+    prepend present and correct) and no dangling transition, each its own
+    loop.  Matrix row i is the slice ``entries[3i : 3i + 3]``.
+    """
+    try:
+        if len(cert.base_vector) != 3 or len(cert.states) > MAX_VECTOR_STATES:
+            return False
+
+        # Mod-7 action of each letter, rebuilt from the rational matrices.
+        mats: dict[int, list[list[int]]] = {}
+        for letter in Letter:
+            m = DEFAULT_GENERATORS[letter]
+            rows = []
+            for i in range(3):
+                row = []
+                for e in m.entries[3 * i : 3 * i + 3]:
+                    scaled = e * _MOD
+                    if scaled.denominator != 1:
+                        return False
+                    row.append(int(scaled) % _MOD)
+                rows.append(row)
+            mats[int(letter)] = rows
+
+        def act(letter_value: int, residue: tuple[int, ...]) -> tuple[int, ...]:
+            m = mats[letter_value]
+            return tuple(sum(m[i][j] * residue[j] for j in range(3)) % _MOD for i in range(3))
+
+        for letter_value, residue in cert.states:
+            if letter_value not in (0, 1, 2, 3):
+                return False
+            if len(residue) != 3 or any(not (0 <= v < _MOD) for v in residue):
+                return False
+            if all(v == 0 for v in residue):
+                return False
+
+        # Roots: one state per letter, derived from the base.
+        v0 = tuple(v % _MOD for v in cert.base_vector)
+        for letter in Letter:
+            if (int(letter), act(int(letter), v0)) not in cert.states:
+                return False
+
+        # Closure: every legal prepend from every state is present and correct.
+        for state in cert.states:
+            letter_value, residue = state
+            for letter in Letter:
+                if letter == Letter(letter_value).inverse():
+                    continue
+                key = (state, int(letter))
+                if key not in cert.transitions:
+                    return False
+                expected = (int(letter), act(int(letter), residue))
+                if cert.transitions[key] != expected or expected not in cert.states:
+                    return False
+
+        # No dangling transition entries either.
+        for (state, letter_value), target in cert.transitions.items():
+            if state not in cert.states or target not in cert.states:
+                return False
+            if letter_value not in (0, 1, 2, 3) or Letter(letter_value) == Letter(state[0]).inverse():
+                return False
+        return True
+    except Exception:
+        return False
+
+
 # -- reduced words --------------------------------------------------------------
 
 IDENTITY = ReducedWord()
@@ -246,7 +318,7 @@ def check_split(
         problem = _split_violation(h, cover_letter, piece_letter, mover_letters, inv_letters)
         if problem is not None and len(violations) < MAX_VIOLATIONS:
             violations.append(problem)
-    return SplitCheck(depth, cover, piece, mover, checked, tuple(violations))
+    return SplitCheck(depth, checked, tuple(violations))
 
 
 def verify_f2_paradox_per_word(depth: int) -> F2ParadoxReport:
@@ -301,8 +373,8 @@ def verify_f2_paradox_per_word(depth: int) -> F2ParadoxReport:
         check_size(k, 0)
     class_counts = {PrefixClass.IDENTITY: counts[4]}
     class_counts.update((_CLASS_OF_LETTER[x], counts[x]) for x in _ALPHABET)
-    split_a = SplitCheck(depth, PrefixClass.W_A, PrefixClass.W_A_INV, _reduced((A,)), checked, tuple(violations_a))
-    split_b = SplitCheck(depth, PrefixClass.W_B, PrefixClass.W_B_INV, _reduced((B,)), checked, tuple(violations_b))
+    split_a = SplitCheck(depth, checked, tuple(violations_a))
+    split_b = SplitCheck(depth, checked, tuple(violations_b))
     return F2ParadoxReport(depth, class_counts, tuple(partition_violations), split_a, split_b)
 
 

@@ -757,6 +757,29 @@ def test_exact_layer_report_bytes_are_pinned(argv, digest):
     assert hashlib.sha256(result.stdout).hexdigest() == digest
 
 
+# sha256 of the stdout of `freeness certify --base ... --seed 1` on each
+# candidate base and on a base with no certificate, with the exit code,
+# recorded at commit b17024b, before verify_certificate became one
+# recomputation of the automaton the certificate's states imply.
+CERTIFY_DIGESTS = [
+    ("0,1,0", 0, "646b9084e4f7d6a2dc197fb57bf3ac55a65ce69ee3b73854ff1c9953fcdf5e36"),
+    ("1,0,0", 0, "731882b239536a11b9df7c6a29e6d41faab8efd543bba1a7b3bc196185509891"),
+    ("0,0,1", 0, "31bcd4c20e43d793362ab9c86cc341b998475426c6f365dcb42db3409a2b79ad"),
+    ("1,1,0", 0, "bdebbc349517ac8cd3a72f11c2298909b9d9d3caaa489185eb58ea22de39b38b"),
+    ("1,0,1", 0, "6aa0eeb7b24fbc21f89a2c9fa41b043482a714aed12e2bbbf5b2ea2714592574"),
+    ("0,1,1", 0, "f5c32dfb71938c34d05960d7209b15a15904ddf36ce3cf0b7d8bb09595893545"),
+    ("1,1,1", 0, "25bcca388d70655ac370a7e6f02dbf66300f3e32f711fa48ea42d3e75ed60e3a"),
+    ("7,7,7", 1, "af7a2cf9901e27d9c8d63607223162756097e5eab009ebb5b3e3cf640457f480"),
+]
+
+
+@pytest.mark.parametrize("base,code,digest", CERTIFY_DIGESTS, ids=[base for base, *_ in CERTIFY_DIGESTS])
+def test_certify_report_bytes_are_pinned(base, code, digest):
+    result = run_cli("freeness", "certify", "--base", base, "--seed", "1")
+    assert result.code == code
+    assert hashlib.sha256(result.stdout).hexdigest() == digest
+
+
 # sha256 of the stdout of the Fraction-bound demos at more seeds and ranks,
 # recorded at commit 38e0fa2, before ergodic_average, AdditiveMap.eval and
 # PointMeasure.mu moved to integer numerators over one common denominator.

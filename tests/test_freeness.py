@@ -20,7 +20,7 @@ from paradoxlab.freeness import (
 )
 from paradoxlab.words import Letter
 
-from oracles import matmul
+from oracles import matmul, ref_verify_certificate
 
 ROT_Z = Mat3.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
 ROT_X = Mat3.from_rows([[1, 0, 0], [0, 0, -1], [0, 1, 0]])
@@ -168,3 +168,91 @@ def test_certificate_and_exhaustion_agree():
     # Both oracles say "free" on the same ball; neither shares code with the other.
     assert exhaustive_check(6).certified
     assert verify_certificate(build_any_certificate())
+
+
+# -- the checker against its piecewise reference -------------------------------
+
+
+def _implied(state, letter):
+    """The state prepending ``letter`` to ``state`` reaches, on the builder's scaled-integer matrices."""
+    return int(letter), freeness._matvec_mod(freeness._transition_matrices()[letter], state[1])
+
+
+def _rename(cert, old, new):
+    """cert with state ``old`` replaced by ``new`` in the states and in every transition."""
+    swap = {old: new}
+    states = cert.states - {old} | {new}
+    transitions = {(swap.get(s, s), x): swap.get(t, t) for (s, x), t in cert.transitions.items()}
+    return replace(cert, states=states, transitions=transitions)
+
+
+def _with_state(cert, state):
+    """cert with ``state`` added, with every transition out of it that the arithmetic implies."""
+    added = {(state, int(x)): _implied(state, x) for x in Letter if x != Letter(state[0]).inverse()}
+    return replace(cert, states=cert.states | {state}, transitions={**cert.transitions, **added})
+
+
+def _state_corruptions(cert):
+    others = {s for v0 in CANDIDATE_BASE_VECTORS for s in build_certificate(v0).states} - cert.states
+    for s in sorted(cert.states):
+        yield f"drop {s}", replace(cert, states=cert.states - {s})
+        kept = {k: t for k, t in cert.transitions.items() if k[0] != s}
+        yield f"drop {s} with its transitions", replace(cert, states=cert.states - {s}, transitions=kept)
+        letter, residue = s
+        renamed = [(letter, (0, 0, 0))]
+        renamed += [(letter, residue[:i] + (residue[i] + 7,) + residue[i + 1 :]) for i in range(3)]
+        renamed += [(other, residue) for other in range(5) if other != letter]
+        for new in renamed:
+            yield f"replace {s} by {new}", replace(cert, states=cert.states - {s} | {new})
+            yield f"rename {s} to {new}", _rename(cert, s, new)
+    for s in sorted(others):
+        yield f"add {s}", replace(cert, states=cert.states | {s})
+        yield f"add {s} with its transitions", _with_state(cert, s)
+
+
+def _transition_corruptions(cert):
+    states = sorted(cert.states)
+    for key, target in sorted(cert.transitions.items()):
+        yield f"drop {key}", replace(cert, transitions={k: t for k, t in cert.transitions.items() if k != key})
+        at = states.index(target)
+        for other in (states[(at + i) % len(states)] for i in range(1, 6)):
+            yield f"retarget {key} to {other}", replace(cert, transitions={**cert.transitions, key: other})
+    for s in states:
+        inverse = Letter(s[0]).inverse()
+        illegal = {(s, int(inverse)): _implied(s, inverse)}
+        yield f"prepend {inverse.symbol} at {s}", replace(cert, transitions={**cert.transitions, **illegal})
+
+
+def _container_corruptions(cert):
+    base = cert.base_vector
+    for v0 in CANDIDATE_BASE_VECTORS:
+        if v0 != base:
+            yield f"base {v0}", replace(cert, base_vector=v0)
+    congruent = (base[0], base[1] + 7, base[2])
+    doubled = tuple(2 * v for v in base)
+    for v0 in (congruent, doubled, base[:2], base + (0,), None, (7, 7, 7)):
+        yield f"base {v0}", replace(cert, base_vector=v0)
+    yield "no states", replace(cert, states=frozenset())
+    yield "no transitions", replace(cert, transitions={})
+    yield "nothing", replace(cert, states=frozenset(), transitions={})
+    yield "states as a list", replace(cert, states=sorted(cert.states))
+    yield "states as a set", replace(cert, states=set(cert.states))
+    yield "transitions as a list", replace(cert, transitions=sorted(cert.transitions.items()))
+
+
+CORRUPTIONS = {
+    "states": _state_corruptions,
+    "transitions": _transition_corruptions,
+    "containers": _container_corruptions,
+}
+
+
+@pytest.mark.parametrize("family", CORRUPTIONS)
+@pytest.mark.parametrize("base", CANDIDATE_BASE_VECTORS, ids=str)
+def test_checker_agrees_with_its_piecewise_reference(base, family):
+    cert = build_certificate(base)
+    cases = [("as built", cert), *CORRUPTIONS[family](cert)]
+    verdicts = {name: verify_certificate(c) for name, c in cases}
+    assert len(verdicts) == len(cases)
+    assert [name for name, c in cases if verdicts[name] != ref_verify_certificate(c)] == []
+    assert verdicts["as built"]

@@ -167,19 +167,31 @@ def test_induced_measure_resource_cap():
 
 
 def test_induced_pair_cap_is_checked_before_any_loop(monkeypatch):
-    # Order 9 is under the subset cap but over the pair cap.
+    # Order 9 is under the subset cap but over the evaluation cap on one copy.
     action = GroupAction.translation(GroupTable.cyclic(9))
-    with pytest.raises(ResourceLimitError, match=r"^3\^9 = 19683 disjoint subset pairs exceed the configured cap 6561$"):
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^3\^9 = 19683 disjoint subset pairs at 9 points = 177147 evaluations exceed the configured cap 104976$",
+    ):
         induced_group_measure(action, PointMeasure.uniform(action.points))
-    monkeypatch.setattr(measures, "INDUCED_PAIR_CAP", 3**3)
+    monkeypatch.setattr(measures, "INDUCED_EVALUATION_CAP", 3**3 * 3)
     action = GroupAction.translation(GroupTable.cyclic(3))
     assert induced_group_measure(action, PointMeasure.uniform(action.points)).passed
     # Refused before validation, so the action that is not free is not looked at.
     G = GroupTable.cyclic(4)
-    pts = frozenset({"x"})
-    trivial = GroupAction(G, pts, {(g, "x"): "x" for g in G.elements})
-    with pytest.raises(ResourceLimitError, match=r"^3\^4 = 81 disjoint subset pairs exceed the configured cap 27$"):
+    pts = frozenset({"x", "y"})
+    trivial = GroupAction(G, pts, {(g, p): p for g in G.elements for p in pts})
+    with pytest.raises(
+        ResourceLimitError, match=r"^3\^4 = 81 disjoint subset pairs at 2 points = 162 evaluations exceed the configured cap 81$"
+    ):
         induced_group_measure(trivial, PointMeasure.uniform(pts))
+
+
+def test_induced_measure_refuses_many_copies_of_a_group_under_the_subset_cap():
+    # 3^8 pairs on three copies of order 8 would run for seconds per copy.
+    action = GroupAction.translation(GroupTable.cyclic(8), copies=3)
+    with pytest.raises(ResourceLimitError, match=r"at 24 points = 157464 evaluations"):
+        induced_group_measure(action, PointMeasure.uniform(action.points))
 
 
 def test_free_violations_and_orbits():

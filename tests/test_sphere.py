@@ -465,7 +465,6 @@ def _absorb_demo_all_pairs(C, g, M):
         powers=M,
         precision_bits=g.precision_bits,
         n_points=len(labels),
-        certified_depth_ok=g.depth_checked >= M,
         min_separation=separation,
         collision=collision,
         unresolved=unresolved,

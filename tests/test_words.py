@@ -395,7 +395,7 @@ def _split_violation_by_words(h, cover, piece, mover):
 def _check_split_by_words(depth, cover, piece, mover):
     words = ball(depth)
     violations = [v for h in words if (v := _split_violation_by_words(h, cover, piece, mover)) is not None]
-    return SplitCheck(depth, cover, piece, mover, len(words), tuple(violations[:MAX_VIOLATIONS]))
+    return SplitCheck(depth, len(words), tuple(violations[:MAX_VIOLATIONS]))
 
 
 def _verify_f2_paradox_by_words(depth):
@@ -465,6 +465,20 @@ def test_verify_reports_a_letter_outside_0_to_3_as_a_partition_violation(monkeyp
     report = verify_f2_paradox(depth)
     assert report.partition_violations == (f"{word} does not end in one of the letters 0-3",)
     assert report.split_a.passed and report.split_b.passed and not report.passed
+
+
+@pytest.mark.parametrize("at", [1, 2], ids=["stored level", "streamed level"])
+def test_verify_reports_an_empty_word_past_length_0_as_a_partition_violation(monkeypatch, at):
+    # The empty word has no last letter, so it does not end in one of 0-3.
+    level = [list(level) for level in ball_levels(2)][at]
+    level[0] = b""
+    monkeypatch.setattr(words, "ball_levels", _one_level_replaced(at, level))
+    report = verify_f2_paradox(2)
+    assert report.partition_violations == ("'' does not end in one of the letters 0-3",)
+    assert report.split_a.checked == ball_size(2) and not report.passed
+    result = run_cli("words", "verify", "--depth", "2")
+    assert result.code == 1
+    assert "'' does not end in one of the letters 0-3" in result.stdout.decode()
 
 
 def test_verify_fails_closed_on_a_reordered_level(monkeypatch):
