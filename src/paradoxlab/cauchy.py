@@ -122,7 +122,6 @@ class AdditiveMap:
 @dataclass(frozen=True)
 class CauchyReport:
     trials: int
-    seed: int
     findings: tuple[Finding, ...]
     assumptions: tuple[str, ...]
 
@@ -175,7 +174,7 @@ def verify_cauchy(f: AdditiveMap, trials: int, *, seed: int = 0) -> CauchyReport
         Finding("additivity", not add_detail, add_detail),
         Finding("homogeneity", not hom_detail, hom_detail),
     )
-    return CauchyReport(trials, seed, findings, (INDEPENDENCE_ASSUMPTION,))
+    return CauchyReport(trials, findings, (INDEPENDENCE_ASSUMPTION,))
 
 
 def nonproportionality_witness(

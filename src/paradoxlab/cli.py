@@ -105,10 +105,8 @@ def _run_freeness_exhaustive(args):
 
 
 def _run_freeness_certify(args):
-    if args.base is None:
-        result = freeness.build_any_certificate()
-    else:
-        result = freeness.build_certificate(base_vector=args.base)
+    base = freeness.CANDIDATE_BASE_VECTORS[0] if args.base is None else args.base
+    result = freeness.build_certificate(base)
     if isinstance(result, freeness.CertificateFailure):
         details = {
             "findings": [Finding("certificate_built", False, result.detail)],

@@ -28,10 +28,6 @@ from .errors import DegenerateInputError, InvariantViolationError
 from .words import Letter, ball_levels
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class Mat3:
     """Row-major 3x3 matrix of rationals."""
@@ -44,8 +40,8 @@ class Mat3:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], scale=1) -> "Mat3":
-        s = _frac(scale)
-        return cls(tuple(_frac(e) * s for row in rows for e in row))
+        s = Fraction(scale)
+        return cls(tuple(Fraction(e) * s for row in rows for e in row))
 
     def transpose(self) -> "Mat3":
         e = self.entries
@@ -156,7 +152,7 @@ class ProjectiveDirection:
 
     @classmethod
     def canonical(cls, a, b, c) -> "ProjectiveDirection":
-        fr = (_frac(a), _frac(b), _frac(c))
+        fr = (Fraction(a), Fraction(b), Fraction(c))
         if not any(fr):
             raise DegenerateInputError("zero vector has no direction")
         d = lcm(*(f.denominator for f in fr))

@@ -484,7 +484,6 @@ class AbsorbReport:
     computed, out of n_points*(n_points-1)/2 pairs.
     """
 
-    depth: int
     powers: int
     precision_bits: int
     n_points: int
@@ -623,7 +622,6 @@ def absorb_demo(C: FixedDirectionSet, g: AbsorbingRotation, M: int) -> AbsorbRep
     else:
         outcome = "pass"
     return AbsorbReport(
-        depth=C.depth,
         powers=M,
         precision_bits=g.precision_bits,
         n_points=len(labels),

@@ -232,7 +232,6 @@ def ball_size(n: int) -> int:
 class SplitCheck:
     """Result of checking one covering identity F2 = W(cover) u mover.W(piece)."""
 
-    depth: int
     checked: int
     violations: tuple[str, ...]
 
@@ -287,7 +286,6 @@ def _show(letters: bytes | None) -> str:
 
 @dataclass(frozen=True)
 class F2ParadoxReport:
-    depth: int
     class_counts: Mapping[PrefixClass, int]
     partition_violations: tuple[str, ...]
     split_a: SplitCheck
@@ -397,6 +395,6 @@ def verify_f2_paradox(depth: int) -> F2ParadoxReport:
         check_size(k, 0)
     class_counts = {PrefixClass.IDENTITY: counts[4]}
     class_counts.update((_CLASS_OF_LETTER[x], counts[x]) for x in _ALPHABET)
-    split_a = SplitCheck(depth, checked, tuple(violations_a))
-    split_b = SplitCheck(depth, checked, tuple(violations_b))
-    return F2ParadoxReport(depth, class_counts, tuple(partition_violations), split_a, split_b)
+    split_a = SplitCheck(checked, tuple(violations_a))
+    split_b = SplitCheck(checked, tuple(violations_b))
+    return F2ParadoxReport(class_counts, tuple(partition_violations), split_a, split_b)

@@ -318,7 +318,7 @@ def check_split(
         problem = _split_violation(h, cover_letter, piece_letter, mover_letters, inv_letters)
         if problem is not None and len(violations) < MAX_VIOLATIONS:
             violations.append(problem)
-    return SplitCheck(depth, checked, tuple(violations))
+    return SplitCheck(checked, tuple(violations))
 
 
 def verify_f2_paradox_per_word(depth: int) -> F2ParadoxReport:
@@ -373,9 +373,9 @@ def verify_f2_paradox_per_word(depth: int) -> F2ParadoxReport:
         check_size(k, 0)
     class_counts = {PrefixClass.IDENTITY: counts[4]}
     class_counts.update((_CLASS_OF_LETTER[x], counts[x]) for x in _ALPHABET)
-    split_a = SplitCheck(depth, checked, tuple(violations_a))
-    split_b = SplitCheck(depth, checked, tuple(violations_b))
-    return F2ParadoxReport(depth, class_counts, tuple(partition_violations), split_a, split_b)
+    split_a = SplitCheck(checked, tuple(violations_a))
+    split_b = SplitCheck(checked, tuple(violations_b))
+    return F2ParadoxReport(class_counts, tuple(partition_violations), split_a, split_b)
 
 
 def brute_force_ball(n: int) -> frozenset[ReducedWord]:

@@ -97,6 +97,21 @@ def test_certify_reports_the_path_to_a_zero_residue(report_schema):
     assert result.report["details"]["failure"]["path"] == "b"
 
 
+def test_certify_reports_the_default_base_failure(monkeypatch, report_schema):
+    # An a over 7 that is no rotation, with 7a(0, 1, 0) = (7, 0, 0): the default
+    # base fails at once, and the report names the path as --base does.
+    a = exactlin.Mat3.from_rows([[6, 7, 3], [2, 0, -6], [-3, 0, 2]], scale=Fraction(1, 7))
+    b = exactlin.GEN_B
+    scaled = tuple(exactlin.scaled_integer_form(m) for m in (a, b, a.transpose(), b.transpose()))
+    monkeypatch.setattr(freeness, "SCALED_GENERATORS", scaled)
+    result = run_cli("freeness", "certify")
+    assert result.code == 1
+    jsonschema.validate(result.report, report_schema)
+    assert [f["name"] for f in result.report["details"]["findings"] if not f["ok"]] == ["certificate_built"]
+    assert result.report["details"]["failure"]["path"] == "a"
+    assert result.report["parameters"]["base"] is None
+
+
 def test_paradox_contradiction_end_to_end(tmp_path, report_schema):
     path = _shift_input(tmp_path)
     result = run_cli("paradox", "contradiction", "--input", str(path))
@@ -319,8 +334,8 @@ FALSIFIERS = [
     pytest.param(
         ("freeness", "certify"),
         # a certificate without its transitions is not closed, and the independent checker rejects it
-        lambda mp, real=freeness.build_any_certificate: mp.setattr(
-            freeness, "build_any_certificate", lambda: dataclasses.replace(real(), transitions={})
+        lambda mp, real=freeness.build_certificate: mp.setattr(
+            freeness, "build_certificate", lambda base: dataclasses.replace(real(base), transitions={})
         ),
         "certificate_verified",
         id="certificate_verified",

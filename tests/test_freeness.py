@@ -12,15 +12,15 @@ from paradoxlab.freeness import (
     CANDIDATE_BASE_VECTORS,
     CertificateFailure,
     FreenessCertificate,
-    build_any_certificate,
     build_certificate,
     exhaustive_check,
     verify_certificate,
     walk_check,
 )
-from paradoxlab.words import Letter
+from paradoxlab.words import Letter, ReducedWord
 
-from oracles import matmul, ref_verify_certificate
+import oracles
+from oracles import apply, matmul, ref_verify_certificate, word_matrix
 
 ROT_Z = Mat3.from_rows([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
 ROT_X = Mat3.from_rows([[1, 0, 0], [0, 0, -1], [0, 1, 0]])
@@ -29,11 +29,18 @@ CYCLE_AXES = Mat3.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 # paper's B: entries over 49, so aa (scaled by 49^2) meets A (scaled by 49)
 # only after gcd reduction, and no other pair of the half ball collides.
 CYCLE_CONJUGATE = matmul(matmul(exactlin.GEN_A, CYCLE_AXES), exactlin.GEN_A.transpose())
+# No rotation, but over 7 like the paper's: with the paper's B, 7a(0, 1, 0) =
+# (7, 0, 0) is zero mod 7 at once, and (1, 0, 0) meets a zero residue only later.
+SHORTCUT_A = Mat3.from_rows([[6, 7, 3], [2, 0, -6], [-3, 0, 2]], scale=Fraction(1, 7))
 
 
-def _use_generators(monkeypatch, a: Mat3, b: Mat3) -> None:
+def _use_generators(monkeypatch, a: Mat3, b: Mat3) -> dict[Letter, Mat3]:
+    """Patch both scaled copies, exactlin's for the ball and freeness's for the certificate builder."""
     gens = {Letter.A: a, Letter.B: b, Letter.A_INV: a.transpose(), Letter.B_INV: b.transpose()}
-    monkeypatch.setattr(exactlin, "SCALED_GENERATORS", tuple(scaled_integer_form(gens[x]) for x in Letter))
+    scaled = tuple(scaled_integer_form(gens[x]) for x in Letter)
+    monkeypatch.setattr(exactlin, "SCALED_GENERATORS", scaled)
+    monkeypatch.setattr(freeness, "SCALED_GENERATORS", scaled)
+    return gens
 
 
 def _spy_on_walk(monkeypatch) -> list[int]:
@@ -136,10 +143,35 @@ def test_certificate_failure_for_zero_residue_base():
     assert len(result.word) == 1
 
 
-def test_build_any_certificate_uses_first_good_candidate():
-    cert = build_any_certificate()
-    assert cert.base_vector == CANDIDATE_BASE_VECTORS[0]
-    assert verify_certificate(cert)
+def test_every_candidate_base_builds_one_automaton():
+    # So the default base CANDIDATE_BASE_VECTORS[0] stands for them all, and
+    # the benchmark's draw among them builds the same certificate.
+    certs = [build_certificate(v0) for v0 in CANDIDATE_BASE_VECTORS]
+    first = certs[0]
+    assert (len(first.states), len(first.transitions)) == (24, 72)
+    for cert in certs:
+        assert (cert.states, cert.transitions) == (first.states, first.transitions)
+        assert all(verify_certificate(replace(cert, base_vector=v0)) for v0 in CANDIDATE_BASE_VECTORS)
+
+
+def test_certificate_failure_past_depth_one(monkeypatch):
+    gens = _use_generators(monkeypatch, SHORTCUT_A, exactlin.GEN_B)
+    monkeypatch.setattr(oracles, "DEFAULT_GENERATORS", gens)
+    base = (1, 0, 0)
+    result = build_certificate(base)
+    assert isinstance(result, CertificateFailure)
+    assert result.detail == f"zero residue after prepending {result.path[0].symbol}"
+    assert len(result.path) >= 2
+
+    def zero_mod_7(word):
+        # 7^k w v0 on the rational generators, integral and divisible by 7.
+        scaled = [c * 7 ** len(word) for c in apply(word_matrix(word), base)]
+        assert all(c.denominator == 1 for c in scaled)
+        return all(c.numerator % 7 == 0 for c in scaled)
+
+    w = result.word
+    assert zero_mod_7(w)
+    assert not any(zero_mod_7(ReducedWord(w[i:])) for i in range(1, len(w) + 1))
 
 
 def test_corrupted_certificate_rejected():
@@ -167,7 +199,7 @@ def test_certificate_kind_consistency_checked():
 def test_certificate_and_exhaustion_agree():
     # Both oracles say "free" on the same ball; neither shares code with the other.
     assert exhaustive_check(6).certified
-    assert verify_certificate(build_any_certificate())
+    assert verify_certificate(build_certificate(CANDIDATE_BASE_VECTORS[0]))
 
 
 # -- the checker against its piecewise reference -------------------------------

@@ -461,7 +461,6 @@ def _absorb_demo_all_pairs(C, g, M):
         separation = 0.0 if min_low is None else _shrink_lower(math.sqrt(float(mpmath.mpf(min_low.a))))
     outcome = "fail" if collision is not None else "inconclusive" if unresolved is not None else "pass"
     return AbsorbReport(
-        depth=C.depth,
         powers=M,
         precision_bits=g.precision_bits,
         n_points=len(labels),

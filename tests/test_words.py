@@ -395,7 +395,7 @@ def _split_violation_by_words(h, cover, piece, mover):
 def _check_split_by_words(depth, cover, piece, mover):
     words = ball(depth)
     violations = [v for h in words if (v := _split_violation_by_words(h, cover, piece, mover)) is not None]
-    return SplitCheck(depth, len(words), tuple(violations[:MAX_VIOLATIONS]))
+    return SplitCheck(len(words), tuple(violations[:MAX_VIOLATIONS]))
 
 
 def _verify_f2_paradox_by_words(depth):
@@ -404,7 +404,6 @@ def _verify_f2_paradox_by_words(depth):
         counts[prefix_class(w)] += 1
     a, b = ReducedWord.from_string("a"), ReducedWord.from_string("b")
     return F2ParadoxReport(
-        depth,
         counts,
         (),
         _check_split_by_words(depth, PrefixClass.W_A, PrefixClass.W_A_INV, a),
