@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -465,10 +464,10 @@ def _prefix_class_witness(
 # ---------------------------------------------------------------------------
 
 #: Hard cap on the planar paradox's (max_coeff+1)^(max_degree+1) points; at the cap, ``smp_verify``
-#: takes 4.0-4.2 s and 268 MiB peak RSS at (19, 1), 3.1-3.3 s and 214 MiB at (9, 3), 6.9-7.0 s and
-#: 183 MiB at (1, 1023) and 3.5-3.7 s and 184 MiB at (4, 15), two runs each in a fresh process on a
-#: 2-vCPU VM, alternated with runs that rounded the defect by shifts on the unstripped unit (4.5-5.5,
-#: 3.6-3.7, 6.1-7.1 and 3.6-4.3 s): time bounds it.  The cap holds at and below the default precision;
+#: takes 5.3-5.7 s and 268 MiB peak RSS at (19, 1), 3.4-4.0 s and 214 MiB at (9, 3), 3.5-3.8 s and
+#: 173 MiB at (1, 1023) and 3.7-4.0 s and 184 MiB at (4, 15), two runs each in a fresh process on a
+#: 2-vCPU VM, alternated with runs that swept a float array of the realising points (5.2-5.6,
+#: 3.6-4.5, 6.1-6.9 and 3.9-5.9 s): time bounds it.  The cap holds at and below the default precision;
 #: above it, ``smp_verify`` scales it by DEFAULT_PRECISION_BITS / bits, since at 1024 bits a point adds
 #: about 670 B to the peak RSS, not the 185 B it adds at 128 (at (7, 3), same VM).
 SMP_POINT_CAP = 2**20
@@ -678,18 +677,6 @@ def _embed_polys(kernel: _Kernel, max_degree: int, max_coeff: int) -> tuple[list
     return column(0), column(1)
 
 
-def _embed_poly(p: tuple[int, ...], kernel: _Kernel) -> tuple[int, int]:
-    """P(t) for one polynomial, summed on its own in the order :func:`_embed_polys` documents, so bit-identical."""
-    rnd = kernel.round
-    power, z = (1 << kernel.grid, 0), (0, 0)
-    for k, c in enumerate(p):
-        if k:
-            power = _mul(power, kernel.unit, kernel)
-        if c:
-            z = (rnd(z[0] + rnd(c * power[0])), rnd(z[1] + rnd(c * power[1])))
-    return z
-
-
 #: Unit roundoff of a float: round to nearest with a 53-bit significand.
 FLOAT_UNIT = 2.0**-53
 
@@ -713,7 +700,7 @@ def _coordinate_error(max_degree: int, max_coeff: int, precision_bits: int) -> f
 
 
 def _separation_slack(max_degree: int, max_coeff: int, precision_bits: int, distance: float) -> float:
-    """Bound on (float distance of a pair) - (exact distance) for the sweep.
+    """Bound on (float distance of a pair) - (exact distance), for a realising pair measured by :func:`_smp_numeric`.
 
     Both points move by at most sqrt(2) times the coordinate error; the
     float distance (a subtraction and a square per coordinate, a sum and
@@ -723,10 +710,10 @@ def _separation_slack(max_degree: int, max_coeff: int, precision_bits: int, dist
 
 
 def _difference_slack(max_degree: int, max_coeff: int, precision_bits: int) -> float:
-    """Bound on |search distance of D - sweep distance of a pair realising D|, for every D.
+    """Bound on |search distance of D - float distance of a pair realising D|, for every D.
 
     Each is within its own error of |D(e^i)| <= m = max_coeff*(max_degree+1),
-    so neither exceeds 2m, where both errors are taken.  The sweep's is
+    so neither exceeds 2m, where both errors are taken.  The pair's is
     :func:`_separation_slack`.  The search (:func:`_least_differences`) sums
     at most n = max_degree+1 terms d*t^k per point, |d| <= max_coeff, over
     the powers of :func:`_powers` (each within 8n*2^-precision_bits of e^ik
@@ -743,48 +730,6 @@ def _difference_slack(max_degree: int, max_coeff: int, precision_bits: int) -> f
     coordinate = m * (8 * n * 2.0**-precision_bits + (2 * n + 2) * FLOAT_UNIT)
     search = 2 * math.sqrt(2) * coordinate + 4 * FLOAT_UNIT * 2 * m
     return search + _separation_slack(max_degree, max_coeff, precision_bits, 2 * m)
-
-
-def _closest_pair_sq(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, tuple[int, int]]:
-    """Plane sweep for the closest pair of the points (xs[i], ys[i]); returns (squared distance, indices).
-
-    Points are visited in (x, y, index) order: the indices are sorted by y,
-    then again by x.  Both sorts are stable, so the second keeps y order
-    among equal x, and the first keeps index order among equal y.  The
-    active strip is kept in (y, x, index) order as two parallel lists, its y
-    values and its indices.  A new point goes after every active point of
-    equal y, since it comes after them in (x, index); a leaving point is
-    found by bisecting to its y and stepping through that run to its index.
-    The window is the active points with y - d <= cy < y + d for
-    d = sqrt(best) at the point's visit, walked in strip order, so of
-    several pairs at the least distance the first one met wins.
-    """
-    order = sorted(range(len(xs)), key=ys.__getitem__)
-    order.sort(key=xs.__getitem__)
-    best = d = math.inf
-    pair = (-1, -1)
-    active_y: list[float] = []
-    active: list[int] = []
-    left = 0
-    for idx in order:
-        x, y = xs[idx], ys[idx]
-        while xs[order[left]] < x - d:
-            old = order[left]
-            k = bisect_left(active_y, ys[old])
-            while active[k] != old:
-                k += 1
-            del active_y[k], active[k]
-            left += 1
-        for k in range(bisect_left(active_y, y - d), bisect_left(active_y, y + d)):
-            cidx = active[k]
-            dsq = (x - xs[cidx]) ** 2 + (y - active_y[k]) ** 2
-            if dsq < best:
-                best, d = dsq, math.sqrt(dsq)
-                pair = (cidx, idx)
-        k = bisect_right(active_y, y)
-        active_y.insert(k, y)
-        active.insert(k, idx)
-    return best, pair
 
 
 def _least_differences(powers: Sequence[complex], max_coeff: int, window: float) -> tuple[float, list[tuple[int, ...]]]:
@@ -868,26 +813,33 @@ def _least_differences(powers: Sequence[complex], max_coeff: int, window: float)
     return best, sorted(kept)
 
 
-def _realising_points(differences: Iterable[Sequence[int]], max_degree: int, max_coeff: int) -> bytes:
-    """A byte per index of ``enumerate_polys``: 1 at both ends of each pair (i, j) with P_i - P_j in ``differences``.
+def _realising_pairs(
+    differences: Iterable[Sequence[int]], max_degree: int, max_coeff: int
+) -> Iterator[tuple[int, int]]:
+    """Each pair (i, j) of indices of ``enumerate_polys`` with P_i - P_j in ``differences``.
 
-    P_i - P_j = D exactly when every coefficient p_k of P_i lies in
-    [max(0, d_k), max_coeff + min(0, d_k)]: the i form a box of digits,
-    box(D), and P_j = P_i - D then ranges over box(-D).  So the mask is the
-    union of box(D) and box(-D) over every D.  Each box is built from the
-    least significant digit (the highest power) up, each digit making base
-    copies of the mask so far, blank outside the box.  The rest is 0.
+    Each D is its max_degree + 1 coefficients, constant first.  P_i - P_j = D
+    exactly when every coefficient p_k of P_i lies in [max(0, d_k),
+    max_coeff + min(0, d_k)], so the i form a box of digits, box(D), in the
+    mixed radix of :func:`_smp_index_maps` (base max_coeff + 1, the constant
+    term the most significant digit), and j = i - offset(D), where offset(D)
+    is the sum of d_k * base^(max_degree - k), D read in that radix with its
+    negative digits.  The i of box(D) are built from the most significant
+    digit down, and each run of the last digit's range is yielded with its j
+    run, both consecutive.
     """
     base = max_coeff + 1
-    union = 0
     for d in differences:
-        for e in (d, [-c for c in d]):
-            box = b"\x01"
-            for c in reversed(e):
-                blank = bytes(len(box))
-                box = b"".join(box if max(0, c) <= p <= max_coeff + min(0, c) else blank for p in range(base))
-            union |= int.from_bytes(box, "big")
-    return union.to_bytes(base ** (max_degree + 1), "big")
+        starts, offset = [0], 0
+        for c in d[:max_degree]:
+            starts = [base * s + p for s in starts for p in range(max(0, c), base + min(0, c))]
+            offset = base * offset + c
+        last = d[max_degree]
+        offset = base * offset + last
+        low, high = max(0, last), base + min(0, last)
+        for s in starts:
+            start = base * s
+            yield from zip(range(start + low, start + high), range(start + low - offset, start + high - offset))
 
 
 @dataclass(frozen=True)
@@ -1020,28 +972,26 @@ def smp_verify(max_degree: int = 6, max_coeff: int = 3, precision_bits: int = DE
 def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
     """The separation and isometries findings, the min distance and its pair, and the max isometry defect.
 
-    The powers of t, the embedding, the g/h defects and the closest pair's
-    two points run on one fixed-point kernel, built once here
-    (:func:`_planar_kernel`): its rounding tables and its t with the shared
-    zero low bits stripped serve every stage.  The closest pair's distance
-    and the sampled rotation-invariance pairs run on libmp, on exactly
-    converted points.  A grid value v becomes a float by
-    one exact int division, v / 2^grid, correctly rounded to nearest with
-    ties to even.  A pair's distance is |D(t)| for its difference D = P - Q.
-    :func:`_least_differences` finds the least |D(t)| by meet in the middle
-    and keeps each D within twice :func:`_difference_slack` of it, so every
-    closest pair of the sweep over all points realises a kept D.  Only the
-    points of those realisations (:func:`_realising_points`) are converted
-    to floats, read through ``itertools.compress`` without a copy of the
-    columns, and swept.  The sweep visits and walks them in the order it
-    would among all points, so it meets the same pair first.  Its distance
-    must lie within the slack of the search's least, or the run raises
-    InvariantViolationError naming both: so it does when the swept points
-    are fewer than two, or hold no realisation of a least D.  Swept points
-    that keep only some of those realisations still give a pair at the
-    least distance, but perhaps not the first one.  The grid points are
-    freed before the sweep; the closest pair's two points are summed again
-    on their own.
+    The powers of t, the embedding and the g/h defects run on one
+    fixed-point kernel, built once here (:func:`_planar_kernel`): its
+    rounding tables and its t with the shared zero low bits stripped serve
+    every stage.  The closest pair's distance and the sampled
+    rotation-invariance pairs run on libmp, on exactly converted points.  A
+    grid value v becomes a float by one exact int division, v / 2^grid,
+    correctly rounded to nearest with ties to even.  A pair's distance is
+    |D(t)| for its difference D = P - Q.  :func:`_least_differences` finds
+    the least |D(t)| by meet in the middle and keeps each D within twice
+    :func:`_difference_slack` of it, so every closest pair of the points
+    realises a kept D, and only the pairs that realise one
+    (:func:`_realising_pairs`) are measured, in floats.  Of those at the
+    least squared distance, the pair kept is the one a plane sweep over all
+    points would meet first: the least (x, y, index) of its later end in
+    that order, then the least (y, x, index) of its earlier end, the sweep's
+    visit order and then its strip order; it is reported earlier end first.
+    Its distance must lie within the slack of the search's least, or the run
+    raises InvariantViolationError naming both: so it does when no pair
+    realises a kept D (the distance is then inf), or none realises a least
+    one.
     """
     prec, rnd = precision_bits, round_nearest
     kernel = _planar_kernel(max_degree, max_coeff, prec)
@@ -1052,7 +1002,6 @@ def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
     powers = [complex(x / one, y / one) for x, y in _powers(kernel, max_degree)]
     slack = _difference_slack(max_degree, max_coeff, prec)
     least, differences = _least_differences(powers, max_coeff, 2 * slack)
-    swept = _realising_points(differences, max_degree, max_coeff)
 
     re, im = _embed_polys(kernel, max_degree, max_coeff)
 
@@ -1075,21 +1024,23 @@ def _smp_numeric(g_map, h_map, max_degree, max_coeff, precision_bits):
     isometry_ok = mpf_cmp(defect, tol) <= 0
     isometries = Finding("isometries", isometry_ok, f"max defect {to_str(defect, 6)} vs tolerance {to_str(tol, 6)}")
 
-    # the sweep, over the points that realise those differences only
-    xs = array("d", (v / one for v in itertools.compress(re, swept)))
-    ys = array("d", (v / one for v in itertools.compress(im, swept)))
-    del re, im
-    best_sq, ends = _closest_pair_sq(xs, ys)
-    distance = math.sqrt(best_sq)
+    # the closest realising pair, as (squared distance, later end's (x, y, index), earlier end's (y, x, index))
+    best: tuple = (math.inf,)
+    for i, j in _realising_pairs(differences, max_degree, max_coeff):
+        xi, yi, xj, yj = re[i] / one, im[i] / one, re[j] / one, im[j] / one
+        dsq = (xi - xj) ** 2 + (yi - yj) ** 2
+        if dsq <= best[0]:
+            early, late = sorted([(xi, yi, i), (xj, yj, j)])
+            best = min(best, (dsq, late, (early[1], early[0], early[2])))
+    distance = math.sqrt(best[0])
     if not abs(distance - least) <= slack:
         raise InvariantViolationError(
-            f"the closest-pair sweep's distance {distance!r} and the least difference {least!r} "
+            f"the closest realising pair's distance {distance!r} and the least difference {least!r} "
             f"differ by more than their slack {slack:.3g}"
         )
-    i, j = (next(itertools.islice(itertools.compress(itertools.count(), swept), k, None)) for k in ends)
+    i, j = best[2][2], best[1][2]
     p, q = _smp_poly(i, max_degree, max_coeff), _smp_poly(j, max_degree, max_coeff)
-    z, w = _embed_poly(p, kernel), _embed_poly(q, kernel)
-    min_distance = to_float(dist(_to_mpc(z, grid), _to_mpc(w, grid)), rnd=rnd)
+    min_distance = to_float(dist(_to_mpc((re[i], im[i]), grid), _to_mpc((re[j], im[j]), grid)), rnd=rnd)
     separated = distance - _separation_slack(max_degree, max_coeff, prec, distance) > SEPARATION_RESOLUTION
     pair = (poly_str(p), poly_str(q))
     separation = Finding(

@@ -8,8 +8,9 @@ product of group tables, the frozenset route of finite action models (validation
 interior on point objects), the Fraction routes of the integer kernels
 (point-measure mass, the ergodic average with its piecewise-constant
 samples, and the additive map), the planar paradox's g/h isometry defect
-over every pair, its least difference over every difference vector and the
-points realising a difference, pair by pair, and the sphere's interval geometry in mpmath's ``iv`` context.  Each is the
+over every pair, its least difference over every difference vector, the
+pairs realising a difference, looked up pair by pair, and its closest pair
+by a plane sweep over every point, and the sphere's interval geometry in mpmath's ``iv`` context.  Each is the
 slow, general route that a fast path in ``exactlin``, ``words``,
 ``freeness``, ``measures``, ``paradox``, ``cauchy`` or ``sphere`` must agree with.
 """
@@ -18,10 +19,10 @@ from __future__ import annotations
 
 import cmath
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from fractions import Fraction
-from math import gcd, inf, lcm
+from math import gcd, inf, lcm, sqrt
 from typing import Iterator, Sequence
 
 from mpmath import iv
@@ -32,7 +33,7 @@ from paradoxlab.errors import DegenerateInputError, DomainError, InvariantViolat
 from paradoxlab.exactlin import DEFAULT_GENERATORS, Mat3, ProjectiveDirection, _scaled_axis, scaled_integer_form
 from paradoxlab.freeness import _MOD, MAX_VECTOR_STATES, FreenessCertificate
 from paradoxlab.measures import GroupTable, PiecewiseConstant, PointMeasure, _frac
-from paradoxlab.paradox import _grid_bits, _to_mpc, enumerate_polys
+from paradoxlab.paradox import _Kernel, _grid_bits, _mul, _to_mpc, enumerate_polys
 from paradoxlab import words
 from paradoxlab.words import (
     _ALPHABET,
@@ -563,24 +564,86 @@ def least_differences_all_vectors(max_degree: int, max_coeff: int, window: float
     return least, sorted(kept)
 
 
-def realising_points_all_pairs(differences: Sequence[Sequence[int]], max_degree: int, max_coeff: int) -> bytes:
-    """paradox._realising_points's mask from every index and every difference, one pair at a time.
+def realising_pairs_all_pairs(
+    differences: Sequence[Sequence[int]], max_degree: int, max_coeff: int
+) -> set[tuple[int, int]]:
+    """paradox._realising_pairs's pairs from every index and every difference, one pair at a time.
 
     For each index i of ``enumerate_polys`` and each D of ``differences``,
-    and its negation, the j with P_j = P_i - D is looked up among the
-    padded coefficient tuples, constant first; where it is in range, both
-    i and j are marked.  No digit boxes and no index arithmetic.
+    the j with P_j = P_i - D is looked up among the padded coefficient
+    tuples, constant first; where it is in range, (i, j) is a pair.  No digit
+    boxes and no index arithmetic.
     """
     width = max_degree + 1
     index = {p + (0,) * (width - len(p)): i for i, p in enumerate(enumerate_polys(max_degree, max_coeff))}
-    signed = [e for d in differences for e in (tuple(d), tuple(-c for c in d))]
-    mask = bytearray(len(index))
+    pairs = set()
     for p, i in index.items():
-        for e in signed:
-            j = index.get(tuple(a - c for a, c in zip(p, e)))
+        for d in differences:
+            j = index.get(tuple(a - c for a, c in zip(p, d)))
             if j is not None:
-                mask[i] = mask[j] = 1
-    return bytes(mask)
+                pairs.add((i, j))
+    return pairs
+
+
+# -- the planar closest pair over every point -----------------------------------
+#
+# smp_verify measures only the pairs that realise a least difference; these
+# are the all-points route it replaced: one polynomial summed on its own, and
+# a plane sweep over every embedded point.
+
+
+def _embed_poly(p: tuple[int, ...], kernel: _Kernel) -> tuple[int, int]:
+    """P(t) for one polynomial, summed on its own in the order paradox._embed_polys documents, so bit-identical."""
+    rnd = kernel.round
+    power, z = (1 << kernel.grid, 0), (0, 0)
+    for k, c in enumerate(p):
+        if k:
+            power = _mul(power, kernel.unit, kernel)
+        if c:
+            z = (rnd(z[0] + rnd(c * power[0])), rnd(z[1] + rnd(c * power[1])))
+    return z
+
+
+def _closest_pair_sq(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, tuple[int, int]]:
+    """Plane sweep for the closest pair of the points (xs[i], ys[i]); returns (squared distance, indices).
+
+    Points are visited in (x, y, index) order: the indices are sorted by y,
+    then again by x.  Both sorts are stable, so the second keeps y order
+    among equal x, and the first keeps index order among equal y.  The
+    active strip is kept in (y, x, index) order as two parallel lists, its y
+    values and its indices.  A new point goes after every active point of
+    equal y, since it comes after them in (x, index); a leaving point is
+    found by bisecting to its y and stepping through that run to its index.
+    The window is the active points with y - d <= cy < y + d for
+    d = sqrt(best) at the point's visit, walked in strip order, so of
+    several pairs at the least distance the first one met wins.
+    """
+    order = sorted(range(len(xs)), key=ys.__getitem__)
+    order.sort(key=xs.__getitem__)
+    best = d = inf
+    pair = (-1, -1)
+    active_y: list[float] = []
+    active: list[int] = []
+    left = 0
+    for idx in order:
+        x, y = xs[idx], ys[idx]
+        while xs[order[left]] < x - d:
+            old = order[left]
+            k = bisect_left(active_y, ys[old])
+            while active[k] != old:
+                k += 1
+            del active_y[k], active[k]
+            left += 1
+        for k in range(bisect_left(active_y, y - d), bisect_left(active_y, y + d)):
+            cidx = active[k]
+            dsq = (x - xs[cidx]) ** 2 + (y - active_y[k]) ** 2
+            if dsq < best:
+                best, d = dsq, sqrt(dsq)
+                pair = (cidx, idx)
+        k = bisect_right(active_y, y)
+        active_y.insert(k, y)
+        active.insert(k, idx)
+    return best, pair
 
 
 # -- interval geometry in mpmath's iv context -----------------------------------

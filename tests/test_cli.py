@@ -230,24 +230,19 @@ def _smp_verify_invariant_failure(report_schema, *args):
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_smp_verify_fails_closed_when_the_mask_keeps_the_boxes_of_one_sign(monkeypatch, report_schema, sign):
-    # A mask of box(D) alone (sign 1) holds the i ends of D's realisations but not their j ends in box(-D),
-    # and a mask of box(-D) alone (sign -1) the j ends but not the i ends.  At coef 1 each nonzero
-    # coefficient of D fixes that digit of P_i to one value and of P_j to the other, so at deg 12 no pair
-    # realising the least D lies within either box, and the sweep meets a pair far from the least
-    # difference.  Taking every digit p to coef - p maps box(D) onto box(-D) by a point reflection, so both
-    # signs sweep the same distance.
-    def one_sign(differences, max_degree, max_coeff):
-        polys = paradox.enumerate_polys(max_degree, max_coeff)
-        padded = [p + (0,) * (max_degree + 1 - len(p)) for p in polys]
-        boxes = [[sign * c for c in d] for d in differences]
-        return bytes(
-            any(all(max(0, c) <= a <= max_coeff + min(0, c) for a, c in zip(p, d)) for d in boxes) for p in padded
-        )
+    # Each realising pair with its j end moved one index up (sign 1) or down (sign -1): that adds -sign to
+    # P_j's highest coefficient, so every pair measured realises D + sign * t^12 in place of the least D,
+    # and the closest of them lies near 1, far from the least difference.
+    realising = paradox._realising_pairs
 
-    monkeypatch.setattr(paradox, "_realising_points", one_sign)
+    def shifted(differences, max_degree, max_coeff):
+        return ((i, j + sign) for i, j in realising(differences, max_degree, max_coeff))
+
+    monkeypatch.setattr(paradox, "_realising_pairs", shifted)
     detail = _smp_verify_invariant_failure(report_schema, "--deg", "12", "--coef", "1")
+    distance = {1: r"1\.00064\d*", -1: r"0\.95932\d*"}[sign]
     assert re.fullmatch(
-        r"the closest-pair sweep's distance 0\.567\d* and the least difference 0\.0006681\d* "
+        rf"the closest realising pair's distance {distance} and the least difference 0\.0006681\d* "
         r"differ by more than their slack \S+",
         detail,
     )
@@ -255,18 +250,18 @@ def test_smp_verify_fails_closed_when_the_mask_keeps_the_boxes_of_one_sign(monke
 
 @pytest.mark.parametrize("kept", [0, 1])
 def test_smp_verify_fails_closed_with_fewer_than_two_swept_points(monkeypatch, report_schema, kept):
-    # the sweep of fewer than two points returns inf and no pair (-1, -1), which is never decoded
-    realising = paradox._realising_points
+    # No pair at all (kept 0) gives the distance inf and no pair, which is never decoded; each pair's i end
+    # kept alone, as (i, i) (kept 1), gives the distance 0.
+    realising = paradox._realising_pairs
 
     def fewer(differences, max_degree, max_coeff):
-        swept = realising(differences, max_degree, max_coeff)
-        first = swept.index(1)
-        return bytes(first) + b"\x01" * kept + bytes(len(swept) - first - kept)
+        return ((i, i) for i, _ in realising(differences, max_degree, max_coeff) if kept)
 
-    monkeypatch.setattr(paradox, "_realising_points", fewer)
+    monkeypatch.setattr(paradox, "_realising_pairs", fewer)
     detail = _smp_verify_invariant_failure(report_schema, "--deg", "3", "--coef", "2")
+    distance = {0: "inf", 1: r"0\.0"}[kept]
     assert re.fullmatch(
-        r"the closest-pair sweep's distance inf and the least difference 0\.07728\d* "
+        rf"the closest realising pair's distance {distance} and the least difference 0\.07728\d* "
         r"differ by more than their slack \S+",
         detail,
     )

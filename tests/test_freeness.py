@@ -174,6 +174,22 @@ def test_certificate_failure_past_depth_one(monkeypatch):
     assert not any(zero_mod_7(ReducedWord(w[i:])) for i in range(1, len(w) + 1))
 
 
+def test_verify_certificate_rejects_a_closed_automaton_with_zero_residues():
+    # The 24-state certificate with the four zero-residue states added, and the transitions they imply: a
+    # zero residue prepends to a zero residue, so the roots and every implied target are states and the
+    # transitions are exactly the implied ones.  Only the nonzero-residue guard rejects it.
+    cert = build_certificate(CANDIDATE_BASE_VECTORS[0])
+    zero = (0, 0, 0)
+    zeros = {(x, zero) for x in range(4)}
+    transitions = dict(cert.transitions)
+    transitions.update(
+        ((state, y), (y, zero)) for state in zeros for y in range(4) if Letter(y) != Letter(state[0]).inverse()
+    )
+    extended = replace(cert, states=cert.states | zeros, transitions=transitions)
+    assert len(extended.states) == 28 and len(extended.transitions) == 84
+    assert verify_certificate(cert) and not verify_certificate(extended)
+
+
 def test_corrupted_certificate_rejected():
     cert = build_certificate((0, 1, 0))
     state = next(iter(cert.states))

@@ -43,10 +43,8 @@ from paradoxlab.paradox import (
     two_to_one_shift_model,
     verify_paradox_witness,
     _OffGrid,
-    _closest_pair_sq,
     _coordinate_error,
     _difference_slack,
-    _embed_poly,
     _embed_polys,
     _gh_defect,
     _grid_bits,
@@ -55,7 +53,7 @@ from paradoxlab.paradox import (
     _mul,
     _planar_kernel,
     _powers,
-    _realising_points,
+    _realising_pairs,
     _rounding_tables,
     _separation_slack,
     _smp_index_maps,
@@ -66,12 +64,14 @@ from paradoxlab.sphere import SEPARATION_RESOLUTION
 from paradoxlab.words import Letter, ReducedWord, ball, ball_size
 
 from oracles import (
+    _closest_pair_sq,
+    _embed_poly,
     _round,
     apply,
     concat,
     gh_defect_all_pairs,
     least_differences_all_vectors,
-    realising_points_all_pairs,
+    realising_pairs_all_pairs,
     ref_interior,
     word_matrix,
 )
@@ -297,11 +297,12 @@ def test_smp_point_cap_is_checked_before_enumerating(monkeypatch):
 #: Bound on the tracemalloc peak of smp_verify(6, 3), in bytes per point.  The
 #: grid embedding is two int columns, re and im, and the run peaks while it
 #: builds them: 167-177 B per point with Python 3.11, the first call in a
-#: process reading highest.  Only the 2,808 points that realise the least
-#: difference are converted to floats; holding float arrays of every point
-#: with the columns took 173-183, grid points as (re, im) tuples 223-241, and
-#: holding the enumeration, the grid points, float pairs and sorted sweep
-#: tuples at once about 520.  The bound keeps the 27 B margin it had over 183.
+#: process reading highest.  Only the 1,728 pairs that realise the least
+#: differences are converted to floats, one pair at a time; holding float
+#: arrays of every point with the columns took 173-183, grid points as
+#: (re, im) tuples 223-241, and holding the enumeration, the grid points,
+#: float pairs and sorted sweep tuples at once about 520.  The bound keeps
+#: the 27 B margin it had over 183.
 SMP_PEAK_BYTES_PER_POINT = 204
 
 
@@ -445,7 +446,7 @@ def test_shared_prefix_embedding_matches_per_polynomial_sums(max_degree, max_coe
 
 @pytest.mark.parametrize("max_degree,max_coeff,bits", [(3, 2, 64), (4, 4, 128), (5, 2, 256), (1, 200, 128), (4, 3, 1024)])
 def test_one_polynomial_embeds_as_in_the_shared_prefix_sums(max_degree, max_coeff, bits):
-    # smp_verify sums its closest pair's two points again after freeing the grid points
+    # the sweep over every point (_sweep_every_point) sums its closest pair's two points this way
     kernel, re, im = _embedding(max_degree, max_coeff, bits)
     assert [_embed_poly(p, kernel) for p in enumerate_polys(max_degree, max_coeff)] == list(zip(re, im))
 
@@ -818,7 +819,9 @@ def test_realising_points_match_every_pair(max_degree, max_coeff):
     bits = 128
     powers = _float_powers(max_degree, max_coeff, bits)
     _, kept = _least_differences(powers, max_coeff, 2 * _difference_slack(max_degree, max_coeff, bits))
-    assert _realising_points(kept, max_degree, max_coeff) == realising_points_all_pairs(kept, max_degree, max_coeff)
+    pairs = list(_realising_pairs(kept, max_degree, max_coeff))
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == realising_pairs_all_pairs(kept, max_degree, max_coeff)
 
 
 # any differences, of either sign and as many as three, with ends near the box edges or beyond the range
@@ -832,8 +835,8 @@ def test_realising_points_match_every_pair(max_degree, max_coeff):
 )
 def test_realising_points_match_every_pair_for_any_differences(case):
     (max_degree, max_coeff), differences = case
-    expected = realising_points_all_pairs(differences, max_degree, max_coeff)
-    assert _realising_points(differences, max_degree, max_coeff) == expected
+    expected = realising_pairs_all_pairs(differences, max_degree, max_coeff)
+    assert set(_realising_pairs(differences, max_degree, max_coeff)) == expected
 
 
 def _sweep_every_point(max_degree, max_coeff, bits):

@@ -532,6 +532,30 @@ def test_verify_fails_closed_on_a_missing_last_level(monkeypatch, depth):
     assert run_cli("words", "verify", "--depth", str(depth)).code == 1
 
 
+@pytest.mark.parametrize("depth", [1, 3])
+def test_verify_fails_closed_on_a_level_past_the_depth(monkeypatch, depth):
+    # ball_levels yields one level more than asked: every word of it is reduced and extends its parent,
+    # so only the size check, which expects no word past the depth, shows the extra level.
+    ball_levels = words.ball_levels
+    monkeypatch.setattr(words, "ball_levels", lambda n: ball_levels(n + 1))
+    report = verify_f2_paradox(depth)
+    expected = f"level {depth + 1} has {4 * 3 ** depth} words, expected 0"
+    assert not report.passed and not report.partition_violations
+    assert report.split_a.violations == report.split_b.violations == (expected,)
+    assert run_cli("words", "verify", "--depth", str(depth)).code == 1
+
+
+def test_verify_keeps_at_most_max_violations_partition_messages(monkeypatch):
+    # Every word of level 2 ends in the letter 4, so 12 words violate the partition: only the first
+    # MAX_VIOLATIONS are reported.
+    level = [w[:-1] + b"\x04" for w in [list(level) for level in ball_levels(2)][2]]
+    assert len(level) > MAX_VIOLATIONS
+    monkeypatch.setattr(words, "ball_levels", _one_level_replaced(2, level))
+    report = verify_f2_paradox(2)
+    expected = tuple(f"{tuple(w)} does not end in one of the letters 0-3" for w in level[:MAX_VIOLATIONS])
+    assert report.partition_violations == expected and not report.passed
+
+
 def test_verify_fails_closed_on_a_doubled_identity(monkeypatch):
     ball_levels = words.ball_levels
 
